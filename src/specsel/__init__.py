@@ -6,7 +6,7 @@ rejects candidate preprocessing pipelines while picking the component count.
 """
 
 from .crossval import PressMatrix, loo_press_matrix
-from .decompose import PcaModel, nipals_fit, project, truncate
+from .decompose import PcaModel, nipals_fit, pca_fit, project, truncate
 from .errors import SpecselError
 from .preprocess import (
     IDENTITY,
@@ -72,7 +72,7 @@ __all__ = [
     "anova_oneway", "apply_pipeline", "boxplot_stats", "evaluate_holdout",
     "f_cdf", "f_critical", "generate", "load_concentrations", "load_model",
     "load_spectra", "loo_press_matrix", "make_step", "nipals_fit",
-    "parse_pipeline", "pcr_fit", "pcr_predict", "press", "project",
+    "parse_pipeline", "pca_fit", "pcr_fit", "pcr_predict", "press", "project",
     "save_concentrations", "save_matrix", "save_model", "save_spectra",
     "select_method", "select_optimal_pc", "tears_phantom", "tears_recipe",
     "train_final", "truncate", "truncate_pcr", "write_report",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import synth
 from .crossval import loo_press_matrix
-from .errors import SpecselError
+from .errors import IoFailure, SpecselError
 from .preprocess import Pipeline, apply_pipeline, parse_pipeline
 from .regress import load_model, pcr_predict, save_model
 from .selector import (
@@ -83,9 +83,12 @@ def _setting(args, config: dict, key: str, default):
 
 def _file_digest(path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     return h.hexdigest()
 
 
@@ -198,16 +201,19 @@ def _write_boxplot_csv(path, matrix) -> None:
     import csv as _csv
 
     stats = boxplot_stats(matrix)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["pc", "q1", "median", "q3", "lo_whisker",
-                         "hi_whisker", "outliers"])
-        for b in stats:
-            writer.writerow([
-                b.pc, f"{b.q1:.9g}", f"{b.median:.9g}", f"{b.q3:.9g}",
-                f"{b.lo_whisker:.9g}", f"{b.hi_whisker:.9g}",
-                ";".join(f"{v:.9g}" for v in b.outliers),
-            ])
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = _csv.writer(fh)
+            writer.writerow(["pc", "q1", "median", "q3", "lo_whisker",
+                             "hi_whisker", "outliers"])
+            for b in stats:
+                writer.writerow([
+                    b.pc, f"{b.q1:.9g}", f"{b.median:.9g}", f"{b.q3:.9g}",
+                    f"{b.lo_whisker:.9g}", f"{b.hi_whisker:.9g}",
+                    ";".join(f"{v:.9g}" for v in b.outliers),
+                ])
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_select(args, config) -> int:

@@ -1,10 +1,10 @@
 """Leave-one-out cross-validation of a (pipeline, PC count) grid.
 
-For every held-out spectrum the remaining i-1 spectra are decomposed once
-at the ceiling of i-2 components; truncating that fit reproduces each
-smaller fit bit-identically, so one decomposition serves every candidate
-PC count. The result is the i x (i-2) matrix of held-out squared
-prediction errors that the significance test consumes.
+Each fold decomposes the remaining i-1 spectra once with ``pca_fit`` and
+regresses once on its well-conditioned components; orthogonal scores make
+every smaller model's held-out prediction a cumulative sum of that one fit.
+The result is the i x (i-2) matrix of held-out squared prediction errors
+that the significance test consumes.
 """
 
 from __future__ import annotations
@@ -14,20 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_indexed
-from .decompose import nipals_fit, truncate
+from .decompose import pca_fit, truncate
 from .errors import (
     FoldPreprocessFailure,
-    NoConvergence,
     ShapeMismatch,
-    SingularScores,
     SpecselError,
     TooFewSpectra,
 )
 from .preprocess import Pipeline, apply_pipeline
-from .regress import pcr_fit, pcr_predict, press
+from .regress import pcr_fit, pcr_predict_all_counts, usable_components
 from .spectra import ConcentrationSet, SpectraSet
-
-CROSSVAL_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,7 @@ class PressMatrix:
 
     Column m holds the errors of the (m+1)-component model. Entries are
     non-negative; a NaN marks a (fold, PC count) pair that could not be
-    evaluated (rank-deficient fold), with the reason recorded in ``notes``.
+    evaluated (rank-deficient fold or singular scores); ``notes`` says why.
     """
 
     values: np.ndarray
@@ -70,9 +66,7 @@ class PressMatrix:
 
 
 def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
-                     pipeline: Pipeline, tol: float = 1e-10,
-                     max_iter: int = CROSSVAL_MAX_ITER,
-                     workers: int = 1) -> PressMatrix:
+                     pipeline: Pipeline, workers: int = 1) -> PressMatrix:
     """Full leave-one-out PRESS matrix for one preprocessing pipeline."""
     i = spectra.n_spectra
     if i < 4:
@@ -97,49 +91,35 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
     k_possible = min(k_max, processed.n_channels)
 
     def evaluate_fold(n: int):
+        label = processed.labels[n]
         train_idx = [r for r in range(i) if r != n]
-        train = processed.subset(train_idx)
-        train_conc = conc.select_columns(train_idx)
-        held = processed.subset([n])
-        truth = conc.matrix[:, [n]]
-        row = np.full(k_max, np.nan)
-        notes = []
-        try:
-            model = nipals_fit(train, k_possible, tol=tol, max_iter=max_iter)
-        except NoConvergence as exc:
-            # a stalled component (near-tied variance directions) limits this
-            # fold the same way rank deficiency does: keep what converged
-            model = exc.model
-            notes.append(
-                f"fold {processed.labels[n]!r}: component {exc.component} did "
-                f"not converge; columns beyond {model.n_components} recorded "
-                f"as NaN"
-            )
+        model = pca_fit(processed.subset(train_idx), k_possible)
         k_have = model.n_components
-        if k_have < k_max and not notes:
+        # score columns are orthogonal: their norms are the singular values
+        k_fit = usable_components(np.linalg.norm(model.scores, axis=0))
+        notes = []
+        if k_have < k_max:
             notes.append(
-                f"fold {processed.labels[n]!r}: only {k_have} of {k_max} "
-                f"components available; later columns recorded as NaN"
+                f"fold {label!r}: only {k_have} of {k_max} components "
+                f"available; later columns recorded as NaN"
             )
-        negatives = 0
-        for m in range(1, k_have + 1):
-            try:
-                fold_model = pcr_fit(truncate(model, m), train_conc)
-            except SingularScores:
+        notes.extend(
+            f"fold {label!r}: singular scores at {m} components; column "
+            f"recorded as NaN" for m in range(k_fit + 1, k_have + 1))
+        row = np.full(k_max, np.nan)
+        if k_fit:
+            fold_model = pcr_fit(truncate(model, k_fit),
+                                 conc.select_columns(train_idx))
+            estimates = pcr_predict_all_counts(fold_model,
+                                               processed.subset([n]))
+            errors = estimates - conc.matrix[:, [n], None]
+            row[:k_fit] = np.sum(errors * errors, axis=(0, 1))
+            negatives = int(np.sum(np.any(estimates < 0, axis=(0, 1))))
+            if negatives:
                 notes.append(
-                    f"fold {processed.labels[n]!r}: singular scores at "
-                    f"{m} components; column recorded as NaN"
+                    f"fold {label!r}: negative predicted concentrations at "
+                    f"{negatives} PC count(s)"
                 )
-                continue
-            estimate = pcr_predict(fold_model, held)
-            if np.any(estimate < 0):
-                negatives += 1
-            row[m - 1] = press(estimate, truth)
-        if negatives:
-            notes.append(
-                f"fold {processed.labels[n]!r}: negative predicted "
-                f"concentrations at {negatives} PC count(s)"
-            )
         return row, notes
 
     results = run_indexed(evaluate_fold, i, workers=workers)

@@ -90,16 +90,15 @@ class NonpositivePeak(SpecselError):
 # --- decomposition / regression ---------------------------------------------
 
 class NoConvergence(SpecselError):
-    """An iterative component did not converge within max_iter.
+    """A nipals_fit component did not converge within max_iter.
 
-    Carries the 1-based index of the failing component and the model built
-    from the components that did converge.
+    Carries the 1-based index of the failing component. Only the iterative
+    reference extractor raises it; pca_fit cannot fail this way.
     """
 
-    def __init__(self, message, component, model=None):
+    def __init__(self, message, component):
         super().__init__(message)
         self.component = component
-        self.model = model
 
 
 class SingularScores(SpecselError):

@@ -40,6 +40,13 @@ class PcrModel:
         return self.coeffs.shape[0]
 
 
+def usable_components(singulars: np.ndarray) -> int:
+    """Leading components, given descending score singular values, whose
+    squared condition number stays within MAX_SCORE_CONDITION."""
+    return int(np.sum((singulars > 0) & (
+        singulars[:1] ** 2 <= MAX_SCORE_CONDITION * singulars ** 2)))
+
+
 def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
     """Least-squares regression of centered concentrations on the scores."""
     scores = pca.scores
@@ -48,8 +55,7 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
             f"{conc.n_samples} concentration columns for {scores.shape[0]} spectra"
         )
     singulars = np.linalg.svd(scores, compute_uv=False)
-    smin = singulars.min() if singulars.size else 0.0
-    if smin == 0.0 or (singulars.max() / smin) ** 2 > MAX_SCORE_CONDITION:
+    if not singulars.size or usable_components(singulars) < singulars.size:
         raise SingularScores(
             "score matrix is too ill-conditioned for a stable regression fit"
         )
@@ -73,6 +79,17 @@ def pcr_predict(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
     """
     new_scores = project(model.pca, new_set)
     return model.coeffs @ new_scores.T + model.mean_conc[:, None]
+
+
+def pcr_predict_all_counts(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
+    """Estimates (q x r x k) at every component count: [:, :, m - 1] uses m.
+
+    Orthogonal scores make the leading m coefficients of a k-component fit
+    those of an m-component fit, so all counts are one cumulative sum.
+    """
+    new_scores = project(model.pca, new_set)   # r x k
+    terms = model.coeffs[:, None, :] * new_scores[None, :, :]
+    return np.cumsum(terms, axis=2) + model.mean_conc[:, None, None]
 
 
 def press(estimated, actual) -> float:
@@ -138,13 +155,32 @@ def load_model(path) -> PcrModel:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoFailure(f"{path}: not a valid model file: {exc}") from exc
-    if payload.get("format") != _MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise IoFailure(f"{path}: not a {_MODEL_FORMAT} file")
-    loadings = np.asarray(payload["loadings"], dtype=float)
+    try:
+        fields = {name: np.asarray(payload[name], dtype=float) for name in
+                  ("axis", "mean_spectrum", "loadings", "coeffs", "mean_conc")}
+        species = tuple(payload["species"])
+        units = tuple(payload["units"])
+        pipeline_name = payload["pipeline"]
+    except KeyError as exc:
+        raise IoFailure(f"{path}: model file has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise IoFailure(f"{path}: not a valid model file: {exc}") from exc
+    loadings = fields["loadings"]
+    j, q = fields["axis"].size, len(species)
     k = loadings.shape[1] if loadings.ndim == 2 else 0
+    expected = {"axis": (j,), "mean_spectrum": (j,), "loadings": (j, k),
+                "coeffs": (q, k), "mean_conc": (q,)}
+    for name, shape in expected.items():
+        if fields[name].shape != shape:
+            raise IoFailure(
+                f"{path}: {name} has shape {fields[name].shape}, "
+                f"expected {shape}"
+            )
     pca = PcaModel(
-        axis=np.asarray(payload["axis"], dtype=float),
-        mean_spectrum=np.asarray(payload["mean_spectrum"], dtype=float),
+        axis=fields["axis"],
+        mean_spectrum=fields["mean_spectrum"],
         loadings=loadings,
         scores=np.zeros((0, k)),
         explained_variance=np.zeros(k),
@@ -153,9 +189,9 @@ def load_model(path) -> PcrModel:
     )
     return PcrModel(
         pca=pca,
-        coeffs=np.asarray(payload["coeffs"], dtype=float),
-        mean_conc=np.asarray(payload["mean_conc"], dtype=float),
-        species=tuple(payload["species"]),
-        units=tuple(payload["units"]),
-        pipeline_name=payload["pipeline"],
+        coeffs=fields["coeffs"],
+        mean_conc=fields["mean_conc"],
+        species=species,
+        units=units,
+        pipeline_name=pipeline_name,
     )

@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._parallel import run_indexed
-from .crossval import CROSSVAL_MAX_ITER, PressMatrix, loo_press_matrix
-from .decompose import nipals_fit, project
-from .errors import AllCandidatesFailed, BadOrder, ShapeMismatch, SpecselError
+from .crossval import PressMatrix, loo_press_matrix
+from .decompose import pca_fit
+from .errors import AllCandidatesFailed, IoFailure, ShapeMismatch, SpecselError
 from .preprocess import Pipeline, apply_pipeline
-from .regress import PcrModel, pcr_fit, press
+from .regress import PcrModel, pcr_fit, pcr_predict_all_counts
 from .significance import PcVerdict, select_optimal_pc
 from .spectra import ConcentrationSet, SpectraSet
 
@@ -63,9 +63,8 @@ class SelectionReport:
 
 def select_method(spectra: SpectraSet, conc: ConcentrationSet,
                   candidates: list[Pipeline], alpha: float = 0.05,
-                  log_press: bool = False, workers: int = 1,
-                  tol: float = 1e-10,
-                  max_iter: int = CROSSVAL_MAX_ITER) -> SelectionReport:
+                  log_press: bool = False,
+                  workers: int = 1) -> SelectionReport:
     """Evaluate candidate pipelines and choose the qualified best.
 
     A candidate that raises anywhere in its evaluation becomes a failed
@@ -81,8 +80,7 @@ def select_method(spectra: SpectraSet, conc: ConcentrationSet,
         pipeline = candidates[index]
         started = time.perf_counter()
         try:
-            matrix = loo_press_matrix(spectra, conc, pipeline, tol=tol,
-                                      max_iter=max_iter)
+            matrix = loo_press_matrix(spectra, conc, pipeline)
             verdict = select_optimal_pc(matrix, alpha=alpha,
                                         log_transform=log_press)
         except SpecselError as exc:
@@ -140,17 +138,10 @@ def select_method(spectra: SpectraSet, conc: ConcentrationSet,
 
 
 def train_final(spectra: SpectraSet, conc: ConcentrationSet,
-                pipeline: Pipeline, pc_count: int, tol: float = 1e-10,
-                max_iter: int = CROSSVAL_MAX_ITER) -> PcrModel:
+                pipeline: Pipeline, pc_count: int) -> PcrModel:
     """Rebuild the model on the full set at the selected component count."""
-    if pc_count < 1:
-        raise BadOrder(f"component count must be >= 1, got {pc_count}")
-    if pc_count > spectra.n_spectra - 1:
-        raise BadOrder(
-            f"component count {pc_count} exceeds i-1 = {spectra.n_spectra - 1}"
-        )
     processed = apply_pipeline(spectra, pipeline)
-    pca = nipals_fit(processed, pc_count, tol=tol, max_iter=max_iter)
+    pca = pca_fit(processed, pc_count)
     model = pcr_fit(pca, conc)
     return replace(model, pipeline_name=pipeline.name)
 
@@ -173,8 +164,8 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
     """True-error curve over component counts on a held-out set.
 
     The model's own pipeline is NOT applied here; pass spectra that are
-    already preprocessed the same way as the training set (the CLI does
-    this automatically).
+    already preprocessed the same way as the training set, e.g. with
+    ``apply_pipeline(holdout, parse_pipeline(model.pipeline_name))``.
     """
     if truth.n_samples != holdout.n_spectra:
         raise ShapeMismatch(
@@ -185,18 +176,11 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
             f"truth species {list(truth.species)} != model species "
             f"{list(model.species)}"
         )
-    scores = project(model.pca, holdout)   # r x k, raises AxisMismatch
-    k = model.n_components
-    q = model.n_species
-    rss = np.empty(k)
-    per_species = np.empty((q, k))
-    for m in range(1, k + 1):
-        estimate = (model.coeffs[:, :m] @ scores[:, :m].T
-                    + model.mean_conc[:, None])
-        diff = estimate - truth.matrix
-        per_species[:, m - 1] = np.sum(diff * diff, axis=1)
-        rss[m - 1] = press(estimate, truth.matrix)
-    return HoldoutEvaluation(rss=rss, per_species=per_species,
+    # q x r x k; raises AxisMismatch
+    diff = pcr_predict_all_counts(model, holdout) - truth.matrix[:, :, None]
+    per_species = np.sum(diff * diff, axis=1)
+    return HoldoutEvaluation(rss=per_species.sum(axis=0),
+                             per_species=per_species,
                              species=model.species)
 
 
@@ -291,6 +275,9 @@ def report_payload(report: SelectionReport, inputs: dict | None = None,
 def write_report(path, report: SelectionReport, inputs: dict | None = None,
                  include_timing: bool = False) -> None:
     payload = report_payload(report, inputs, include_timing)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc

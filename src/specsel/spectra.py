@@ -144,11 +144,6 @@ class SpectraSet:
         return SpectraSet(self.axis, self.matrix[idx, :],
                           tuple(self.labels[n] for n in idx))
 
-    def same_axis(self, other: "SpectraSet") -> bool:
-        return self.axis.shape == other.axis.shape and bool(
-            np.array_equal(self.axis, other.axis)
-        )
-
 
 @dataclass(frozen=True)
 class ConcentrationSet:

@@ -3,7 +3,12 @@ import pytest
 
 from specsel.crossval import PressMatrix, loo_press_matrix
 from specsel.decompose import nipals_fit
-from specsel.errors import FoldPreprocessFailure, ShapeMismatch, TooFewSpectra
+from specsel.errors import (
+    FoldPreprocessFailure,
+    NoConvergence,
+    ShapeMismatch,
+    TooFewSpectra,
+)
 from specsel.preprocess import IDENTITY, apply_pipeline, parse_pipeline
 from specsel.regress import pcr_fit, pcr_predict, press
 from specsel.spectra import ConcentrationSet, SpectraSet
@@ -111,6 +116,45 @@ class TestLooPressMatrix:
         out = loo_press_matrix(spectra, conc, IDENTITY)
         assert any("components available" in note for note in out.notes)
         assert np.isnan(out.values[:, -1]).all()
+
+    def test_singular_score_columns_noted(self):
+        # a third direction 1e-8 as strong as the other two: kept by the
+        # decomposition, but too ill-conditioned to regress on
+        rng = np.random.default_rng(7)
+        weights = rng.uniform(0.5, 2.0, (6, 3)) * [1.0, 1.0, 1e-8]
+        matrix = weights @ rng.normal(size=(3, 12))
+        spectra = SpectraSet(400.0 + 2.0 * np.arange(12), matrix,
+                             tuple(f"s{n}" for n in range(6)))
+        conc = ConcentrationSet(weights[:, :2].T, ("a", "b"), ("u", "u"))
+        out = loo_press_matrix(spectra, conc, IDENTITY)
+        assert np.isfinite(out.values[:, :2]).all()
+        assert np.isnan(out.values[:, 2:]).all()
+        assert sum("singular scores at 3 components" in note
+                   for note in out.notes) == 6
+
+    def test_near_tied_components_give_full_rows(self):
+        # the near-tied matrix that stalls nipals_fit, plus a full-rank
+        # background whose 12 directions are tied to within 1e-5; deleting
+        # one spectrum keeps that cluster tight, so the iteration stalls in
+        # every fold while the dense fit has no convergence to wait for
+        rng = np.random.default_rng(16)
+        basis = np.linalg.qr(rng.normal(size=(12, 3)))[0]
+        directions = np.linalg.qr(rng.normal(size=(30, 3)))[0]
+        matrix = (1.0 * np.outer(basis[:, 0], directions[:, 0])
+                  + 0.99999 * np.outer(basis[:, 1], directions[:, 1])
+                  + 0.2 * np.outer(basis[:, 2], directions[:, 2]))
+        rows = np.linalg.qr(rng.normal(size=(12, 12)))[0]
+        cols = np.linalg.qr(rng.normal(size=(30, 12)))[0]
+        matrix += 0.05 * (rows * (1.0 - 1e-5 * np.arange(12))) @ cols.T
+        spectra = SpectraSet(np.arange(30.0), matrix,
+                             tuple(f"s{n}" for n in range(12)))
+        conc = ConcentrationSet(1.0 + basis[:, :2].T, ("a", "b"), ("u", "u"))
+        with pytest.raises(NoConvergence):
+            nipals_fit(spectra.subset(range(1, 12)), 10, max_iter=10000)
+        out = loo_press_matrix(spectra, conc, IDENTITY)
+        assert out.values.shape == (12, 10)
+        assert np.isfinite(out.values).all()
+        assert not any("converge" in note for note in out.notes)
 
 
 class TestPressMatrixType:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specsel.decompose import nipals_fit, project, truncate
+from specsel.decompose import nipals_fit, pca_fit, project, truncate
 from specsel.errors import AxisMismatch, BadOrder, NoConvergence
 from specsel.spectra import SpectraSet
 
@@ -110,7 +110,61 @@ class TestNipalsFit:
         with pytest.raises(NoConvergence) as info:
             nipals_fit(ss, 3, tol=1e-12, max_iter=50)
         assert info.value.component == 1
-        assert info.value.model.n_components == 0
+
+
+class TestPcaFit:
+    def test_matches_nipals_and_svd_oracle(self):
+        ss = random_spectra_set(i=8, j=50, seed=1)
+        dense = pca_fit(ss, 5)
+        iterative = nipals_fit(ss, 5, tol=1e-12, max_iter=20000)
+        assert np.abs(dense.loadings - iterative.loadings).max() < 1e-8
+        assert np.abs(dense.scores - iterative.scores).max() < 1e-8
+        assert_allclose(dense.explained_variance,
+                        iterative.explained_variance, rtol=0, atol=1e-12)
+        assert abs(dense.residual_fro - iterative.residual_fro) < 1e-8
+        assert np.abs(dense.loadings - svd_loadings(ss.matrix, 5)).max() < 1e-8
+
+    def test_invariants(self):
+        ss = random_spectra_set(i=10, j=80, seed=3)
+        model = pca_fit(ss, 6)
+        assert np.abs(model.loadings.T @ model.loadings - np.eye(6)).max() < 1e-12
+        centered = ss.matrix - ss.matrix.mean(axis=0)
+        recon = np.linalg.norm(centered - model.scores @ model.loadings.T)
+        assert abs(recon - model.residual_fro) < 1e-10 * recon
+        assert np.all(np.diff(model.explained_variance) <= 0)
+        assert not model.rank_deficient
+
+    def test_sign_convention(self):
+        ss = random_spectra_set(i=7, j=33, seed=4)
+        model = pca_fit(ss, 4)
+        for c in range(4):
+            col = model.loadings[:, c]
+            assert col[np.argmax(np.abs(col))] > 0
+
+    def test_row_permutation(self):
+        ss = random_spectra_set(i=8, j=40, seed=5)
+        perm = [3, 1, 7, 0, 5, 2, 6, 4]
+        a = pca_fit(ss, 3)
+        b = pca_fit(ss.subset(perm), 3)
+        assert_allclose(b.loadings, a.loadings, atol=1e-12)
+        assert_allclose(b.scores, a.scores[perm, :], atol=1e-12)
+
+    def test_rank_deficiency_flagged(self):
+        rng = np.random.default_rng(6)
+        low = rng.normal(size=(2, 30))
+        weights = rng.normal(size=(8, 2))
+        ss = SpectraSet(np.arange(30.0), weights @ low,
+                        tuple(f"s{n}" for n in range(8)))
+        model = pca_fit(ss, 6)
+        assert model.rank_deficient
+        assert model.n_components == 2
+        assert model.residual_fro < 1e-10 * np.linalg.norm(ss.matrix)
+
+    def test_bad_k(self):
+        ss = random_spectra_set(i=5, j=20, seed=7)
+        for k in (0, 5, 21):
+            with pytest.raises(BadOrder):
+                pca_fit(ss, k)
 
 
 class TestTruncate:
