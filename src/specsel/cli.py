@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import synth
 from .crossval import loo_press_matrix
 from .errors import IoFailure, SpecselError
@@ -120,10 +118,9 @@ def cmd_synth(args, config) -> int:
     n = int(_setting(args, config, "n", 40))
     recipe_cfg = config.get("recipe")
     if recipe_cfg:
-        recipe = _recipe_from_dict(recipe_cfg, seed)
-        ranges = {s["name"]: tuple(s["conc_range"])
-                  for s in recipe_cfg.get("species", []) if "conc_range" in s}
-        conc = _phantom_concentrations(recipe, n, seed, ranges)
+        recipe = synth.recipe_from_dict(recipe_cfg, seed)
+        ranges = synth.conc_ranges_from_dict(recipe_cfg)
+        conc = synth.phantom_concentrations(recipe, n, seed, ranges)
         spectra = synth.generate(recipe, conc)
     else:
         spectra, conc = synth.tears_phantom(n, seed)
@@ -133,59 +130,16 @@ def cmd_synth(args, config) -> int:
     return EXIT_OK
 
 
-def _recipe_from_dict(cfg: dict, seed: int) -> synth.SynthRecipe:
-    species = tuple(
-        synth.SpeciesSpec(
-            name=s["name"],
-            peaks=tuple(tuple(p) for p in s["peaks"]),
-            response_coeff=float(s.get("response_coeff", 1.0)),
-            unit=s.get("unit", "mg/mL"),
-        )
-        for s in cfg.get("species", [])
-    )
-    baseline = None
-    if "baseline" in cfg:
-        b = cfg["baseline"]
-        baseline = synth.BaselineSpec(
-            kind=b.get("kind", "exp_decay"),
-            coeffs=tuple(b.get("coeffs", (1.0, 600.0))),
-            scale_range=tuple(b.get("scale_range", (1.0, 1.0))),
-        )
-    return synth.SynthRecipe(
-        axis_start=float(cfg.get("axis_start", 400.0)),
-        axis_stop=float(cfg.get("axis_stop", 1800.0)),
-        axis_step=float(cfg.get("axis_step", 2.0)),
-        species=species,
-        baseline=baseline,
-        noise_sigma=float(cfg.get("noise_sigma", 0.0)),
-        spike_rate=float(cfg.get("spike_rate", 0.0)),
-        spike_amplitude=tuple(cfg.get("spike_amplitude", (5.0, 20.0))),
-        drift_range=tuple(cfg.get("drift_range", (1.0, 1.0))),
-        seed=seed,
-    )
-
-
-def _phantom_concentrations(recipe: synth.SynthRecipe, n: int, seed: int,
-                            ranges: dict[str, tuple[float, float]]):
-    from .spectra import ConcentrationSet
-
-    rng = np.random.default_rng((seed, synth.CONC_STREAM))
-    rows = [rng.uniform(*ranges.get(s.name, (0.0, 1.0)), n)
-            for s in recipe.species]
-    return ConcentrationSet(
-        np.vstack(rows),
-        species=tuple(s.name for s in recipe.species),
-        units=tuple(s.unit for s in recipe.species),
-    )
-
-
 def cmd_crossval(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
     pipeline = parse_pipeline(str(_setting(args, config, "pipeline", "identity")))
     workers = int(_setting(args, config, "threads", 1))
     matrix = loo_press_matrix(spectra, conc, pipeline, workers=workers)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
     press_path = out_dir / "press_matrix.csv"
     save_matrix(press_path, matrix.values, matrix.column_headers(),
                 row_labels=list(matrix.labels), row_label_header="held_out")

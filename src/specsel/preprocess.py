@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solveh_banded
 
 from .errors import (
     BadOrder,
@@ -161,13 +160,35 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
     return out
 
 
+def _second_difference_bands(j: int, lam: float) -> np.ndarray:
+    """Upper-banded ``lam * D @ D.T`` for the j x (j-2) second difference D.
+
+    Row 0 is the second superdiagonal (all 1), row 1 the first
+    (-2, -4, ..., -4, -2), row 2 the main diagonal (1, 5, 6, ..., 6, 5, 1);
+    the unused leading corner cells are 0.
+    """
+    bands = np.empty((3, j))
+    bands[0] = 1.0
+    bands[0, :2] = 0.0
+    bands[1] = -4.0
+    bands[1, 0] = 0.0
+    bands[1, [1, -1]] = -2.0
+    bands[2] = 6.0
+    bands[2, [0, -1]] = 1.0
+    bands[2, [1, -2]] = 5.0
+    return lam * bands
+
+
 def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
                  iterations: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Asymmetric least-squares baseline estimate.
+    """Asymmetric least-squares baseline estimate (Eilers & Boelens, 2005).
 
     Smoothness comes from a second-difference penalty (weight ``lam``);
     points above the running estimate get the small weight ``p`` so the
-    baseline hugs the bottom of the spectrum. Returns (corrected, baseline).
+    baseline hugs the bottom of the spectrum. Each of the ``iterations``
+    solves the pentadiagonal system ``(W + lam * D @ D.T) z = W x`` by a
+    banded Cholesky factorization (``scipy.linalg.solveh_banded``).
+    Returns (corrected, baseline).
     """
     if lam <= 0:
         raise BadOrder(f"lambda must be > 0, got {lam}")
@@ -181,13 +202,14 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
         raise WindowTooLarge(
             f"baseline estimation needs >= {MIN_ALS_CHANNELS} channels, got {j}"
         )
-    diff = sparse.diags([1.0, -2.0, 1.0], [0, -1, -2], shape=(j, j - 2), format="csc")
-    penalty = lam * (diff @ diff.T)
+    penalty = _second_difference_bands(j, lam)
     weights = np.ones(j)
     baseline = np.zeros(j)
     for _ in range(iterations):
-        system = sparse.diags(weights, 0, format="csc") + penalty
-        baseline = spsolve(system, weights * x)
+        system = penalty.copy()
+        system[2] += weights
+        baseline = solveh_banded(system, weights * x, overwrite_ab=True,
+                                 check_finite=False)
         weights = np.where(x > baseline, p, 1.0 - p)
     return x - baseline, baseline
 

@@ -157,6 +157,11 @@ def load_model(path) -> PcrModel:
         raise IoFailure(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise IoFailure(f"{path}: not a {_MODEL_FORMAT} file")
+    if payload.get("version") != _MODEL_VERSION:
+        raise IoFailure(
+            f"{path}: unsupported model version {payload.get('version')!r}, "
+            f"expected {_MODEL_VERSION}"
+        )
     try:
         fields = {name: np.asarray(payload[name], dtype=float) for name in
                   ("axis", "mean_spectrum", "loadings", "coeffs", "mean_conc")}

@@ -232,19 +232,35 @@ def load_spectra(path, format: str = "wide-csv") -> SpectraSet:
         dup = sorted({x for x in labels if labels.count(x) > 1})
         raise LabelMismatch(f"{path}: duplicate spectrum labels {dup}")
     width = len(header)
-    axis = np.empty(len(rows) - 1)
-    data = np.empty((len(rows) - 1, len(labels)))
-    for r, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    # one numpy conversion of the whole body; its str -> float parse accepts
+    # exactly what float() accepts, and reshape fails unless every row has
+    # the header's width
+    try:
+        table = np.array(body, dtype=float).reshape(len(body), width)
+    except ValueError:
+        table = None
+    if table is None or not np.isfinite(table).all():
+        _raise_first_bad_cell(path, body, labels)
+    return SpectraSet(table[:, 0], table[:, 1:].T, tuple(labels))
+
+
+def _raise_first_bad_cell(path, body: list[list[str]], labels: list[str]) -> None:
+    """Raise the error a cell-by-cell parse meets first, in file order.
+
+    Within a row the width is checked before the axis cell and the axis
+    cell before the data cells.
+    """
+    width = len(labels) + 1
+    for r, row in enumerate(body, start=2):
         if len(row) != width:
             raise RaggedRows(
                 f"{path}: row {r} has {len(row)} cells, expected {width}"
             )
-        axis[r - 2] = _parse_cell(row[0], f"{path}: row {r}, axis")
+        _parse_cell(row[0], f"{path}: row {r}, axis")
         for c, cell in enumerate(row[1:]):
-            data[r - 2, c] = _parse_cell(
-                cell, f"{path}: row {r}, column {labels[c]!r}"
-            )
-    return SpectraSet(axis, data.T, tuple(labels))
+            _parse_cell(cell, f"{path}: row {r}, column {labels[c]!r}")
+    raise NonFiniteValue(f"{path}: cannot parse the spectra table")
 
 
 def save_spectra(path, spectra: SpectraSet) -> None:

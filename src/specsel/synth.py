@@ -12,6 +12,7 @@ spectroscopic fidelity for any real analyte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,3 +193,124 @@ def tears_phantom(n: int, seed: int = 0) -> tuple[SpectraSet, ConcentrationSet]:
         units=("mg/mL", "mg/mL"),
     )
     return generate(tears_recipe(seed), conc), conc
+
+
+# --- recipes from JSON-style mappings ---------------------------------------
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecselError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise SpecselError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _numbers(value, what: str, length: int | None = None) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise SpecselError(f"{what} must be a list of numbers, got {value!r}")
+    numbers = tuple(_number(v, what) for v in value)
+    if length is not None and len(numbers) != length:
+        raise SpecselError(
+            f"{what} must have {length} numbers, got {len(numbers)}"
+        )
+    return numbers
+
+
+def _species_from_dict(cfg, what: str) -> SpeciesSpec:
+    cfg = _mapping(cfg, what)
+    for key in ("name", "peaks"):
+        if key not in cfg:
+            raise SpecselError(f"{what} has no {key!r} entry")
+    peaks = cfg["peaks"]
+    if not isinstance(peaks, list):
+        raise SpecselError(f"{what} peaks must be a list, got {peaks!r}")
+    return SpeciesSpec(
+        name=str(cfg["name"]),
+        peaks=tuple(_numbers(peak, f"{what} peak", 3) for peak in peaks),
+        response_coeff=_number(cfg.get("response_coeff", 1.0),
+                               f"{what} response_coeff"),
+        unit=str(cfg.get("unit", "mg/mL")),
+    )
+
+
+def recipe_from_dict(cfg, seed: int) -> SynthRecipe:
+    """Recipe from a mapping such as the ``recipe`` key of a CLI config.
+
+    Keys are SynthRecipe's fields, optional with the same defaults, except
+    ``species``: a non-empty list of objects with ``name`` and ``peaks`` (a
+    list of [center, hwhm, amplitude]) and optional ``response_coeff`` and
+    ``unit``. ``baseline`` is an object with BaselineSpec's fields. A
+    missing or malformed entry raises SpecselError naming it.
+    """
+    cfg = _mapping(cfg, "recipe")
+    species_cfg = cfg.get("species")
+    if not isinstance(species_cfg, list) or not species_cfg:
+        raise SpecselError(
+            f"recipe species must be a non-empty list, got {species_cfg!r}"
+        )
+    species = tuple(_species_from_dict(s, f"recipe species {n}")
+                    for n, s in enumerate(species_cfg))
+    baseline = None
+    if "baseline" in cfg:
+        b = _mapping(cfg["baseline"], "recipe baseline")
+        kind = b.get("kind", "exp_decay")
+        baseline = BaselineSpec(
+            kind=kind,
+            coeffs=_numbers(b.get("coeffs", (1.0, 600.0)),
+                            "recipe baseline coeffs",
+                            2 if kind == "exp_decay" else None),
+            scale_range=_numbers(b.get("scale_range", (1.0, 1.0)),
+                                 "recipe baseline scale_range", 2),
+        )
+    return SynthRecipe(
+        axis_start=_number(cfg.get("axis_start", 400.0), "recipe axis_start"),
+        axis_stop=_number(cfg.get("axis_stop", 1800.0), "recipe axis_stop"),
+        axis_step=_number(cfg.get("axis_step", 2.0), "recipe axis_step"),
+        species=species,
+        baseline=baseline,
+        noise_sigma=_number(cfg.get("noise_sigma", 0.0), "recipe noise_sigma"),
+        spike_rate=_number(cfg.get("spike_rate", 0.0), "recipe spike_rate"),
+        spike_amplitude=_numbers(cfg.get("spike_amplitude", (5.0, 20.0)),
+                                 "recipe spike_amplitude", 2),
+        drift_range=_numbers(cfg.get("drift_range", (1.0, 1.0)),
+                             "recipe drift_range", 2),
+        seed=seed,
+    )
+
+
+def conc_ranges_from_dict(cfg) -> dict[str, tuple[float, float]]:
+    """Per-species ``conc_range`` entries of a recipe mapping, by name.
+
+    Call after recipe_from_dict, which has checked the species list.
+    """
+    return {str(s["name"]): _numbers(s["conc_range"],
+                                     f"recipe species {n} conc_range", 2)
+            for n, s in enumerate(cfg.get("species", [])) if "conc_range" in s}
+
+
+def phantom_concentrations(recipe: SynthRecipe, n: int, seed: int,
+                           ranges: dict[str, tuple[float, float]]
+                           ) -> ConcentrationSet:
+    """n uniform concentration draws per recipe species, in ``ranges``.
+
+    A species without a range draws from [0, 1). Draws come from the same
+    concentration substream as tears_phantom.
+    """
+    if n < 1:
+        raise SpecselError(f"phantom set needs at least 1 spectrum, got {n}")
+    rng = np.random.default_rng((seed, CONC_STREAM))
+    rows = [rng.uniform(*ranges.get(s.name, (0.0, 1.0)), n)
+            for s in recipe.species]
+    return ConcentrationSet(
+        np.vstack(rows),
+        species=tuple(s.name for s in recipe.species),
+        units=tuple(s.unit for s in recipe.species),
+    )

@@ -95,6 +95,33 @@ class TestSynthCrossval:
         assert conc.species == ("analyte",)
         assert conc.matrix.max() > 1.0  # conc_range upper half in use
 
+    @pytest.mark.parametrize("recipe,message", [
+        ({"species": [{"name": "g"}]}, "recipe species 0 has no 'peaks' entry"),
+        ({"axis_step": "two", "species": [{"name": "g", "peaks": []}]},
+         "recipe axis_step must be a finite number, got 'two'"),
+    ], ids=["missing_peaks", "axis_step"])
+    def test_synth_malformed_recipe_exit_2(self, tmp_path, capsys, recipe,
+                                           message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"recipe": recipe}))
+        code = main(["--config", str(cfg), "synth",
+                     "--out-spectra", str(tmp_path / "s.csv"),
+                     "--out-concentrations", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert f"error: SpecselError: {message}" in capsys.readouterr().err
+
+    def test_crossval_out_dir_under_file_exit_2(self, mixture_files, tmp_path,
+                                                capsys):
+        spath, cpath, *_ = mixture_files
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = main(["crossval", "--spectra", str(spath),
+                     "--concentrations", str(cpath), "--pipeline", "identity",
+                     "--out-dir", str(afile / "sub")])
+        assert code == 2
+        assert (f"error: IoFailure: cannot create {afile / 'sub'}"
+                in capsys.readouterr().err)
+
     def test_synth_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -250,8 +277,12 @@ class TestTrainPredict:
          "coeffs has shape (2, 3), expected (3, 3)"),
         (lambda p: p.update(mean_conc=p["mean_conc"] + [0.0]),
          "mean_conc has shape (4,), expected (3,)"),
+        (lambda p: p.update(version=99),
+         "unsupported model version 99, expected 1"),
+        (lambda p: p.update(format="other-model"),
+         "not a specsel-pcr-model file"),
     ], ids=["missing_key", "loadings", "mean_spectrum", "coeffs",
-            "mean_conc"])
+            "mean_conc", "version", "format"])
     def test_malformed_model_exit_2(self, mixture_files, tmp_path, capsys,
                                     edit, message):
         spath, cpath, *_ = mixture_files

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from specsel.errors import (
     BadOrder,
@@ -26,7 +29,9 @@ from specsel.preprocess import (
     savitzky_golay,
     snv,
 )
+from specsel.preprocess import _second_difference_bands
 from specsel.spectra import SpectraSet
+from specsel.synth import tears_phantom
 
 from conftest import random_spectra_set
 
@@ -197,6 +202,67 @@ class TestBaselineAls:
             baseline_als(np.zeros(50), 1e5, 1.5, 10)
         with pytest.raises(BadOrder):
             baseline_als(np.zeros(50), 1e5, 0.01, 0)
+
+
+
+def sparse_als_oracle(x, lam, p, iterations):
+    """Eilers & Boelens ALS with a sparse LU solve of the full system."""
+    j = x.size
+    diff = sparse.diags([1.0, -2.0, 1.0], [0, -1, -2], shape=(j, j - 2),
+                        format="csc")
+    penalty = lam * (diff @ diff.T)
+    weights = np.ones(j)
+    baseline = np.zeros(j)
+    for _ in range(iterations):
+        system = sparse.diags(weights, 0, format="csc") + penalty
+        baseline = spsolve(system, weights * x)
+        weights = np.where(x > baseline, p, 1.0 - p)
+    return x - baseline, baseline
+
+
+def assert_matches_oracle(x, lam, p, iterations, rtol=1e-8):
+    # relative to the baseline's largest magnitude: a baseline crossing zero
+    # has entries no elementwise relative tolerance can hold
+    corrected, baseline = baseline_als(x, lam, p, iterations)
+    _, expected = sparse_als_oracle(x, lam, p, iterations)
+    scale = np.abs(expected).max()
+    assert np.abs(baseline - expected).max() <= rtol * scale
+    assert np.array_equal(corrected, x - baseline)
+
+
+class TestBaselineAlsOracle:
+    def test_penalty_bands_equal_dense_product(self):
+        j, lam = 9, 3.5
+        diff = np.zeros((j, j - 2))
+        for c in range(j - 2):
+            diff[c:c + 3, c] = (1.0, -2.0, 1.0)
+        dense = lam * diff @ diff.T
+        bands = _second_difference_bands(j, lam)
+        assert np.array_equal(bands[2], np.diag(dense))
+        assert np.array_equal(bands[1, 1:], np.diag(dense, 1))
+        assert np.array_equal(bands[0, 2:], np.diag(dense, 2))
+        assert np.array_equal(bands[:2, 0], [0.0, 0.0]) and bands[0, 1] == 0.0
+        assert np.count_nonzero(np.triu(dense, 3)) == 0
+
+    @pytest.mark.parametrize("lam,p,iterations", [
+        (1e5, 0.01, 10), (1e3, 0.05, 5), (1e4, 0.1, 20)])
+    def test_matches_sparse_on_phantom(self, lam, p, iterations):
+        spectra, _ = tears_phantom(6, 7)
+        for x in spectra.matrix:
+            assert_matches_oracle(x, lam, p, iterations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(j=st.integers(8, 400),
+           log_lam=st.floats(0.0, 5.0),
+           p=st.floats(0.01, 0.5),
+           iterations=st.integers(1, 20),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_matches_sparse_on_random_spectra(self, j, log_lam, p, iterations,
+                                              seed, scale):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.normal(size=j).cumsum()
+        assert_matches_oracle(x, 10.0 ** log_lam, p, iterations)
 
 
 class TestDespike:

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from specsel.errors import (
     EmptyMatrix,
@@ -135,6 +140,82 @@ class TestLoadSpectra:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_spectra(tmp_path / "absent.csv")
+
+
+def eight_row_csv(path, cells):
+    """A one-spectrum wide CSV; ``cells`` overrides rows by 1-based row number."""
+    lines = ["wavenumber_cm-1,a"]
+    for r in range(2, 10):
+        lines.append(cells.get(r, f"{r},{r * 10}"))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def load_error(path):
+    with pytest.raises((NonFiniteValue, RaggedRows)) as info:
+        load_spectra(path)
+    return type(info.value), str(info.value)
+
+
+# labels keep no surrounding whitespace: load strips header cells
+LABEL = st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_ ,\"-]*[A-Za-z0-9_])?",
+                      fullmatch=True)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestLoadSpectraErrors:
+    def test_nan_data_cell(self, tmp_path):
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, {5: "5,nan"})
+        assert load_error(f) == (
+            NonFiniteValue, f"{f}: row 5, column 'a': non-finite value 'nan'")
+
+    def test_inf_axis_cell(self, tmp_path):
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, {4: "inf,40"})
+        assert load_error(f) == (
+            NonFiniteValue, f"{f}: row 4, axis: non-finite value 'inf'")
+
+    def test_axis_cell_reported_before_data_cell(self, tmp_path):
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, {6: "six,oops"})
+        assert load_error(f) == (
+            NonFiniteValue, f"{f}: row 6, axis: cannot parse 'six' as a number")
+
+    def test_garbage_cell_before_ragged_row(self, tmp_path):
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, {3: "3,oops", 7: "7,70,1"})
+        assert load_error(f) == (
+            NonFiniteValue,
+            f"{f}: row 3, column 'a': cannot parse 'oops' as a number")
+
+    def test_ragged_row_before_garbage_cell(self, tmp_path):
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, {3: "3,30,1", 7: "7,oops"})
+        assert load_error(f) == (
+            RaggedRows, f"{f}: row 3 has 3 cells, expected 2")
+
+    def test_uniform_rows_wider_than_header(self, tmp_path):
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, {r: f"{r},{r},{r}" for r in range(2, 10)})
+        assert load_error(f) == (
+            RaggedRows, f"{f}: row 2 has 3 cells, expected 2")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           labels=st.lists(LABEL, min_size=1, max_size=4, unique=True),
+           axis=st.lists(FINITE, min_size=8, max_size=20, unique=True))
+    def test_save_load_identity(self, data, labels, axis):
+        axis = np.sort(np.array(axis))
+        matrix = data.draw(hnp.arrays(float, (len(labels), axis.size),
+                                      elements=FINITE))
+        spectra = SpectraSet(axis, matrix, tuple(labels))
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "s.csv"
+            save_spectra(f, spectra)
+            again = load_spectra(f)
+        assert again.labels == spectra.labels
+        assert again.axis.tobytes() == spectra.axis.tobytes()
+        assert again.matrix.tobytes() == spectra.matrix.tobytes()
 
 
 class TestLoadConcentrations:

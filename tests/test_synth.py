@@ -5,9 +5,13 @@ from numpy.testing import assert_allclose
 from specsel.errors import RecipeSpeciesMismatch, SpecselError
 from specsel.spectra import ConcentrationSet, load_spectra, save_spectra
 from specsel.synth import (
+    BaselineSpec,
     SpeciesSpec,
     SynthRecipe,
+    conc_ranges_from_dict,
     generate,
+    phantom_concentrations,
+    recipe_from_dict,
     species_response,
     tears_phantom,
     tears_recipe,
@@ -115,3 +119,73 @@ class TestTearsPhantom:
     def test_minimum_size(self):
         with pytest.raises(SpecselError):
             tears_phantom(3)
+
+
+class TestRecipeFromDict:
+    CONFIG = {
+        "axis_start": 400, "axis_stop": 1000, "axis_step": 2,
+        "species": [
+            {"name": "analyte", "peaks": [[600, 10, 1.0], [850, 12, 0.6]],
+             "conc_range": [0.0, 2.0]},
+            {"name": "other", "peaks": [[700, 5, 2]], "response_coeff": 3,
+             "unit": "%"},
+        ],
+        "baseline": {"kind": "exp_decay", "coeffs": [3.0, 500.0],
+                     "scale_range": [0.8, 1.2]},
+        "noise_sigma": 0.005,
+    }
+
+    def test_fields(self):
+        recipe = recipe_from_dict(self.CONFIG, seed=4)
+        assert recipe == SynthRecipe(
+            axis_start=400.0, axis_stop=1000.0, axis_step=2.0,
+            species=(
+                SpeciesSpec("analyte", ((600.0, 10.0, 1.0), (850.0, 12.0, 0.6))),
+                SpeciesSpec("other", ((700.0, 5.0, 2.0),), 3.0, "%"),
+            ),
+            baseline=BaselineSpec("exp_decay", (3.0, 500.0), (0.8, 1.2)),
+            noise_sigma=0.005,
+            seed=4,
+        )
+
+    def test_concentration_ranges(self):
+        recipe = recipe_from_dict(self.CONFIG, seed=4)
+        ranges = conc_ranges_from_dict(self.CONFIG)
+        assert ranges == {"analyte": (0.0, 2.0)}
+        conc = phantom_concentrations(recipe, 50, 4, ranges)
+        assert conc.species == ("analyte", "other")
+        assert conc.units == ("mg/mL", "%")
+        assert conc.matrix[0].max() > 1.0 and conc.matrix[0].max() < 2.0
+        assert conc.matrix[1].max() < 1.0
+
+    def test_tears_species_draw_like_tears_phantom(self):
+        recipe = tears_recipe(seed=3)
+        ranges = {"glucose": (0.0, 1.0), "lysozyme": (0.0, 10.0)}
+        _, expected = tears_phantom(6, seed=3)
+        conc = phantom_concentrations(recipe, 6, 3, ranges)
+        assert np.array_equal(conc.matrix, expected.matrix)
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"species": []}, "recipe species must be a non-empty list"),
+        ({"species": [{"peaks": []}]}, "recipe species 0 has no 'name' entry"),
+        ({"species": ["g"]}, "recipe species 0 must be an object"),
+        ({"species": [{"name": "g", "peaks": [[600, 10]]}]},
+         "recipe species 0 peak must have 3 numbers, got 2"),
+        ({"axis_stop": None}, "recipe axis_stop must be a finite number"),
+        ({"noise_sigma": float("nan")},
+         "recipe noise_sigma must be a finite number"),
+        ({"drift_range": 1.0}, "recipe drift_range must be a list of numbers"),
+        ({"baseline": {"coeffs": [1.0]}},
+         "recipe baseline coeffs must have 2 numbers, got 1"),
+    ], ids=["no_species", "no_name", "species_not_object", "short_peak",
+            "axis_stop", "nan", "drift_range", "exp_decay_coeffs"])
+    def test_malformed_entries(self, edit, message):
+        with pytest.raises(SpecselError, match=message):
+            recipe_from_dict({**self.CONFIG, **edit}, seed=0)
+
+    def test_bad_concentration_range(self):
+        cfg = {"species": [{"name": "g", "peaks": [], "conc_range": [0, "x"]}]}
+        with pytest.raises(SpecselError,
+                           match="recipe species 0 conc_range must be a "
+                                 "finite number"):
+            conc_ranges_from_dict(cfg)
