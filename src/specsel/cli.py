@@ -79,6 +79,16 @@ def _setting(args, config: dict, key: str, default):
     return default
 
 
+def _typed_setting(args, config: dict, key: str, default, kind, what: str):
+    """A setting that must be of ``kind``: a type or a tuple of types."""
+    value = _setting(args, config, key, default)
+    # JSON true and false are ints to isinstance, but they are not numbers
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
+        raise SpecselError(f"config {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _file_digest(path) -> str:
     h = hashlib.sha256()
     try:
@@ -114,8 +124,8 @@ def cmd_validate(args, config) -> int:
 
 
 def cmd_synth(args, config) -> int:
-    seed = int(_setting(args, config, "seed", 0))
-    n = int(_setting(args, config, "n", 40))
+    seed = _typed_setting(args, config, "seed", 0, int, "an integer")
+    n = _typed_setting(args, config, "n", 40, int, "an integer")
     recipe_cfg = config.get("recipe")
     if recipe_cfg:
         recipe = synth.recipe_from_dict(recipe_cfg, seed)
@@ -133,7 +143,7 @@ def cmd_synth(args, config) -> int:
 def cmd_crossval(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
     pipeline = parse_pipeline(str(_setting(args, config, "pipeline", "identity")))
-    workers = int(_setting(args, config, "threads", 1))
+    workers = _typed_setting(args, config, "threads", 1, int, "an integer")
     matrix = loo_press_matrix(spectra, conc, pipeline, workers=workers)
     out_dir = Path(args.out_dir)
     try:
@@ -173,9 +183,11 @@ def _write_boxplot_csv(path, matrix) -> None:
 def cmd_select(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
     candidates = _candidate_pipelines(args, config)
-    alpha = float(_setting(args, config, "alpha", DEFAULT_ALPHA))
-    log_press = bool(_setting(args, config, "log_press", False))
-    workers = int(_setting(args, config, "threads", 1))
+    alpha = float(_typed_setting(args, config, "alpha", DEFAULT_ALPHA,
+                                 (int, float), "a number"))
+    log_press = _typed_setting(args, config, "log_press", False, bool,
+                               "true or false")
+    workers = _typed_setting(args, config, "threads", 1, int, "an integer")
     report = select_method(spectra, conc, candidates, alpha=alpha,
                            log_press=log_press, workers=workers)
     inputs = {

@@ -1,8 +1,10 @@
 """Spectral pre-treatment operations and their composition into pipelines.
 
-Every operation is a pure function of one spectrum (plus the axis where it
-matters), so applying a pipeline to a set is row-by-row with no coupling
-between spectra. Pipelines have a canonical text form,
+Every operation takes one spectrum or an i x j matrix of spectra (one per
+row, plus the axis where it matters); a single spectrum is the one-row case
+of the same code. Rows never influence each other, so ``apply_pipeline``
+runs each step once on a block of rows and gets the bits a row-by-row loop
+would. Pipelines have a canonical text form,
 ``step(arg,...)|step(arg,...)``, e.g. ``baseline_als(100000,0.01,10)|rnv(75)``;
 the empty pipeline is spelled ``identity``. Two pipelines are equal iff their
 canonical names are equal.
@@ -32,18 +34,33 @@ from .spectra import SpectraSet
 
 MIN_ALS_CHANNELS = 8
 
+# rows per call of a step in apply_pipeline: a step's transient arrays (the
+# ALS system alone is 3 x rows x channels, with its weights and right-hand
+# side) grow with the rows it gets, so blocks cap them whatever the set size
+ROW_BLOCK = 128
 
-# --- single-spectrum operations -----------------------------------------------
+
+# --- operations on one spectrum or a matrix of spectra -----------------------
+
+def _as_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` as a C-ordered matrix with one spectrum per row.
+
+    Only on C-ordered data does a reduction along axis 1 give each row the
+    bits it gets alone, whatever the other rows and the input's layout.
+    """
+    return np.ascontiguousarray(np.atleast_2d(x))
+
 
 def snv(spectrum) -> np.ndarray:
     """Center by the mean and scale by the sample standard deviation."""
     x = np.asarray(spectrum, dtype=float)
-    if x.size < 2:
+    rows = _as_rows(x)
+    if rows.shape[1] < 2:
         raise ZeroVariance("need at least 2 points for variate scaling")
-    sd = x.std(ddof=1)
-    if sd == 0.0:
+    sd = rows.std(axis=1, ddof=1, keepdims=True)
+    if not sd.all():
         raise ZeroVariance("constant spectrum has no variance to scale by")
-    return (x - x.mean()) / sd
+    return ((rows - rows.mean(axis=1, keepdims=True)) / sd).reshape(x.shape)
 
 
 def rnv(spectrum, percentile: float) -> np.ndarray:
@@ -57,18 +74,28 @@ def rnv(spectrum, percentile: float) -> np.ndarray:
     if not 0.0 < percentile <= 100.0:
         raise DegenerateSubset(f"percentile must be in (0, 100], got {percentile}")
     x = np.asarray(spectrum, dtype=float)
-    pct = np.percentile(x, percentile)
-    subset = x[x <= pct]
-    if subset.size < 2:
+    rows = _as_rows(x)
+    pct = np.percentile(rows, percentile, axis=1, keepdims=True)
+    below = rows <= pct
+    counts = below.sum(axis=1)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
         raise DegenerateSubset(
-            f"only {subset.size} point(s) at or below the {percentile} percentile"
+            f"only {counts[short[0]]} point(s) at or below the {percentile} "
+            f"percentile"
         )
-    sd = subset.std(ddof=1)
-    if sd == 0.0:
+    # rows with equal subset sizes pack into one dense matrix, whose row
+    # deviations have the bits of each subset's own
+    sd = np.empty_like(pct)
+    for size in np.unique(counts):
+        group = counts == size
+        subset = rows[group][below[group]].reshape(-1, size)
+        sd[group] = subset.std(axis=1, ddof=1, keepdims=True)
+    if not sd.all():
         raise DegenerateSubset(
             f"zero spread at or below the {percentile} percentile"
         )
-    return (x - pct) / sd
+    return ((rows - pct) / sd).reshape(x.shape)
 
 
 def _savgol_design(window: int, polyorder: int) -> np.ndarray:
@@ -94,7 +121,8 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     if not 0 <= deriv <= polyorder:
         raise BadOrder(f"deriv must satisfy 0 <= deriv <= polyorder, got {deriv}")
     x = np.asarray(spectrum, dtype=float)
-    j = x.size
+    rows = _as_rows(x)
+    j = rows.shape[1]
     if window > j:
         raise WindowTooLarge(f"window {window} exceeds {j} channels")
 
@@ -106,23 +134,25 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     scale = math.factorial(deriv) / delta ** deriv
     kernel = pinv[deriv] * scale
 
-    out = np.empty_like(x)
-    windows = np.lib.stride_tricks.sliding_window_view(x, window)
-    out[half:j - half] = windows @ kernel
+    out = np.empty_like(rows)
+    windows = np.lib.stride_tricks.sliding_window_view(rows, window, axis=1)
+    out[:, half:j - half] = windows @ kernel
 
-    # derivative of the fitted polynomial, evaluated off-center
+    # derivative of each row's fitted polynomial, evaluated off-center
     def poly_deriv_at(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(u)
+        acc = np.zeros((coeffs.shape[0], u.size))
         for m in range(deriv, polyorder + 1):
             factor = math.factorial(m) / math.factorial(m - deriv)
-            acc += coeffs[m] * factor * u ** (m - deriv)
+            acc += coeffs[:, m, None] * factor * u ** (m - deriv)
         return acc / delta ** deriv
 
-    left_coeffs = pinv @ x[:window]
-    out[:half] = poly_deriv_at(left_coeffs, np.arange(-half, 0, dtype=float))
-    right_coeffs = pinv @ x[j - window:]
-    out[j - half:] = poly_deriv_at(right_coeffs, np.arange(1, half + 1, dtype=float))
-    return out
+    # one matrix-vector product per row, as for a single spectrum
+    left_coeffs = (pinv @ rows[:, :window, None])[..., 0]
+    out[:, :half] = poly_deriv_at(left_coeffs, np.arange(-half, 0, dtype=float))
+    right_coeffs = (pinv @ rows[:, j - window:, None])[..., 0]
+    out[:, j - half:] = poly_deriv_at(right_coeffs,
+                                      np.arange(1, half + 1, dtype=float))
+    return out.reshape(x.shape)
 
 
 def _uniform_spacing(axis: np.ndarray) -> float:
@@ -147,17 +177,19 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
     if order not in (1, 2):
         raise BadOrder(f"derivative order must be 1 or 2, got {order}")
     x = np.asarray(spectrum, dtype=float)
+    rows = _as_rows(x)
     ax = np.asarray(axis, dtype=float)
-    if x.size != ax.size:
-        raise NonuniformAxis(f"{x.size} intensities for {ax.size} axis points")
+    if rows.shape[1] != ax.size:
+        raise NonuniformAxis(
+            f"{rows.shape[1]} intensities for {ax.size} axis points")
     h = _uniform_spacing(ax)
     if order == 1:
-        return np.gradient(x, h, edge_order=1)
-    out = np.empty_like(x)
-    out[1:-1] = (x[:-2] - 2.0 * x[1:-1] + x[2:]) / h ** 2
-    out[0] = (x[0] - 2.0 * x[1] + x[2]) / h ** 2
-    out[-1] = (x[-3] - 2.0 * x[-2] + x[-1]) / h ** 2
-    return out
+        return np.gradient(rows, h, axis=1, edge_order=1).reshape(x.shape)
+    out = np.empty_like(rows)
+    out[:, 1:-1] = (rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]) / h ** 2
+    out[:, 0] = (rows[:, 0] - 2.0 * rows[:, 1] + rows[:, 2]) / h ** 2
+    out[:, -1] = (rows[:, -3] - 2.0 * rows[:, -2] + rows[:, -1]) / h ** 2
+    return out.reshape(x.shape)
 
 
 def _second_difference_bands(j: int, lam: float) -> np.ndarray:
@@ -188,6 +220,12 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     baseline hugs the bottom of the spectrum. Each of the ``iterations``
     solves the pentadiagonal system ``(W + lam * D @ D.T) z = W x`` by a
     banded Cholesky factorization (``scipy.linalg.solveh_banded``).
+
+    A matrix is solved as one block-diagonal banded system of the rows
+    still iterating: the zero leading corner cells of each row's bands
+    decouple it from the row before. A row stops at its fixed point, the
+    first solve whose new weights equal the weights it was solved with,
+    since every later solve would repeat that one bit for bit.
     Returns (corrected, baseline).
     """
     if lam <= 0:
@@ -197,20 +235,30 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     if iterations < 1:
         raise BadOrder(f"iterations must be >= 1, got {iterations}")
     x = np.asarray(spectrum, dtype=float)
-    j = x.size
+    rows = _as_rows(x)
+    i, j = rows.shape
     if j < MIN_ALS_CHANNELS:
         raise WindowTooLarge(
             f"baseline estimation needs >= {MIN_ALS_CHANNELS} channels, got {j}"
         )
-    penalty = _second_difference_bands(j, lam)
-    weights = np.ones(j)
-    baseline = np.zeros(j)
+    penalty = np.tile(_second_difference_bands(j, lam), i)
+    baseline = np.empty_like(rows)
+    active = np.arange(i)
+    weights = np.ones((i, j))
     for _ in range(iterations):
-        system = penalty.copy()
-        system[2] += weights
-        baseline = solveh_banded(system, weights * x, overwrite_ab=True,
-                                 check_finite=False)
-        weights = np.where(x > baseline, p, 1.0 - p)
+        if not active.size:
+            break
+        targets = rows[active]
+        system = penalty[:, :active.size * j].copy()
+        system[2] += weights.ravel()
+        solved = solveh_banded(system, (weights * targets).ravel(),
+                               overwrite_ab=True, check_finite=False)
+        solved = solved.reshape(active.size, j)
+        baseline[active] = solved
+        new_weights = np.where(targets > solved, p, 1.0 - p)
+        moving = (new_weights != weights).any(axis=1)
+        active, weights = active[moving], new_weights[moving]
+    baseline = baseline.reshape(x.shape)
     return x - baseline, baseline
 
 
@@ -226,24 +274,25 @@ def despike(spectrum, window: int = 7, threshold: float = 8.0) -> np.ndarray:
     if threshold <= 0:
         raise BadOrder(f"threshold must be > 0, got {threshold}")
     x = np.asarray(spectrum, dtype=float)
-    j = x.size
+    rows = _as_rows(x)
+    j = rows.shape[1]
     half = window // 2
-    medians = np.empty(j)
-    mads = np.empty(j)
+    medians = np.empty_like(rows)
+    mads = np.empty_like(rows)
     if j >= window:
-        win = np.lib.stride_tricks.sliding_window_view(x, window)
-        med = np.median(win, axis=1)
-        medians[half:j - half] = med
-        mads[half:j - half] = np.median(np.abs(win - med[:, None]), axis=1)
+        win = np.lib.stride_tricks.sliding_window_view(rows, window, axis=1)
+        med = np.median(win, axis=2)
+        medians[:, half:j - half] = med
+        mads[:, half:j - half] = np.median(np.abs(win - med[..., None]), axis=2)
     for n in list(range(min(half, j))) + list(range(max(j - half, 0), j)):
-        win = x[max(0, n - half):n + half + 1]
-        med = np.median(win)
-        medians[n] = med
-        mads[n] = np.median(np.abs(win - med))
-    spikes = np.abs(x - medians) > threshold * mads
-    out = x.copy()
+        win = rows[:, max(0, n - half):n + half + 1]
+        med = np.median(win, axis=1)
+        medians[:, n] = med
+        mads[:, n] = np.median(np.abs(win - med[:, None]), axis=1)
+    spikes = np.abs(rows - medians) > threshold * mads
+    out = rows.copy()
     out[spikes] = medians[spikes]
-    return out
+    return out.reshape(x.shape)
 
 
 def peak_normalize(spectrum, axis, reference_wavenumber: float,
@@ -252,6 +301,7 @@ def peak_normalize(spectrum, axis, reference_wavenumber: float,
     if half_width <= 0:
         raise BadOrder(f"half_width must be > 0, got {half_width}")
     x = np.asarray(spectrum, dtype=float)
+    rows = _as_rows(x)
     ax = np.asarray(axis, dtype=float)
     lo, hi = reference_wavenumber - half_width, reference_wavenumber + half_width
     if lo < ax[0] or hi > ax[-1]:
@@ -264,12 +314,14 @@ def peak_normalize(spectrum, axis, reference_wavenumber: float,
         raise WindowOutsideAxis(
             f"no channel inside window [{lo:g}, {hi:g}] cm-1"
         )
-    peak = x[mask].max()
-    if peak <= 0:
+    peak = rows[:, mask].max(axis=1, keepdims=True)
+    low = np.flatnonzero(peak[:, 0] <= 0)
+    if low.size:
         raise NonpositivePeak(
-            f"maximum inside window [{lo:g}, {hi:g}] cm-1 is {peak:.6g}"
+            f"maximum inside window [{lo:g}, {hi:g}] cm-1 is "
+            f"{peak[low[0], 0]:.6g}"
         )
-    return x / peak
+    return (rows / peak).reshape(x.shape)
 
 
 # --- pipeline steps -------------------------------------------------------------
@@ -453,14 +505,32 @@ def parse_pipeline(text: str) -> Pipeline:
 def apply_pipeline(spectra: SpectraSet, pipeline: Pipeline) -> SpectraSet:
     """Apply the steps in order to every spectrum; the axis never changes.
 
-    The first failing step re-raises its error with the spectrum label and
-    step name attached.
+    Each step runs once per block of ``ROW_BLOCK`` rows. The error raised
+    is the one a spectrum-by-spectrum loop meets first: that of the first
+    spectrum in row order that fails, at its first failing step, with the
+    spectrum label and step name attached.
     """
     if not pipeline.steps:
         return spectra
-    matrix = np.array(spectra.matrix, copy=True)
-    for n in range(spectra.n_spectra):
-        row = matrix[n]
+    out = np.empty(spectra.matrix.shape)
+    for start in range(0, spectra.n_spectra, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, spectra.n_spectra)
+        block = spectra.matrix[start:stop]
+        try:
+            for step in pipeline.steps:
+                block = step.apply(block, spectra.axis)
+        except SpecselError:
+            _raise_first_failure(spectra, pipeline, range(start, stop))
+            raise
+        out[start:stop] = block
+    return spectra.with_matrix(out)
+
+
+def _raise_first_failure(spectra: SpectraSet, pipeline: Pipeline,
+                         indices: range) -> None:
+    """Run the steps spectrum by spectrum to raise the first error exactly."""
+    for n in indices:
+        row = spectra.matrix[n]
         for step in pipeline.steps:
             try:
                 row = step.apply(row, spectra.axis)
@@ -468,5 +538,3 @@ def apply_pipeline(spectra: SpectraSet, pipeline: Pipeline) -> SpectraSet:
                 raise type(exc)(
                     f"spectrum {spectra.labels[n]!r}, step {step.name}: {exc}"
                 ) from exc
-        matrix[n] = row
-    return spectra.with_matrix(matrix)

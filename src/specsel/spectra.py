@@ -63,8 +63,8 @@ def _check_axis(axis: np.ndarray) -> None:
         )
 
 
-def _frozen_array(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+def _frozen_array(arr: np.ndarray, order: str = "K") -> np.ndarray:
+    out = np.array(arr, dtype=float, copy=True, order=order)
     out.setflags(write=False)
     return out
 
@@ -121,7 +121,9 @@ class SpectraSet:
                 f"non-finite intensity in spectrum {labels[int(rows[0])]!r}"
             )
         object.__setattr__(self, "axis", _frozen_array(axis))
-        object.__setattr__(self, "matrix", _frozen_array(matrix))
+        # C order whatever the input's layout (a CSV body is Fortran-ordered),
+        # so a row's reductions give the same bits from every source
+        object.__setattr__(self, "matrix", _frozen_array(matrix, order="C"))
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -263,8 +265,19 @@ def _raise_first_bad_cell(path, body: list[list[str]], labels: list[str]) -> Non
     raise NonFiniteValue(f"{path}: cannot parse the spectra table")
 
 
+def _check_header_labels(path, labels: Sequence[str]) -> None:
+    """Refuse labels that would not read back: loading strips header cells."""
+    for label in map(str, labels):
+        if label != label.strip():
+            raise LabelMismatch(
+                f"{path}: label {label!r} has leading or trailing "
+                f"whitespace, which loading strips"
+            )
+
+
 def save_spectra(path, spectra: SpectraSet) -> None:
     """Write a SpectraSet back to the wide CSV format."""
+    _check_header_labels(path, spectra.labels)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -335,6 +348,7 @@ def save_concentrations(path, conc: ConcentrationSet,
         raise ShapeMismatch(
             f"{len(labels)} labels for {conc.n_samples} concentration columns"
         )
+    _check_header_labels(path, labels)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

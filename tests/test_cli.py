@@ -147,6 +147,32 @@ class TestSynthCrossval:
         assert np.isfinite(matrix.values).all()
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("key,value,message", [
+        ("n", "abc", "config 'n' must be an integer, got 'abc'"),
+        ("seed", True, "config 'seed' must be an integer, got True"),
+        ("threads", "abc", "config 'threads' must be an integer, got 'abc'"),
+        ("alpha", "abc", "config 'alpha' must be a number, got 'abc'"),
+        ("log_press", "false",
+         "config 'log_press' must be true or false, got 'false'"),
+    ], ids=["n", "seed", "threads", "alpha", "log_press"])
+    def test_bad_value_exit_2(self, mixture_files, tmp_path, capsys, key,
+                              value, message):
+        spath, cpath, *_ = mixture_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        if key in ("n", "seed"):
+            argv = ["synth", "--out-spectra", str(tmp_path / "s.csv"),
+                    "--out-concentrations", str(tmp_path / "c.csv")]
+        else:
+            argv = ["select", "--spectra", str(spath),
+                    "--concentrations", str(cpath),
+                    "--out", str(tmp_path / "r.json")]
+        code = main(["--config", str(cfg), *argv])
+        assert code == 2
+        assert f"error: SpecselError: {message}" in capsys.readouterr().err
+
+
 class TestSelect:
     def test_noiseless_identity_exit_0(self, mixture_files, tmp_path):
         spath, cpath, *_ = mixture_files

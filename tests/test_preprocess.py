@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from specsel.errors import (
@@ -29,7 +30,8 @@ from specsel.preprocess import (
     savitzky_golay,
     snv,
 )
-from specsel.preprocess import _second_difference_bands
+from specsel.preprocess import ROW_BLOCK, _second_difference_bands
+from specsel.cli import DEFAULT_CANDIDATES
 from specsel.spectra import SpectraSet
 from specsel.synth import tears_phantom
 
@@ -98,6 +100,15 @@ class TestRnv:
         rng = np.random.default_rng(5)
         x = rng.normal(size=64)
         assert np.array_equal(rnv(2.0 * x, 75.0), rnv(x, 75.0))
+
+    def test_matrix_equals_per_spectrum_formula(self):
+        # ties give rows different subset sizes
+        rng = np.random.default_rng(16)
+        matrix = rng.normal(size=(40, 64)).round(1)
+        out = rnv(matrix, 75.0)
+        for x, row in zip(matrix, out):
+            pct = np.percentile(x, 75.0)
+            assert np.array_equal(row, (x - pct) / x[x <= pct].std(ddof=1))
 
 
 class TestSavitzkyGolay:
@@ -265,6 +276,59 @@ class TestBaselineAlsOracle:
         assert_matches_oracle(x, 10.0 ** log_lam, p, iterations)
 
 
+def loop_als_oracle(x, lam, p, iterations):
+    """The per-spectrum banded ALS: every iteration solved, one spectrum."""
+    penalty = _second_difference_bands(x.size, lam)
+    weights = np.ones(x.size)
+    baseline = np.zeros(x.size)
+    for _ in range(iterations):
+        system = penalty.copy()
+        system[2] += weights
+        baseline = solveh_banded(system, weights * x, overwrite_ab=True,
+                                 check_finite=False)
+        weights = np.where(x > baseline, p, 1.0 - p)
+    return x - baseline, baseline
+
+
+def assert_equals_loop_oracle(matrix, lam, p, iterations):
+    corrected, baseline = baseline_als(matrix, lam, p, iterations)
+    for n, x in enumerate(matrix):
+        expected_corrected, expected = loop_als_oracle(x, lam, p, iterations)
+        assert np.array_equal(baseline[n], expected)
+        assert np.array_equal(corrected[n], expected_corrected)
+
+
+class TestBaselineAlsMatrix:
+    """The block-diagonal solve with its fixed-point stop, bit for bit."""
+
+    def test_equals_loop_on_phantom_batch(self):
+        spectra, _ = tears_phantom(1000, 7)
+        assert_equals_loop_oracle(spectra.matrix, 1e5, 0.01, 10)
+
+    def test_single_spectrum_is_one_row(self):
+        spectra, _ = tears_phantom(4, 7)
+        corrected, baseline = baseline_als(spectra.matrix[1], 1e5, 0.01, 10)
+        rows_corrected, rows_baseline = baseline_als(spectra.matrix, 1e5,
+                                                     0.01, 10)
+        assert baseline.shape == (spectra.n_channels,)
+        assert np.array_equal(baseline, rows_baseline[1])
+        assert np.array_equal(corrected, rows_corrected[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(i=st.integers(1, 6),
+           j=st.integers(8, 200),
+           log_lam=st.floats(0.0, 6.0),
+           p=st.floats(0.001, 0.5),
+           iterations=st.integers(1, 20),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_equals_loop_on_random_spectra(self, i, j, log_lam, p,
+                                           iterations, seed, scale):
+        rng = np.random.default_rng(seed)
+        matrix = scale * rng.normal(size=(i, j)).cumsum(axis=1)
+        assert_equals_loop_oracle(matrix, 10.0 ** log_lam, p, iterations)
+
+
 class TestDespike:
     @staticmethod
     def smooth():
@@ -388,10 +452,22 @@ class TestApplyPipeline:
             manual = rnv(baseline_als(shifted.matrix[n], 1e5, 0.01, 10)[0], 75.0)
             assert np.array_equal(out.matrix[n], manual)
 
-    def test_per_spectrum_equals_set_level(self):
-        ss = random_spectra_set(i=5, j=40, seed=10)
-        pipe = parse_pipeline("snv|savgol(5,2,0)")
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("text", [
+        "snv|savgol(5,2,0)",
+        *sorted({step for c in DEFAULT_CANDIDATES for step in c.split("|")}),
+        "peak_normalize(440,10)",
+    ])
+    def test_per_spectrum_equals_set_level(self, text, order):
+        base = random_spectra_set(i=5, j=40, seed=10)
+        matrix = np.asarray(base.matrix, order=order)
+        ss = SpectraSet(base.axis, matrix, base.labels)
+        pipe = parse_pipeline(text)
         whole = apply_pipeline(ss, pipe)
+        direct = matrix
+        for step in pipe.steps:
+            direct = step.apply(direct, ss.axis)
+        assert np.array_equal(direct, whole.matrix)
         for n in range(ss.n_spectra):
             alone = apply_pipeline(ss.subset([n]), pipe)
             assert np.array_equal(whole.matrix[n], alone.matrix[0])
@@ -402,3 +478,28 @@ class TestApplyPipeline:
         ss = SpectraSet(axis, matrix, ("flat", "ramp"))
         with pytest.raises(ZeroVariance, match=r"'flat'.*snv"):
             apply_pipeline(ss, parse_pipeline("snv"))
+
+    def test_error_from_first_failing_spectrum_in_row_order(self):
+        # "late" fails at step 1, but "early" comes first and fails at step 2
+        axis = 400.0 + 2.0 * np.arange(10)
+        matrix = np.vstack([np.full(10, 3.0), np.arange(10.0),
+                            -np.ones(10)])
+        ss = SpectraSet(axis, matrix, ("early", "fine", "late"))
+        with pytest.raises(ZeroVariance) as info:
+            apply_pipeline(ss, parse_pipeline("peak_normalize(410,4)|snv"))
+        assert str(info.value) == (
+            "spectrum 'early', step snv: constant spectrum has no variance "
+            "to scale by")
+
+    def test_error_in_second_row_block(self):
+        axis = 400.0 + 2.0 * np.arange(10)
+        rng = np.random.default_rng(15)
+        matrix = rng.normal(size=(ROW_BLOCK + 3, 10))
+        matrix[ROW_BLOCK + 1] = 2.0
+        labels = tuple(f"s{n}" for n in range(ROW_BLOCK + 3))
+        ss = SpectraSet(axis, matrix, labels)
+        with pytest.raises(ZeroVariance) as info:
+            apply_pipeline(ss, parse_pipeline("derivative(1)|snv"))
+        assert str(info.value) == (
+            f"spectrum 's{ROW_BLOCK + 1}', step snv: constant spectrum has "
+            f"no variance to scale by")

@@ -74,6 +74,15 @@ class TestSpectraSet:
         with pytest.raises(ValueError):
             ss.matrix[0, 0] = 1.0
 
+    def test_matrix_stored_c_ordered(self, tmp_path):
+        fortran = np.asfortranarray(np.arange(30.0).reshape(3, 10))
+        ss = SpectraSet(np.arange(10.0), fortran, ("a", "b", "c"))
+        assert ss.matrix.flags.c_contiguous
+        assert np.array_equal(ss.matrix, fortran)
+        f = tmp_path / "s.csv"
+        save_spectra(f, ss)
+        assert load_spectra(f).matrix.flags.c_contiguous
+
 
 class TestLoadSpectra:
     def test_round_trip(self, tmp_path):
@@ -156,9 +165,14 @@ def load_error(path):
     return type(info.value), str(info.value)
 
 
-# labels keep no surrounding whitespace: load strips header cells
-LABEL = st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_ ,\"-]*[A-Za-z0-9_])?",
-                      fullmatch=True)
+# some labels get surrounding whitespace: load strips header cells, so
+# save must refuse those rather than write a file that reads back changed
+LABEL = st.builds(
+    lambda lead, core, trail: lead + core + trail,
+    st.sampled_from(["", "", " ", "\t"]),
+    st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_ ,\"-]*[A-Za-z0-9_])?",
+                  fullmatch=True),
+    st.sampled_from(["", "", " ", "\n"]))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -209,8 +223,14 @@ class TestLoadSpectraErrors:
         matrix = data.draw(hnp.arrays(float, (len(labels), axis.size),
                                       elements=FINITE))
         spectra = SpectraSet(axis, matrix, tuple(labels))
+        padded = [x for x in labels if x != x.strip()]
         with tempfile.TemporaryDirectory() as tmp:
             f = Path(tmp) / "s.csv"
+            if padded:
+                with pytest.raises(LabelMismatch, match="whitespace"):
+                    save_spectra(f, spectra)
+                assert not f.exists()
+                return
             save_spectra(f, spectra)
             again = load_spectra(f)
         assert again.labels == spectra.labels
@@ -258,6 +278,13 @@ class TestLoadConcentrations:
         assert again.species == ("a", "b")
         assert again.units == ("mg/mL", "%")
         assert np.allclose(again.matrix, conc.matrix, rtol=1e-9)
+
+    def test_save_refuses_label_load_would_strip(self, tmp_path):
+        conc = ConcentrationSet([[0.25, 1.5]], ("a",), ("mg/mL",))
+        f = tmp_path / "c.csv"
+        with pytest.raises(LabelMismatch, match="'s1 ' has leading or trailing"):
+            save_concentrations(f, conc, ["s0", "s1 "])
+        assert not f.exists()
 
 
 class TestSaveMatrix:
