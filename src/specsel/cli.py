@@ -70,21 +70,20 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _setting(args, config: dict, key: str, default):
+def _typed_setting(args, config: dict, key: str, default, kind, what: str,
+                   items=None):
+    """A setting that must be of ``kind``: a type or a tuple of types.
+
+    With ``items`` given, the setting is a list whose every element must be
+    of that type.
+    """
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _typed_setting(args, config: dict, key: str, default, kind, what: str):
-    """A setting that must be of ``kind``: a type or a tuple of types."""
-    value = _setting(args, config, key, default)
+    if value is None:
+        value = config.get(key, default)
     # JSON true and false are ints to isinstance, but they are not numbers
-    if not isinstance(value, kind) or (isinstance(value, bool)
-                                       and kind is not bool):
+    if (not isinstance(value, kind)
+            or (isinstance(value, bool) and kind is not bool)
+            or (items and not all(isinstance(v, items) for v in value))):
         raise SpecselError(f"config {key!r} must be {what}, got {value!r}")
     return value
 
@@ -107,11 +106,10 @@ def _load_pair(spectra_path, conc_path):
 
 
 def _candidate_pipelines(args, config: dict) -> list[Pipeline]:
-    texts = list(getattr(args, "candidate", None) or [])
-    if not texts:
-        texts = list(config.get("candidates", []))
-    if not texts:
-        texts = list(DEFAULT_CANDIDATES)
+    texts = (getattr(args, "candidate", None)
+             or _typed_setting(args, config, "candidates", [], list,
+                               "a list of pipeline strings", items=str)
+             or DEFAULT_CANDIDATES)
     return [parse_pipeline(t) for t in texts]
 
 
@@ -142,7 +140,8 @@ def cmd_synth(args, config) -> int:
 
 def cmd_crossval(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
-    pipeline = parse_pipeline(str(_setting(args, config, "pipeline", "identity")))
+    pipeline = parse_pipeline(_typed_setting(
+        args, config, "pipeline", "identity", str, "a pipeline string"))
     workers = _typed_setting(args, config, "threads", 1, int, "an integer")
     matrix = loo_press_matrix(spectra, conc, pipeline, workers=workers)
     out_dir = Path(args.out_dir)
@@ -212,7 +211,8 @@ def cmd_select(args, config) -> int:
 
 def cmd_train(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
-    pipeline = parse_pipeline(str(_setting(args, config, "pipeline", "identity")))
+    pipeline = parse_pipeline(_typed_setting(
+        args, config, "pipeline", "identity", str, "a pipeline string"))
     model = train_final(spectra, conc, pipeline, int(args.pc))
     save_model(args.out_model, model)
     print(f"wrote model {args.out_model} ({pipeline.name}, {args.pc} components)")

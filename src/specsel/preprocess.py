@@ -8,12 +8,20 @@ would. Pipelines have a canonical text form,
 ``step(arg,...)|step(arg,...)``, e.g. ``baseline_als(100000,0.01,10)|rnv(75)``;
 the empty pipeline is spelled ``identity``. Two pipelines are equal iff their
 canonical names are equal.
+
+A step is declared once, in ``_STEPS``: its aliases, its parameters (name,
+int or float, default), its range check and how it calls the operation.
+Each range check is also the first thing its operation runs, so a bad value
+raises the operation's class (``BadOrder``, ``DegenerateSubset``) on a
+direct call and ``PipelineSyntaxError`` naming the step when parsed.
+Parameters must be finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -63,6 +71,11 @@ def snv(spectrum) -> np.ndarray:
     return ((rows - rows.mean(axis=1, keepdims=True)) / sd).reshape(x.shape)
 
 
+def _check_rnv(percentile) -> None:
+    if not 0.0 < percentile <= 100.0:
+        raise DegenerateSubset(f"percentile must be in (0, 100], got {percentile}")
+
+
 def rnv(spectrum, percentile: float) -> np.ndarray:
     """Percentile-based variant of snv, insensitive to high outliers.
 
@@ -71,8 +84,7 @@ def rnv(spectrum, percentile: float) -> np.ndarray:
     or below it. Percentile 100 degenerates to centering on the maximum and
     scaling by the full-vector deviation.
     """
-    if not 0.0 < percentile <= 100.0:
-        raise DegenerateSubset(f"percentile must be in (0, 100], got {percentile}")
+    _check_rnv(percentile)
     x = np.asarray(spectrum, dtype=float)
     rows = _as_rows(x)
     pct = np.percentile(rows, percentile, axis=1, keepdims=True)
@@ -104,6 +116,15 @@ def _savgol_design(window: int, polyorder: int) -> np.ndarray:
     return np.vander(offsets, polyorder + 1, increasing=True)
 
 
+def _check_savgol(window, polyorder, deriv=0) -> None:
+    if not (window % 2 == 1 and window >= 5):
+        raise BadOrder(f"window must be odd and >= 5, got {window}")
+    if not 0 <= polyorder < window:
+        raise BadOrder(f"polyorder must satisfy 0 <= polyorder < window, got {polyorder}")
+    if not 0 <= deriv <= polyorder:
+        raise BadOrder(f"deriv must satisfy 0 <= deriv <= polyorder, got {deriv}")
+
+
 def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
                    delta: float = 1.0) -> np.ndarray:
     """Moving-window least-squares polynomial smoothing / differentiation.
@@ -114,12 +135,7 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     off-center positions, so the output keeps the input length. Derivatives
     are scaled by ``delta**deriv`` (the channel spacing).
     """
-    if window % 2 == 0 or window < 5:
-        raise BadOrder(f"window must be odd and >= 5, got {window}")
-    if not 0 <= polyorder < window:
-        raise BadOrder(f"polyorder must satisfy 0 <= polyorder < window, got {polyorder}")
-    if not 0 <= deriv <= polyorder:
-        raise BadOrder(f"deriv must satisfy 0 <= deriv <= polyorder, got {deriv}")
+    _check_savgol(window, polyorder, deriv)
     x = np.asarray(spectrum, dtype=float)
     rows = _as_rows(x)
     j = rows.shape[1]
@@ -168,14 +184,18 @@ def _uniform_spacing(axis: np.ndarray) -> float:
     return float(mean_step)
 
 
+def _check_derivative(order) -> None:
+    if order not in (1, 2):
+        raise BadOrder(f"derivative order must be 1 or 2, got {order}")
+
+
 def derivative(spectrum, axis, order: int) -> np.ndarray:
     """Finite-difference derivative along the wavenumber axis.
 
     Central differences at interior points, one-sided at the two edges;
     order 1 removes a constant baseline, order 2 a linear one.
     """
-    if order not in (1, 2):
-        raise BadOrder(f"derivative order must be 1 or 2, got {order}")
+    _check_derivative(order)
     x = np.asarray(spectrum, dtype=float)
     rows = _as_rows(x)
     ax = np.asarray(axis, dtype=float)
@@ -211,6 +231,15 @@ def _second_difference_bands(j: int, lam: float) -> np.ndarray:
     return lam * bands
 
 
+def _check_baseline_als(lam, p, iterations) -> None:
+    if not lam > 0:
+        raise BadOrder(f"lambda must be > 0, got {lam}")
+    if not 0.0 < p < 1.0:
+        raise BadOrder(f"asymmetry p must be in (0, 1), got {p}")
+    if not iterations >= 1:
+        raise BadOrder(f"iterations must be >= 1, got {iterations}")
+
+
 def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
                  iterations: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Asymmetric least-squares baseline estimate (Eilers & Boelens, 2005).
@@ -228,12 +257,7 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     since every later solve would repeat that one bit for bit.
     Returns (corrected, baseline).
     """
-    if lam <= 0:
-        raise BadOrder(f"lambda must be > 0, got {lam}")
-    if not 0.0 < p < 1.0:
-        raise BadOrder(f"asymmetry p must be in (0, 1), got {p}")
-    if iterations < 1:
-        raise BadOrder(f"iterations must be >= 1, got {iterations}")
+    _check_baseline_als(lam, p, iterations)
     x = np.asarray(spectrum, dtype=float)
     rows = _as_rows(x)
     i, j = rows.shape
@@ -262,6 +286,13 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     return x - baseline, baseline
 
 
+def _check_despike(window, threshold) -> None:
+    if not (window % 2 == 1 and window >= 3):
+        raise BadOrder(f"window must be odd and >= 3, got {window}")
+    if not threshold > 0:
+        raise BadOrder(f"threshold must be > 0, got {threshold}")
+
+
 def despike(spectrum, window: int = 7, threshold: float = 8.0) -> np.ndarray:
     """Replace cosmic-ray spikes by the running median.
 
@@ -269,10 +300,7 @@ def despike(spectrum, window: int = 7, threshold: float = 8.0) -> np.ndarray:
     from the running median of its window; everything else is passed through
     bit-identically. Windows are truncated at the edges.
     """
-    if window % 2 == 0 or window < 3:
-        raise BadOrder(f"window must be odd and >= 3, got {window}")
-    if threshold <= 0:
-        raise BadOrder(f"threshold must be > 0, got {threshold}")
+    _check_despike(window, threshold)
     x = np.asarray(spectrum, dtype=float)
     rows = _as_rows(x)
     j = rows.shape[1]
@@ -295,11 +323,15 @@ def despike(spectrum, window: int = 7, threshold: float = 8.0) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _check_peak_normalize(reference_wavenumber, half_width) -> None:
+    if not half_width > 0:
+        raise BadOrder(f"half_width must be > 0, got {half_width}")
+
+
 def peak_normalize(spectrum, axis, reference_wavenumber: float,
                    half_width: float = 10.0) -> np.ndarray:
     """Scale so the maximum inside the reference-peak window becomes 1."""
-    if half_width <= 0:
-        raise BadOrder(f"half_width must be > 0, got {half_width}")
+    _check_peak_normalize(reference_wavenumber, half_width)
     x = np.asarray(spectrum, dtype=float)
     rows = _as_rows(x)
     ax = np.asarray(axis, dtype=float)
@@ -335,13 +367,6 @@ def _fmt_param(value) -> str:
     return repr(f)
 
 
-def _as_int(value, what: str) -> int:
-    f = float(value)
-    if not f.is_integer():
-        raise PipelineSyntaxError(f"{what} must be an integer, got {value!r}")
-    return int(f)
-
-
 @dataclass(frozen=True)
 class PipelineStep:
     """One validated preprocessing step; params are positional and typed."""
@@ -356,99 +381,81 @@ class PipelineStep:
         return f"{self.kind}({','.join(_fmt_param(v) for v in self.params)})"
 
     def apply(self, intensities: np.ndarray, axis: np.ndarray) -> np.ndarray:
-        return _STEP_APPLY[self.kind](intensities, axis, self.params)
+        return _STEPS[self.kind].call(intensities, axis, self.params)
 
 
-def _validate_step(kind: str, args: tuple) -> tuple:
-    if kind == "snv":
-        if args:
-            raise PipelineSyntaxError("snv takes no parameters")
-        return ()
-    if kind == "rnv":
-        if len(args) != 1:
-            raise PipelineSyntaxError("rnv takes exactly one parameter (percentile)")
-        pct = float(args[0])
-        if not 0.0 < pct <= 100.0:
-            raise PipelineSyntaxError(f"rnv percentile must be in (0, 100], got {pct}")
-        return (pct,)
-    if kind == "savgol":
-        if len(args) not in (2, 3):
-            raise PipelineSyntaxError("savgol takes (window, polyorder[, deriv])")
-        window = _as_int(args[0], "savgol window")
-        polyorder = _as_int(args[1], "savgol polyorder")
-        deriv = _as_int(args[2], "savgol deriv") if len(args) == 3 else 0
-        if window % 2 == 0 or window < 5:
-            raise PipelineSyntaxError(f"savgol window must be odd and >= 5, got {window}")
-        if not 0 <= polyorder < window:
-            raise PipelineSyntaxError(f"savgol polyorder must be < window, got {polyorder}")
-        if not 0 <= deriv <= polyorder:
-            raise PipelineSyntaxError(f"savgol deriv must be <= polyorder, got {deriv}")
-        return (window, polyorder, deriv)
-    if kind == "derivative":
-        if len(args) != 1:
-            raise PipelineSyntaxError("derivative takes exactly one parameter (order)")
-        order = _as_int(args[0], "derivative order")
-        if order not in (1, 2):
-            raise PipelineSyntaxError(f"derivative order must be 1 or 2, got {order}")
-        return (order,)
-    if kind == "baseline_als":
-        if len(args) > 3:
-            raise PipelineSyntaxError("baseline_als takes (lambda[, p[, iterations]])")
-        lam = float(args[0]) if len(args) >= 1 else 1e5
-        p = float(args[1]) if len(args) >= 2 else 0.01
-        iterations = _as_int(args[2], "baseline_als iterations") if len(args) >= 3 else 10
-        if lam <= 0:
-            raise PipelineSyntaxError(f"baseline_als lambda must be > 0, got {lam}")
-        if not 0.0 < p < 1.0:
-            raise PipelineSyntaxError(f"baseline_als p must be in (0, 1), got {p}")
-        if iterations < 1:
-            raise PipelineSyntaxError("baseline_als iterations must be >= 1")
-        return (lam, p, iterations)
-    if kind == "despike":
-        if len(args) > 2:
-            raise PipelineSyntaxError("despike takes (window[, threshold])")
-        window = _as_int(args[0], "despike window") if len(args) >= 1 else 7
-        threshold = float(args[1]) if len(args) >= 2 else 8.0
-        if window % 2 == 0 or window < 3:
-            raise PipelineSyntaxError(f"despike window must be odd and >= 3, got {window}")
-        if threshold <= 0:
-            raise PipelineSyntaxError(f"despike threshold must be > 0, got {threshold}")
-        return (window, threshold)
-    if kind == "peak_normalize":
-        if len(args) not in (1, 2):
-            raise PipelineSyntaxError(
-                "peak_normalize takes (reference_wavenumber[, half_width])"
-            )
-        ref = float(args[0])
-        hw = float(args[1]) if len(args) == 2 else 10.0
-        if hw <= 0:
-            raise PipelineSyntaxError(f"peak_normalize half_width must be > 0, got {hw}")
-        return (ref, hw)
-    raise PipelineSyntaxError(f"unknown preprocessing step {kind!r}")
+_REQUIRED = object()
 
 
-_STEP_APPLY = {
-    "snv": lambda x, ax, p: snv(x),
-    "rnv": lambda x, ax, p: rnv(x, p[0]),
-    "savgol": lambda x, ax, p: savitzky_golay(
-        x, p[0], p[1], p[2], delta=float(np.mean(np.diff(ax)))
-    ),
-    "derivative": lambda x, ax, p: derivative(x, ax, p[0]),
-    "baseline_als": lambda x, ax, p: baseline_als(x, p[0], p[1], p[2])[0],
-    "despike": lambda x, ax, p: despike(x, p[0], p[1]),
-    "peak_normalize": lambda x, ax, p: peak_normalize(x, ax, p[0], p[1]),
+class _Step(NamedTuple):
+    aliases: tuple[str, ...]
+    params: tuple[tuple[str, type, object], ...]  # (name, int|float, default)
+    check: Callable[..., None] | None             # the operation's range rule
+    call: Callable[[np.ndarray, np.ndarray, tuple], np.ndarray]
+
+
+# every step the pipeline grammar knows; the calls look each operation up
+# by its module name when they run, so a wrapper bound to that name (as a
+# tracer binds one) sees every step call
+_STEPS = {
+    "snv": _Step((), (), None, lambda x, ax, p: snv(x)),
+    "rnv": _Step((), (("percentile", float, _REQUIRED),), _check_rnv,
+                 lambda x, ax, p: rnv(x, *p)),
+    "savgol": _Step(
+        ("savitzky_golay", "sg"),
+        (("window", int, _REQUIRED), ("polyorder", int, _REQUIRED),
+         ("deriv", int, 0)),
+        # deriv 0 is never scaled by the spacing, so it needs no uniform axis
+        _check_savgol, lambda x, ax, p: savitzky_golay(
+            x, *p, delta=_uniform_spacing(ax) if p[2] else 1.0)),
+    "derivative": _Step((), (("order", int, _REQUIRED),), _check_derivative,
+                        lambda x, ax, p: derivative(x, ax, *p)),
+    "baseline_als": _Step(
+        (), (("lambda", float, 1e5), ("p", float, 0.01),
+             ("iterations", int, 10)),
+        _check_baseline_als, lambda x, ax, p: baseline_als(x, *p)[0]),
+    "despike": _Step((), (("window", int, 7), ("threshold", float, 8.0)),
+                     _check_despike, lambda x, ax, p: despike(x, *p)),
+    "peak_normalize": _Step(
+        (), (("reference_wavenumber", float, _REQUIRED),
+             ("half_width", float, 10.0)),
+        _check_peak_normalize, lambda x, ax, p: peak_normalize(x, ax, *p)),
 }
 
-_ALIASES = {
-    "savitzky_golay": "savgol",
-    "sg": "savgol",
-}
+
+def _coerce(kind: str, name: str, type_: type, value):
+    f = float(value)
+    if not math.isfinite(f):
+        raise PipelineSyntaxError(f"{kind} {name} must be finite, got {value!r}")
+    if type_ is float:
+        return f
+    if not f.is_integer():
+        raise PipelineSyntaxError(f"{kind} {name} must be an integer, got {value!r}")
+    return int(f)
 
 
 def make_step(kind: str, *args) -> PipelineStep:
-    canon = kind.strip().lower()
-    canon = _ALIASES.get(canon, canon)
-    return PipelineStep(canon, _validate_step(canon, tuple(args)))
+    """A validated step from a kind or alias and its leading parameters."""
+    name = kind.strip().lower()
+    canon = next((k for k, s in _STEPS.items() if name in (k, *s.aliases)), None)
+    if canon is None:
+        raise PipelineSyntaxError(f"unknown preprocessing step {name!r}")
+    spec = _STEPS[canon]
+    required = sum(default is _REQUIRED for _, _, default in spec.params)
+    if not required <= len(args) <= len(spec.params):
+        signature = ", ".join(
+            n if default is _REQUIRED else f"[{n}]"
+            for n, _, default in spec.params)
+        raise PipelineSyntaxError(f"{canon} takes ({signature})")
+    step = PipelineStep(canon, tuple(
+        _coerce(canon, n, type_, args[k] if k < len(args) else default)
+        for k, (n, type_, default) in enumerate(spec.params)))
+    try:
+        if spec.check:
+            spec.check(*step.params)
+    except SpecselError as exc:
+        raise PipelineSyntaxError(f"step {step.name}: {exc}") from exc
+    return step
 
 
 @dataclass(frozen=True)

@@ -265,12 +265,13 @@ def _raise_first_bad_cell(path, body: list[list[str]], labels: list[str]) -> Non
     raise NonFiniteValue(f"{path}: cannot parse the spectra table")
 
 
-def _check_header_labels(path, labels: Sequence[str]) -> None:
-    """Refuse labels that would not read back: loading strips header cells."""
+def _check_header_labels(path, labels: Sequence[str],
+                         what: str = "label") -> None:
+    """Refuse names that would not read back: loading strips their cells."""
     for label in map(str, labels):
         if label != label.strip():
             raise LabelMismatch(
-                f"{path}: label {label!r} has leading or trailing "
+                f"{path}: {what} {label!r} has leading or trailing "
                 f"whitespace, which loading strips"
             )
 
@@ -349,6 +350,8 @@ def save_concentrations(path, conc: ConcentrationSet,
             f"{len(labels)} labels for {conc.n_samples} concentration columns"
         )
     _check_header_labels(path, labels)
+    _check_header_labels(path, conc.species, "species")
+    _check_header_labels(path, conc.units, "unit")
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -155,7 +155,14 @@ class TestConfigTypes:
         ("alpha", "abc", "config 'alpha' must be a number, got 'abc'"),
         ("log_press", "false",
          "config 'log_press' must be true or false, got 'false'"),
-    ], ids=["n", "seed", "threads", "alpha", "log_press"])
+        ("candidates", [5],
+         "config 'candidates' must be a list of pipeline strings, got [5]"),
+        ("candidates", "snv",
+         "config 'candidates' must be a list of pipeline strings, got 'snv'"),
+        ("pipeline", ["snv"],
+         "config 'pipeline' must be a pipeline string, got ['snv']"),
+    ], ids=["n", "seed", "threads", "alpha", "log_press", "candidates_item",
+            "candidates_str", "pipeline"])
     def test_bad_value_exit_2(self, mixture_files, tmp_path, capsys, key,
                               value, message):
         spath, cpath, *_ = mixture_files
@@ -164,6 +171,10 @@ class TestConfigTypes:
         if key in ("n", "seed"):
             argv = ["synth", "--out-spectra", str(tmp_path / "s.csv"),
                     "--out-concentrations", str(tmp_path / "c.csv")]
+        elif key == "pipeline":
+            argv = ["train", "--spectra", str(spath),
+                    "--concentrations", str(cpath), "--pc", "2",
+                    "--out-model", str(tmp_path / "m.json")]
         else:
             argv = ["select", "--spectra", str(spath),
                     "--concentrations", str(cpath),

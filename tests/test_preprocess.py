@@ -30,7 +30,8 @@ from specsel.preprocess import (
     savitzky_golay,
     snv,
 )
-from specsel.preprocess import ROW_BLOCK, _second_difference_bands
+from specsel import preprocess
+from specsel.preprocess import ROW_BLOCK, _STEPS, _second_difference_bands
 from specsel.cli import DEFAULT_CANDIDATES
 from specsel.spectra import SpectraSet
 from specsel.synth import tears_phantom
@@ -420,15 +421,147 @@ class TestPipelineGrammar:
 
     def test_rejects_garbage(self):
         for text in ("", "wibble(3)", "snv|", "rnv(150)", "savgol(4,2)",
-                     "rnv(a)", "derivative(3)"):
+                     "rnv(a)", "derivative(3)", "despike(7,nan)",
+                     "baseline_als(nan)", "baseline_als(inf)",
+                     "peak_normalize(1000,inf)"):
             with pytest.raises(PipelineSyntaxError):
                 parse_pipeline(text)
+
+    @pytest.mark.parametrize("text,name", [
+        ("baseline_als", "baseline_als(100000,0.01,10)"),
+        ("baseline_als(1e4)", "baseline_als(10000,0.01,10)"),
+        ("baseline_als(1e4,0.05)", "baseline_als(10000,0.05,10)"),
+        ("despike", "despike(7,8)"),
+        ("despike(5)", "despike(5,8)"),
+        ("peak_normalize(1000)", "peak_normalize(1000,10)"),
+        ("sg(7,2)", "savgol(7,2,0)"),
+        ("Savitzky_Golay(9, 3, 1)", "savgol(9,3,1)"),
+    ])
+    def test_defaults_and_aliases(self, text, name):
+        assert parse_pipeline(text).name == name
 
     def test_make_step_validation(self):
         with pytest.raises(PipelineSyntaxError):
             make_step("despike", 4, 8.0)
         step = make_step("peak_normalize", 1000.0)
         assert step.name == "peak_normalize(1000,10)"
+
+
+# valid parameters of every step kind, as the text a user would type
+ODD = st.integers(1, 15).map(lambda k: 2 * k + 1)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+STEP_ARGS = {
+    "snv": st.just([]),
+    "rnv": st.floats(0.0, 100.0, exclude_min=True).map(lambda v: [v]),
+    "savgol": ODD.filter(lambda w: w >= 5).flatmap(
+        lambda w: st.integers(0, w - 1).flatmap(
+            lambda o: st.one_of(st.just([w, o]),
+                                st.integers(0, o).map(lambda d: [w, o, d])))),
+    "derivative": st.sampled_from([[1], [2]]),
+    "baseline_als": st.tuples(
+        POSITIVE, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(1, 50)).flatmap(
+            lambda args: st.integers(0, 3).map(lambda n: list(args[:n]))),
+    "despike": st.tuples(ODD, POSITIVE).flatmap(
+        lambda args: st.integers(0, 2).map(lambda n: list(args[:n]))),
+    "peak_normalize": st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False), POSITIVE).flatmap(
+            lambda args: st.integers(1, 2).map(lambda n: list(args[:n]))),
+}
+
+
+# an out-of-range value of every step kind with parameters: the parser's
+# PipelineSyntaxError names the step, a direct call raises the operation's
+# own class
+OUT_OF_RANGE = [
+    ("rnv(150)", lambda x, ax: rnv(x, 150.0), DegenerateSubset),
+    ("rnv(0)", lambda x, ax: rnv(x, 0.0), DegenerateSubset),
+    ("rnv(nan)", lambda x, ax: rnv(x, np.nan), DegenerateSubset),
+    ("savgol(4,2)", lambda x, ax: savitzky_golay(x, 4, 2), BadOrder),
+    ("savgol(nan,2)", lambda x, ax: savitzky_golay(x, np.nan, 2),
+     BadOrder),
+    ("savgol(7,7)", lambda x, ax: savitzky_golay(x, 7, 7), BadOrder),
+    ("savgol(7,2,3)", lambda x, ax: savitzky_golay(x, 7, 2, 3), BadOrder),
+    ("derivative(3)", lambda x, ax: derivative(x, ax, 3), BadOrder),
+    ("baseline_als(0)", lambda x, ax: baseline_als(x, 0.0), BadOrder),
+    ("baseline_als(nan)", lambda x, ax: baseline_als(x, np.nan),
+     BadOrder),
+    ("baseline_als(1e5,1)", lambda x, ax: baseline_als(x, 1e5, 1.0),
+     BadOrder),
+    ("baseline_als(1e5,0.01,0)",
+     lambda x, ax: baseline_als(x, 1e5, 0.01, 0), BadOrder),
+    ("despike(4)", lambda x, ax: despike(x, 4), BadOrder),
+    ("despike(7,0)", lambda x, ax: despike(x, 7, 0.0), BadOrder),
+    ("despike(7,nan)", lambda x, ax: despike(x, 7, np.nan), BadOrder),
+    ("peak_normalize(440,0)",
+     lambda x, ax: peak_normalize(x, ax, 440.0, 0.0), BadOrder),
+    ("peak_normalize(440,nan)",
+     lambda x, ax: peak_normalize(x, ax, 440.0, np.nan), BadOrder),
+]
+
+
+@st.composite
+def step_texts(draw):
+    kind = draw(st.sampled_from(sorted(_STEPS)))
+    spelling = draw(st.sampled_from([kind, *_STEPS[kind].aliases]))
+    spelling = "".join(c.upper() if draw(st.booleans()) else c
+                       for c in spelling)
+    args = draw(STEP_ARGS[kind])
+    if not args and draw(st.booleans()):
+        return spelling
+    return f"{spelling}({', '.join(repr(a) for a in args)})"
+
+
+class TestStepTable:
+    def test_strategies_cover_every_kind(self):
+        assert set(STEP_ARGS) == set(_STEPS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(step_texts(), min_size=1, max_size=4))
+    def test_canonical_name_round_trip(self, texts):
+        pipe = parse_pipeline(" | ".join(texts))
+        assert parse_pipeline(pipe.name) == pipe
+        assert parse_pipeline(pipe.name).name == pipe.name
+        for step in pipe.steps:
+            assert step.kind in _STEPS
+            assert len(step.params) == len(_STEPS[step.kind].params)
+
+    @pytest.mark.parametrize("text,direct,error", OUT_OF_RANGE,
+                             ids=[text for text, *_ in OUT_OF_RANGE])
+    def test_out_of_range_parameter(self, text, direct, error):
+        base = random_spectra_set(i=1, j=40, seed=12)
+        x = base.matrix[0] + 10.0
+        with pytest.raises(PipelineSyntaxError, match=text.split("(")[0]):
+            parse_pipeline(text)
+        with pytest.raises(error):
+            direct(x, base.axis)
+
+    def test_out_of_range_cases_cover_every_checked_kind(self):
+        checked = {kind for kind, spec in _STEPS.items() if spec.params}
+        assert {text.split("(")[0] for text, *_ in OUT_OF_RANGE} == checked
+
+    @pytest.mark.parametrize("text,operation", [
+        ("snv", "snv"), ("rnv(75)", "rnv"), ("sg(7,2,1)", "savitzky_golay"),
+        ("derivative(1)", "derivative"), ("baseline_als", "baseline_als"),
+        ("despike", "despike"), ("peak_normalize(440)", "peak_normalize"),
+    ])
+    def test_steps_call_the_module_attribute(self, monkeypatch, text,
+                                             operation):
+        # a wrapper bound to the module name (as a tracer binds one) must
+        # see every step call
+        calls = []
+        original = getattr(preprocess, operation)
+        monkeypatch.setattr(preprocess, operation,
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        ss = random_spectra_set(i=3, j=40, seed=17)
+        ss = ss.with_matrix(ss.matrix + 10.0)
+        apply_pipeline(ss, parse_pipeline(text))
+        assert calls == [1]
+
+    def test_parse_time_error_names_the_step(self):
+        with pytest.raises(PipelineSyntaxError,
+                           match=r"^step savgol\(4,2,0\): window must be odd"):
+            parse_pipeline("sg(4,2)")
 
 
 class TestApplyPipeline:
@@ -471,6 +604,26 @@ class TestApplyPipeline:
         for n in range(ss.n_spectra):
             alone = apply_pipeline(ss.subset([n]), pipe)
             assert np.array_equal(whole.matrix[n], alone.matrix[0])
+
+    def test_savgol_derivative_needs_uniform_axis(self):
+        # spacing grows from 1 to 3 cm-1 along the axis
+        axis = 400.0 + np.cumsum(np.linspace(1.0, 3.0, 40))
+        base = random_spectra_set(i=3, j=40, seed=13)
+        ss = SpectraSet(axis, base.matrix, base.labels)
+        for text in ("derivative(1)", "savgol(7,2,1)", "savgol(7,3,2)"):
+            with pytest.raises(NonuniformAxis, match=r"'s\w+', step"):
+                apply_pipeline(ss, parse_pipeline(text))
+        # a smoothing fit takes no spacing, so any increasing axis will do
+        out = apply_pipeline(ss, parse_pipeline("savgol(7,2,0)"))
+        assert np.array_equal(out.matrix, savitzky_golay(ss.matrix, 7, 2, 0))
+
+    def test_savgol_derivative_scaled_by_uniform_spacing(self):
+        base = random_spectra_set(i=3, j=40, seed=14)
+        axis = 400.0 + 2.0 * np.arange(40)
+        ss = SpectraSet(axis, base.matrix, base.labels)
+        out = apply_pipeline(ss, parse_pipeline("savgol(7,2,1)"))
+        assert np.array_equal(out.matrix,
+                              savitzky_golay(ss.matrix, 7, 2, 1, delta=2.0))
 
     def test_error_carries_label_and_step(self):
         axis = 400.0 + 2.0 * np.arange(10)

@@ -286,6 +286,18 @@ class TestLoadConcentrations:
             save_concentrations(f, conc, ["s0", "s1 "])
         assert not f.exists()
 
+    @pytest.mark.parametrize("species,unit,message", [
+        (" glucose", "mg/mL", "species ' glucose' has leading or trailing"),
+        ("glucose", "mg/mL ", "unit 'mg/mL ' has leading or trailing"),
+    ], ids=["species", "unit"])
+    def test_save_refuses_name_load_would_strip(self, tmp_path, species,
+                                                unit, message):
+        conc = ConcentrationSet([[0.25, 1.5]], (species,), (unit,))
+        f = tmp_path / "c.csv"
+        with pytest.raises(LabelMismatch, match=message):
+            save_concentrations(f, conc, ["s0", "s1"])
+        assert not f.exists()
+
 
 class TestSaveMatrix:
     def test_basic(self, tmp_path):
