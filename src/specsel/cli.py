@@ -142,8 +142,7 @@ def cmd_crossval(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
     pipeline = parse_pipeline(_typed_setting(
         args, config, "pipeline", "identity", str, "a pipeline string"))
-    workers = _typed_setting(args, config, "threads", 1, int, "an integer")
-    matrix = loo_press_matrix(spectra, conc, pipeline, workers=workers)
+    matrix = loo_press_matrix(spectra, conc, pipeline)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectra", required=True)
     p.add_argument("--concentrations", required=True)
     p.add_argument("--pipeline")
-    p.add_argument("--threads", type=int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_crossval)
 

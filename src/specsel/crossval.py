@@ -1,10 +1,10 @@
 """Leave-one-out cross-validation of a (pipeline, PC count) grid.
 
-Each fold decomposes the remaining i-1 spectra once with ``pca_fit`` and
-regresses once on its well-conditioned components; orthogonal scores make
-every smaller model's held-out prediction a cumulative sum of that one fit.
-The result is the i x (i-2) matrix of held-out squared prediction errors
-that the significance test consumes.
+The set is reduced once to X = R Q^T, Q orthonormal and R i x min(i, j)
+(Chan's R-SVD): a fold's centered rows of R have the singular values, left
+vectors and held-out scores of its centered spectra. One stacked SVD per
+block of folds, coefficients u_k^T y_c / s_k and a cumulative sum give the
+i x (i-2) matrix of held-out squared prediction errors at every PC count.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_indexed
-from .decompose import pca_fit, truncate
+from .decompose import rank_cut
 from .errors import (
     FoldPreprocessFailure,
     ShapeMismatch,
@@ -22,8 +21,10 @@ from .errors import (
     TooFewSpectra,
 )
 from .preprocess import Pipeline, apply_pipeline
-from .regress import pcr_fit, pcr_predict_all_counts, usable_components
+from .regress import usable_components
 from .spectra import ConcentrationSet, SpectraSet
+
+FOLD_BLOCK = 8  # folds per stacked SVD: caps its ~3 x 8 x i x min(i, j) floats
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class PressMatrix:
 
 
 def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
-                     pipeline: Pipeline, workers: int = 1) -> PressMatrix:
+                     pipeline: Pipeline) -> PressMatrix:
     """Full leave-one-out PRESS matrix for one preprocessing pipeline."""
     i = spectra.n_spectra
     if i < 4:
@@ -89,40 +90,42 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
 
     k_max = i - 2
     k_possible = min(k_max, processed.n_channels)
-
-    def evaluate_fold(n: int):
-        label = processed.labels[n]
-        train_idx = [r for r in range(i) if r != n]
-        model = pca_fit(processed.subset(train_idx), k_possible)
-        k_have = model.n_components
-        # score columns are orthogonal: their norms are the singular values
-        k_fit = usable_components(np.linalg.norm(model.scores, axis=0))
-        notes = []
-        if k_have < k_max:
-            notes.append(
-                f"fold {label!r}: only {k_have} of {k_max} components "
-                f"available; later columns recorded as NaN"
-            )
-        notes.extend(
-            f"fold {label!r}: singular scores at {m} components; column "
-            f"recorded as NaN" for m in range(k_fit + 1, k_have + 1))
-        row = np.full(k_max, np.nan)
-        if k_fit:
-            fold_model = pcr_fit(truncate(model, k_fit),
-                                 conc.select_columns(train_idx))
-            estimates = pcr_predict_all_counts(fold_model,
-                                               processed.subset([n]))
-            errors = estimates - conc.matrix[:, [n], None]
-            row[:k_fit] = np.sum(errors * errors, axis=(0, 1))
-            negatives = int(np.sum(np.any(estimates < 0, axis=(0, 1))))
+    reduced = np.linalg.qr(processed.matrix.T, mode="r").T
+    values = np.full((i, k_max), np.nan)
+    notes = []
+    for start in range(0, i, FOLD_BLOCK):
+        folds = range(start, min(start + FOLD_BLOCK, i))
+        train = np.array([[r for r in range(i) if r != n] for n in folds])
+        mean = reduced[train].mean(axis=1, keepdims=True)
+        u, singulars, vt = np.linalg.svd(reduced[train] - mean,
+                                         full_matrices=False)
+        held = (reduced[list(folds), None, :] - mean) @ vt.transpose(0, 2, 1)
+        y_mean = conc.matrix.T[train].mean(axis=1, keepdims=True)
+        fits = u.transpose(0, 2, 1) @ (conc.matrix.T[train] - y_mean)
+        kept = rank_cut(singulars, k_possible)[0]
+        for b, n in enumerate(folds):
+            label = processed.labels[n]
+            k_have = int(kept[b])
+            k_fit = usable_components(singulars[b, :k_have])
+            if k_have < k_max:
+                notes.append(
+                    f"fold {label!r}: only {k_have} of {k_max} components "
+                    f"available; later columns recorded as NaN"
+                )
+            notes.extend(
+                f"fold {label!r}: singular scores at {m} components; column "
+                f"recorded as NaN" for m in range(k_fit + 1, k_have + 1))
+            if not k_fit:
+                continue
+            scaled = held[b, 0, :k_fit] / singulars[b, :k_fit]
+            estimates = np.cumsum(fits[b, :k_fit] * scaled[:, None],
+                                  axis=0) + y_mean[b]
+            errors = estimates - conc.matrix[:, n]
+            values[n, :k_fit] = np.sum(errors * errors, axis=1)
+            negatives = int(np.sum(np.any(estimates < 0, axis=1)))
             if negatives:
                 notes.append(
                     f"fold {label!r}: negative predicted concentrations at "
                     f"{negatives} PC count(s)"
                 )
-        return row, notes
-
-    results = run_indexed(evaluate_fold, i, workers=workers)
-    values = np.vstack([row for row, _ in results])
-    notes = tuple(note for _, fold_notes in results for note in fold_notes)
     return PressMatrix(values, pipeline.name, spectra.labels, notes)

@@ -60,6 +60,16 @@ def _check_order(spectra: SpectraSet, k: int) -> None:
         )
 
 
+def rank_cut(singulars: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """From descending singular values along the last axis: how many of the
+    leading k components leave a residual of at least RANK_EPS x max(norm, 1)
+    before them, and the residual norms tail[..., c] after c components."""
+    tail = np.sqrt(np.cumsum(singulars[..., ::-1] ** 2, axis=-1)[..., ::-1])
+    tail = np.concatenate([tail, np.zeros_like(tail[..., :1])], axis=-1)
+    return np.sum(tail[..., :k] >= RANK_EPS * np.maximum(tail[..., :1], 1.0),
+                  axis=-1), tail
+
+
 def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
     """Leading k principal components of the centered set, from one SVD.
 
@@ -70,9 +80,8 @@ def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
     centered = spectra.matrix - mean_spectrum
     total_ss = float(np.sum(centered * centered))
     u, singulars, vt = np.linalg.svd(centered, full_matrices=False)
-    # tail[c] is the residual norm left after the leading c components
-    tail = np.append(np.sqrt(np.cumsum(singulars[::-1] ** 2)[::-1]), 0.0)
-    n = int(np.sum(tail[:k] >= RANK_EPS * max(np.sqrt(total_ss), 1.0)))
+    kept, tail = rank_cut(singulars, k)
+    n = int(kept)
     loadings = vt[:n].T
     signs = np.sign(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(n)])
     explained = singulars[:n] ** 2 / total_ss if total_ss > 0 else np.zeros(n)

@@ -369,10 +369,39 @@ def _fmt_param(value) -> str:
 
 @dataclass(frozen=True)
 class PipelineStep:
-    """One validated preprocessing step; params are positional and typed."""
+    """One validated preprocessing step; params are positional and typed.
+
+    The kind may be an alias and trailing defaulted params may be left out:
+    construction resolves both through ``_STEPS`` and runs the step's range
+    check, so it raises PipelineSyntaxError for any step ``parse_pipeline``
+    would refuse.
+    """
 
     kind: str
     params: tuple
+
+    def __post_init__(self):
+        name = self.kind.strip().lower()
+        kind = next((k for k, s in _STEPS.items() if name in (k, *s.aliases)),
+                    None)
+        if kind is None:
+            raise PipelineSyntaxError(f"unknown preprocessing step {name!r}")
+        spec, args = _STEPS[kind], tuple(self.params)
+        required = sum(default is _REQUIRED for _, _, default in spec.params)
+        if not required <= len(args) <= len(spec.params):
+            signature = ", ".join(
+                n if default is _REQUIRED else f"[{n}]"
+                for n, _, default in spec.params)
+            raise PipelineSyntaxError(f"{kind} takes ({signature})")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", tuple(
+            _coerce(kind, n, type_, args[k] if k < len(args) else default)
+            for k, (n, type_, default) in enumerate(spec.params)))
+        try:
+            if spec.check:
+                spec.check(*self.params)
+        except SpecselError as exc:
+            raise PipelineSyntaxError(f"step {self.name}: {exc}") from exc
 
     @property
     def name(self) -> str:
@@ -424,7 +453,11 @@ _STEPS = {
 
 
 def _coerce(kind: str, name: str, type_: type, value):
-    f = float(value)
+    try:
+        f = float(value)
+    except (TypeError, ValueError) as exc:
+        raise PipelineSyntaxError(
+            f"{kind} {name} must be a number, got {value!r}") from exc
     if not math.isfinite(f):
         raise PipelineSyntaxError(f"{kind} {name} must be finite, got {value!r}")
     if type_ is float:
@@ -436,26 +469,7 @@ def _coerce(kind: str, name: str, type_: type, value):
 
 def make_step(kind: str, *args) -> PipelineStep:
     """A validated step from a kind or alias and its leading parameters."""
-    name = kind.strip().lower()
-    canon = next((k for k, s in _STEPS.items() if name in (k, *s.aliases)), None)
-    if canon is None:
-        raise PipelineSyntaxError(f"unknown preprocessing step {name!r}")
-    spec = _STEPS[canon]
-    required = sum(default is _REQUIRED for _, _, default in spec.params)
-    if not required <= len(args) <= len(spec.params):
-        signature = ", ".join(
-            n if default is _REQUIRED else f"[{n}]"
-            for n, _, default in spec.params)
-        raise PipelineSyntaxError(f"{canon} takes ({signature})")
-    step = PipelineStep(canon, tuple(
-        _coerce(canon, n, type_, args[k] if k < len(args) else default)
-        for k, (n, type_, default) in enumerate(spec.params)))
-    try:
-        if spec.check:
-            spec.check(*step.params)
-    except SpecselError as exc:
-        raise PipelineSyntaxError(f"step {step.name}: {exc}") from exc
-    return step
+    return PipelineStep(kind, args)
 
 
 @dataclass(frozen=True)

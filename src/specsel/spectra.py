@@ -177,7 +177,9 @@ class ConcentrationSet:
                 f"negative concentration {matrix[r, c]:.9g} for species "
                 f"{species[int(r)]!r}, sample column {int(c)}"
             )
-        object.__setattr__(self, "matrix", _frozen_array(matrix))
+        # C order, as in SpectraSet: a CSV body is Fortran-ordered, and a
+        # fit's mean over samples must sum in one order from every source
+        object.__setattr__(self, "matrix", _frozen_array(matrix, order="C"))
         object.__setattr__(self, "species", species)
         object.__setattr__(self, "units", units)
 

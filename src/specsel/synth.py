@@ -123,7 +123,7 @@ def generate(recipe: SynthRecipe, conc: ConcentrationSet) -> SpectraSet:
 
     rows = np.empty((conc.n_samples, axis.size))
     for n in range(conc.n_samples):
-        rng = np.random.default_rng((recipe.seed, n))
+        rng = _rng(recipe.seed, n)
         bscale = rng.uniform(*recipe.baseline.scale_range) if recipe.baseline else 0.0
         drift = rng.uniform(*recipe.drift_range)
         clean = conc.matrix[:, n] @ responses
@@ -168,6 +168,13 @@ _TEARS_SPECIES = (
 CONC_STREAM = 982451653  # substream tag separating concentration draws
 
 
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    """Generator of one substream of ``seed``; every draw here starts from one."""
+    if seed < 0:
+        raise SpecselError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng((seed, stream))
+
+
 def tears_recipe(seed: int = 0) -> SynthRecipe:
     """Default tear-phantom recipe: drifting fluorescent background plus noise."""
     return SynthRecipe(
@@ -184,7 +191,7 @@ def tears_phantom(n: int, seed: int = 0) -> tuple[SpectraSet, ConcentrationSet]:
     """n tear-like spectra with glucose and lysozyme in physiological ranges."""
     if n < 4:
         raise SpecselError(f"phantom set needs at least 4 spectra, got {n}")
-    rng = np.random.default_rng((seed, CONC_STREAM))
+    rng = _rng(seed, CONC_STREAM)
     glucose = rng.uniform(*GLUCOSE_RANGE_MG_ML, n)
     lysozyme = rng.uniform(*LYSOZYME_RANGE_MG_ML, n)
     conc = ConcentrationSet(
@@ -306,7 +313,7 @@ def phantom_concentrations(recipe: SynthRecipe, n: int, seed: int,
     """
     if n < 1:
         raise SpecselError(f"phantom set needs at least 1 spectrum, got {n}")
-    rng = np.random.default_rng((seed, CONC_STREAM))
+    rng = _rng(seed, CONC_STREAM)
     rows = [rng.uniform(*ranges.get(s.name, (0.0, 1.0)), n)
             for s in recipe.species]
     return ConcentrationSet(

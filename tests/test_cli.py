@@ -122,6 +122,23 @@ class TestSynthCrossval:
         assert (f"error: IoFailure: cannot create {afile / 'sub'}"
                 in capsys.readouterr().err)
 
+    def test_synth_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        code = main(["synth", "--out-spectra", str(tmp_path / "s.csv"),
+                     "--out-concentrations", str(tmp_path / "c.csv"),
+                     "--n", "6", "--seed", "-1"])
+        assert code == 2
+        assert ("error: SpecselError: seed must be a non-negative integer, "
+                "got -1" in capsys.readouterr().err)
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_crossval_has_no_threads_option(self, mixture_files, tmp_path):
+        spath, cpath, *_ = mixture_files
+        with pytest.raises(SystemExit) as exc:
+            main(["crossval", "--spectra", str(spath),
+                  "--concentrations", str(cpath), "--threads", "2",
+                  "--out-dir", str(tmp_path / "cv")])
+        assert exc.value.code == 2
+
     def test_synth_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -141,8 +158,7 @@ class TestSynthCrossval:
         assert spectra.n_spectra == 40
         from specsel.crossval import loo_press_matrix
         from specsel.preprocess import parse_pipeline
-        matrix = loo_press_matrix(spectra, conc, parse_pipeline("snv"),
-                                  workers=4)
+        matrix = loo_press_matrix(spectra, conc, parse_pipeline("snv"))
         assert matrix.values.shape == (40, 38)
         assert np.isfinite(matrix.values).all()
 
@@ -151,6 +167,7 @@ class TestConfigTypes:
     @pytest.mark.parametrize("key,value,message", [
         ("n", "abc", "config 'n' must be an integer, got 'abc'"),
         ("seed", True, "config 'seed' must be an integer, got True"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
         ("threads", "abc", "config 'threads' must be an integer, got 'abc'"),
         ("alpha", "abc", "config 'alpha' must be a number, got 'abc'"),
         ("log_press", "false",
@@ -161,7 +178,7 @@ class TestConfigTypes:
          "config 'candidates' must be a list of pipeline strings, got 'snv'"),
         ("pipeline", ["snv"],
          "config 'pipeline' must be a pipeline string, got ['snv']"),
-    ], ids=["n", "seed", "threads", "alpha", "log_press", "candidates_item",
+    ], ids=["n", "seed", "seed_negative", "threads", "alpha", "log_press", "candidates_item",
             "candidates_str", "pipeline"])
     def test_bad_value_exit_2(self, mixture_files, tmp_path, capsys, key,
                               value, message):
@@ -292,6 +309,24 @@ class TestTrainPredict:
         code = main(["predict", "--model", str(model_path), "--spectra",
                      str(other_path), "--out", str(tmp_path / "p.csv")])
         assert code == 2
+
+    def test_csv_trained_model_equals_in_memory_model(self, tmp_path):
+        from specsel.preprocess import parse_pipeline
+        from specsel.regress import save_model
+        from specsel.selector import train_final
+        from specsel.synth import tears_phantom
+        spectra, conc = tears_phantom(40, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        from_csv = tmp_path / "csv.json"
+        in_memory = tmp_path / "memory.json"
+        assert main(["train", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "snv", "--pc", "5",
+                     "--out-model", str(from_csv)]) == 0
+        save_model(in_memory,
+                   train_final(spectra, conc, parse_pipeline("snv"), 5))
+        assert from_csv.read_bytes() == in_memory.read_bytes()
 
     def test_model_file_round_trip_bit_identical(self, mixture_files,
                                                  tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from specsel import crossval
 from specsel.crossval import PressMatrix, loo_press_matrix
-from specsel.decompose import nipals_fit
+from specsel.decompose import nipals_fit, pca_fit, truncate
 from specsel.errors import (
     FoldPreprocessFailure,
     NoConvergence,
@@ -10,7 +12,7 @@ from specsel.errors import (
     TooFewSpectra,
 )
 from specsel.preprocess import IDENTITY, apply_pipeline, parse_pipeline
-from specsel.regress import pcr_fit, pcr_predict, press
+from specsel.regress import pcr_fit, pcr_predict, press, usable_components
 from specsel.spectra import ConcentrationSet, SpectraSet
 
 from conftest import noiseless_mixtures
@@ -31,6 +33,73 @@ def brute_force_press(spectra, conc, pipeline):
             out[n, m - 1] = press(pcr_predict(model, held),
                                   conc.matrix[:, [n]])
     return out
+
+
+def per_fold_press(spectra, conc, pipeline):
+    """Values and notes from one dense pca_fit and pcr_fit per fold.
+
+    The fold loop loo_press_matrix used before its folds shared one
+    factorization, with every PC count fitted and predicted on its own.
+    """
+    i = spectra.n_spectra
+    k_max = i - 2
+    processed = apply_pipeline(spectra, pipeline)
+    values = np.full((i, k_max), np.nan)
+    notes = []
+    for n in range(i):
+        label = processed.labels[n]
+        train_idx = [r for r in range(i) if r != n]
+        model = pca_fit(processed.subset(train_idx),
+                        min(k_max, processed.n_channels))
+        k_have = model.n_components
+        k_fit = usable_components(np.linalg.norm(model.scores, axis=0))
+        if k_have < k_max:
+            notes.append(
+                f"fold {label!r}: only {k_have} of {k_max} components "
+                f"available; later columns recorded as NaN")
+        notes.extend(
+            f"fold {label!r}: singular scores at {m} components; column "
+            f"recorded as NaN" for m in range(k_fit + 1, k_have + 1))
+        negatives = 0
+        for m in range(1, k_fit + 1):
+            fit = pcr_fit(truncate(model, m), conc.select_columns(train_idx))
+            estimate = pcr_predict(fit, processed.subset([n]))
+            values[n, m - 1] = press(estimate, conc.matrix[:, [n]])
+            negatives += bool(np.any(estimate < 0))
+        if negatives:
+            notes.append(
+                f"fold {label!r}: negative predicted concentrations at "
+                f"{negatives} PC count(s)")
+    return values, tuple(notes)
+
+
+@st.composite
+def small_sets(draw):
+    """Random small sets, wide (j >= i) or narrow (j < i - 2), some with
+    duplicated or scaled rows or of low rank, so folds are rank-deficient,
+    and some with a nearly singular direction."""
+    if draw(st.booleans()):
+        i, j = draw(st.integers(4, 10)), draw(st.integers(8, 14))
+    else:
+        j = draw(st.integers(8, 10))
+        i = draw(st.integers(j + 3, j + 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, min(i, j)))
+    # a last direction 1e-8 as strong as the others is kept by the rank cut
+    # but too ill-conditioned to regress on
+    weights = rng.normal(size=(i, rank))
+    if rank > 1:
+        weights[:, -1] *= draw(st.sampled_from([1.0, 1e-8]))
+    matrix = weights @ rng.normal(size=(rank, j))
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = rng.choice(i, 2, replace=False)
+        matrix[dst] = matrix[src] * draw(st.sampled_from([1.0, -0.5, 3.0]))
+    matrix += draw(st.sampled_from([0.0, 5.0]))
+    spectra = SpectraSet(400.0 + 2.0 * np.arange(j), matrix,
+                         tuple(f"s{n}" for n in range(i)))
+    conc = ConcentrationSet(rng.uniform(0.0, 2.0, (2, i)), ("a", "b"),
+                            ("u", "u"))
+    return spectra, conc
 
 
 def toy_problem(i, seed, noise=0.05):
@@ -93,10 +162,35 @@ class TestLooPressMatrix:
 
     def test_reproducible_and_thread_independent(self):
         spectra, conc = toy_problem(7, seed=4)
-        a = loo_press_matrix(spectra, conc, parse_pipeline("snv"), workers=1)
-        b = loo_press_matrix(spectra, conc, parse_pipeline("snv"), workers=4)
+        a = loo_press_matrix(spectra, conc, parse_pipeline("snv"))
+        b = loo_press_matrix(spectra, conc, parse_pipeline("snv"))
         assert np.array_equal(a.values, b.values)
         assert a.notes == b.notes
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_sets())
+    def test_matches_per_fold_fits(self, case):
+        spectra, conc = case
+        values, notes = per_fold_press(spectra, conc, IDENTITY)
+        out = loo_press_matrix(spectra, conc, IDENTITY)
+        assert np.array_equal(np.isnan(out.values), np.isnan(values))
+        assert out.notes == notes
+        finite = ~np.isnan(values)
+        np.testing.assert_allclose(out.values[finite], values[finite],
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("i,pipeline_text", [
+        (7, "snv"), (20, "identity"), (40, "savgol(7,2,0)")])
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_fold_block_size_changes_no_bit(self, monkeypatch, i,
+                                            pipeline_text, block):
+        spectra, conc = toy_problem(i, seed=9)
+        pipeline = parse_pipeline(pipeline_text)
+        base = loo_press_matrix(spectra, conc, pipeline)
+        monkeypatch.setattr(crossval, "FOLD_BLOCK", block)
+        blocked = loo_press_matrix(spectra, conc, pipeline)
+        assert np.array_equal(blocked.values, base.values, equal_nan=True)
+        assert blocked.notes == base.notes
 
     def test_preprocess_failure_is_labelled(self):
         spectra, conc = toy_problem(5, seed=5)

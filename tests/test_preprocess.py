@@ -19,6 +19,7 @@ from specsel.errors import (
 from specsel.preprocess import (
     IDENTITY,
     Pipeline,
+    PipelineStep,
     apply_pipeline,
     baseline_als,
     derivative,
@@ -557,6 +558,23 @@ class TestStepTable:
         ss = ss.with_matrix(ss.matrix + 10.0)
         apply_pipeline(ss, parse_pipeline(text))
         assert calls == [1]
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("wibble", (), "unknown preprocessing step 'wibble'"),
+        ("rnv", (150.0,), r"^step rnv\(150\): percentile must be in"),
+        ("savgol", (7,), r"^savgol takes \(window, polyorder, \[deriv\]\)"),
+        ("despike", (7, "x"), "despike threshold must be a number"),
+    ], ids=["unknown_kind", "out_of_range", "arity", "not_a_number"])
+    def test_constructor_refuses_what_parse_refuses(self, kind, params,
+                                                    message):
+        with pytest.raises(PipelineSyntaxError, match=message):
+            PipelineStep(kind, params)
+
+    def test_constructor_fills_defaults_and_aliases(self):
+        step = PipelineStep("SG", (7, 2))
+        assert step == parse_pipeline("savgol(7,2,0)").steps[0]
+        assert step.name == "savgol(7,2,0)"
+        assert isinstance(step.params[0], int)
 
     def test_parse_time_error_names_the_step(self):
         with pytest.raises(PipelineSyntaxError,

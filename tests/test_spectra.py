@@ -334,3 +334,14 @@ class TestConcentrationSet:
         conc = ConcentrationSet([[1.0, 2.0, 3.0]], ("a",), ("u",))
         sub = conc.select_columns([2, 0])
         assert np.array_equal(sub.matrix, [[3.0, 1.0]])
+
+    def test_matrix_stored_c_ordered(self, tmp_path):
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        conc = ConcentrationSet(fortran, ("a", "b"), ("u", "u"))
+        assert conc.matrix.flags.c_contiguous
+        assert np.array_equal(conc.matrix, fortran)
+        f = tmp_path / "c.csv"
+        save_concentrations(f, conc, ["s0", "s1", "s2"])
+        loaded = load_concentrations(f, labels=["s2", "s0", "s1"])
+        assert loaded.matrix.flags.c_contiguous
+        assert np.array_equal(loaded.matrix, fortran[:, [2, 0, 1]])
