@@ -6,14 +6,13 @@ rejects candidate preprocessing pipelines while picking the component count.
 """
 
 from .crossval import PressMatrix, loo_press_matrix
-from .decompose import PcaModel, nipals_fit, pca_fit, project, truncate
+from .decompose import PcaModel, pca_fit, project
 from .errors import SpecselError
 from .preprocess import (
     IDENTITY,
     Pipeline,
     PipelineStep,
     apply_pipeline,
-    make_step,
     parse_pipeline,
 )
 from .regress import (
@@ -23,7 +22,6 @@ from .regress import (
     pcr_predict,
     press,
     save_model,
-    truncate_pcr,
 )
 from .selector import (
     HoldoutEvaluation,
@@ -39,8 +37,6 @@ from .significance import (
     PcVerdict,
     anova_oneway,
     boxplot_stats,
-    f_cdf,
-    f_critical,
     select_optimal_pc,
 )
 from .spectra import (
@@ -70,10 +66,9 @@ __all__ = [
     "Pipeline", "PipelineStep", "PressMatrix", "SelectionReport",
     "SpeciesSpec", "SpecselError", "SpectraSet", "Spectrum", "SynthRecipe",
     "anova_oneway", "apply_pipeline", "boxplot_stats", "evaluate_holdout",
-    "f_cdf", "f_critical", "generate", "load_concentrations", "load_model",
-    "load_spectra", "loo_press_matrix", "make_step", "nipals_fit",
-    "parse_pipeline", "pca_fit", "pcr_fit", "pcr_predict", "press", "project",
-    "save_concentrations", "save_matrix", "save_model", "save_spectra",
-    "select_method", "select_optimal_pc", "tears_phantom", "tears_recipe",
-    "train_final", "truncate", "truncate_pcr", "write_report",
+    "generate", "load_concentrations", "load_model", "load_spectra",
+    "loo_press_matrix", "parse_pipeline", "pca_fit", "pcr_fit", "pcr_predict",
+    "press", "project", "save_concentrations", "save_matrix", "save_model",
+    "save_spectra", "select_method", "select_optimal_pc", "tears_phantom",
+    "tears_recipe", "train_final", "write_report",
 ]

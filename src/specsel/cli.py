@@ -32,6 +32,7 @@ from .spectra import (
     save_concentrations,
     save_matrix,
     save_spectra,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -160,22 +161,14 @@ def cmd_crossval(args, config) -> int:
 
 
 def _write_boxplot_csv(path, matrix) -> None:
-    import csv as _csv
-
     stats = boxplot_stats(matrix)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["pc", "q1", "median", "q3", "lo_whisker",
-                             "hi_whisker", "outliers"])
-            for b in stats:
-                writer.writerow([
-                    b.pc, f"{b.q1:.9g}", f"{b.median:.9g}", f"{b.q3:.9g}",
-                    f"{b.lo_whisker:.9g}", f"{b.hi_whisker:.9g}",
-                    ";".join(f"{v:.9g}" for v in b.outliers),
-                ])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    header = ["pc", "q1", "median", "q3", "lo_whisker", "hi_whisker",
+              "outliers"]
+    write_csv(path, header, (
+        [b.pc, f"{b.q1:.9g}", f"{b.median:.9g}", f"{b.q3:.9g}",
+         f"{b.lo_whisker:.9g}", f"{b.hi_whisker:.9g}",
+         ";".join(f"{v:.9g}" for v in b.outliers)]
+        for b in stats))
 
 
 def cmd_select(args, config) -> int:
@@ -214,7 +207,10 @@ def cmd_train(args, config) -> int:
         args, config, "pipeline", "identity", str, "a pipeline string"))
     model = train_final(spectra, conc, pipeline, int(args.pc))
     save_model(args.out_model, model)
-    print(f"wrote model {args.out_model} ({pipeline.name}, {args.pc} components)")
+    fewer = (f"; {args.pc} requested" if model.n_components < args.pc
+             else "")
+    print(f"wrote model {args.out_model} ({pipeline.name}, "
+          f"{model.n_components} components{fewer})")
     return EXIT_OK
 
 

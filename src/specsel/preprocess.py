@@ -467,11 +467,6 @@ def _coerce(kind: str, name: str, type_: type, value):
     return int(f)
 
 
-def make_step(kind: str, *args) -> PipelineStep:
-    """A validated step from a kind or alias and its leading parameters."""
-    return PipelineStep(kind, args)
-
-
 @dataclass(frozen=True)
 class Pipeline:
     """Ordered preprocessing steps with a canonical, parseable name."""
@@ -519,7 +514,7 @@ def parse_pipeline(text: str) -> Pipeline:
                 args = ()
         else:
             kind, args = part, ()
-        steps.append(make_step(kind, *args))
+        steps.append(PipelineStep(kind, args))
     return Pipeline(tuple(steps))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .decompose import PcaModel, project, truncate
 from .errors import IoFailure, ShapeMismatch, SingularScores
-from .spectra import ConcentrationSet, SpectraSet
+from .spectra import ConcentrationSet, SpectraSet, write_json
 
 MAX_SCORE_CONDITION = 1e12
 
@@ -138,12 +138,7 @@ def save_model(path, model: PcrModel) -> None:
         "coeffs": model.coeffs.tolist(),
         "mean_conc": model.mean_conc.tolist(),
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(path, payload)
 
 
 def load_model(path) -> PcrModel:
@@ -165,13 +160,23 @@ def load_model(path) -> PcrModel:
     try:
         fields = {name: np.asarray(payload[name], dtype=float) for name in
                   ("axis", "mean_spectrum", "loadings", "coeffs", "mean_conc")}
-        species = tuple(payload["species"])
-        units = tuple(payload["units"])
+        species = payload["species"]
+        units = payload["units"]
         pipeline_name = payload["pipeline"]
     except KeyError as exc:
         raise IoFailure(f"{path}: model file has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:
         raise IoFailure(f"{path}: not a valid model file: {exc}") from exc
+    if not isinstance(pipeline_name, str):
+        raise IoFailure(
+            f"{path}: pipeline must be a string, got {pipeline_name!r}")
+    for name, names in (("species", species), ("units", units)):
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) for n in names)):
+            raise IoFailure(
+                f"{path}: {name} must be a list of strings, got {names!r}")
+    if len(units) != len(species):
+        raise IoFailure(f"{path}: {len(units)} units for {len(species)} species")
     loadings = fields["loadings"]
     j, q = fields["axis"].size, len(species)
     k = loadings.shape[1] if loadings.ndim == 2 else 0
@@ -196,7 +201,7 @@ def load_model(path) -> PcrModel:
         pca=pca,
         coeffs=fields["coeffs"],
         mean_conc=fields["mean_conc"],
-        species=species,
-        units=units,
+        species=tuple(species),
+        units=tuple(units),
         pipeline_name=pipeline_name,
     )

@@ -11,7 +11,6 @@ returned with an explicit alert so callers can branch on it.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, replace
 
@@ -20,11 +19,11 @@ import numpy as np
 from ._parallel import run_indexed
 from .crossval import PressMatrix, loo_press_matrix
 from .decompose import pca_fit
-from .errors import AllCandidatesFailed, IoFailure, ShapeMismatch, SpecselError
+from .errors import AllCandidatesFailed, ShapeMismatch, SpecselError
 from .preprocess import Pipeline, apply_pipeline
 from .regress import PcrModel, pcr_fit, pcr_predict_all_counts
 from .significance import PcVerdict, select_optimal_pc
-from .spectra import ConcentrationSet, SpectraSet
+from .spectra import ConcentrationSet, SpectraSet, write_json
 
 NO_SIGNIFICANCE_ALERT = (
     "no candidate pipeline reached statistical significance; the returned "
@@ -274,10 +273,4 @@ def report_payload(report: SelectionReport, inputs: dict | None = None,
 
 def write_report(path, report: SelectionReport, inputs: dict | None = None,
                  include_timing: bool = False) -> None:
-    payload = report_payload(report, inputs, include_timing)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(path, report_payload(report, inputs, include_timing))

@@ -86,25 +86,6 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
     return min(1.0, max(0.0, _betainc_reg(d1 / 2.0, d2 / 2.0, z)))
 
 
-def f_critical(alpha: float, d1: int, d2: int) -> float:
-    """Upper-tail critical value: the x with 1 - f_cdf(x) = alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    target = 1.0 - alpha
-    lo, hi = 0.0, 1.0
-    while f_cdf(hi, d1, d2) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_cdf(mid, d1, d2) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 # --- one-way ANOVA -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -304,60 +285,50 @@ def select_optimal_pc(press_matrix, alpha: float = 0.05,
             sum_press[m] = float(column.sum())
     valid_cols = np.flatnonzero(np.isfinite(sum_press))
     notes = list(anova.notes)
-
-    if not anova.significant:
-        best = valid_cols[np.argmin(sum_press[valid_cols])]
-        notes.append(UNSUITABLE_ALERT)
-        return PcVerdict(
-            significant=False, optimal_pc=int(best) + 1, candidate_set=(),
-            sum_press=sum_press, boxplot=tuple(boxplot_stats(press_matrix)),
-            anova=anova, pairwise_p={}, notes=tuple(notes),
-        )
-
-    means = anova.group_means
-    sizes = anova.group_sizes
-    worst = valid_cols[np.argmax(means[valid_cols])]
-    mse = anova.sse / anova.df_error
     pairwise_p: dict[int, float] = {}
     candidates = []
-    for m in valid_cols:
-        if m == worst or not means[m] < means[worst]:
-            continue
-        if mse == 0.0:
-            p_pair = 0.0
-        else:
-            t_sq = (means[worst] - means[m]) ** 2 / (
-                mse * (1.0 / sizes[m] + 1.0 / sizes[worst])
+    if anova.significant:
+        means = anova.group_means
+        sizes = anova.group_sizes
+        worst = valid_cols[np.argmax(means[valid_cols])]
+        mse = anova.sse / anova.df_error
+        for m in valid_cols:
+            if m == worst or not means[m] < means[worst]:
+                continue
+            if mse == 0.0:
+                p_pair = 0.0
+            else:
+                t_sq = (means[worst] - means[m]) ** 2 / (
+                    mse * (1.0 / sizes[m] + 1.0 / sizes[worst])
+                )
+                p_pair = 1.0 - f_cdf(t_sq, 1, anova.df_error)
+            if p_pair < alpha:
+                candidates.append(m)
+                pairwise_p[int(m) + 1] = p_pair
+        if not candidates:
+            # the overall test fired but no count beats the worst one
+            # pairwise; without a qualified subset the gate has not really
+            # been passed
+            notes.append(
+                "overall test significant, but no component count is "
+                "significantly better than the worst one; pipeline treated "
+                "as unqualified and the smallest PRESS sum returned"
             )
-            p_pair = 1.0 - f_cdf(t_sq, 1, anova.df_error)
-        if p_pair < alpha:
-            candidates.append(m)
-            pairwise_p[int(m) + 1] = p_pair
+    else:
+        notes.append(UNSUITABLE_ALERT)
 
-    if not candidates:
-        # the overall test fired but no count beats the worst one pairwise;
-        # without a qualified subset the gate has not really been passed
+    if candidates:
+        cand = np.asarray(candidates)
+        rank_error = _stable_ranks(anova.group_means[cand])
+        rank_signif = _stable_ranks(
+            np.asarray([pairwise_p[int(m) + 1] for m in cand]))
+        rank_sum = rank_error + rank_signif
+        # ties broken toward fewer components (cheaper, less overfit-prone)
+        best = cand[min(range(len(cand)), key=lambda n: (rank_sum[n], cand[n]))]
+    else:
         best = valid_cols[np.argmin(sum_press[valid_cols])]
-        notes.append(
-            "overall test significant, but no component count is "
-            "significantly better than the worst one; pipeline treated as "
-            "unqualified and the smallest PRESS sum returned"
-        )
-        return PcVerdict(
-            significant=False, optimal_pc=int(best) + 1,
-            candidate_set=(), sum_press=sum_press,
-            boxplot=tuple(boxplot_stats(press_matrix)), anova=anova,
-            pairwise_p=pairwise_p, notes=tuple(notes),
-        )
-
-    cand = np.asarray(candidates)
-    rank_error = _stable_ranks(means[cand])
-    rank_signif = _stable_ranks(np.asarray([pairwise_p[int(m) + 1] for m in cand]))
-    rank_sum = rank_error + rank_signif
-    # ties broken toward fewer components (cheaper, less overfit-prone)
-    best_pos = min(range(len(cand)), key=lambda n: (rank_sum[n], cand[n]))
     return PcVerdict(
-        significant=True, optimal_pc=int(cand[best_pos]) + 1,
+        significant=bool(candidates), optimal_pc=int(best) + 1,
         candidate_set=tuple(int(m) + 1 for m in candidates),
         sum_press=sum_press, boxplot=tuple(boxplot_stats(press_matrix)),
         anova=anova, pairwise_p=pairwise_p, notes=tuple(notes),

@@ -10,6 +10,7 @@ written back in shortest-round-trip form, so save/load is exact.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -216,10 +217,8 @@ def _parse_cell(text: str, where: str) -> float:
     return value
 
 
-def load_spectra(path, format: str = "wide-csv") -> SpectraSet:
+def load_spectra(path) -> SpectraSet:
     """Read a wide CSV of spectra; column order becomes sample order."""
-    if format != "wide-csv":
-        raise IoFailure(f"unsupported spectra format {format!r}")
     rows = _read_rows(path)
     if not rows:
         raise IoFailure(f"{path}: empty file")
@@ -278,20 +277,34 @@ def _check_header_labels(path, labels: Sequence[str],
             )
 
 
-def save_spectra(path, spectra: SpectraSet) -> None:
-    """Write a SpectraSet back to the wide CSV format."""
-    _check_header_labels(path, spectra.labels)
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a header and rows of cells as CSV; rows may be a generator,
+    which is consumed while the file is open."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow([AXIS_HEADER, *spectra.labels])
-            for r in range(spectra.n_channels):
-                writer.writerow(
-                    [_fmt(spectra.axis[r])]
-                    + [_fmt(v) for v in spectra.matrix[:, r]]
-                )
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON document, one space per indent level and a final newline."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def save_spectra(path, spectra: SpectraSet) -> None:
+    """Write a SpectraSet back to the wide CSV format."""
+    _check_header_labels(path, spectra.labels)
+    write_csv(path, [AXIS_HEADER, *spectra.labels], (
+        [_fmt(spectra.axis[r])] + [_fmt(v) for v in spectra.matrix[:, r]]
+        for r in range(spectra.n_channels)))
 
 
 def load_concentrations(path, labels: Sequence[str] | None = None) -> ConcentrationSet:
@@ -354,17 +367,9 @@ def save_concentrations(path, conc: ConcentrationSet,
     _check_header_labels(path, labels)
     _check_header_labels(path, conc.species, "species")
     _check_header_labels(path, conc.units, "unit")
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["species", "unit", *labels])
-            for r in range(conc.n_species):
-                writer.writerow(
-                    [conc.species[r], conc.units[r]]
-                    + [_fmt(v) for v in conc.matrix[r]]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_csv(path, ["species", "unit", *labels], (
+        [conc.species[r], conc.units[r]] + [_fmt(v) for v in conc.matrix[r]]
+        for r in range(conc.n_species)))
 
 
 def save_matrix(path, matrix, headers: Sequence[str],
@@ -384,16 +389,9 @@ def save_matrix(path, matrix, headers: Sequence[str],
         raise RaggedRows(
             f"{len(row_labels)} row labels for {arr.shape[0]} matrix rows"
         )
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if row_labels is None:
-                writer.writerow(list(headers))
-                for row in arr:
-                    writer.writerow([_fmt(v) for v in row])
-            else:
-                writer.writerow([row_label_header, *headers])
-                for label, row in zip(row_labels, arr):
-                    writer.writerow([label] + [_fmt(v) for v in row])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    if row_labels is None:
+        write_csv(path, list(headers), ([_fmt(v) for v in row] for row in arr))
+    else:
+        write_csv(path, [row_label_header, *headers],
+                  ([label] + [_fmt(v) for v in row]
+                   for label, row in zip(row_labels, arr)))

@@ -145,8 +145,8 @@ def generate(recipe: SynthRecipe, conc: ConcentrationSet) -> SpectraSet:
 
 # --- tear-fluid phantom -------------------------------------------------------
 
-GLUCOSE_RANGE_MG_ML = (0.0, 1.0)
-LYSOZYME_RANGE_MG_ML = (0.0, 10.0)
+# physiological concentration ranges of the phantom's species, in mg/mL
+TEARS_CONC_RANGES = {"glucose": (0.0, 1.0), "lysozyme": (0.0, 10.0)}
 
 _TEARS_SPECIES = (
     SpeciesSpec(
@@ -191,15 +191,9 @@ def tears_phantom(n: int, seed: int = 0) -> tuple[SpectraSet, ConcentrationSet]:
     """n tear-like spectra with glucose and lysozyme in physiological ranges."""
     if n < 4:
         raise SpecselError(f"phantom set needs at least 4 spectra, got {n}")
-    rng = _rng(seed, CONC_STREAM)
-    glucose = rng.uniform(*GLUCOSE_RANGE_MG_ML, n)
-    lysozyme = rng.uniform(*LYSOZYME_RANGE_MG_ML, n)
-    conc = ConcentrationSet(
-        np.vstack([glucose, lysozyme]),
-        species=("glucose", "lysozyme"),
-        units=("mg/mL", "mg/mL"),
-    )
-    return generate(tears_recipe(seed), conc), conc
+    recipe = tears_recipe(seed)
+    conc = phantom_concentrations(recipe, n, seed, TEARS_CONC_RANGES)
+    return generate(recipe, conc), conc
 
 
 # --- recipes from JSON-style mappings ---------------------------------------
@@ -308,8 +302,8 @@ def phantom_concentrations(recipe: SynthRecipe, n: int, seed: int,
                            ) -> ConcentrationSet:
     """n uniform concentration draws per recipe species, in ``ranges``.
 
-    A species without a range draws from [0, 1). Draws come from the same
-    concentration substream as tears_phantom.
+    A species without a range draws from [0, 1). tears_phantom draws its
+    concentrations here too.
     """
     if n < 1:
         raise SpecselError(f"phantom set needs at least 1 spectrum, got {n}")

@@ -131,6 +131,14 @@ class TestSynthCrossval:
                 "got -1" in capsys.readouterr().err)
         assert not (tmp_path / "s.csv").exists()
 
+    def test_synth_too_few_spectra_exit_2(self, tmp_path, capsys):
+        code = main(["synth", "--out-spectra", str(tmp_path / "s.csv"),
+                     "--out-concentrations", str(tmp_path / "c.csv"),
+                     "--n", "3"])
+        assert code == 2
+        assert ("error: SpecselError: phantom set needs at least 4 spectra, "
+                "got 3" in capsys.readouterr().err)
+
     def test_crossval_has_no_threads_option(self, mixture_files, tmp_path):
         spath, cpath, *_ = mixture_files
         with pytest.raises(SystemExit) as exc:
@@ -328,6 +336,23 @@ class TestTrainPredict:
                    train_final(spectra, conc, parse_pipeline("snv"), 5))
         assert from_csv.read_bytes() == in_memory.read_bytes()
 
+    @pytest.mark.parametrize("pc,printed", [
+        ("3", "(identity, 3 components)"),
+        ("6", "(identity, 3 components; 6 requested)"),
+    ])
+    def test_train_reports_components_the_model_has(self, mixture_files,
+                                                    tmp_path, capsys, pc,
+                                                    printed):
+        # three noiseless species span a rank-3 set: no fourth component
+        spath, cpath, *_ = mixture_files
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "identity", "--pc", pc,
+                     "--out-model", str(model_path)]) == 0
+        assert printed in capsys.readouterr().out
+        coeffs = json.loads(model_path.read_text())["coeffs"]
+        assert np.shape(coeffs) == (3, 3)
+
     def test_model_file_round_trip_bit_identical(self, mixture_files,
                                                  tmp_path):
         spath, cpath, *_ = mixture_files
@@ -353,8 +378,20 @@ class TestTrainPredict:
          "unsupported model version 99, expected 1"),
         (lambda p: p.update(format="other-model"),
          "not a specsel-pcr-model file"),
+        (lambda p: p.update(pipeline=5), "pipeline must be a string, got 5"),
+        (lambda p: p.update(pipeline=None),
+         "pipeline must be a string, got None"),
+        (lambda p: p.update(species="abc"),
+         "species must be a list of strings, got 'abc'"),
+        (lambda p: p.update(species=[0, 1, 2]),
+         "species must be a list of strings, got [0, 1, 2]"),
+        (lambda p: p.update(units=None),
+         "units must be a list of strings, got None"),
+        (lambda p: p.update(units=p["units"][:-1]), "2 units for 3 species"),
     ], ids=["missing_key", "loadings", "mean_spectrum", "coeffs",
-            "mean_conc", "version", "format"])
+            "mean_conc", "version", "format", "pipeline_int",
+            "pipeline_null", "species_string", "species_not_strings",
+            "units_null", "units_length"])
     def test_malformed_model_exit_2(self, mixture_files, tmp_path, capsys,
                                     edit, message):
         spath, cpath, *_ = mixture_files

@@ -24,7 +24,6 @@ from specsel.preprocess import (
     baseline_als,
     derivative,
     despike,
-    make_step,
     parse_pipeline,
     peak_normalize,
     rnv,
@@ -441,12 +440,6 @@ class TestPipelineGrammar:
     def test_defaults_and_aliases(self, text, name):
         assert parse_pipeline(text).name == name
 
-    def test_make_step_validation(self):
-        with pytest.raises(PipelineSyntaxError):
-            make_step("despike", 4, 8.0)
-        step = make_step("peak_normalize", 1000.0)
-        assert step.name == "peak_normalize(1000,10)"
-
 
 # valid parameters of every step kind, as the text a user would type
 ODD = st.integers(1, 15).map(lambda k: 2 * k + 1)
@@ -564,7 +557,9 @@ class TestStepTable:
         ("rnv", (150.0,), r"^step rnv\(150\): percentile must be in"),
         ("savgol", (7,), r"^savgol takes \(window, polyorder, \[deriv\]\)"),
         ("despike", (7, "x"), "despike threshold must be a number"),
-    ], ids=["unknown_kind", "out_of_range", "arity", "not_a_number"])
+        ("despike", (4, 8.0), r"^step despike\(4,8\): window must be odd"),
+    ], ids=["unknown_kind", "out_of_range", "arity", "not_a_number",
+            "even_window"])
     def test_constructor_refuses_what_parse_refuses(self, kind, params,
                                                     message):
         with pytest.raises(PipelineSyntaxError, match=message):
@@ -575,6 +570,8 @@ class TestStepTable:
         assert step == parse_pipeline("savgol(7,2,0)").steps[0]
         assert step.name == "savgol(7,2,0)"
         assert isinstance(step.params[0], int)
+        assert PipelineStep("peak_normalize", (1000.0,)).name == \
+            "peak_normalize(1000,10)"
 
     def test_parse_time_error_names_the_step(self):
         with pytest.raises(PipelineSyntaxError,

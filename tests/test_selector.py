@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from specsel.selector import (
     train_final,
     write_report,
 )
-from specsel.spectra import ConcentrationSet, SpectraSet
+from specsel.spectra import (
+    ConcentrationSet,
+    SpectraSet,
+    save_concentrations,
+    save_spectra,
+)
 from specsel import synth
 
 from conftest import noiseless_mixtures
@@ -202,3 +208,20 @@ class TestReport:
         report = select_method(spectra, conc, [IDENTITY])
         payload = report_payload(report, include_timing=True)
         assert "wall_time_s" in payload["candidates"][0]
+
+
+class TestReadmeLibraryUse:
+    def test_library_use_block_runs(self, tmp_path, monkeypatch):
+        # the README's documented API, run as written on a synthesized pair
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        spectra, conc = synth.tears_phantom(12, 7)
+        monkeypatch.chdir(tmp_path)
+        save_spectra("spectra.csv", spectra)
+        save_concentrations("conc.csv", conc, spectra.labels)
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["estimates"].shape == (2, 12)
+        assert namespace["pcr"].n_components == 4

@@ -11,7 +11,6 @@ from specsel.significance import (
     anova_oneway,
     boxplot_stats,
     f_cdf,
-    f_critical,
     select_optimal_pc,
 )
 
@@ -53,12 +52,6 @@ class TestFCdf:
         assert len(grid) == 50
         for x, d1, d2 in grid:
             assert abs(f_cdf(x, d1, d2) - f_cdf_by_quadrature(x, d1, d2)) < 1e-8
-
-    def test_critical_value(self):
-        # solve for the 95th percentile and compare to the known value
-        crit = f_critical(0.05, 4, 20)
-        assert abs(crit - 2.866) < 2e-3
-        assert abs(f_cdf(crit, 4, 20) - 0.95) < 1e-9
 
     def test_bad_df(self):
         with pytest.raises(ValueError):
@@ -202,6 +195,20 @@ class TestSelectOptimalPc:
         verdict = select_optimal_pc(self.as_press(table), alpha=0.05)
         assert not verdict.significant
         assert verdict.optimal_pc == 3
+
+    def test_omnibus_only_significance_falls_back(self):
+        # twenty columns a little below twenty others: the omnibus test sees
+        # the split, but no single column beats the worst one pairwise
+        means = np.array([10.0] * 20 + [10.55] * 20)
+        means[2] -= 0.01
+        table = means[None, :] + np.linspace(-1.0, 1.0, 10)[:, None]
+        verdict = select_optimal_pc(self.as_press(table), alpha=0.05)
+        assert verdict.anova.significant
+        assert not verdict.significant
+        assert verdict.optimal_pc == 3
+        assert verdict.candidate_set == () and verdict.pairwise_p == {}
+        assert any("overall test significant" in n for n in verdict.notes)
+        assert len(verdict.boxplot) == 40
 
     def test_row_permutation_invariant(self):
         rng = np.random.default_rng(5)

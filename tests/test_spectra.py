@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from specsel.cli import _write_boxplot_csv
 from specsel.errors import (
     EmptyMatrix,
     IoFailure,
@@ -15,6 +17,9 @@ from specsel.errors import (
     NonmonotonicAxis,
     RaggedRows,
 )
+from specsel.preprocess import IDENTITY
+from specsel.regress import save_model
+from specsel.selector import SelectionReport, train_final, write_report
 from specsel.spectra import (
     ConcentrationSet,
     SpectraSet,
@@ -25,6 +30,8 @@ from specsel.spectra import (
     save_matrix,
     save_spectra,
 )
+
+from conftest import noiseless_mixtures
 
 
 def write_wide_csv(path, axis, columns, labels):
@@ -345,3 +352,33 @@ class TestConcentrationSet:
         loaded = load_concentrations(f, labels=["s2", "s0", "s1"])
         assert loaded.matrix.flags.c_contiguous
         assert np.array_equal(loaded.matrix, fortran[:, [2, 0, 1]])
+
+
+WRITERS = ["save_spectra", "save_concentrations", "save_matrix",
+           "write_boxplot_csv", "save_model", "write_report"]
+
+
+def write_with(name, path):
+    """Call the output writer ``name`` on ``path`` with small valid data."""
+    spectra, conc, _ = noiseless_mixtures(n_samples=6, n_species=2)
+    calls = {
+        "save_spectra": lambda: save_spectra(path, spectra),
+        "save_concentrations": lambda: save_concentrations(
+            path, conc, spectra.labels),
+        "save_matrix": lambda: save_matrix(path, [[1.0, 2.0]], ["a", "b"]),
+        "write_boxplot_csv": lambda: _write_boxplot_csv(
+            path, np.arange(12.0).reshape(4, 3)),
+        "save_model": lambda: save_model(
+            path, train_final(spectra, conc, IDENTITY, 2)),
+        "write_report": lambda: write_report(
+            path, SelectionReport((), "identity", 1, True, 0.05, False, ())),
+    }
+    calls[name]()
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_directory_path_raises_io_failure(self, tmp_path, name):
+        with pytest.raises(IoFailure,
+                           match=f"^cannot write {re.escape(str(tmp_path))}"):
+            write_with(name, tmp_path)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from specsel.errors import RecipeSpeciesMismatch, SpecselError
 from specsel.spectra import ConcentrationSet, load_spectra, save_spectra
 from specsel.synth import (
+    CONC_STREAM,
     BaselineSpec,
     SpeciesSpec,
     SynthRecipe,
@@ -119,6 +120,17 @@ class TestTearsPhantom:
     def test_minimum_size(self):
         with pytest.raises(SpecselError):
             tears_phantom(3)
+
+    @pytest.mark.parametrize("n,seed", [(4, 0), (8, 7), (40, 11), (1000, 3)])
+    def test_fixed_draws(self, n, seed):
+        # glucose then lysozyme, uniform on their ranges, from the
+        # concentration substream
+        rng = np.random.default_rng((seed, CONC_STREAM))
+        glucose = rng.uniform(0.0, 1.0, n)
+        lysozyme = rng.uniform(0.0, 10.0, n)
+        _, conc = tears_phantom(n, seed)
+        assert np.array_equal(conc.matrix, np.vstack([glucose, lysozyme]))
+        assert conc.units == ("mg/mL", "mg/mL")
 
 
 class TestRecipeFromDict:
