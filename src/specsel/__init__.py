@@ -42,7 +42,6 @@ from .significance import (
 from .spectra import (
     ConcentrationSet,
     SpectraSet,
-    Spectrum,
     load_concentrations,
     load_spectra,
     save_concentrations,
@@ -64,7 +63,7 @@ __all__ = [
     "AnovaResult", "BaselineSpec", "BoxStats", "ConcentrationSet",
     "HoldoutEvaluation", "IDENTITY", "PcaModel", "PcrModel", "PcVerdict",
     "Pipeline", "PipelineStep", "PressMatrix", "SelectionReport",
-    "SpeciesSpec", "SpecselError", "SpectraSet", "Spectrum", "SynthRecipe",
+    "SpeciesSpec", "SpecselError", "SpectraSet", "SynthRecipe",
     "anova_oneway", "apply_pipeline", "boxplot_stats", "evaluate_holdout",
     "generate", "load_concentrations", "load_model", "load_spectra",
     "loo_press_matrix", "parse_pipeline", "pca_fit", "pcr_fit", "pcr_predict",

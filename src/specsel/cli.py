@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .significance import boxplot_stats
 from .spectra import (
     load_concentrations,
     load_spectra,
+    read_json,
     save_concentrations,
     save_matrix,
     save_spectra,
@@ -61,11 +61,7 @@ DEFAULT_CANDIDATES = [
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecselError(f"cannot read config {path}: {exc}") from exc
+    config = read_json(path)
     if not isinstance(config, dict):
         raise SpecselError(f"config {path} must be a JSON object")
     return config

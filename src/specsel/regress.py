@@ -8,14 +8,13 @@ explicit normal-equation inverse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .decompose import PcaModel, project, truncate
 from .errors import IoFailure, ShapeMismatch, SingularScores
-from .spectra import ConcentrationSet, SpectraSet, write_json
+from .spectra import ConcentrationSet, SpectraSet, read_json, write_json
 
 MAX_SCORE_CONDITION = 1e12
 
@@ -143,13 +142,7 @@ def save_model(path, model: PcrModel) -> None:
 
 def load_model(path) -> PcrModel:
     """Reload a model saved by save_model (prediction-only: no scores)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoFailure(f"{path}: not a valid model file: {exc}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise IoFailure(f"{path}: not a {_MODEL_FORMAT} file")
     if payload.get("version") != _MODEL_VERSION:
@@ -188,6 +181,10 @@ def load_model(path) -> PcrModel:
                 f"{path}: {name} has shape {fields[name].shape}, "
                 f"expected {shape}"
             )
+        if not np.isfinite(fields[name]).all():
+            raise IoFailure(f"{path}: {name} has a non-finite value")
+    if k == 0:
+        raise IoFailure(f"{path}: model has no components")
     pca = PcaModel(
         axis=fields["axis"],
         mean_spectrum=fields["mean_spectrum"],

@@ -1,10 +1,12 @@
-"""Spectral data model and CSV interchange.
+"""Spectral data model and file interchange.
 
 One wide CSV holds a whole set of spectra: the first column is the shared
 wavenumber axis (header ``wavenumber_cm-1``), every further column is one
 spectrum. Concentrations travel in a species-per-row CSV whose header is
 ``species,unit,<label1>,<label2>,...``. All floats are parsed as 64-bit and
-written back in shortest-round-trip form, so save/load is exact.
+written back in shortest-round-trip form, so save/load is exact. Model
+files, reports and configs are JSON, read by ``read_json`` and written by
+``write_json``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,27 +73,6 @@ def _frozen_array(arr: np.ndarray, order: str = "K") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """A single spectrum: intensities on a strictly increasing cm^-1 axis."""
-
-    wavenumbers: np.ndarray
-    intensities: np.ndarray
-    label: str = ""
-    meta: Mapping[str, object] | None = None
-
-    def __post_init__(self):
-        wn = _as_float_vector(self.wavenumbers, "wavenumbers")
-        _check_axis(wn)
-        it = _as_float_vector(self.intensities, f"intensities of {self.label!r}")
-        if it.size != wn.size:
-            raise RaggedRows(
-                f"spectrum {self.label!r}: {it.size} intensities for {wn.size} channels"
-            )
-        object.__setattr__(self, "wavenumbers", _frozen_array(wn))
-        object.__setattr__(self, "intensities", _frozen_array(it))
-
-
-@dataclass(frozen=True)
 class SpectraSet:
     """i spectra sharing one wavenumber axis, stored as an i x j matrix."""
 
@@ -134,9 +115,6 @@ class SpectraSet:
     @property
     def n_channels(self) -> int:
         return self.matrix.shape[1]
-
-    def spectrum(self, index: int) -> Spectrum:
-        return Spectrum(self.axis, self.matrix[index], label=self.labels[index])
 
     def with_matrix(self, matrix: np.ndarray) -> "SpectraSet":
         """Same axis and labels, new intensities (used by preprocessing)."""
@@ -197,73 +175,82 @@ class ConcentrationSet:
         return ConcentrationSet(self.matrix[:, idx], self.species, self.units)
 
 
-# --- CSV I/O ------------------------------------------------------------------
+# --- file I/O -----------------------------------------------------------------
+# one reader and one writer per file format, so a file that cannot be read
+# or written always ends in IoFailure
 
-def _read_rows(path) -> list[list[str]]:
+def _read_csv(path, lead: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV whose header is the ``lead`` cells, then sample labels.
+
+    Returns the labels and the body rows. Header cells are stripped; at
+    least one sample label must follow ``lead``, and none twice.
+    """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            return [row for row in csv.reader(fh)]
-    except OSError as exc:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_cell(text: str, where: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise NonFiniteValue(f"{where}: cannot parse {text!r} as a number") from exc
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"{where}: non-finite value {text!r}")
-    return value
-
-
-def load_spectra(path) -> SpectraSet:
-    """Read a wide CSV of spectra; column order becomes sample order."""
-    rows = _read_rows(path)
     if not rows:
         raise IoFailure(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
-    if not header or header[0] != AXIS_HEADER:
+    lead_text = ",".join(lead)
+    if header[:len(lead)] != list(lead):
         raise IoFailure(
-            f"{path}: first column header must be {AXIS_HEADER!r}, got "
-            f"{header[0] if header else ''!r}"
+            f"{path}: header must start with {lead_text!r}, got "
+            f"{','.join(header[:len(lead)])!r}"
         )
-    labels = header[1:]
+    labels = header[len(lead):]
     if not labels:
-        raise IoFailure(f"{path}: no spectrum columns after the axis column")
+        raise IoFailure(f"{path}: no sample columns after {lead_text!r}")
     if len(set(labels)) != len(labels):
         dup = sorted({x for x in labels if labels.count(x) > 1})
-        raise LabelMismatch(f"{path}: duplicate spectrum labels {dup}")
-    width = len(header)
-    body = rows[1:]
+        raise LabelMismatch(f"{path}: duplicate sample labels {dup}")
+    return labels, rows[1:]
+
+
+def _parse_body(path, body: list[list[str]], lead: int,
+                names: Sequence[str]) -> np.ndarray:
+    """Parse the cells after each row's ``lead`` text cells as finite floats.
+
+    The table has one row per body row and one column per entry of
+    ``names``, which name the columns in error messages.
+    """
     # one numpy conversion of the whole body; its str -> float parse accepts
     # exactly what float() accepts, and reshape fails unless every row has
-    # the header's width
+    # the header's width. Without text columns the rows go in uncopied.
     try:
-        table = np.array(body, dtype=float).reshape(len(body), width)
+        table = np.array([row[lead:] for row in body] if lead else body,
+                         dtype=float).reshape(len(body), len(names))
+        if np.isfinite(table).all():
+            return table
     except ValueError:
-        table = None
-    if table is None or not np.isfinite(table).all():
-        _raise_first_bad_cell(path, body, labels)
-    return SpectraSet(table[:, 0], table[:, 1:].T, tuple(labels))
-
-
-def _raise_first_bad_cell(path, body: list[list[str]], labels: list[str]) -> None:
-    """Raise the error a cell-by-cell parse meets first, in file order.
-
-    Within a row the width is checked before the axis cell and the axis
-    cell before the data cells.
-    """
-    width = len(labels) + 1
+        pass
+    # replay cell by cell to raise the error met first in file order; within
+    # a row the width is checked before the cells
+    width = lead + len(names)
     for r, row in enumerate(body, start=2):
         if len(row) != width:
             raise RaggedRows(
                 f"{path}: row {r} has {len(row)} cells, expected {width}"
             )
-        _parse_cell(row[0], f"{path}: row {r}, axis")
-        for c, cell in enumerate(row[1:]):
-            _parse_cell(cell, f"{path}: row {r}, column {labels[c]!r}")
-    raise NonFiniteValue(f"{path}: cannot parse the spectra table")
+        for name, text in zip(names, row[lead:]):
+            where = f"{path}: row {r}, {name}"
+            try:
+                value = float(text)
+            except ValueError as exc:
+                raise NonFiniteValue(
+                    f"{where}: cannot parse {text!r} as a number") from exc
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"{where}: non-finite value {text!r}")
+    raise NonFiniteValue(f"{path}: cannot parse the table")
+
+
+def load_spectra(path) -> SpectraSet:
+    """Read a wide CSV of spectra; column order becomes sample order."""
+    labels, body = _read_csv(path, [AXIS_HEADER])
+    table = _parse_body(path, body, 0,
+                        ["axis", *(f"column {x!r}" for x in labels)])
+    return SpectraSet(table[:, 0], table[:, 1:].T, tuple(labels))
 
 
 def _check_header_labels(path, labels: Sequence[str],
@@ -275,6 +262,17 @@ def _check_header_labels(path, labels: Sequence[str],
                 f"{path}: {what} {label!r} has leading or trailing "
                 f"whitespace, which loading strips"
             )
+
+
+def read_json(path):
+    """Read a JSON document; the caller checks its types and shapes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    # ValueError covers undecodable bytes, bad syntax and integers too long
+    # to convert; RecursionError, arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -314,35 +312,19 @@ def load_concentrations(path, labels: Sequence[str] | None = None) -> Concentrat
     label and a LabelMismatch is raised if the two sets differ; without it
     the file order is kept.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise IoFailure(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    if len(header) < 3 or header[0] != "species" or header[1] != "unit":
-        raise IoFailure(
-            f"{path}: header must start with 'species,unit', got {header[:2]}"
+    file_labels, body = _read_csv(path, ["species", "unit"])
+    if not body:
+        raise IoFailure(f"{path}: no species rows after the header")
+    data = _parse_body(path, body, 2,
+                       [f"sample {x!r}" for x in file_labels])
+    species = tuple(row[0].strip() for row in body)
+    units = tuple(row[1].strip() for row in body)
+    if np.any(data < 0):
+        r, c = np.argwhere(data < 0)[0]
+        raise NegativeConcentration(
+            f"{path}: negative concentration {data[r, c]:.9g} for species "
+            f"{species[r]!r}, sample {file_labels[c]!r}"
         )
-    file_labels = header[2:]
-    if len(set(file_labels)) != len(file_labels):
-        dup = sorted({x for x in file_labels if file_labels.count(x) > 1})
-        raise LabelMismatch(f"{path}: duplicate sample labels {dup}")
-    species, units = [], []
-    data = np.empty((len(rows) - 1, len(file_labels)))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise RaggedRows(
-                f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-            )
-        species.append(row[0].strip())
-        units.append(row[1].strip())
-        for c, cell in enumerate(row[2:]):
-            value = _parse_cell(cell, f"{path}: row {r}, sample {file_labels[c]!r}")
-            if value < 0:
-                raise NegativeConcentration(
-                    f"{path}: negative concentration {value:.9g} for species "
-                    f"{row[0].strip()!r}, sample {file_labels[c]!r}"
-                )
-            data[r - 2, c] = value
     if labels is not None:
         wanted = [str(x) for x in labels]
         missing = [x for x in wanted if x not in file_labels]
@@ -354,7 +336,7 @@ def load_concentrations(path, labels: Sequence[str] | None = None) -> Concentrat
             )
         order = [file_labels.index(x) for x in wanted]
         data = data[:, order]
-    return ConcentrationSet(data, tuple(species), tuple(units))
+    return ConcentrationSet(data, species, units)
 
 
 def save_concentrations(path, conc: ConcentrationSet,
@@ -373,9 +355,9 @@ def save_concentrations(path, conc: ConcentrationSet,
 
 
 def save_matrix(path, matrix, headers: Sequence[str],
-                row_labels: Sequence[str] | None = None,
-                row_label_header: str = "label") -> None:
-    """Write a rectangular matrix as CSV; NaN cells become literal 'nan'."""
+                row_labels: Sequence[str], row_label_header: str) -> None:
+    """Write a matrix as CSV, each row led by its label; NaN cells become
+    literal 'nan'."""
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise RaggedRows(f"save_matrix needs a 2-D matrix, got shape {arr.shape}")
@@ -385,13 +367,10 @@ def save_matrix(path, matrix, headers: Sequence[str],
         raise RaggedRows(
             f"{len(headers)} headers for {arr.shape[1]} matrix columns"
         )
-    if row_labels is not None and len(row_labels) != arr.shape[0]:
+    if len(row_labels) != arr.shape[0]:
         raise RaggedRows(
             f"{len(row_labels)} row labels for {arr.shape[0]} matrix rows"
         )
-    if row_labels is None:
-        write_csv(path, list(headers), ([_fmt(v) for v in row] for row in arr))
-    else:
-        write_csv(path, [row_label_header, *headers],
-                  ([label] + [_fmt(v) for v in row]
-                   for label, row in zip(row_labels, arr)))
+    write_csv(path, [row_label_header, *headers],
+              ([label] + [_fmt(v) for v in row]
+               for label, row in zip(row_labels, arr)))

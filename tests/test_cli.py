@@ -47,6 +47,32 @@ class TestValidate:
         assert code == 2
 
 
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("how", ["non_utf8", "directory", "missing"])
+    @pytest.mark.parametrize("which", ["config", "model", "spectra",
+                                       "concentrations"])
+    def test_exit_2(self, mixture_files, tmp_path, capsys, which, how):
+        spath, cpath, *_ = mixture_files
+        bad = tmp_path / "bad"
+        if how == "non_utf8":
+            bad.write_bytes(b"\xff\xfebad")
+        elif how == "directory":
+            bad.mkdir()
+        if which == "model":
+            argv = ["predict", "--model", str(bad), "--spectra", str(spath),
+                    "--out", str(tmp_path / "p.csv")]
+        else:
+            argv = ["validate",
+                    "--spectra", str(bad if which == "spectra" else spath),
+                    "--concentrations",
+                    str(bad if which == "concentrations" else cpath)]
+        if which == "config":
+            argv = ["--config", str(bad), *argv]
+        assert main(argv) == 2
+        assert (f"error: IoFailure: cannot read {bad}: "
+                in capsys.readouterr().err)
+
+
 class TestSynthCrossval:
     def test_synth_then_crossval_shapes(self, tmp_path):
         spath = tmp_path / "s.csv"
@@ -278,6 +304,17 @@ class TestSelect:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_concentrations_without_species_exit_2(self, mixture_files,
+                                                   tmp_path, capsys):
+        spath, cpath, *_ = mixture_files
+        header_only = tmp_path / "c0.csv"
+        header_only.write_text(cpath.read_text().splitlines()[0] + "\n")
+        code = main(["select", "--spectra", str(spath), "--concentrations",
+                     str(header_only), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert (f"error: IoFailure: {header_only}: no species rows after the "
+                f"header" in capsys.readouterr().err)
+
     def test_unwritable_report_exit_2(self, mixture_files, tmp_path, capsys):
         spath, cpath, *_ = mixture_files
         out = tmp_path / "no_such_dir" / "report.json"
@@ -388,10 +425,15 @@ class TestTrainPredict:
         (lambda p: p.update(units=None),
          "units must be a list of strings, got None"),
         (lambda p: p.update(units=p["units"][:-1]), "2 units for 3 species"),
+        (lambda p: p["coeffs"][0].__setitem__(0, float("nan")),
+         "coeffs has a non-finite value"),
+        (lambda p: p.update(loadings=[[] for _ in p["loadings"]],
+                            coeffs=[[] for _ in p["coeffs"]]),
+         "model has no components"),
     ], ids=["missing_key", "loadings", "mean_spectrum", "coeffs",
             "mean_conc", "version", "format", "pipeline_int",
             "pipeline_null", "species_string", "species_not_strings",
-            "units_null", "units_length"])
+            "units_null", "units_length", "coeffs_nan", "no_components"])
     def test_malformed_model_exit_2(self, mixture_files, tmp_path, capsys,
                                     edit, message):
         spath, cpath, *_ = mixture_files

@@ -16,6 +16,7 @@ from specsel.errors import (
     NonFiniteValue,
     NonmonotonicAxis,
     RaggedRows,
+    SpecselError,
 )
 from specsel.preprocess import IDENTITY
 from specsel.regress import save_model
@@ -23,9 +24,9 @@ from specsel.selector import SelectionReport, train_final, write_report
 from specsel.spectra import (
     ConcentrationSet,
     SpectraSet,
-    Spectrum,
     load_concentrations,
     load_spectra,
+    read_json,
     save_concentrations,
     save_matrix,
     save_spectra,
@@ -41,40 +42,29 @@ def write_wide_csv(path, axis, columns, labels):
     path.write_text("\n".join(lines) + "\n")
 
 
-class TestSpectrum:
-    def test_valid(self):
-        s = Spectrum(np.arange(10.0), np.ones(10), label="a")
-        assert s.intensities.shape == (10,)
-
-    def test_nonmonotonic_axis(self):
-        wn = np.arange(10.0)
-        wn[4] = wn[5]
-        with pytest.raises(NonmonotonicAxis):
-            Spectrum(wn, np.ones(10))
-
-    def test_length_mismatch(self):
-        with pytest.raises(RaggedRows):
-            Spectrum(np.arange(10.0), np.ones(9))
-
-    def test_nonfinite(self):
-        y = np.ones(10)
-        y[3] = np.nan
-        with pytest.raises(NonFiniteValue):
-            Spectrum(np.arange(10.0), y)
-
-    def test_too_short_axis(self):
-        with pytest.raises(RaggedRows):
-            Spectrum(np.arange(5.0), np.ones(5))
-
-
 class TestSpectraSet:
     def test_row_access_and_subset(self):
         ss = SpectraSet(np.arange(10.0), np.arange(30.0).reshape(3, 10),
                         ("a", "b", "c"))
-        assert ss.spectrum(1).label == "b"
+        assert ss.matrix.shape == (3, 10)
         sub = ss.subset([2, 0])
         assert sub.labels == ("c", "a")
         assert np.array_equal(sub.matrix[0], ss.matrix[2])
+
+    @pytest.mark.parametrize("axis,row,error,message", [
+        (np.r_[0.0, 1, 2, 3, 4, 4, 6, 7, 8, 9], np.ones(10), NonmonotonicAxis,
+         "not strictly increasing at row 5"),
+        (np.arange(10.0), np.ones(9), RaggedRows,
+         "rows have 9 channels but axis has 10"),
+        (np.arange(10.0), np.r_[1.0, 1, 1, np.nan, 1, 1, 1, 1, 1, 1],
+         NonFiniteValue, "non-finite intensity in spectrum 'a'"),
+        (np.arange(5.0), np.ones(5), RaggedRows,
+         "at least 8 channels, got 5"),
+    ], ids=["nonmonotonic_axis", "length_mismatch", "nonfinite",
+            "too_short_axis"])
+    def test_refuses_invalid_spectrum(self, axis, row, error, message):
+        with pytest.raises(error, match=message):
+            SpectraSet(axis, row[None, :], ("a",))
 
     def test_immutable(self):
         ss = SpectraSet(np.arange(10.0), np.zeros((2, 10)), ("a", "b"))
@@ -172,13 +162,14 @@ def load_error(path):
     return type(info.value), str(info.value)
 
 
+NAME = st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_ ,\"-]*[A-Za-z0-9_])?",
+                     fullmatch=True)
 # some labels get surrounding whitespace: load strips header cells, so
 # save must refuse those rather than write a file that reads back changed
 LABEL = st.builds(
     lambda lead, core, trail: lead + core + trail,
     st.sampled_from(["", "", " ", "\t"]),
-    st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_ ,\"-]*[A-Za-z0-9_])?",
-                  fullmatch=True),
+    NAME,
     st.sampled_from(["", "", " ", "\n"]))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -220,6 +211,13 @@ class TestLoadSpectraErrors:
         eight_row_csv(f, {r: f"{r},{r},{r}" for r in range(2, 10)})
         assert load_error(f) == (
             RaggedRows, f"{f}: row 2 has 3 cells, expected 2")
+
+    def test_oversized_cell(self, tmp_path):
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, {5: "5," + "9" * 200_000})
+        with pytest.raises(IoFailure, match=f"^cannot read {re.escape(str(f))}: "
+                                            "field larger than field limit"):
+            load_spectra(f)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(),
@@ -276,6 +274,31 @@ class TestLoadConcentrations:
         assert conc.n_species == 2
         assert conc.n_samples == 27
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           labels=st.lists(NAME, min_size=1, max_size=5, unique=True),
+           species=st.lists(NAME, min_size=1, max_size=3, unique=True))
+    def test_save_load_identity(self, data, labels, species):
+        units = data.draw(st.lists(st.one_of(st.just(""), NAME),
+                                   min_size=len(species),
+                                   max_size=len(species)))
+        matrix = data.draw(hnp.arrays(
+            float, (len(species), len(labels)),
+            elements=st.floats(min_value=0.0, allow_nan=False,
+                               allow_infinity=False)))
+        order = data.draw(st.permutations(range(len(labels))))
+        conc = ConcentrationSet(matrix, tuple(species), tuple(units))
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "c.csv"
+            save_concentrations(f, conc, labels)
+            again = load_concentrations(f)
+            reordered = load_concentrations(
+                f, labels=[labels[n] for n in order])
+        assert (again.species, again.units) == (conc.species, conc.units)
+        assert again.matrix.tobytes() == conc.matrix.tobytes()
+        assert (reordered.matrix.tobytes()
+                == np.ascontiguousarray(conc.matrix[:, order]).tobytes())
+
     def test_save_round_trip(self, tmp_path):
         conc = ConcentrationSet([[0.25, 1.5], [3.0, 0.0]], ("a", "b"),
                                 ("mg/mL", "%"))
@@ -306,22 +329,89 @@ class TestLoadConcentrations:
         assert not f.exists()
 
 
+def conc_csv(path, cells):
+    """Three species by two samples; ``cells`` overrides rows by 1-based
+    row number."""
+    lines = ["species,unit,s0,s1"]
+    for r in range(2, 5):
+        lines.append(cells.get(r, f"sp{r},u,{r},{r * 10}"))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def conc_error(path):
+    with pytest.raises(SpecselError) as info:
+        load_concentrations(path)
+    return type(info.value), str(info.value)
+
+
+class TestLoadConcentrationsErrors:
+    def test_nan_cell(self, tmp_path):
+        f = tmp_path / "c.csv"
+        conc_csv(f, {3: "sp3,u,nan,30"})
+        assert conc_error(f) == (
+            NonFiniteValue, f"{f}: row 3, sample 's0': non-finite value 'nan'")
+
+    def test_garbage_cell_before_ragged_row(self, tmp_path):
+        f = tmp_path / "c.csv"
+        conc_csv(f, {2: "sp2,u,oops,20", 4: "sp4,u,4,40,1"})
+        assert conc_error(f) == (
+            NonFiniteValue,
+            f"{f}: row 2, sample 's0': cannot parse 'oops' as a number")
+
+    def test_ragged_row_before_garbage_cell(self, tmp_path):
+        f = tmp_path / "c.csv"
+        conc_csv(f, {2: "sp2,u,2", 4: "sp4,u,oops,40"})
+        assert conc_error(f) == (
+            RaggedRows, f"{f}: row 2 has 3 cells, expected 4")
+
+    def test_negative_cell_names_species_and_sample(self, tmp_path):
+        f = tmp_path / "c.csv"
+        conc_csv(f, {3: "sp3,u,3,-0.5", 4: "sp4,u,-4,40"})
+        assert conc_error(f) == (
+            NegativeConcentration,
+            f"{f}: negative concentration -0.5 for species 'sp3', "
+            f"sample 's1'")
+
+    def test_unparseable_cell_wins_over_earlier_negative(self, tmp_path):
+        # the whole table is parsed before any value is checked for sign
+        f = tmp_path / "c.csv"
+        conc_csv(f, {2: "sp2,u,-2,20", 4: "sp4,u,4,oops"})
+        assert conc_error(f) == (
+            NonFiniteValue,
+            f"{f}: row 4, sample 's1': cannot parse 'oops' as a number")
+
+    def test_header_only(self, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_text("species,unit,s0,s1\n")
+        assert conc_error(f) == (
+            IoFailure, f"{f}: no species rows after the header")
+
+    def test_oversized_cell(self, tmp_path):
+        f = tmp_path / "c.csv"
+        conc_csv(f, {3: "sp3,u,3," + "9" * 200_000})
+        with pytest.raises(IoFailure, match=f"^cannot read {re.escape(str(f))}: "
+                                            "field larger than field limit"):
+            load_concentrations(f)
+
 class TestSaveMatrix:
     def test_basic(self, tmp_path):
         f = tmp_path / "m.csv"
-        save_matrix(f, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], ["a", "b", "c"])
+        save_matrix(f, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], ["a", "b", "c"],
+                    row_labels=["x", "y"], row_label_header="label")
         lines = f.read_text().strip().splitlines()
         assert len(lines) == 3
-        assert lines[0] == "a,b,c"
+        assert lines[0] == "label,a,b,c"
 
     def test_empty(self, tmp_path):
         with pytest.raises(EmptyMatrix):
-            save_matrix(tmp_path / "m.csv", np.zeros((0, 3)), ["a", "b", "c"])
+            save_matrix(tmp_path / "m.csv", np.zeros((0, 3)), ["a", "b", "c"],
+                        row_labels=[], row_label_header="label")
 
     def test_nan_written_as_nan(self, tmp_path):
         f = tmp_path / "m.csv"
-        save_matrix(f, [[1.0, np.nan]], ["a", "b"])
-        assert f.read_text().strip().splitlines()[1] == "1.0,nan"
+        save_matrix(f, [[1.0, np.nan]], ["a", "b"], row_labels=["x"],
+                    row_label_header="label")
+        assert f.read_text().strip().splitlines()[1] == "x,1.0,nan"
 
     def test_row_labels(self, tmp_path):
         f = tmp_path / "m.csv"
@@ -365,7 +455,9 @@ def write_with(name, path):
         "save_spectra": lambda: save_spectra(path, spectra),
         "save_concentrations": lambda: save_concentrations(
             path, conc, spectra.labels),
-        "save_matrix": lambda: save_matrix(path, [[1.0, 2.0]], ["a", "b"]),
+        "save_matrix": lambda: save_matrix(path, [[1.0, 2.0]], ["a", "b"],
+                                           row_labels=["x"],
+                                           row_label_header="label"),
         "write_boxplot_csv": lambda: _write_boxplot_csv(
             path, np.arange(12.0).reshape(4, 3)),
         "save_model": lambda: save_model(
@@ -382,3 +474,15 @@ class TestWriters:
         with pytest.raises(IoFailure,
                            match=f"^cannot write {re.escape(str(tmp_path))}"):
             write_with(name, tmp_path)
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("text", [
+        "{", "[" * 100_000 + "]" * 100_000, "1" * 5_000,
+    ], ids=["syntax", "deep_nesting", "long_integer"])
+    def test_unparseable_raises_io_failure(self, tmp_path, text):
+        f = tmp_path / "x.json"
+        f.write_text(text)
+        with pytest.raises(IoFailure,
+                           match=f"^cannot read {re.escape(str(f))}: "):
+            read_json(f)
