@@ -27,7 +27,7 @@ class PcaModel:
     loadings columns are unit-norm and mutually orthogonal; each column's
     largest-magnitude entry is positive so refits are bit-comparable.
     ``rank_deficient`` is set when the residual ran out before the requested
-    component count was reached (the model is truncated, not an error).
+    component count was reached (fewer components, not an error).
     """
 
     axis: np.ndarray
@@ -36,7 +36,6 @@ class PcaModel:
     scores: np.ndarray              # i x k
     explained_variance: np.ndarray  # k
     residual_fro: float
-    total_center_ss: float
     rank_deficient: bool = False
 
     @property
@@ -92,7 +91,6 @@ def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
         scores=u[:, :n] * (singulars[:n] * signs),
         explained_variance=explained,
         residual_fro=float(tail[n]),
-        total_center_ss=total_ss,
         rank_deficient=n < k,
     )
 
@@ -103,8 +101,8 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
 
     Raises NoConvergence if a component fails to settle within max_iter
     iterations. If the residual norm falls below RANK_EPS relative to the
-    centered matrix before k components are found, the model is truncated
-    and flagged rank_deficient.
+    centered matrix before k components are found, the model keeps the
+    components found so far and is flagged rank_deficient.
     """
     _check_order(spectra, k)
     i, j = spectra.matrix.shape
@@ -159,13 +157,13 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
         scores=scores[:, :n_done],
         explained_variance=explained[:n_done],
         residual_fro=float(np.linalg.norm(residual)),
-        total_center_ss=total_ss,
         rank_deficient=rank_deficient,
     )
 
 
-def project(model: PcaModel, new_set: SpectraSet) -> np.ndarray:
-    """Scores of new spectra in the model basis: (X - mean) @ loadings."""
+def project(model, new_set: SpectraSet) -> np.ndarray:
+    """Scores of new spectra in the basis of a PcaModel or PcrModel:
+    (X - mean_spectrum) @ loadings, on the model's axis."""
     if new_set.axis.shape != model.axis.shape or not np.array_equal(
             new_set.axis, model.axis):
         raise AxisMismatch(
@@ -173,26 +171,3 @@ def project(model: PcaModel, new_set: SpectraSet) -> np.ndarray:
         )
     return (new_set.matrix - model.mean_spectrum) @ model.loadings
 
-
-def truncate(model: PcaModel, m: int) -> PcaModel:
-    """Model restricted to its leading m components."""
-    if not 1 <= m <= model.n_components:
-        raise BadOrder(
-            f"truncation must satisfy 1 <= m <= {model.n_components}, got {m}"
-        )
-    if m == model.n_components:
-        return model
-    kept_ss = float(np.sum(model.scores[:, :m] ** 2))
-    residual_sq = max(model.total_center_ss - kept_ss, 0.0)
-    # contiguous copies: strided slices can take a different BLAS path and
-    # break bit-reproducibility against a direct m-component fit
-    return PcaModel(
-        axis=model.axis,
-        mean_spectrum=model.mean_spectrum,
-        loadings=np.ascontiguousarray(model.loadings[:, :m]),
-        scores=np.ascontiguousarray(model.scores[:, :m]),
-        explained_variance=model.explained_variance[:m],
-        residual_fro=float(np.sqrt(residual_sq)),
-        total_center_ss=model.total_center_ss,
-        rank_deficient=False,
-    )

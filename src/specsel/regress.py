@@ -8,11 +8,11 @@ explicit normal-equation inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import PcaModel, project, truncate
+from .decompose import PcaModel, project
 from .errors import IoFailure, ShapeMismatch, SingularScores
 from .spectra import ConcentrationSet, SpectraSet, read_json, write_json
 
@@ -21,9 +21,12 @@ MAX_SCORE_CONDITION = 1e12
 
 @dataclass(frozen=True)
 class PcrModel:
-    """PCA model plus regression coefficients for q species."""
+    """What a prediction reads: the training axis, the mean spectrum and
+    loadings that project new spectra, and coefficients for q species."""
 
-    pca: PcaModel
+    axis: np.ndarray
+    mean_spectrum: np.ndarray
+    loadings: np.ndarray    # j x k
     coeffs: np.ndarray      # q x k
     mean_conc: np.ndarray   # q
     species: tuple[str, ...]
@@ -62,7 +65,9 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
     centered = conc.matrix - mean_conc[:, None]
     solution, *_ = np.linalg.lstsq(scores, centered.T, rcond=None)
     return PcrModel(
-        pca=pca,
+        axis=pca.axis,
+        mean_spectrum=pca.mean_spectrum,
+        loadings=pca.loadings,
         coeffs=solution.T,
         mean_conc=mean_conc,
         species=conc.species,
@@ -76,7 +81,7 @@ def pcr_predict(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
     Negative estimates are reported as-is; clamping would bias downstream
     error statistics.
     """
-    new_scores = project(model.pca, new_set)
+    new_scores = project(model, new_set)
     return model.coeffs @ new_scores.T + model.mean_conc[:, None]
 
 
@@ -86,7 +91,7 @@ def pcr_predict_all_counts(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
     Orthogonal scores make the leading m coefficients of a k-component fit
     those of an m-component fit, so all counts are one cumulative sum.
     """
-    new_scores = project(model.pca, new_set)   # r x k
+    new_scores = project(model, new_set)   # r x k
     terms = model.coeffs[:, None, :] * new_scores[None, :, :]
     return np.cumsum(terms, axis=2) + model.mean_conc[:, None, None]
 
@@ -99,18 +104,6 @@ def press(estimated, actual) -> float:
         raise ShapeMismatch(f"shapes {est.shape} and {act.shape} differ")
     diff = est - act
     return float(np.sum(diff * diff))
-
-
-def truncate_pcr(model: PcrModel, m: int) -> PcrModel:
-    """Model restricted to its leading m components (coefficients sliced).
-
-    Score columns are orthogonal, so dropping trailing components leaves
-    the leading coefficients unchanged.
-    """
-    if m == model.n_components:
-        return model
-    return replace(model, pca=truncate(model.pca, m),
-                   coeffs=np.ascontiguousarray(model.coeffs[:, :m]))
 
 
 # --- serialization ---------------------------------------------------------------
@@ -131,9 +124,9 @@ def save_model(path, model: PcrModel) -> None:
         "pipeline": model.pipeline_name,
         "species": list(model.species),
         "units": list(model.units),
-        "axis": model.pca.axis.tolist(),
-        "mean_spectrum": model.pca.mean_spectrum.tolist(),
-        "loadings": model.pca.loadings.tolist(),
+        "axis": model.axis.tolist(),
+        "mean_spectrum": model.mean_spectrum.tolist(),
+        "loadings": model.loadings.tolist(),
         "coeffs": model.coeffs.tolist(),
         "mean_conc": model.mean_conc.tolist(),
     }
@@ -141,7 +134,7 @@ def save_model(path, model: PcrModel) -> None:
 
 
 def load_model(path) -> PcrModel:
-    """Reload a model saved by save_model (prediction-only: no scores)."""
+    """Reload a model saved by save_model; it equals the saved model."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise IoFailure(f"{path}: not a {_MODEL_FORMAT} file")
@@ -185,19 +178,8 @@ def load_model(path) -> PcrModel:
             raise IoFailure(f"{path}: {name} has a non-finite value")
     if k == 0:
         raise IoFailure(f"{path}: model has no components")
-    pca = PcaModel(
-        axis=fields["axis"],
-        mean_spectrum=fields["mean_spectrum"],
-        loadings=loadings,
-        scores=np.zeros((0, k)),
-        explained_variance=np.zeros(k),
-        residual_fro=0.0,
-        total_center_ss=0.0,
-    )
     return PcrModel(
-        pca=pca,
-        coeffs=fields["coeffs"],
-        mean_conc=fields["mean_conc"],
+        **fields,
         species=tuple(species),
         units=tuple(units),
         pipeline_name=pipeline_name,

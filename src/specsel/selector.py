@@ -147,7 +147,7 @@ def train_final(spectra: SpectraSet, conc: ConcentrationSet,
 
 @dataclass(frozen=True)
 class HoldoutEvaluation:
-    """Residual sums of squares of a model truncated to 1..k components."""
+    """Residual sums of squares of a model's leading 1..k components."""
 
     rss: np.ndarray          # k
     per_species: np.ndarray  # q x k
@@ -231,12 +231,10 @@ def _entry_payload(entry: CandidateResult) -> dict:
             "p_value": anova.p_value,
             "df_treat": anova.df_treat,
             "df_error": anova.df_error,
-            "group_means": [None if np.isnan(v) else float(v)
-                            for v in anova.group_means],
+            "group_means": [_json_num(v) for v in anova.group_means],
             "log_transformed": anova.log_transformed,
         },
-        "sum_press": [None if np.isnan(v) else float(v)
-                      for v in verdict.sum_press],
+        "sum_press": [_json_num(v) for v in verdict.sum_press],
         "pairwise_p_vs_worst": {str(pc): p for pc, p
                                 in sorted(verdict.pairwise_p.items())},
         "boxplot": _boxstats_payload(verdict),

@@ -53,17 +53,24 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _check_axis(axis: np.ndarray) -> None:
+def _check_axis(axis: np.ndarray, path=None) -> None:
+    """Refuse an axis shorter than MIN_CHANNELS or not strictly increasing.
+
+    With ``path`` (the axis is a spectra CSV's first column) the message
+    names the file and the file row, counting the header as row 1.
+    """
     if axis.size < MIN_CHANNELS:
         raise RaggedRows(
-            f"axis must have at least {MIN_CHANNELS} channels, got {axis.size}"
+            f"{'' if path is None else f'{path}: '}axis must have at least "
+            f"{MIN_CHANNELS} channels, got {axis.size}"
         )
     if np.any(np.diff(axis) <= 0):
         bad = int(np.flatnonzero(np.diff(axis) <= 0)[0])
+        where = (f"wavenumber axis not strictly increasing at row {bad + 1}"
+                 if path is None else
+                 f"{path}: row {bad + 3}, axis: not strictly increasing")
         raise NonmonotonicAxis(
-            f"wavenumber axis not strictly increasing at row {bad + 1} "
-            f"({axis[bad]:.9g} -> {axis[bad + 1]:.9g})"
-        )
+            f"{where} ({axis[bad]:.9g} -> {axis[bad + 1]:.9g})")
 
 
 def _frozen_array(arr: np.ndarray, order: str = "K") -> np.ndarray:
@@ -250,6 +257,7 @@ def load_spectra(path) -> SpectraSet:
     labels, body = _read_csv(path, [AXIS_HEADER])
     table = _parse_body(path, body, 0,
                         ["axis", *(f"column {x!r}" for x in labels)])
+    _check_axis(table[:, 0], path)
     return SpectraSet(table[:, 0], table[:, 1:].T, tuple(labels))
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from specsel import crossval
 from specsel.crossval import PressMatrix, loo_press_matrix
-from specsel.decompose import nipals_fit, pca_fit, truncate
+from specsel.decompose import nipals_fit, pca_fit
 from specsel.errors import (
     FoldPreprocessFailure,
     NoConvergence,
@@ -49,8 +49,8 @@ def per_fold_press(spectra, conc, pipeline):
     for n in range(i):
         label = processed.labels[n]
         train_idx = [r for r in range(i) if r != n]
-        model = pca_fit(processed.subset(train_idx),
-                        min(k_max, processed.n_channels))
+        train = processed.subset(train_idx)
+        model = pca_fit(train, min(k_max, processed.n_channels))
         k_have = model.n_components
         k_fit = usable_components(np.linalg.norm(model.scores, axis=0))
         if k_have < k_max:
@@ -62,7 +62,7 @@ def per_fold_press(spectra, conc, pipeline):
             f"recorded as NaN" for m in range(k_fit + 1, k_have + 1))
         negatives = 0
         for m in range(1, k_fit + 1):
-            fit = pcr_fit(truncate(model, m), conc.select_columns(train_idx))
+            fit = pcr_fit(pca_fit(train, m), conc.select_columns(train_idx))
             estimate = pcr_predict(fit, processed.subset([n]))
             values[n, m - 1] = press(estimate, conc.matrix[:, [n]])
             negatives += bool(np.any(estimate < 0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specsel.decompose import nipals_fit, pca_fit, project, truncate
+from specsel.decompose import nipals_fit, pca_fit, project
 from specsel.errors import AxisMismatch, BadOrder, NoConvergence
 from specsel.spectra import SpectraSet
 
@@ -165,32 +165,6 @@ class TestPcaFit:
         for k in (0, 5, 21):
             with pytest.raises(BadOrder):
                 pca_fit(ss, k)
-
-
-class TestTruncate:
-    def test_matches_smaller_fit_bitwise(self):
-        ss = random_spectra_set(i=8, j=40, seed=9)
-        full = nipals_fit(ss, 6)
-        for m in (1, 3, 6):
-            direct = nipals_fit(ss, m)
-            cut = truncate(full, m)
-            assert np.array_equal(cut.loadings, direct.loadings)
-            assert np.array_equal(cut.scores, direct.scores)
-
-    def test_residual_non_increasing(self):
-        ss = random_spectra_set(i=8, j=40, seed=10)
-        full = nipals_fit(ss, 6)
-        residuals = [truncate(full, m).residual_fro for m in range(1, 7)]
-        assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
-
-    def test_residual_matches_reconstruction(self):
-        ss = random_spectra_set(i=8, j=40, seed=11)
-        full = nipals_fit(ss, 5)
-        centered = ss.matrix - ss.matrix.mean(axis=0)
-        for m in (1, 2, 4):
-            cut = truncate(full, m)
-            recon = np.linalg.norm(centered - cut.scores @ cut.loadings.T)
-            assert abs(recon - cut.residual_fro) < 1e-8 * recon
 
 
 class TestProject:

@@ -1,18 +1,25 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specsel.decompose import nipals_fit
 from specsel.errors import ShapeMismatch, SingularScores
+from specsel.preprocess import parse_pipeline
 from specsel.regress import (
     load_model,
     pcr_fit,
     pcr_predict,
     press,
     save_model,
-    truncate_pcr,
 )
+from specsel.selector import train_final
 from specsel.spectra import ConcentrationSet, SpectraSet
+from specsel.synth import tears_phantom
 
 from conftest import noiseless_mixtures, random_spectra_set
 
@@ -67,8 +74,7 @@ class TestPcrFit:
             loadings=pca.loadings,
             scores=np.column_stack([pca.scores[:, 0], pca.scores[:, 0] * 1e-9]),
             explained_variance=pca.explained_variance,
-            residual_fro=pca.residual_fro,
-            total_center_ss=pca.total_center_ss)
+            residual_fro=pca.residual_fro)
         conc = ConcentrationSet(np.ones((1, 7)), ("a",), ("u",))
         with pytest.raises(SingularScores):
             pcr_fit(crushed, conc)
@@ -101,7 +107,7 @@ class TestPcrPredict:
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
         model = pcr_fit(nipals_fit(spectra, 2), conc)
         mean_set = SpectraSet(spectra.axis,
-                              model.pca.mean_spectrum[None, :], ("mean",))
+                              model.mean_spectrum[None, :], ("mean",))
         est = pcr_predict(model, mean_set)
         assert_allclose(est[:, 0], model.mean_conc, atol=1e-10)
 
@@ -137,11 +143,9 @@ class TestPcrPredict:
         rng = np.random.default_rng(29)
         conc = ConcentrationSet(rng.uniform(0.0, 1.0, (2, 10)),
                                 ("a", "b"), ("u", "u"))
-        pca = nipals_fit(ss, 8)
         rss = []
         for m in range(1, 9):
-            from specsel.decompose import truncate
-            model = pcr_fit(truncate(pca, m), conc)
+            model = pcr_fit(nipals_fit(ss, m), conc)
             est = pcr_predict(model, ss)
             rss.append(press(est, conc.matrix))
         assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
@@ -180,8 +184,25 @@ class TestModelSerialization:
         after = pcr_predict(again, spectra)
         assert np.array_equal(before, after)
 
-    def test_truncate_pcr_full_k_is_identity(self):
-        spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
-        model = pcr_fit(nipals_fit(spectra, 2), conc)
-        cut = truncate_pcr(model, 2)
-        assert cut is model
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 12), seed=st.integers(0, 2**16),
+           pipeline=st.sampled_from([
+               "identity", "snv", "savgol(7,2,0)", "derivative(1)",
+               "baseline_als(100000,0.01,10)|rnv(75)"]),
+           data=st.data())
+    def test_save_load_is_identity(self, n, seed, pipeline, data):
+        spectra, conc = tears_phantom(n, seed)
+        pc = data.draw(st.integers(1, n - 1), label="pc")
+        model = train_final(spectra, conc, parse_pipeline(pipeline), pc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(path, model)
+            again = load_model(path)
+        for field in dataclasses.fields(model):
+            trained = getattr(model, field.name)
+            loaded = getattr(again, field.name)
+            if isinstance(trained, np.ndarray):
+                assert loaded.dtype == trained.dtype, field.name
+                assert np.array_equal(loaded, trained), field.name
+            else:
+                assert loaded == trained, field.name

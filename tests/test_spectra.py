@@ -157,7 +157,7 @@ def eight_row_csv(path, cells):
 
 
 def load_error(path):
-    with pytest.raises((NonFiniteValue, RaggedRows)) as info:
+    with pytest.raises((NonFiniteValue, RaggedRows, NonmonotonicAxis)) as info:
         load_spectra(path)
     return type(info.value), str(info.value)
 
@@ -211,6 +211,21 @@ class TestLoadSpectraErrors:
         eight_row_csv(f, {r: f"{r},{r},{r}" for r in range(2, 10)})
         assert load_error(f) == (
             RaggedRows, f"{f}: row 2 has 3 cells, expected 2")
+
+    def test_decreasing_axis_names_file_row(self, tmp_path):
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, {2: "400,1", 3: "300,1"})
+        assert load_error(f) == (
+            NonmonotonicAxis,
+            f"{f}: row 3, axis: not strictly increasing (400 -> 300)")
+
+    @pytest.mark.parametrize("rows", [0, 3], ids=["header_only", "three_rows"])
+    def test_short_axis_names_file(self, tmp_path, rows):
+        f = tmp_path / "s.csv"
+        f.write_text("wavenumber_cm-1,a\n"
+                     + "".join(f"{r},1\n" for r in range(rows)))
+        assert load_error(f) == (
+            RaggedRows, f"{f}: axis must have at least 8 channels, got {rows}")
 
     def test_oversized_cell(self, tmp_path):
         f = tmp_path / "s.csv"
