@@ -9,7 +9,6 @@ statistical significance.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -85,17 +84,6 @@ def _typed_setting(args, config: dict, key: str, default, kind, what: str,
     return value
 
 
-def _file_digest(path) -> str:
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(65536), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return h.hexdigest()
-
-
 def _load_pair(spectra_path, conc_path):
     spectra = load_spectra(spectra_path)
     conc = load_concentrations(conc_path, labels=spectra.labels)
@@ -124,8 +112,7 @@ def cmd_synth(args, config) -> int:
     recipe_cfg = config.get("recipe")
     if recipe_cfg:
         recipe = synth.recipe_from_dict(recipe_cfg, seed)
-        ranges = synth.conc_ranges_from_dict(recipe_cfg)
-        conc = synth.phantom_concentrations(recipe, n, seed, ranges)
+        conc = synth.phantom_concentrations(recipe, n)
         spectra = synth.generate(recipe, conc)
     else:
         spectra, conc = synth.tears_phantom(n, seed)
@@ -180,8 +167,8 @@ def cmd_select(args, config) -> int:
     inputs = {
         "spectra": str(args.spectra),
         "concentrations": str(args.concentrations),
-        "spectra_sha256": _file_digest(args.spectra),
-        "concentrations_sha256": _file_digest(args.concentrations),
+        "spectra_sha256": spectra.source_sha256,
+        "concentrations_sha256": conc.source_sha256,
         "dataset_digest": dataset_digest(spectra, conc),
         "i": spectra.n_spectra,
         "j": spectra.n_channels,

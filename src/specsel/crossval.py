@@ -102,7 +102,7 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         held = (reduced[list(folds), None, :] - mean) @ vt.transpose(0, 2, 1)
         y_mean = conc.matrix.T[train].mean(axis=1, keepdims=True)
         fits = u.transpose(0, 2, 1) @ (conc.matrix.T[train] - y_mean)
-        kept = rank_cut(singulars, k_possible)[0]
+        kept = rank_cut(singulars, k_possible)
         for b, n in enumerate(folds):
             label = processed.labels[n]
             k_have = int(kept[b])

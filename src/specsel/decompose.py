@@ -25,29 +25,28 @@ class PcaModel:
     """Centered decomposition X = scores @ loadings.T + residual.
 
     loadings columns are unit-norm and mutually orthogonal; each column's
-    largest-magnitude entry is positive so refits are bit-comparable.
-    ``rank_deficient`` is set when the residual ran out before the requested
-    component count was reached (fewer components, not an error).
+    largest-magnitude entry is positive so refits are bit-comparable. A set
+    whose rank runs out first gives fewer components than asked for.
     """
 
     axis: np.ndarray
     mean_spectrum: np.ndarray
     loadings: np.ndarray            # j x k
     scores: np.ndarray              # i x k
-    explained_variance: np.ndarray  # k
-    residual_fro: float
-    rank_deficient: bool = False
 
     @property
     def n_components(self) -> int:
         return self.loadings.shape[1]
 
 
-def _fix_sign(loading: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    peak = int(np.argmax(np.abs(loading)))
-    if loading[peak] < 0:
-        return -loading, -score
-    return loading, score
+def _signed_model(spectra: SpectraSet, mean_spectrum: np.ndarray,
+                  loadings: np.ndarray, scores: np.ndarray) -> PcaModel:
+    """PcaModel with each loading's largest-magnitude entry made positive,
+    flipping its scores with it (the sign convention of both fits)."""
+    n = loadings.shape[1]
+    signs = np.sign(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(n)])
+    return PcaModel(spectra.axis, mean_spectrum,
+                    np.ascontiguousarray(loadings * signs), scores * signs)
 
 
 def _check_order(spectra: SpectraSet, k: int) -> None:
@@ -59,40 +58,25 @@ def _check_order(spectra: SpectraSet, k: int) -> None:
         )
 
 
-def rank_cut(singulars: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def rank_cut(singulars: np.ndarray, k: int) -> np.ndarray:
     """From descending singular values along the last axis: how many of the
     leading k components leave a residual of at least RANK_EPS x max(norm, 1)
-    before them, and the residual norms tail[..., c] after c components."""
+    before them."""
     tail = np.sqrt(np.cumsum(singulars[..., ::-1] ** 2, axis=-1)[..., ::-1])
-    tail = np.concatenate([tail, np.zeros_like(tail[..., :1])], axis=-1)
     return np.sum(tail[..., :k] >= RANK_EPS * np.maximum(tail[..., :1], 1.0),
-                  axis=-1), tail
+                  axis=-1)
 
 
 def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
-    """Leading k principal components of the centered set, from one SVD.
-
-    Rank cut (RANK_EPS, rank_deficient) and sign convention match nipals_fit.
-    """
+    """Leading k principal components of the centered set, from one SVD;
+    rank cut (RANK_EPS) and sign convention as in nipals_fit."""
     _check_order(spectra, k)
     mean_spectrum = spectra.matrix.mean(axis=0)
-    centered = spectra.matrix - mean_spectrum
-    total_ss = float(np.sum(centered * centered))
-    u, singulars, vt = np.linalg.svd(centered, full_matrices=False)
-    kept, tail = rank_cut(singulars, k)
-    n = int(kept)
-    loadings = vt[:n].T
-    signs = np.sign(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(n)])
-    explained = singulars[:n] ** 2 / total_ss if total_ss > 0 else np.zeros(n)
-    return PcaModel(
-        axis=spectra.axis,
-        mean_spectrum=mean_spectrum,
-        loadings=np.ascontiguousarray(loadings * signs),
-        scores=u[:, :n] * (singulars[:n] * signs),
-        explained_variance=explained,
-        residual_fro=float(tail[n]),
-        rank_deficient=n < k,
-    )
+    u, singulars, vt = np.linalg.svd(spectra.matrix - mean_spectrum,
+                                     full_matrices=False)
+    n = int(rank_cut(singulars, k))
+    return _signed_model(spectra, mean_spectrum, vt[:n].T,
+                         u[:, :n] * singulars[:n])
 
 
 def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
@@ -102,7 +86,7 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
     Raises NoConvergence if a component fails to settle within max_iter
     iterations. If the residual norm falls below RANK_EPS relative to the
     centered matrix before k components are found, the model keeps the
-    components found so far and is flagged rank_deficient.
+    components found so far.
     """
     _check_order(spectra, k)
     i, j = spectra.matrix.shape
@@ -113,18 +97,14 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
 
     mean_spectrum = spectra.matrix.mean(axis=0)
     residual = spectra.matrix - mean_spectrum
-    total_ss = float(np.sum(residual * residual))
-    norm0 = np.sqrt(total_ss)
+    norm0 = np.sqrt(float(np.sum(residual * residual)))
 
     loadings = np.zeros((j, k))
     scores = np.zeros((i, k))
-    explained = np.zeros(k)
-    rank_deficient = False
     n_done = 0
 
     for comp in range(k):
         if np.linalg.norm(residual) < RANK_EPS * max(norm0, 1.0):
-            rank_deficient = True
             break
         t = residual[:, int(np.argmax(residual.var(axis=0)))].copy()
         converged = False
@@ -143,22 +123,14 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
                 f"iterations (tol {tol:g})",
                 component=comp + 1,
             )
-        p, t = _fix_sign(p, t)
+        # deflation is sign-blind, so the sign is fixed once at the end
         residual = residual - np.outer(t, p)
         loadings[:, comp] = p
         scores[:, comp] = t
-        explained[comp] = (t @ t) / total_ss if total_ss > 0 else 0.0
         n_done += 1
 
-    return PcaModel(
-        axis=spectra.axis,
-        mean_spectrum=mean_spectrum,
-        loadings=loadings[:, :n_done],
-        scores=scores[:, :n_done],
-        explained_variance=explained[:n_done],
-        residual_fro=float(np.linalg.norm(residual)),
-        rank_deficient=rank_deficient,
-    )
+    return _signed_model(spectra, mean_spectrum, loadings[:, :n_done],
+                         scores[:, :n_done])
 
 
 def project(model, new_set: SpectraSet) -> np.ndarray:

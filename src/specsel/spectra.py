@@ -12,6 +12,7 @@ files, reports and configs are JSON, read by ``read_json`` and written by
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,6 +74,19 @@ def _check_axis(axis: np.ndarray, path=None) -> None:
             f"{where} ({axis[bad]:.9g} -> {axis[bad + 1]:.9g})")
 
 
+def _check_nonnegative(matrix: np.ndarray, species: Sequence[str], path=None,
+                       samples: Sequence[str] | None = None) -> None:
+    """Refuse a negative concentration; with ``path``, name the file, and
+    with ``samples`` (the file's labels), the sample instead of its column."""
+    if np.any(matrix < 0):
+        r, c = np.argwhere(matrix < 0)[0]
+        where = (f"sample column {int(c)}" if samples is None
+                 else f"sample {samples[c]!r}")
+        raise NegativeConcentration(
+            f"{'' if path is None else f'{path}: '}negative concentration "
+            f"{matrix[r, c]:.9g} for species {species[r]!r}, {where}")
+
+
 def _frozen_array(arr: np.ndarray, order: str = "K") -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True, order=order)
     out.setflags(write=False)
@@ -86,6 +100,8 @@ class SpectraSet:
     axis: np.ndarray
     matrix: np.ndarray
     labels: tuple[str, ...]
+    # sha256 of the file bytes parsed; empty for a set built in memory
+    source_sha256: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         axis = _as_float_vector(self.axis, "axis")
@@ -140,6 +156,8 @@ class ConcentrationSet:
     matrix: np.ndarray
     species: tuple[str, ...]
     units: tuple[str, ...] = field(default=())
+    # sha256 of the file bytes parsed; empty for a set built in memory
+    source_sha256: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
@@ -157,12 +175,7 @@ class ConcentrationSet:
             raise RaggedRows(f"{len(units)} units for {len(species)} species")
         if not np.all(np.isfinite(matrix)):
             raise NonFiniteValue("non-finite concentration value")
-        if np.any(matrix < 0):
-            r, c = np.argwhere(matrix < 0)[0]
-            raise NegativeConcentration(
-                f"negative concentration {matrix[r, c]:.9g} for species "
-                f"{species[int(r)]!r}, sample column {int(c)}"
-            )
+        _check_nonnegative(matrix, species)
         # C order, as in SpectraSet: a CSV body is Fortran-ordered, and a
         # fit's mean over samples must sum in one order from every source
         object.__setattr__(self, "matrix", _frozen_array(matrix, order="C"))
@@ -186,15 +199,26 @@ class ConcentrationSet:
 # one reader and one writer per file format, so a file that cannot be read
 # or written always ends in IoFailure
 
-def _read_csv(path, lead: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path, lead: Sequence[str]
+              ) -> tuple[list[str], list[list[str]], str]:
     """Read a CSV whose header is the ``lead`` cells, then sample labels.
 
-    Returns the labels and the body rows. Header cells are stripped; at
-    least one sample label must follow ``lead``, and none twice.
+    Returns the labels, the body rows and the sha256 of the bytes parsed.
+    Header cells are stripped; at least one sample label must follow
+    ``lead``, and none twice.
     """
+    digest = hashlib.sha256()
+
+    def hashed(lines):
+        # newline="" keeps each line's ending and the decoding is strict, so
+        # re-encoding every line gives back exactly the file's bytes
+        for line in lines:
+            digest.update(line.encode("utf-8"))
+            yield line
+
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            rows = list(csv.reader(hashed(fh)))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -212,7 +236,7 @@ def _read_csv(path, lead: Sequence[str]) -> tuple[list[str], list[list[str]]]:
     if len(set(labels)) != len(labels):
         dup = sorted({x for x in labels if labels.count(x) > 1})
         raise LabelMismatch(f"{path}: duplicate sample labels {dup}")
-    return labels, rows[1:]
+    return labels, rows[1:], digest.hexdigest()
 
 
 def _parse_body(path, body: list[list[str]], lead: int,
@@ -254,11 +278,11 @@ def _parse_body(path, body: list[list[str]], lead: int,
 
 def load_spectra(path) -> SpectraSet:
     """Read a wide CSV of spectra; column order becomes sample order."""
-    labels, body = _read_csv(path, [AXIS_HEADER])
+    labels, body, sha256 = _read_csv(path, [AXIS_HEADER])
     table = _parse_body(path, body, 0,
                         ["axis", *(f"column {x!r}" for x in labels)])
     _check_axis(table[:, 0], path)
-    return SpectraSet(table[:, 0], table[:, 1:].T, tuple(labels))
+    return SpectraSet(table[:, 0], table[:, 1:].T, tuple(labels), sha256)
 
 
 def _check_header_labels(path, labels: Sequence[str],
@@ -320,19 +344,14 @@ def load_concentrations(path, labels: Sequence[str] | None = None) -> Concentrat
     label and a LabelMismatch is raised if the two sets differ; without it
     the file order is kept.
     """
-    file_labels, body = _read_csv(path, ["species", "unit"])
+    file_labels, body, sha256 = _read_csv(path, ["species", "unit"])
     if not body:
         raise IoFailure(f"{path}: no species rows after the header")
     data = _parse_body(path, body, 2,
                        [f"sample {x!r}" for x in file_labels])
     species = tuple(row[0].strip() for row in body)
     units = tuple(row[1].strip() for row in body)
-    if np.any(data < 0):
-        r, c = np.argwhere(data < 0)[0]
-        raise NegativeConcentration(
-            f"{path}: negative concentration {data[r, c]:.9g} for species "
-            f"{species[r]!r}, sample {file_labels[c]!r}"
-        )
+    _check_nonnegative(data, species, path, file_labels)
     if labels is not None:
         wanted = [str(x) for x in labels]
         missing = [x for x in wanted if x not in file_labels]
@@ -344,7 +363,7 @@ def load_concentrations(path, labels: Sequence[str] | None = None) -> Concentrat
             )
         order = [file_labels.index(x) for x in wanted]
         data = data[:, order]
-    return ConcentrationSet(data, species, units)
+    return ConcentrationSet(data, species, units, sha256)
 
 
 def save_concentrations(path, conc: ConcentrationSet,

@@ -23,12 +23,14 @@ from .spectra import ConcentrationSet, SpectraSet
 
 @dataclass(frozen=True)
 class SpeciesSpec:
-    """One analyte: a set of Lorentzian peaks scaled per unit concentration."""
+    """One analyte: Lorentzian peaks scaled per unit concentration, and the
+    (lo, hi) range its phantom concentrations are drawn uniformly from."""
 
     name: str
     peaks: tuple[tuple[float, float, float], ...]  # (center cm-1, hwhm cm-1, amplitude)
     response_coeff: float = 1.0
     unit: str = "mg/mL"
+    conc_range: tuple[float, float] = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,7 @@ def generate(recipe: SynthRecipe, conc: ConcentrationSet) -> SpectraSet:
 
 # --- tear-fluid phantom -------------------------------------------------------
 
-# physiological concentration ranges of the phantom's species, in mg/mL
-TEARS_CONC_RANGES = {"glucose": (0.0, 1.0), "lysozyme": (0.0, 10.0)}
-
+# the phantom's species, with physiological concentration ranges in mg/mL
 _TEARS_SPECIES = (
     SpeciesSpec(
         name="glucose",
@@ -155,6 +155,7 @@ _TEARS_SPECIES = (
                (1125.0, 11.0, 0.7), (1365.0, 14.0, 0.5)),
         response_coeff=1.0,
         unit="mg/mL",
+        conc_range=(0.0, 1.0),
     ),
     SpeciesSpec(
         name="lysozyme",
@@ -162,6 +163,7 @@ _TEARS_SPECIES = (
                (1450.0, 16.0, 0.7), (1660.0, 20.0, 0.8)),
         response_coeff=0.12,
         unit="mg/mL",
+        conc_range=(0.0, 10.0),
     ),
 )
 
@@ -192,7 +194,7 @@ def tears_phantom(n: int, seed: int = 0) -> tuple[SpectraSet, ConcentrationSet]:
     if n < 4:
         raise SpecselError(f"phantom set needs at least 4 spectra, got {n}")
     recipe = tears_recipe(seed)
-    conc = phantom_concentrations(recipe, n, seed, TEARS_CONC_RANGES)
+    conc = phantom_concentrations(recipe, n)
     return generate(recipe, conc), conc
 
 
@@ -239,6 +241,8 @@ def _species_from_dict(cfg, what: str) -> SpeciesSpec:
         response_coeff=_number(cfg.get("response_coeff", 1.0),
                                f"{what} response_coeff"),
         unit=str(cfg.get("unit", "mg/mL")),
+        conc_range=_numbers(cfg.get("conc_range", (0.0, 1.0)),
+                            f"{what} conc_range", 2),
     )
 
 
@@ -247,9 +251,10 @@ def recipe_from_dict(cfg, seed: int) -> SynthRecipe:
 
     Keys are SynthRecipe's fields, optional with the same defaults, except
     ``species``: a non-empty list of objects with ``name`` and ``peaks`` (a
-    list of [center, hwhm, amplitude]) and optional ``response_coeff`` and
-    ``unit``. ``baseline`` is an object with BaselineSpec's fields. A
-    missing or malformed entry raises SpecselError naming it.
+    list of [center, hwhm, amplitude]) and optional ``response_coeff``,
+    ``unit`` and ``conc_range``. ``baseline`` is an object with
+    BaselineSpec's fields. A missing or malformed entry raises SpecselError
+    naming it.
     """
     cfg = _mapping(cfg, "recipe")
     species_cfg = cfg.get("species")
@@ -287,29 +292,13 @@ def recipe_from_dict(cfg, seed: int) -> SynthRecipe:
     )
 
 
-def conc_ranges_from_dict(cfg) -> dict[str, tuple[float, float]]:
-    """Per-species ``conc_range`` entries of a recipe mapping, by name.
-
-    Call after recipe_from_dict, which has checked the species list.
-    """
-    return {str(s["name"]): _numbers(s["conc_range"],
-                                     f"recipe species {n} conc_range", 2)
-            for n, s in enumerate(cfg.get("species", [])) if "conc_range" in s}
-
-
-def phantom_concentrations(recipe: SynthRecipe, n: int, seed: int,
-                           ranges: dict[str, tuple[float, float]]
-                           ) -> ConcentrationSet:
-    """n uniform concentration draws per recipe species, in ``ranges``.
-
-    A species without a range draws from [0, 1). tears_phantom draws its
-    concentrations here too.
-    """
+def phantom_concentrations(recipe: SynthRecipe, n: int) -> ConcentrationSet:
+    """n uniform draws per recipe species on its conc_range, from the
+    recipe's seed; tears_phantom draws its concentrations here too."""
     if n < 1:
         raise SpecselError(f"phantom set needs at least 1 spectrum, got {n}")
-    rng = _rng(seed, CONC_STREAM)
-    rows = [rng.uniform(*ranges.get(s.name, (0.0, 1.0)), n)
-            for s in recipe.species]
+    rng = _rng(recipe.seed, CONC_STREAM)
+    rows = [rng.uniform(*s.conc_range, n) for s in recipe.species]
     return ConcentrationSet(
         np.vstack(rows),
         species=tuple(s.name for s in recipe.species),

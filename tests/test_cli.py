@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 
 import numpy as np
@@ -248,6 +250,37 @@ class TestSelect:
         assert payload["chosen_pc"] == 3
         assert payload["chosen_significant"] is True
         assert payload["inputs"]["i"] == 10
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"],
+                             ids=["crlf", "lf", "cr"])
+    def test_report_digests_the_bytes_parsed(self, mixture_files, tmp_path,
+                                             monkeypatch, newline):
+        spath, cpath, *_ = mixture_files
+        for path in (spath, cpath):
+            written = path.read_bytes()
+            assert b"\r\n" in written  # the CSV writer ends rows with CRLF
+            path.write_bytes(written.replace(b"\r\n", newline.encode()))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        out = tmp_path / "report.json"
+        code = main(["select", "--spectra", str(spath),
+                     "--concentrations", str(cpath),
+                     "--candidate", "identity", "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 0
+        assert opened.count(str(spath)) == 1
+        assert opened.count(str(cpath)) == 1
+        inputs = json.loads(out.read_text())["inputs"]
+        assert (inputs["spectra_sha256"]
+                == hashlib.sha256(spath.read_bytes()).hexdigest())
+        assert (inputs["concentrations_sha256"]
+                == hashlib.sha256(cpath.read_bytes()).hexdigest())
 
     def test_iid_noise_exit_3(self, tmp_path):
         # pure noise: no pipeline can make PC count matter

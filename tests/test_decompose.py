@@ -20,6 +20,25 @@ def svd_loadings(matrix, k):
     return v
 
 
+def svd_tail(matrix, k):
+    """Oracle: norm of the centered matrix past its k leading components."""
+    centered = matrix - matrix.mean(axis=0)
+    return np.sqrt(np.sum(np.linalg.svd(centered, compute_uv=False)[k:] ** 2))
+
+
+def explained_variance(model, matrix):
+    """Share of the centered set's sum of squares that each component's
+    scores carry."""
+    centered = matrix - model.mean_spectrum
+    return np.sum(model.scores ** 2, axis=0) / np.sum(centered * centered)
+
+
+def residual_norm(model, matrix):
+    """Frobenius norm of what the model leaves of the centered set."""
+    centered = matrix - model.mean_spectrum
+    return np.linalg.norm(centered - model.scores @ model.loadings.T)
+
+
 class TestNipalsFit:
     def test_rank_one_matrix(self):
         rng = np.random.default_rng(0)
@@ -28,8 +47,8 @@ class TestNipalsFit:
         ss = SpectraSet(np.arange(40.0), np.outer(t, p),
                         tuple(f"s{n}" for n in range(6)))
         model = nipals_fit(ss, 1)
-        assert model.explained_variance[0] > 1.0 - 1e-10
-        assert model.residual_fro < 1e-8 * np.linalg.norm(ss.matrix)
+        assert explained_variance(model, ss.matrix)[0] > 1.0 - 1e-10
+        assert residual_norm(model, ss.matrix) < 1e-8 * np.linalg.norm(ss.matrix)
 
     def test_matches_svd_oracle(self):
         ss = random_spectra_set(i=8, j=50, seed=1)
@@ -39,7 +58,7 @@ class TestNipalsFit:
     def test_full_rank_explains_everything(self):
         ss = random_spectra_set(i=6, j=30, seed=2)
         model = nipals_fit(ss, 5, max_iter=50000)
-        assert model.explained_variance.sum() > 1.0 - 1e-10
+        assert explained_variance(model, ss.matrix).sum() > 1.0 - 1e-10
 
     def test_invariants(self):
         ss = random_spectra_set(i=10, j=80, seed=3)
@@ -50,12 +69,12 @@ class TestNipalsFit:
         tt = model.scores.T @ model.scores
         off = tt - np.diag(np.diag(tt))
         assert np.abs(off).max() < 1e-8 * np.diag(tt).max()
-        assert np.all(np.diff(model.explained_variance) <= 1e-12)
-        assert np.all(model.explained_variance >= 0)
-        assert model.explained_variance.sum() <= 1.0 + 1e-12
-        centered = ss.matrix - ss.matrix.mean(axis=0)
-        recon = np.linalg.norm(centered - model.scores @ model.loadings.T)
-        assert abs(recon - model.residual_fro) < 1e-8 * max(recon, 1.0)
+        explained = explained_variance(model, ss.matrix)
+        assert np.all(np.diff(explained) <= 1e-12)
+        assert np.all(explained >= 0)
+        assert explained.sum() <= 1.0 + 1e-12
+        recon = residual_norm(model, ss.matrix)
+        assert abs(recon - svd_tail(ss.matrix, k)) < 1e-8 * max(recon, 1.0)
 
     def test_sign_convention(self):
         ss = random_spectra_set(i=7, j=33, seed=4)
@@ -80,7 +99,6 @@ class TestNipalsFit:
         ss = SpectraSet(np.arange(30.0), weights @ low,
                         tuple(f"s{n}" for n in range(8)))
         model = nipals_fit(ss, 6)
-        assert model.rank_deficient
         assert model.n_components == 2
 
     def test_bad_k(self):
@@ -119,20 +137,21 @@ class TestPcaFit:
         iterative = nipals_fit(ss, 5, tol=1e-12, max_iter=20000)
         assert np.abs(dense.loadings - iterative.loadings).max() < 1e-8
         assert np.abs(dense.scores - iterative.scores).max() < 1e-8
-        assert_allclose(dense.explained_variance,
-                        iterative.explained_variance, rtol=0, atol=1e-12)
-        assert abs(dense.residual_fro - iterative.residual_fro) < 1e-8
+        assert_allclose(explained_variance(dense, ss.matrix),
+                        explained_variance(iterative, ss.matrix),
+                        rtol=0, atol=1e-12)
+        assert abs(residual_norm(dense, ss.matrix)
+                   - residual_norm(iterative, ss.matrix)) < 1e-8
         assert np.abs(dense.loadings - svd_loadings(ss.matrix, 5)).max() < 1e-8
 
     def test_invariants(self):
         ss = random_spectra_set(i=10, j=80, seed=3)
         model = pca_fit(ss, 6)
         assert np.abs(model.loadings.T @ model.loadings - np.eye(6)).max() < 1e-12
-        centered = ss.matrix - ss.matrix.mean(axis=0)
-        recon = np.linalg.norm(centered - model.scores @ model.loadings.T)
-        assert abs(recon - model.residual_fro) < 1e-10 * recon
-        assert np.all(np.diff(model.explained_variance) <= 0)
-        assert not model.rank_deficient
+        recon = residual_norm(model, ss.matrix)
+        assert abs(recon - svd_tail(ss.matrix, 6)) < 1e-10 * recon
+        assert np.all(np.diff(explained_variance(model, ss.matrix)) <= 0)
+        assert model.n_components == 6
 
     def test_sign_convention(self):
         ss = random_spectra_set(i=7, j=33, seed=4)
@@ -156,9 +175,8 @@ class TestPcaFit:
         ss = SpectraSet(np.arange(30.0), weights @ low,
                         tuple(f"s{n}" for n in range(8)))
         model = pca_fit(ss, 6)
-        assert model.rank_deficient
         assert model.n_components == 2
-        assert model.residual_fro < 1e-10 * np.linalg.norm(ss.matrix)
+        assert residual_norm(model, ss.matrix) < 1e-10 * np.linalg.norm(ss.matrix)
 
     def test_bad_k(self):
         ss = random_spectra_set(i=5, j=20, seed=7)

@@ -72,9 +72,7 @@ class TestPcrFit:
         crushed = type(pca)(
             axis=pca.axis, mean_spectrum=pca.mean_spectrum,
             loadings=pca.loadings,
-            scores=np.column_stack([pca.scores[:, 0], pca.scores[:, 0] * 1e-9]),
-            explained_variance=pca.explained_variance,
-            residual_fro=pca.residual_fro)
+            scores=np.column_stack([pca.scores[:, 0], pca.scores[:, 0] * 1e-9]))
         conc = ConcentrationSet(np.ones((1, 7)), ("a",), ("u",))
         with pytest.raises(SingularScores):
             pcr_fit(crushed, conc)

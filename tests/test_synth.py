@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specsel.errors import RecipeSpeciesMismatch, SpecselError
@@ -9,7 +12,6 @@ from specsel.synth import (
     BaselineSpec,
     SpeciesSpec,
     SynthRecipe,
-    conc_ranges_from_dict,
     generate,
     phantom_concentrations,
     recipe_from_dict,
@@ -98,6 +100,8 @@ class TestTearsPhantom:
         spectra, conc = tears_phantom(40, seed=1)
         assert spectra.n_spectra == 40
         assert conc.species == ("glucose", "lysozyme")
+        assert [s.conc_range for s in tears_recipe().species] == [(0.0, 1.0),
+                                                                  (0.0, 10.0)]
         glucose, lysozyme = conc.matrix
         assert np.all((glucose >= 0.0) & (glucose <= 1.0))
         assert np.all((lysozyme >= 0.0) & (lysozyme <= 10.0))
@@ -153,7 +157,8 @@ class TestRecipeFromDict:
         assert recipe == SynthRecipe(
             axis_start=400.0, axis_stop=1000.0, axis_step=2.0,
             species=(
-                SpeciesSpec("analyte", ((600.0, 10.0, 1.0), (850.0, 12.0, 0.6))),
+                SpeciesSpec("analyte", ((600.0, 10.0, 1.0), (850.0, 12.0, 0.6)),
+                            conc_range=(0.0, 2.0)),
                 SpeciesSpec("other", ((700.0, 5.0, 2.0),), 3.0, "%"),
             ),
             baseline=BaselineSpec("exp_decay", (3.0, 500.0), (0.8, 1.2)),
@@ -163,9 +168,9 @@ class TestRecipeFromDict:
 
     def test_concentration_ranges(self):
         recipe = recipe_from_dict(self.CONFIG, seed=4)
-        ranges = conc_ranges_from_dict(self.CONFIG)
-        assert ranges == {"analyte": (0.0, 2.0)}
-        conc = phantom_concentrations(recipe, 50, 4, ranges)
+        assert [s.conc_range for s in recipe.species] == [(0.0, 2.0),
+                                                          (0.0, 1.0)]
+        conc = phantom_concentrations(recipe, 50)
         assert conc.species == ("analyte", "other")
         assert conc.units == ("mg/mL", "%")
         assert conc.matrix[0].max() > 1.0 and conc.matrix[0].max() < 2.0
@@ -194,4 +199,36 @@ class TestRecipeFromDict:
         with pytest.raises(SpecselError,
                            match="recipe species 0 conc_range must be a "
                                  "finite number"):
-            conc_ranges_from_dict(cfg)
+            recipe_from_dict(cfg, seed=0)
+
+
+def ranged_recipe(bounds, seed):
+    """A peakless recipe whose species k draws from bounds[k]."""
+    return SynthRecipe(species=tuple(
+        SpeciesSpec(f"sp{k}", (), conc_range=b) for k, b in enumerate(bounds)),
+        seed=seed)
+
+
+class TestPhantomConcentrations:
+    # numpy's uniform returns hi when lo + (hi - lo) * u rounds up, with
+    # odds of about ulp(hi) / (hi - lo) per draw; widths of at least 1e-3
+    # keep those odds below 1e-11
+    BOUNDS = st.lists(
+        st.tuples(st.floats(0.0, 100.0), st.floats(1e-3, 100.0)).map(
+            lambda lw: (lw[0], lw[0] + lw[1])), min_size=1, max_size=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bounds=BOUNDS, n=st.integers(1, 50), seed=st.integers(0, 2**32),
+           other=st.integers(0, 2**32))
+    def test_draws_follow_recipe(self, bounds, n, seed, other):
+        recipe = ranged_recipe(bounds, seed)
+        conc = phantom_concentrations(recipe, n)
+        assert conc.matrix.shape == (len(bounds), n)
+        for row, (lo, hi) in zip(conc.matrix, bounds):
+            assert np.all((row >= lo) & (row < hi))
+        again = phantom_concentrations(ranged_recipe(bounds, seed), n)
+        assert np.array_equal(again.matrix, conc.matrix)
+        if other != seed:
+            moved = phantom_concentrations(
+                dataclasses.replace(recipe, seed=other), n)
+            assert not np.array_equal(moved.matrix, conc.matrix)
