@@ -275,6 +275,15 @@ def select_optimal_pc(press_matrix, alpha: float = 0.05,
     mean-PRESS rank and the pairwise-p rank, ties going to fewer
     components. Non-significant case: the column with the smallest PRESS
     sum, plus an alert that the preprocessing treatment looks unsuitable.
+
+    The rule that runs is simpler than it reads. Every pairwise test is
+    against the same worst column with the same df, so when every column
+    has the same number of valid folds p rises with the column mean: the
+    pairwise-p rank equals the mean-PRESS rank, and the pick is the
+    smallest mean PRESS on the short list. Pairwise p-values that
+    underflow to 0.0 tie, and the stable rank gives those ties to fewer
+    components, so among them the pick can fall on fewer components than
+    the smallest mean.
     """
     anova = anova_oneway(press_matrix, alpha=alpha, log_transform=log_transform)
     raw = _press_values(press_matrix)

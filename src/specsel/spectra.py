@@ -7,12 +7,20 @@ spectrum. Concentrations travel in a species-per-row CSV whose header is
 written back in shortest-round-trip form, so save/load is exact. Model
 files, reports and configs are JSON, read by ``read_json`` and written by
 ``write_json``.
+
+A CSV's cells are parsed as the file is read, in chunks of about
+``CHUNK_CELLS`` cells, so the file never sits in memory as one Python
+string per cell. Errors come in file order: the header's, then each
+chunk's, where a read failure anywhere in the chunk wins over its first
+bad row (whose width is checked before its cells). The axis and sign
+checks, which need the whole table, come last.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +41,8 @@ from .errors import (
 
 AXIS_HEADER = "wavenumber_cm-1"
 MIN_CHANNELS = 8
+# cells parsed per numpy call while a CSV is read
+CHUNK_CELLS = 1 << 16
 
 
 def _fmt(value: float) -> str:
@@ -199,13 +209,15 @@ class ConcentrationSet:
 # one reader and one writer per file format, so a file that cannot be read
 # or written always ends in IoFailure
 
-def _read_csv(path, lead: Sequence[str]
-              ) -> tuple[list[str], list[list[str]], str]:
+def _read_csv(path, lead: Sequence[str], names
+              ) -> tuple[list[str], np.ndarray, list[list[str]], str]:
     """Read a CSV whose header is the ``lead`` cells, then sample labels.
 
-    Returns the labels, the body rows and the sha256 of the bytes parsed.
-    Header cells are stripped; at least one sample label must follow
-    ``lead``, and none twice.
+    Returns the labels; a float table with one column per entry of
+    ``names(labels)``, parsed from each row's last cells as the rows are
+    read; each row's leading text cells, stripped; and the sha256 of the
+    bytes parsed. Header cells are stripped; at least one sample label must
+    follow ``lead``, and none twice.
     """
     digest = hashlib.sha256()
 
@@ -218,39 +230,57 @@ def _read_csv(path, lead: Sequence[str]
 
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(hashed(fh)))
+            rows = csv.reader(hashed(fh))
+            header = next(rows, None)
+            if header is None:
+                raise IoFailure(f"{path}: empty file")
+            header = [cell.strip() for cell in header]
+            lead_text = ",".join(lead)
+            if header[:len(lead)] != list(lead):
+                raise IoFailure(
+                    f"{path}: header must start with {lead_text!r}, got "
+                    f"{','.join(header[:len(lead)])!r}"
+                )
+            labels = header[len(lead):]
+            if not labels:
+                raise IoFailure(
+                    f"{path}: no sample columns after {lead_text!r}")
+            if len(set(labels)) != len(labels):
+                dup = sorted({x for x in labels if labels.count(x) > 1})
+                raise LabelMismatch(f"{path}: duplicate sample labels {dup}")
+            columns = names(labels)
+            text = len(header) - len(columns)
+            size = max(1, CHUNK_CELLS // len(header))
+            chunks, texts = [], []
+            for first in itertools.count(2, size):
+                body = list(itertools.islice(rows, size))
+                chunks.append(_parse_body(path, body, text, columns, first))
+                # a chunk is freed before the next is read, and an object
+                # kept from it would pin the memory of its cell strings
+                if text:
+                    texts += ([cell.strip() for cell in row[:text]]
+                              for row in body)
+                if len(body) < size:
+                    break
+                del body
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise IoFailure(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    lead_text = ",".join(lead)
-    if header[:len(lead)] != list(lead):
-        raise IoFailure(
-            f"{path}: header must start with {lead_text!r}, got "
-            f"{','.join(header[:len(lead)])!r}"
-        )
-    labels = header[len(lead):]
-    if not labels:
-        raise IoFailure(f"{path}: no sample columns after {lead_text!r}")
-    if len(set(labels)) != len(labels):
-        dup = sorted({x for x in labels if labels.count(x) > 1})
-        raise LabelMismatch(f"{path}: duplicate sample labels {dup}")
-    return labels, rows[1:], digest.hexdigest()
+    return labels, np.concatenate(chunks), texts, digest.hexdigest()
 
 
-def _parse_body(path, body: list[list[str]], lead: int,
-                names: Sequence[str]) -> np.ndarray:
-    """Parse the cells after each row's ``lead`` text cells as finite floats.
+def _parse_body(path, body: list[list[str]], text: int,
+                names: Sequence[str], first_row: int) -> np.ndarray:
+    """Parse the cells after each row's ``text`` cells as finite floats.
 
     The table has one row per body row and one column per entry of
-    ``names``, which name the columns in error messages.
+    ``names``, which name the columns in error messages; ``body[0]`` is
+    file row ``first_row``.
     """
     # one numpy conversion of the whole body; its str -> float parse accepts
     # exactly what float() accepts, and reshape fails unless every row has
     # the header's width. Without text columns the rows go in uncopied.
     try:
-        table = np.array([row[lead:] for row in body] if lead else body,
+        table = np.array([row[text:] for row in body] if text else body,
                          dtype=float).reshape(len(body), len(names))
         if np.isfinite(table).all():
             return table
@@ -258,29 +288,29 @@ def _parse_body(path, body: list[list[str]], lead: int,
         pass
     # replay cell by cell to raise the error met first in file order; within
     # a row the width is checked before the cells
-    width = lead + len(names)
-    for r, row in enumerate(body, start=2):
+    width = text + len(names)
+    for r, row in enumerate(body, start=first_row):
         if len(row) != width:
             raise RaggedRows(
                 f"{path}: row {r} has {len(row)} cells, expected {width}"
             )
-        for name, text in zip(names, row[lead:]):
+        for name, cell in zip(names, row[text:]):
             where = f"{path}: row {r}, {name}"
             try:
-                value = float(text)
+                value = float(cell)
             except ValueError as exc:
                 raise NonFiniteValue(
-                    f"{where}: cannot parse {text!r} as a number") from exc
+                    f"{where}: cannot parse {cell!r} as a number") from exc
             if not math.isfinite(value):
-                raise NonFiniteValue(f"{where}: non-finite value {text!r}")
+                raise NonFiniteValue(f"{where}: non-finite value {cell!r}")
     raise NonFiniteValue(f"{path}: cannot parse the table")
 
 
 def load_spectra(path) -> SpectraSet:
     """Read a wide CSV of spectra; column order becomes sample order."""
-    labels, body, sha256 = _read_csv(path, [AXIS_HEADER])
-    table = _parse_body(path, body, 0,
-                        ["axis", *(f"column {x!r}" for x in labels)])
+    labels, table, _, sha256 = _read_csv(
+        path, [AXIS_HEADER],
+        lambda labels: ["axis", *(f"column {x!r}" for x in labels)])
     _check_axis(table[:, 0], path)
     return SpectraSet(table[:, 0], table[:, 1:].T, tuple(labels), sha256)
 
@@ -344,13 +374,13 @@ def load_concentrations(path, labels: Sequence[str] | None = None) -> Concentrat
     label and a LabelMismatch is raised if the two sets differ; without it
     the file order is kept.
     """
-    file_labels, body, sha256 = _read_csv(path, ["species", "unit"])
-    if not body:
+    file_labels, data, texts, sha256 = _read_csv(
+        path, ["species", "unit"],
+        lambda labels: [f"sample {x!r}" for x in labels])
+    if not texts:
         raise IoFailure(f"{path}: no species rows after the header")
-    data = _parse_body(path, body, 2,
-                       [f"sample {x!r}" for x in file_labels])
-    species = tuple(row[0].strip() for row in body)
-    units = tuple(row[1].strip() for row in body)
+    species = tuple(row[0] for row in texts)
+    units = tuple(row[1] for row in texts)
     _check_nonnegative(data, species, path, file_labels)
     if labels is not None:
         wanted = [str(x) for x in labels]

@@ -235,14 +235,18 @@ def _species_from_dict(cfg, what: str) -> SpeciesSpec:
     peaks = cfg["peaks"]
     if not isinstance(peaks, list):
         raise SpecselError(f"{what} peaks must be a list, got {peaks!r}")
+    lo, hi = _numbers(cfg.get("conc_range", (0.0, 1.0)),
+                      f"{what} conc_range", 2)
+    if not 0.0 <= lo <= hi:
+        raise SpecselError(
+            f"{what} conc_range must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
     return SpeciesSpec(
         name=str(cfg["name"]),
         peaks=tuple(_numbers(peak, f"{what} peak", 3) for peak in peaks),
         response_coeff=_number(cfg.get("response_coeff", 1.0),
                                f"{what} response_coeff"),
         unit=str(cfg.get("unit", "mg/mL")),
-        conc_range=_numbers(cfg.get("conc_range", (0.0, 1.0)),
-                            f"{what} conc_range", 2),
+        conc_range=(lo, hi),
     )
 
 

@@ -127,7 +127,12 @@ class TestSynthCrossval:
         ({"species": [{"name": "g"}]}, "recipe species 0 has no 'peaks' entry"),
         ({"axis_step": "two", "species": [{"name": "g", "peaks": []}]},
          "recipe axis_step must be a finite number, got 'two'"),
-    ], ids=["missing_peaks", "axis_step"])
+        ({"species": [{"name": "g", "peaks": [], "conc_range": [2, 1]}]},
+         "recipe species 0 conc_range must satisfy 0 <= lo <= hi"),
+        ({"species": [{"name": "g", "peaks": [], "conc_range": [-1, 1]}]},
+         "recipe species 0 conc_range must satisfy 0 <= lo <= hi"),
+    ], ids=["missing_peaks", "axis_step", "conc_range_order",
+            "conc_range_negative"])
     def test_synth_malformed_recipe_exit_2(self, tmp_path, capsys, recipe,
                                            message):
         cfg = tmp_path / "cfg.json"

@@ -234,6 +234,35 @@ class TestSelectOptimalPc:
         verdict = select_optimal_pc(self.as_press(table), 0.05)
         assert_allclose(verdict.sum_press, table.sum(axis=0), rtol=1e-12)
 
+    @staticmethod
+    def ranks(values):
+        return np.argsort(np.argsort(values, kind="stable"), kind="stable")
+
+    def test_pairwise_p_rank_is_mean_rank(self):
+        # every pairwise test is against the worst column with the same df,
+        # so with equal fold counts p rises with the column mean
+        spread = np.linspace(-3.0, 3.0, 10)[:, None]
+        table = (np.array([10.0, 8.0, 7.0, 7.5, 6.0, 8.5])
+                 + spread * np.array([1.0, 1.3, 0.7, 1.1, 0.9, 1.2]))
+        verdict = select_optimal_pc(self.as_press(table), 0.05)
+        pcs = sorted(verdict.pairwise_p)
+        p = np.array([verdict.pairwise_p[k] for k in pcs])
+        means = verdict.anova.group_means[np.array(pcs) - 1]
+        assert len(pcs) >= 3 and np.all(p > 0.0) and len(set(p)) == len(p)
+        assert np.array_equal(self.ranks(p), self.ranks(means))
+        assert verdict.optimal_pc == pcs[int(np.argmin(means))]
+
+    def test_underflowed_p_ties_go_to_fewer_components(self):
+        # the p-values underflow to 0.0 and tie, and the stable rank orders
+        # them by component count: PC 2 (mean rank 1 + p rank 0) ties PC 3,
+        # the smallest mean (0 + 1), and wins with fewer components
+        table = (np.array([100.0, 2.5, 2.0, 3.0])
+                 + 1e-3 * np.linspace(-1.0, 1.0, 10)[:, None])
+        verdict = select_optimal_pc(self.as_press(table), 0.05)
+        assert verdict.pairwise_p == {2: 0.0, 3: 0.0, 4: 0.0}
+        assert int(np.argmin(verdict.anova.group_means)) + 1 == 3
+        assert verdict.optimal_pc == 2
+
     def test_verdict_invariant(self):
         # significant verdicts pick from the candidate set; fallbacks pick
         # the argmin PRESS sum

@@ -1,5 +1,7 @@
+import hashlib
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from specsel.spectra import (
     save_spectra,
 )
 
-from conftest import noiseless_mixtures
+from conftest import noiseless_mixtures, random_spectra_set
 
 
 def write_wide_csv(path, axis, columns, labels):
@@ -407,6 +409,112 @@ class TestLoadConcentrationsErrors:
         with pytest.raises(IoFailure, match=f"^cannot read {re.escape(str(f))}: "
                                             "field larger than field limit"):
             load_concentrations(f)
+
+
+def chunked(monkeypatch, cells):
+    """Parse ``cells`` cells per chunk; None keeps the default."""
+    if cells is not None:
+        monkeypatch.setattr("specsel.spectra.CHUNK_CELLS", cells)
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+CHUNKS = pytest.mark.parametrize("cells", [None, 1, 7],
+                                 ids=["default", "one", "seven"])
+
+
+class TestChunkedReader:
+    @CHUNKS
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\n", b"\r"],
+                             ids=["crlf", "lf", "cr"])
+    def test_chunk_size_changes_no_bit(self, tmp_path, monkeypatch, cells,
+                                       ending):
+        # two spectra make three cells a row, so seven cells are two rows
+        # and the last of 701 rows is a chunk of its own
+        spectra, conc, _ = noiseless_mixtures(n_samples=2, n_species=3)
+        f, g = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(f, spectra)
+        save_concentrations(g, conc, spectra.labels)
+        for path in (f, g):
+            path.write_bytes(path.read_bytes().replace(b"\r\n", ending))
+        chunked(monkeypatch, cells)
+        s, c = load_spectra(f), load_concentrations(g)
+        assert s.axis.tobytes() == spectra.axis.tobytes()
+        assert s.matrix.tobytes() == spectra.matrix.tobytes()
+        assert s.labels == spectra.labels
+        assert s.source_sha256 == sha256_of(f)
+        assert c.matrix.tobytes() == conc.matrix.tobytes()
+        assert (c.species, c.units) == (conc.species, conc.units)
+        assert c.source_sha256 == sha256_of(g)
+
+    @CHUNKS
+    @pytest.mark.parametrize("cells_of_row,error,message", [
+        ({8: "8,oops"}, NonFiniteValue,
+         "row 8, column 'a': cannot parse 'oops' as a number"),
+        ({9: "9,nan"}, NonFiniteValue,
+         "row 9, column 'a': non-finite value 'nan'"),
+        ({6: "6,60,1"}, RaggedRows, "row 6 has 3 cells, expected 2"),
+    ], ids=["garbage", "nan", "ragged"])
+    def test_error_in_later_chunk_names_file_row(self, tmp_path, monkeypatch,
+                                                 cells, cells_of_row, error,
+                                                 message):
+        # at seven cells a chunk holds rows 2-4, 5-7 and 8-9
+        f = tmp_path / "s.csv"
+        eight_row_csv(f, cells_of_row)
+        chunked(monkeypatch, cells)
+        assert load_error(f) == (error, f"{f}: {message}")
+
+    @CHUNKS
+    def test_concentration_error_in_later_chunk_names_file_row(
+            self, tmp_path, monkeypatch, cells):
+        f = tmp_path / "c.csv"
+        conc_csv(f, {4: "sp4,u,4,oops"})
+        chunked(monkeypatch, cells)
+        assert conc_error(f) == (
+            NonFiniteValue,
+            f"{f}: row 4, sample 's1': cannot parse 'oops' as a number")
+
+    @pytest.mark.parametrize("late", ["\udcff", "9" * 200_000],
+                             ids=["undecodable", "field_limit"])
+    def test_errors_come_in_file_order(self, tmp_path, monkeypatch, late):
+        # a bad cell in row 3, then a read failure about 60 kB later, past
+        # the text layer's read-ahead
+        filler = "".join(f"{r},{r}\n" for r in range(4, 6000))
+        text = "3,oops\n" + filler + f"6000,{late}\n"
+        f = tmp_path / "s.csv"
+        f.write_bytes(("wavenumber_cm-1,a\n2,2\n" + text).encode(
+            "utf-8", "surrogateescape"))
+        # in one chunk the read failure is met before any cell is parsed
+        with pytest.raises(IoFailure, match="^cannot read "):
+            load_spectra(f)
+        chunked(monkeypatch, 64)
+        assert load_error(f) == (
+            NonFiniteValue,
+            f"{f}: row 3, column 'a': cannot parse 'oops' as a number")
+        # the header is checked before the body is read
+        f.write_bytes(("wavenumber_cm-1,a,a\n2,2,2\n" + text).encode(
+            "utf-8", "surrogateescape"))
+        with pytest.raises(LabelMismatch, match="duplicate sample labels"):
+            load_spectra(f)
+
+    def test_peak_memory_bounded_by_the_matrix(self, tmp_path, monkeypatch):
+        # each cell's text takes about ten times its float's 8 bytes, so a
+        # reader that held the whole file as strings would pass the bound
+        spectra = random_spectra_set(i=300, j=701, seed=1)
+        f = tmp_path / "s.csv"
+        save_spectra(f, spectra)
+        chunked(monkeypatch, 1 << 12)
+        tracemalloc.start()
+        try:
+            loaded = load_spectra(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.matrix.tobytes() == spectra.matrix.tobytes()
+        assert peak < 4 * spectra.matrix.nbytes
+
 
 class TestSaveMatrix:
     def test_basic(self, tmp_path):

@@ -201,6 +201,17 @@ class TestRecipeFromDict:
                                  "finite number"):
             recipe_from_dict(cfg, seed=0)
 
+    @pytest.mark.parametrize("bounds", [[2, 1], [-1, 1]],
+                             ids=["lo_above_hi", "negative_lo"])
+    def test_concentration_range_bounds(self, bounds):
+        good = {"name": "g", "peaks": [], "conc_range": [0, 1]}
+        cfg = {"species": [good, {**good, "conc_range": bounds}]}
+        with pytest.raises(SpecselError,
+                           match=r"^recipe species 1 conc_range must satisfy "
+                                 r"0 <= lo <= hi, got \[%s, %s\]$"
+                                 % (float(bounds[0]), float(bounds[1]))):
+            recipe_from_dict(cfg, seed=0)
+
 
 def ranged_recipe(bounds, seed):
     """A peakless recipe whose species k draws from bounds[k]."""
