@@ -18,72 +18,21 @@ import numpy as np
 from .crossval import PressMatrix
 from .errors import DegenerateMatrix
 
-_BETA_MAX_ITER = 300
-_BETA_EPS = 1e-15
 _TINY = 1e-300
 
 
 # --- F distribution ----------------------------------------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz's method)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    return h
-
-
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def f_cdf(x: float, d1: int, d2: int) -> float:
-    """Cumulative F distribution with d1 and d2 degrees of freedom."""
+    """Cumulative F distribution with d1 and d2 degrees of freedom, a thin
+    wrapper over ``scipy.special.fdtr``; x <= 0 gives 0.0."""
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     if x <= 0.0:
         return 0.0
-    if math.isinf(x):
-        return 1.0
-    z = d1 * x / (d1 * x + d2)
-    return min(1.0, max(0.0, _betainc_reg(d1 / 2.0, d2 / 2.0, z)))
+    # imported here: only select computes a p-value, so no other command pays
+    from scipy.special import fdtr
+    return float(fdtr(d1, d2, x))
 
 
 # --- one-way ANOVA -------------------------------------------------------------

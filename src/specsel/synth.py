@@ -74,6 +74,19 @@ class SynthRecipe:
                         f"species {spec.name!r}: peak at {center:g} cm-1 is "
                         f"outside the axis"
                     )
+        pairs = {"drift_range": self.drift_range,
+                 "spike_amplitude": self.spike_amplitude}
+        if self.baseline is not None:
+            pairs["baseline scale_range"] = self.baseline.scale_range
+        for name, (lo, hi) in pairs.items():
+            if not lo <= hi:
+                raise SpecselError(
+                    f"recipe {name} must satisfy lo <= hi, got [{lo}, {hi}]")
+        n_channels = self.axis().size
+        if not 0.0 <= self.spike_rate <= n_channels:
+            raise SpecselError(
+                f"recipe spike_rate must be in [0, {n_channels}] (the channel "
+                f"count), got {self.spike_rate}")
 
     def axis(self) -> np.ndarray:
         n = int(round((self.axis_stop - self.axis_start) / self.axis_step)) + 1

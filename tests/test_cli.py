@@ -1,10 +1,16 @@
 import builtins
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specsel
 from specsel.cli import main
 from specsel.spectra import (
     load_concentrations,
@@ -131,8 +137,22 @@ class TestSynthCrossval:
          "recipe species 0 conc_range must satisfy 0 <= lo <= hi"),
         ({"species": [{"name": "g", "peaks": [], "conc_range": [-1, 1]}]},
          "recipe species 0 conc_range must satisfy 0 <= lo <= hi"),
+        ({"drift_range": [1.5, 0.5], "species": [{"name": "g", "peaks": []}]},
+         "recipe drift_range must satisfy lo <= hi, got [1.5, 0.5]"),
+        ({"spike_amplitude": [20, 5], "species": [{"name": "g", "peaks": []}]},
+         "recipe spike_amplitude must satisfy lo <= hi, got [20.0, 5.0]"),
+        ({"baseline": {"scale_range": [1.2, 0.8]},
+          "species": [{"name": "g", "peaks": []}]},
+         "recipe baseline scale_range must satisfy lo <= hi, got [1.2, 0.8]"),
+        ({"spike_rate": 1e30, "species": [{"name": "g", "peaks": []}]},
+         "recipe spike_rate must be in [0, 701] (the channel count), "
+         "got 1e+30"),
+        ({"spike_rate": -1, "species": [{"name": "g", "peaks": []}]},
+         "recipe spike_rate must be in [0, 701] (the channel count), got -1.0"),
     ], ids=["missing_peaks", "axis_step", "conc_range_order",
-            "conc_range_negative"])
+            "conc_range_negative", "drift_range_order",
+            "spike_amplitude_order", "scale_range_order", "spike_rate_huge",
+            "spike_rate_negative"])
     def test_synth_malformed_recipe_exit_2(self, tmp_path, capsys, recipe,
                                            message):
         cfg = tmp_path / "cfg.json"
@@ -392,6 +412,35 @@ class TestTrainPredict:
         code = main(["predict", "--model", str(model_path), "--spectra",
                      str(other_path), "--out", str(tmp_path / "p.csv")])
         assert code == 2
+
+    def test_only_select_imports_scipy_special(self, tmp_path):
+        # scipy.special (the F distribution) costs a process about 0.07 s and
+        # 3-4 MB to import, so only a command that computes a p-value may;
+        # a fresh interpreter, because the test process imports it anyway
+        script = textwrap.dedent("""
+            import sys
+            from specsel.cli import main
+            data = ["--spectra", "s.csv", "--concentrations", "c.csv"]
+            for argv in (
+                    ["synth", "--n", "8", "--out-spectra", "s.csv",
+                     "--out-concentrations", "c.csv"],
+                    ["validate", *data],
+                    ["crossval", *data, "--pipeline", "snv", "--out-dir", "cv"],
+                    ["train", *data, "--pipeline", "snv", "--pc", "2",
+                     "--out-model", "m.json"],
+                    ["predict", "--model", "m.json", "--spectra", "s.csv",
+                     "--out", "p.csv"]):
+                assert main(argv) == 0, argv
+                assert "scipy.special" not in sys.modules, argv[0]
+            main(["select", *data, "--candidate", "snv", "--out", "r.json"])
+            assert "scipy.special" in sys.modules
+        """)
+        src = str(Path(specsel.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert result.returncode == 0, result.stderr
 
     def test_csv_trained_model_equals_in_memory_model(self, tmp_path):
         from specsel.preprocess import parse_pipeline

@@ -116,6 +116,25 @@ class TestSelectMethod:
         with pytest.raises(SpecselError):
             select_method(spectra, conc, [IDENTITY], alpha=1.5)
 
+    @pytest.mark.parametrize("n,seed,chosen_pc,optimal_pcs,p_zero", [
+        (20, 7, 4, [16, 18, 16, 4, 17, 11, 6, 3, 4, 1, 9, 18], 34),
+        (40, 11, 5, [4, 4, 5, 5, 35, 34, 36, 3, 24, 9, 34, 38], 74),
+    ])
+    def test_default_grid_verdicts(self, n, seed, chosen_pc, optimal_pcs,
+                                   p_zero):
+        # today's picks lean on pairwise p-values that underflow to 0.0 and
+        # tie toward fewer components; an exact upper tail (fdtrc) moves them
+        from specsel.cli import DEFAULT_CANDIDATES
+        spectra, conc = synth.tears_phantom(n, seed)
+        report = select_method(spectra, conc,
+                               [parse_pipeline(t) for t in DEFAULT_CANDIDATES])
+        assert (report.chosen_pipeline, report.chosen_pc,
+                report.chosen_significant) == ("savgol(7,2,0)", chosen_pc, True)
+        verdicts = [e.verdict for e in report.entries]
+        assert [v.optimal_pc for v in verdicts] == optimal_pcs
+        assert sum(p == 0.0 for v in verdicts
+                   for p in v.pairwise_p.values()) == p_zero
+
     def test_fold_notes_surface_as_alerts(self):
         # rank-deficient noiseless folds produce NaN-column notes that the
         # report must carry

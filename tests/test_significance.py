@@ -33,6 +33,7 @@ class TestFCdf:
         assert f_cdf(0.0, 3, 7) == 0.0
         assert f_cdf(-1.0, 3, 7) == 0.0
         assert f_cdf(1e12, 3, 7) > 1.0 - 1e-9
+        assert f_cdf(math.inf, 3, 7) == 1.0
 
     def test_monotone(self):
         xs = np.linspace(0.01, 30.0, 200)
