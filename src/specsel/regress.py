@@ -3,7 +3,8 @@
 Concentrations are regressed onto the PCA scores after centering both
 sides; the species means come back at prediction time. The coefficient
 matrix is solved by an orthogonal-factorization least squares, never by an
-explicit normal-equation inverse.
+explicit normal-equation inverse. PcrModel checks its own fields, so a model
+from pcr_fit, ``dataclasses.replace`` or load_model passes the same checks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import PcaModel, project
-from .errors import IoFailure, ShapeMismatch, SingularScores
+from .errors import (BadOrder, IoFailure, NonFiniteValue, ShapeMismatch,
+                     SingularScores, SpecselError)
 from .spectra import ConcentrationSet, SpectraSet, read_json, write_json
 
 MAX_SCORE_CONDITION = 1e12
@@ -33,13 +35,41 @@ class PcrModel:
     units: tuple[str, ...]
     pipeline_name: str = "identity"
 
+    def __post_init__(self):
+        # every array is float before any shape is read
+        arrays = {name: np.asarray(getattr(self, name), dtype=float) for name
+                  in ("axis", "mean_spectrum", "loadings", "coeffs", "mean_conc")}
+        if not isinstance(self.pipeline_name, str):
+            raise SpecselError(
+                f"pipeline must be a string, got {self.pipeline_name!r}")
+        for name in ("species", "units"):
+            names = getattr(self, name)
+            if not (isinstance(names, (list, tuple))
+                    and all(isinstance(n, str) for n in names)):
+                raise SpecselError(
+                    f"{name} must be a list of strings, got {names!r}")
+            object.__setattr__(self, name, tuple(names))
+        if len(self.units) != len(self.species):
+            raise ShapeMismatch(
+                f"{len(self.units)} units for {len(self.species)} species")
+        loadings = arrays["loadings"]
+        j, q = arrays["axis"].size, len(self.species)
+        k = loadings.shape[1] if loadings.ndim == 2 else 0
+        expected = {"axis": (j,), "mean_spectrum": (j,), "loadings": (j, k),
+                    "coeffs": (q, k), "mean_conc": (q,)}
+        for name, shape in expected.items():
+            if arrays[name].shape != shape:
+                raise ShapeMismatch(f"{name} has shape {arrays[name].shape}, "
+                                    f"expected {shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise NonFiniteValue(f"{name} has a non-finite value")
+            object.__setattr__(self, name, arrays[name])
+        if k == 0:
+            raise BadOrder("model has no components")
+
     @property
     def n_components(self) -> int:
         return self.coeffs.shape[1]
-
-    @property
-    def n_species(self) -> int:
-        return self.coeffs.shape[0]
 
 
 def usable_components(singulars: np.ndarray) -> int:
@@ -56,14 +86,13 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
         raise ShapeMismatch(
             f"{conc.n_samples} concentration columns for {scores.shape[0]} spectra"
         )
-    singulars = np.linalg.svd(scores, compute_uv=False)
+    mean_conc = conc.matrix.mean(axis=1)
+    centered = conc.matrix - mean_conc[:, None]
+    solution, _, _, singulars = np.linalg.lstsq(scores, centered.T, rcond=None)
     if not singulars.size or usable_components(singulars) < singulars.size:
         raise SingularScores(
             "score matrix is too ill-conditioned for a stable regression fit"
         )
-    mean_conc = conc.matrix.mean(axis=1)
-    centered = conc.matrix - mean_conc[:, None]
-    solution, *_ = np.linalg.lstsq(scores, centered.T, rcond=None)
     return PcrModel(
         axis=pca.axis,
         mean_spectrum=pca.mean_spectrum,
@@ -144,43 +173,15 @@ def load_model(path) -> PcrModel:
             f"expected {_MODEL_VERSION}"
         )
     try:
-        fields = {name: np.asarray(payload[name], dtype=float) for name in
-                  ("axis", "mean_spectrum", "loadings", "coeffs", "mean_conc")}
-        species = payload["species"]
-        units = payload["units"]
-        pipeline_name = payload["pipeline"]
+        values = {name: payload[name] for name in (
+            "axis", "mean_spectrum", "loadings", "coeffs", "mean_conc",
+            "species", "units")}
+        values["pipeline_name"] = payload["pipeline"]
     except KeyError as exc:
         raise IoFailure(f"{path}: model file has no {exc} entry") from exc
+    try:
+        return PcrModel(**values)
     except (TypeError, ValueError) as exc:
         raise IoFailure(f"{path}: not a valid model file: {exc}") from exc
-    if not isinstance(pipeline_name, str):
-        raise IoFailure(
-            f"{path}: pipeline must be a string, got {pipeline_name!r}")
-    for name, names in (("species", species), ("units", units)):
-        if not (isinstance(names, list)
-                and all(isinstance(n, str) for n in names)):
-            raise IoFailure(
-                f"{path}: {name} must be a list of strings, got {names!r}")
-    if len(units) != len(species):
-        raise IoFailure(f"{path}: {len(units)} units for {len(species)} species")
-    loadings = fields["loadings"]
-    j, q = fields["axis"].size, len(species)
-    k = loadings.shape[1] if loadings.ndim == 2 else 0
-    expected = {"axis": (j,), "mean_spectrum": (j,), "loadings": (j, k),
-                "coeffs": (q, k), "mean_conc": (q,)}
-    for name, shape in expected.items():
-        if fields[name].shape != shape:
-            raise IoFailure(
-                f"{path}: {name} has shape {fields[name].shape}, "
-                f"expected {shape}"
-            )
-        if not np.isfinite(fields[name]).all():
-            raise IoFailure(f"{path}: {name} has a non-finite value")
-    if k == 0:
-        raise IoFailure(f"{path}: model has no components")
-    return PcrModel(
-        **fields,
-        species=tuple(species),
-        units=tuple(units),
-        pipeline_name=pipeline_name,
-    )
+    except SpecselError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc

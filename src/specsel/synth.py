@@ -6,19 +6,59 @@ per-spectrum scale, a random multiplicative amplitude drift, white noise,
 and cosmic-ray spikes. Everything is driven by per-spectrum substreams of
 one seed, so generation is reproducible and scheduling-independent.
 
-Peak positions are synthetic by construction; they make no claim of
-spectroscopic fidelity for any real analyte.
+Each recipe dataclass checks its own fields when built, so a recipe from
+Python, ``dataclasses.replace`` or a config (``recipe_from_dict`` only routes
+keys) passes the same checks. Peak positions are synthetic by construction;
+they make no claim of spectroscopic fidelity for any real analyte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .errors import RecipeSpeciesMismatch, SpecselError
 from .spectra import ConcentrationSet, SpectraSet
+
+
+# --- field conversion, shared by every recipe dataclass ---------------------
+
+def _number(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise SpecselError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _numbers(value, what: str, length: int | None = None) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise SpecselError(f"{what} must be a list of numbers, got {value!r}")
+    numbers = tuple(_number(v, what) for v in value)
+    if length is not None and len(numbers) != length:
+        raise SpecselError(
+            f"{what} must have {length} numbers, got {len(numbers)}"
+        )
+    return numbers
+
+
+def _range(value, what: str, floor: float = -math.inf) -> tuple[float, float]:
+    """(lo, hi) with floor <= lo <= hi."""
+    lo, hi = _numbers(value, what, 2)
+    if not floor <= lo <= hi:
+        rule = "lo <= hi" if floor == -math.inf else f"{floor:g} <= lo <= hi"
+        raise SpecselError(f"{what} must satisfy {rule}, got [{lo}, {hi}]")
+    return lo, hi
+
+
+def _set(spec, **values) -> None:
+    """Store converted fields on a frozen dataclass."""
+    for name, value in values.items():
+        object.__setattr__(spec, name, value)
 
 
 @dataclass(frozen=True)
@@ -31,6 +71,18 @@ class SpeciesSpec:
     response_coeff: float = 1.0
     unit: str = "mg/mL"
     conc_range: tuple[float, float] = (0.0, 1.0)
+
+    def __post_init__(self):
+        if not isinstance(self.peaks, (list, tuple, np.ndarray)):
+            raise SpecselError(f"peaks must be a list, got {self.peaks!r}")
+        peaks = tuple(_numbers(peak, "peak", 3) for peak in self.peaks)
+        for _center, width, _amp in peaks:
+            if width <= 0:
+                raise SpecselError(f"peak width must be > 0, got {width}")
+        _set(self, name=str(self.name), peaks=peaks,
+             response_coeff=_number(self.response_coeff, "response_coeff"),
+             unit=str(self.unit),
+             conc_range=_range(self.conc_range, "conc_range", 0.0))
 
 
 @dataclass(frozen=True)
@@ -45,6 +97,14 @@ class BaselineSpec:
     kind: str = "exp_decay"
     coeffs: tuple[float, ...] = (1.0, 600.0)
     scale_range: tuple[float, float] = (1.0, 1.0)
+
+    def __post_init__(self):
+        if self.kind not in ("exp_decay", "polynomial"):
+            raise SpecselError(f"kind must be 'exp_decay' or 'polynomial', "
+                               f"got {self.kind!r}")
+        _set(self, coeffs=_numbers(self.coeffs, "coeffs",
+                                   2 if self.kind == "exp_decay" else None),
+             scale_range=_range(self.scale_range, "scale_range"))
 
 
 @dataclass(frozen=True)
@@ -61,36 +121,32 @@ class SynthRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        _set(self, **{name: _number(getattr(self, name), name) for name in (
+            "axis_start", "axis_stop", "axis_step", "noise_sigma",
+            "spike_rate")}, species=tuple(self.species),
+             spike_amplitude=_range(self.spike_amplitude, "spike_amplitude"),
+             drift_range=_range(self.drift_range, "drift_range"))
         if self.axis_step <= 0 or self.axis_stop <= self.axis_start:
-            raise SpecselError("recipe axis must be increasing with step > 0")
+            raise SpecselError("axis must be increasing with step > 0")
         for spec in self.species:
-            for center, width, _amp in spec.peaks:
-                if width <= 0:
-                    raise SpecselError(
-                        f"species {spec.name!r}: peak width must be > 0"
-                    )
+            for center, _width, _amp in spec.peaks:
                 if not self.axis_start <= center <= self.axis_stop:
                     raise SpecselError(
                         f"species {spec.name!r}: peak at {center:g} cm-1 is "
                         f"outside the axis"
                     )
-        pairs = {"drift_range": self.drift_range,
-                 "spike_amplitude": self.spike_amplitude}
-        if self.baseline is not None:
-            pairs["baseline scale_range"] = self.baseline.scale_range
-        for name, (lo, hi) in pairs.items():
-            if not lo <= hi:
-                raise SpecselError(
-                    f"recipe {name} must satisfy lo <= hi, got [{lo}, {hi}]")
+        if self.noise_sigma < 0:
+            raise SpecselError(
+                f"noise_sigma must be >= 0, got {self.noise_sigma}")
         n_channels = self.axis().size
         if not 0.0 <= self.spike_rate <= n_channels:
             raise SpecselError(
-                f"recipe spike_rate must be in [0, {n_channels}] (the channel "
+                f"spike_rate must be in [0, {n_channels}] (the channel "
                 f"count), got {self.spike_rate}")
 
     def axis(self) -> np.ndarray:
         n = int(round((self.axis_stop - self.axis_start) / self.axis_step)) + 1
-        return float(self.axis_start) + float(self.axis_step) * np.arange(n, dtype=float)
+        return self.axis_start + self.axis_step * np.arange(n, dtype=float)
 
 
 def _lorentzian(axis: np.ndarray, center: float, hwhm: float) -> np.ndarray:
@@ -109,13 +165,11 @@ def baseline_shape(spec: BaselineSpec, axis: np.ndarray) -> np.ndarray:
     if spec.kind == "exp_decay":
         amplitude, decay = spec.coeffs
         return amplitude * np.exp(-(axis - axis[0]) / decay)
-    if spec.kind == "polynomial":
-        u = (axis - axis[0]) / (axis[-1] - axis[0])
-        shape = np.zeros_like(axis)
-        for degree, coeff in enumerate(spec.coeffs):
-            shape += coeff * u ** degree
-        return shape
-    raise SpecselError(f"unknown baseline kind {spec.kind!r}")
+    u = (axis - axis[0]) / (axis[-1] - axis[0])
+    shape = np.zeros_like(axis)
+    for degree, coeff in enumerate(spec.coeffs):
+        shape += coeff * u ** degree
+    return shape
 
 
 def generate(recipe: SynthRecipe, conc: ConcentrationSet) -> SpectraSet:
@@ -166,8 +220,6 @@ _TEARS_SPECIES = (
         name="glucose",
         peaks=((518.0, 10.0, 0.6), (911.0, 9.0, 0.8), (1060.0, 12.0, 1.0),
                (1125.0, 11.0, 0.7), (1365.0, 14.0, 0.5)),
-        response_coeff=1.0,
-        unit="mg/mL",
         conc_range=(0.0, 1.0),
     ),
     SpeciesSpec(
@@ -175,7 +227,6 @@ _TEARS_SPECIES = (
         peaks=((760.0, 9.0, 0.9), (1004.0, 8.0, 1.0), (1250.0, 18.0, 0.6),
                (1450.0, 16.0, 0.7), (1660.0, 20.0, 0.8)),
         response_coeff=0.12,
-        unit="mg/mL",
         conc_range=(0.0, 10.0),
     ),
 )
@@ -196,7 +247,6 @@ def tears_recipe(seed: int = 0) -> SynthRecipe:
         species=_TEARS_SPECIES,
         baseline=BaselineSpec("exp_decay", (2.0, 700.0), (0.6, 1.4)),
         noise_sigma=0.01,
-        spike_rate=0.0,
         drift_range=(0.85, 1.15),
         seed=seed,
     )
@@ -219,59 +269,29 @@ def _mapping(value, what: str) -> dict:
     return value
 
 
-def _number(value, what: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise SpecselError(f"{what} must be a finite number, got {value!r}")
-    return number
-
-
-def _numbers(value, what: str, length: int | None = None) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise SpecselError(f"{what} must be a list of numbers, got {value!r}")
-    numbers = tuple(_number(v, what) for v in value)
-    if length is not None and len(numbers) != length:
-        raise SpecselError(
-            f"{what} must have {length} numbers, got {len(numbers)}"
-        )
-    return numbers
-
-
-def _species_from_dict(cfg, what: str) -> SpeciesSpec:
+def _from_dict(cls, cfg, what: str):
+    """cls from the mapping's keys that name its fields (others are ignored);
+    a missing required field or a refused value is named after ``what``."""
     cfg = _mapping(cfg, what)
-    for key in ("name", "peaks"):
-        if key not in cfg:
-            raise SpecselError(f"{what} has no {key!r} entry")
-    peaks = cfg["peaks"]
-    if not isinstance(peaks, list):
-        raise SpecselError(f"{what} peaks must be a list, got {peaks!r}")
-    lo, hi = _numbers(cfg.get("conc_range", (0.0, 1.0)),
-                      f"{what} conc_range", 2)
-    if not 0.0 <= lo <= hi:
-        raise SpecselError(
-            f"{what} conc_range must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
-    return SpeciesSpec(
-        name=str(cfg["name"]),
-        peaks=tuple(_numbers(peak, f"{what} peak", 3) for peak in peaks),
-        response_coeff=_number(cfg.get("response_coeff", 1.0),
-                               f"{what} response_coeff"),
-        unit=str(cfg.get("unit", "mg/mL")),
-        conc_range=(lo, hi),
-    )
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in cfg:
+            raise SpecselError(f"{what} has no {f.name!r} entry")
+    try:
+        return cls(**{f.name: cfg[f.name] for f in fields(cls)
+                      if f.name in cfg})
+    except SpecselError as exc:
+        raise SpecselError(f"{what} {exc}") from None
 
 
 def recipe_from_dict(cfg, seed: int) -> SynthRecipe:
     """Recipe from a mapping such as the ``recipe`` key of a CLI config.
 
     Keys are SynthRecipe's fields, optional with the same defaults, except
-    ``species``: a non-empty list of objects with ``name`` and ``peaks`` (a
-    list of [center, hwhm, amplitude]) and optional ``response_coeff``,
-    ``unit`` and ``conc_range``. ``baseline`` is an object with
-    BaselineSpec's fields. A missing or malformed entry raises SpecselError
-    naming it.
+    ``species``: a non-empty list of objects with SpeciesSpec's fields
+    (``name`` and ``peaks``, a list of [center, hwhm, amplitude], are
+    required). ``baseline`` is an object with BaselineSpec's fields. The
+    dataclasses check their own fields; a missing or refused entry raises
+    SpecselError naming it.
     """
     cfg = _mapping(cfg, "recipe")
     species_cfg = cfg.get("species")
@@ -279,34 +299,13 @@ def recipe_from_dict(cfg, seed: int) -> SynthRecipe:
         raise SpecselError(
             f"recipe species must be a non-empty list, got {species_cfg!r}"
         )
-    species = tuple(_species_from_dict(s, f"recipe species {n}")
+    species = tuple(_from_dict(SpeciesSpec, s, f"recipe species {n}")
                     for n, s in enumerate(species_cfg))
-    baseline = None
-    if "baseline" in cfg:
-        b = _mapping(cfg["baseline"], "recipe baseline")
-        kind = b.get("kind", "exp_decay")
-        baseline = BaselineSpec(
-            kind=kind,
-            coeffs=_numbers(b.get("coeffs", (1.0, 600.0)),
-                            "recipe baseline coeffs",
-                            2 if kind == "exp_decay" else None),
-            scale_range=_numbers(b.get("scale_range", (1.0, 1.0)),
-                                 "recipe baseline scale_range", 2),
-        )
-    return SynthRecipe(
-        axis_start=_number(cfg.get("axis_start", 400.0), "recipe axis_start"),
-        axis_stop=_number(cfg.get("axis_stop", 1800.0), "recipe axis_stop"),
-        axis_step=_number(cfg.get("axis_step", 2.0), "recipe axis_step"),
-        species=species,
-        baseline=baseline,
-        noise_sigma=_number(cfg.get("noise_sigma", 0.0), "recipe noise_sigma"),
-        spike_rate=_number(cfg.get("spike_rate", 0.0), "recipe spike_rate"),
-        spike_amplitude=_numbers(cfg.get("spike_amplitude", (5.0, 20.0)),
-                                 "recipe spike_amplitude", 2),
-        drift_range=_numbers(cfg.get("drift_range", (1.0, 1.0)),
-                             "recipe drift_range", 2),
-        seed=seed,
-    )
+    baseline = (_from_dict(BaselineSpec, cfg["baseline"], "recipe baseline")
+                if "baseline" in cfg else None)
+    return _from_dict(SynthRecipe, {**cfg, "species": species,
+                                    "baseline": baseline, "seed": seed},
+                      "recipe")
 
 
 def phantom_concentrations(recipe: SynthRecipe, n: int) -> ConcentrationSet:

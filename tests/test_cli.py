@@ -149,10 +149,16 @@ class TestSynthCrossval:
          "got 1e+30"),
         ({"spike_rate": -1, "species": [{"name": "g", "peaks": []}]},
          "recipe spike_rate must be in [0, 701] (the channel count), got -1.0"),
+        ({"noise_sigma": -0.5, "species": [{"name": "g", "peaks": []}]},
+         "recipe noise_sigma must be >= 0, got -0.5"),
+        ({"baseline": {"kind": "nope"},
+          "species": [{"name": "g", "peaks": []}]},
+         "recipe baseline kind must be 'exp_decay' or 'polynomial', "
+         "got 'nope'"),
     ], ids=["missing_peaks", "axis_step", "conc_range_order",
             "conc_range_negative", "drift_range_order",
             "spike_amplitude_order", "scale_range_order", "spike_rate_huge",
-            "spike_rate_negative"])
+            "spike_rate_negative", "noise_sigma_negative", "baseline_kind"])
     def test_synth_malformed_recipe_exit_2(self, tmp_path, capsys, recipe,
                                            message):
         cfg = tmp_path / "cfg.json"
@@ -488,6 +494,22 @@ class TestTrainPredict:
                   "--out-model", str(path)])
         assert m1.read_bytes() == m2.read_bytes()
 
+    def test_identical_spectra_exit_2(self, tmp_path, capsys):
+        # no spread, so no component: the regression has nothing to fit
+        from specsel.synth import tears_phantom
+        spectra, conc = tears_phantom(6, 3)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra.with_matrix(
+            np.tile(spectra.matrix[0], (spectra.n_spectra, 1))))
+        save_concentrations(cpath, conc, spectra.labels)
+        model_path = tmp_path / "model.json"
+        code = main(["train", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "identity", "--pc", "2",
+                     "--out-model", str(model_path)])
+        assert code == 2
+        assert "error: SingularScores:" in capsys.readouterr().err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda p: p.pop("loadings"), "no 'loadings' entry"),
         (lambda p: p.update(loadings=p["loadings"][:-1]),
@@ -517,10 +539,13 @@ class TestTrainPredict:
         (lambda p: p.update(loadings=[[] for _ in p["loadings"]],
                             coeffs=[[] for _ in p["coeffs"]]),
          "model has no components"),
+        (lambda p: p.update(axis=5), "axis has shape (), expected (1,)"),
+        (lambda p: p["loadings"][3].pop(), "not a valid model file: "),
     ], ids=["missing_key", "loadings", "mean_spectrum", "coeffs",
             "mean_conc", "version", "format", "pipeline_int",
             "pipeline_null", "species_string", "species_not_strings",
-            "units_null", "units_length", "coeffs_nan", "no_components"])
+            "units_null", "units_length", "coeffs_nan", "no_components",
+            "axis_scalar", "ragged_loadings"])
     def test_malformed_model_exit_2(self, mixture_files, tmp_path, capsys,
                                     edit, message):
         spath, cpath, *_ = mixture_files

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from specsel.decompose import nipals_fit
-from specsel.errors import ShapeMismatch, SingularScores
+from specsel.decompose import nipals_fit, pca_fit
+from specsel.errors import ShapeMismatch, SingularScores, SpecselError
 from specsel.preprocess import parse_pipeline
 from specsel.regress import (
     load_model,
@@ -77,12 +78,71 @@ class TestPcrFit:
         with pytest.raises(SingularScores):
             pcr_fit(crushed, conc)
 
+    def test_no_components(self):
+        ss = random_spectra_set(i=7, j=35, seed=28)
+        pca = pca_fit(ss.with_matrix(np.tile(ss.matrix[0], (7, 1))), 2)
+        assert pca.n_components == 0
+        conc = ConcentrationSet(np.ones((1, 7)), ("a",), ("u",))
+        with pytest.raises(SingularScores):
+            pcr_fit(pca, conc)
+
     def test_sample_count_mismatch(self):
         ss = random_spectra_set(i=7, j=35, seed=27)
         pca = nipals_fit(ss, 2)
         conc = ConcentrationSet(np.ones((1, 6)), ("a",), ("u",))
         with pytest.raises(ShapeMismatch):
             pcr_fit(pca, conc)
+
+
+class TestPcrModel:
+    @staticmethod
+    def trained():
+        spectra, conc, _ = noiseless_mixtures(n_samples=10, n_species=3)
+        return pcr_fit(pca_fit(spectra, 3), conc)
+
+    # the fields a model file can get wrong, set from Python instead
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: {"loadings": m.loadings[:-1]},
+         "loadings has shape (700, 3), expected (701, 3)"),
+        (lambda m: {"mean_spectrum": m.mean_spectrum[:-1]},
+         "mean_spectrum has shape (700,), expected (701,)"),
+        (lambda m: {"coeffs": m.coeffs[:2]},
+         "coeffs has shape (2, 3), expected (3, 3)"),
+        (lambda m: {"mean_conc": np.zeros(4)},
+         "mean_conc has shape (4,), expected (3,)"),
+        (lambda m: {"pipeline_name": 5}, "pipeline must be a string, got 5"),
+        (lambda m: {"pipeline_name": None},
+         "pipeline must be a string, got None"),
+        (lambda m: {"species": "abc"},
+         "species must be a list of strings, got 'abc'"),
+        (lambda m: {"species": (0, 1, 2)},
+         "species must be a list of strings, got (0, 1, 2)"),
+        (lambda m: {"units": None}, "units must be a list of strings, got None"),
+        (lambda m: {"units": m.units[:-1]}, "2 units for 3 species"),
+        (lambda m: {"coeffs": np.full_like(m.coeffs, np.nan)},
+         "coeffs has a non-finite value"),
+        (lambda m: {"loadings": m.loadings[:, :0], "coeffs": m.coeffs[:, :0]},
+         "model has no components"),
+        (lambda m: {"axis": 5}, "axis has shape (), expected (1,)"),
+    ], ids=["loadings", "mean_spectrum", "coeffs", "mean_conc",
+            "pipeline_int", "pipeline_null", "species_string",
+            "species_not_strings", "units_null", "units_length", "coeffs_nan",
+            "no_components", "axis_scalar"])
+    def test_replace_refuses_bad_field(self, edit, message):
+        model = self.trained()
+        with pytest.raises(SpecselError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(model, **edit(model))
+
+    def test_sequences_become_arrays_and_tuples(self):
+        model = self.trained()
+        listed = dataclasses.replace(
+            model, **{f.name: list(getattr(model, f.name)) for f in
+                      dataclasses.fields(model) if f.name != "pipeline_name"})
+        for field in dataclasses.fields(model):
+            trained = getattr(model, field.name)
+            again = getattr(listed, field.name)
+            assert type(again) is type(trained), field.name
+            assert np.array_equal(again, trained), field.name
 
 
 class TestPcrPredict:

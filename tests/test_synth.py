@@ -93,6 +93,50 @@ class TestGenerate:
             SynthRecipe(species=(SpeciesSpec("a", ((100.0, 5.0, 1.0),)),))
         with pytest.raises(SpecselError):
             SynthRecipe(species=(SpeciesSpec("a", ((500.0, -1.0, 1.0),)),))
+        with pytest.raises(SpecselError):
+            SpeciesSpec("a", (), conc_range=(2, 1))
+        with pytest.raises(SpecselError):
+            SpeciesSpec("a", ((500.0, 5.0),))
+        with pytest.raises(SpecselError):
+            BaselineSpec("exp_decay", (1.0,))
+        with pytest.raises(SpecselError):
+            BaselineSpec("nope")
+        with pytest.raises(SpecselError):
+            SynthRecipe(noise_sigma=-0.5)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda r: dataclasses.replace(r, noise_sigma=-0.5),
+         r"^noise_sigma must be >= 0, got -0\.5$"),
+        (lambda r: dataclasses.replace(r, drift_range=(1.5, 0.5)),
+         r"^drift_range must satisfy lo <= hi, got \[1\.5, 0\.5\]$"),
+        (lambda r: dataclasses.replace(r, spike_rate=-1),
+         r"^spike_rate must be in \[0, 701\]"),
+        (lambda r: dataclasses.replace(r.baseline, scale_range=(2.0, 1.0)),
+         r"^scale_range must satisfy lo <= hi, got \[2\.0, 1\.0\]$"),
+        (lambda r: dataclasses.replace(r, axis_stop=900.0),
+         "glucose.*outside the axis"),
+    ], ids=["noise_sigma", "drift_range", "spike_rate", "scale_range",
+            "peak_outside_axis"])
+    def test_replace_checks_like_a_config(self, edit, message):
+        # a recipe edited in Python passes the checks a config's recipe does
+        with pytest.raises(SpecselError, match=message):
+            edit(tears_recipe())
+
+    def test_sequences_are_normalized(self):
+        as_arrays = SpeciesSpec("a", np.array([[500, 5, 1], [600, 7, 2]]),
+                                response_coeff=np.float64(2),
+                                conc_range=np.array([0, 2]))
+        as_lists = SpeciesSpec("a", [[500, 5, 1], [600, 7, 2]], 2,
+                               conc_range=[0, 2])
+        assert as_arrays == as_lists == SpeciesSpec(
+            "a", ((500.0, 5.0, 1.0), (600.0, 7.0, 2.0)), 2.0,
+            conc_range=(0.0, 2.0))
+        assert type(as_arrays.peaks[0][0]) is float
+        recipe = SynthRecipe(species=[as_lists], drift_range=np.array([1, 2]),
+                             baseline=BaselineSpec("polynomial", [1, 2, 3]))
+        assert recipe.species == (as_lists,)
+        assert recipe.drift_range == (1.0, 2.0)
+        assert recipe.baseline.coeffs == (1.0, 2.0, 3.0)
 
 
 class TestTearsPhantom:
@@ -188,11 +232,26 @@ class TestRecipeFromDict:
         ({"drift_range": 1.0}, "recipe drift_range must be a list of numbers"),
         ({"baseline": {"coeffs": [1.0]}},
          "recipe baseline coeffs must have 2 numbers, got 1"),
+        ({"baseline": {"kind": "nope"}},
+         "recipe baseline kind must be 'exp_decay' or 'polynomial', "
+         "got 'nope'"),
+        ({"noise_sigma": -0.5}, "recipe noise_sigma must be >= 0, got -0.5"),
+        ({"species": [{"name": "g", "peaks": [[600, 0, 1]]}]},
+         "recipe species 0 peak width must be > 0, got 0.0"),
     ], ids=["no_species", "no_name", "species_not_object", "short_peak",
-            "axis_stop", "nan", "drift_range", "exp_decay_coeffs"])
+            "axis_stop", "nan", "drift_range", "exp_decay_coeffs",
+            "baseline_kind", "noise_sigma_negative", "zero_width"])
     def test_malformed_entries(self, edit, message):
         with pytest.raises(SpecselError, match=message):
             recipe_from_dict({**self.CONFIG, **edit}, seed=0)
+
+    def test_unknown_keys_are_ignored(self):
+        cfg = {**self.CONFIG, "comment": "x", "seed": 99,
+               "baseline": {**self.CONFIG["baseline"], "note": 1},
+               "species": [{**sp, "color": "red"}
+                           for sp in self.CONFIG["species"]]}
+        assert recipe_from_dict(cfg, seed=4) == recipe_from_dict(self.CONFIG,
+                                                                 seed=4)
 
     def test_bad_concentration_range(self):
         cfg = {"species": [{"name": "g", "peaks": [], "conc_range": [0, "x"]}]}
