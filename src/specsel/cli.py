@@ -109,9 +109,8 @@ def cmd_validate(args, config) -> int:
 def cmd_synth(args, config) -> int:
     seed = _typed_setting(args, config, "seed", 0, int, "an integer")
     n = _typed_setting(args, config, "n", 40, int, "an integer")
-    recipe_cfg = config.get("recipe")
-    if recipe_cfg:
-        recipe = synth.recipe_from_dict(recipe_cfg, seed)
+    if "recipe" in config:
+        recipe = synth.recipe_from_dict(config["recipe"], seed)
         conc = synth.phantom_concentrations(recipe, n)
         spectra = synth.generate(recipe, conc)
     else:

@@ -54,16 +54,11 @@ class PressMatrix:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "notes", tuple(self.notes))
 
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_pc_counts(self) -> int:
-        return self.values.shape[1]
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     def column_headers(self) -> list[str]:
-        return [f"pc_{m + 1}" for m in range(self.n_pc_counts)]
+        return [f"pc_{m + 1}" for m in range(self.values.shape[1])]
 
 
 def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,

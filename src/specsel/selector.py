@@ -38,13 +38,18 @@ class CandidateResult:
     pipeline_name: str
     verdict: PcVerdict | None
     press_matrix: PressMatrix | None
-    sum_press_at_optimal: float | None
     error: str | None
     wall_time_s: float
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def sum_press_at_optimal(self) -> float | None:
+        if self.verdict is None:
+            return None
+        return float(self.verdict.sum_press[self.verdict.optimal_pc - 1])
 
 
 @dataclass(frozen=True)
@@ -78,23 +83,15 @@ def select_method(spectra: SpectraSet, conc: ConcentrationSet,
     def evaluate(index: int) -> CandidateResult:
         pipeline = candidates[index]
         started = time.perf_counter()
+        verdict = error = None
         try:
             matrix = loo_press_matrix(spectra, conc, pipeline)
             verdict = select_optimal_pc(matrix, alpha=alpha,
                                         log_transform=log_press)
         except SpecselError as exc:
-            return CandidateResult(
-                pipeline_name=pipeline.name, verdict=None, press_matrix=None,
-                sum_press_at_optimal=None,
-                error=f"{type(exc).__name__}: {exc}",
-                wall_time_s=time.perf_counter() - started,
-            )
-        return CandidateResult(
-            pipeline_name=pipeline.name, verdict=verdict, press_matrix=matrix,
-            sum_press_at_optimal=float(verdict.sum_press[verdict.optimal_pc - 1]),
-            error=None,
-            wall_time_s=time.perf_counter() - started,
-        )
+            matrix, error = None, f"{type(exc).__name__}: {exc}"
+        return CandidateResult(pipeline.name, verdict, matrix, error,
+                               time.perf_counter() - started)
 
     entries = run_indexed(evaluate, len(candidates), workers=workers)
     alerts: list[str] = []

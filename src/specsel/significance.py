@@ -1,11 +1,12 @@
 """ANOVA significance gate over a PRESS matrix and optimal-PC selection.
 
-Each PC count is one treatment group whose observations are the per-fold
-PRESS values. If the group means differ significantly (one-way F-test), the
-PC counts that beat the worst-performing one are short-listed and the pick
-combines low error with strong significance; if they do not, the
-preprocessing pipeline itself is flagged as unsuitable and the fallback is
-simply the column with the smallest PRESS sum.
+The gate is statistics on a 2-D array; a ``PressMatrix`` converts with
+``np.asarray``. Each PC count is one treatment group whose observations are
+the per-fold PRESS values. If the group means differ significantly (one-way
+F-test), the PC counts that beat the worst-performing one are short-listed
+and the pick combines low error with strong significance, a tie going to
+fewer components; if they do not, the preprocessing pipeline itself is
+flagged as unsuitable and the fallback is the smallest PRESS sum.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossval import PressMatrix
 from .errors import DegenerateMatrix
 
 _TINY = 1e-300
@@ -58,10 +58,9 @@ class AnovaResult:
         return self.p_value < self.alpha
 
 
-def _press_values(matrix) -> np.ndarray:
-    if isinstance(matrix, PressMatrix):
-        return np.asarray(matrix.values, dtype=float)
-    return np.asarray(matrix, dtype=float)
+def _columns(matrix) -> list[np.ndarray]:
+    """Each column's finite entries, in row order."""
+    return [c[np.isfinite(c)] for c in np.asarray(matrix, dtype=float).T]
 
 
 def anova_oneway(press_matrix, alpha: float = 0.05,
@@ -73,7 +72,7 @@ def anova_oneway(press_matrix, alpha: float = 0.05,
     With ``log_transform`` the test runs on log10 of the values (useful
     when PRESS spans orders of magnitude) and the result says so.
     """
-    values = _press_values(press_matrix)
+    values = np.asarray(press_matrix, dtype=float)
     if values.ndim != 2:
         raise DegenerateMatrix(f"PRESS matrix must be 2-D, got shape {values.shape}")
     n_rows, n_cols = values.shape
@@ -87,8 +86,8 @@ def anova_oneway(press_matrix, alpha: float = 0.05,
             values = np.log10(np.maximum(values, _TINY))
         notes.append("ANOVA computed on log10-transformed PRESS values")
 
-    valid = np.isfinite(values)
-    group_sizes = valid.sum(axis=0)
+    columns = _columns(values)
+    group_sizes = np.array([column.size for column in columns])
     kept = group_sizes > 0
     if not np.all(kept):
         dropped = [f"pc_{m + 1}" for m in np.flatnonzero(~kept)]
@@ -105,13 +104,12 @@ def anova_oneway(press_matrix, alpha: float = 0.05,
     group_means = np.full(n_cols, np.nan)
     sse = 0.0
     total = 0.0
-    n_obs = 0
+    n_obs = int(group_sizes.sum())
     for m in np.flatnonzero(kept):
-        column = values[valid[:, m], m]
+        column = columns[m]
         group_means[m] = column.mean()
         sse += float(np.sum((column - group_means[m]) ** 2))
         total += float(column.sum())
-        n_obs += column.size
     grand_mean = total / n_obs
     sst = float(np.sum(
         group_sizes[kept] * (group_means[kept] - grand_mean) ** 2
@@ -134,7 +132,7 @@ def anova_oneway(press_matrix, alpha: float = 0.05,
     return AnovaResult(
         sst=sst, sse=sse, f_statistic=f_stat, p_value=p_value,
         df_treat=df_treat, df_error=df_error, group_means=group_means,
-        group_sizes=group_sizes.astype(int), alpha=alpha,
+        group_sizes=group_sizes, alpha=alpha,
         log_transformed=log_transform, notes=tuple(notes),
     )
 
@@ -161,10 +159,8 @@ def boxplot_stats(press_matrix) -> list[BoxStats]:
     Points beyond 1.5 interquartile ranges from the quartiles are outliers;
     whiskers end at the most extreme points that are not.
     """
-    values = _press_values(press_matrix)
     stats = []
-    for m in range(values.shape[1]):
-        column = values[np.isfinite(values[:, m]), m]
+    for m, column in enumerate(_columns(press_matrix)):
         if column.size == 0:
             stats.append(BoxStats(m + 1, math.nan, math.nan, math.nan,
                                   math.nan, math.nan, (), 0))
@@ -189,14 +185,20 @@ def boxplot_stats(press_matrix) -> list[BoxStats]:
 class PcVerdict:
     """Outcome of the significance gate for one pipeline's PRESS matrix."""
 
-    significant: bool
     optimal_pc: int
-    candidate_set: tuple[int, ...]
     sum_press: np.ndarray       # per column; NaN where no valid entries
     boxplot: tuple[BoxStats, ...]
     anova: AnovaResult
-    pairwise_p: dict
+    pairwise_p: dict            # short-listed PC count -> p vs the worst
     notes: tuple[str, ...] = ()
+
+    @property
+    def candidate_set(self) -> tuple[int, ...]:
+        return tuple(self.pairwise_p)
+
+    @property
+    def significant(self) -> bool:
+        return bool(self.pairwise_p)
 
 
 UNSUITABLE_ALERT = (
@@ -207,10 +209,9 @@ UNSUITABLE_ALERT = (
 )
 
 
-def _stable_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
+def _stable_ranks(values) -> np.ndarray:
     ranks = np.empty(len(values), dtype=int)
-    ranks[order] = np.arange(len(values))
+    ranks[np.argsort(values, kind="stable")] = np.arange(len(values))
     return ranks
 
 
@@ -220,10 +221,12 @@ def select_optimal_pc(press_matrix, alpha: float = 0.05,
 
     Significant case: PC counts whose mean PRESS is significantly below
     the worst column's (pairwise test on the pooled within-group mean
-    square) are short-listed; among them the pick minimizes the sum of the
-    mean-PRESS rank and the pairwise-p rank, ties going to fewer
-    components. Non-significant case: the column with the smallest PRESS
-    sum, plus an alert that the preprocessing treatment looks unsuitable.
+    square) are short-listed; among them the pick is the argmin of the sum
+    of the mean-PRESS rank and the pairwise-p rank over counts in
+    ascending order, so a tie goes to fewer components (cheaper, less
+    overfit-prone). Non-significant case: the column with the smallest
+    PRESS sum, plus an alert that the preprocessing treatment looks
+    unsuitable.
 
     The rule that runs is simpler than it reads. Every pairwise test is
     against the same worst column with the same df, so when every column
@@ -232,27 +235,20 @@ def select_optimal_pc(press_matrix, alpha: float = 0.05,
     smallest mean PRESS on the short list. Pairwise p-values that
     underflow to 0.0 tie, and the stable rank gives those ties to fewer
     components, so among them the pick can fall on fewer components than
-    the smallest mean.
+    the smallest mean. With unequal fold counts the two ranks can disagree.
     """
     anova = anova_oneway(press_matrix, alpha=alpha, log_transform=log_transform)
-    raw = _press_values(press_matrix)
-    sum_press = np.full(raw.shape[1], np.nan)
-    for m in range(raw.shape[1]):
-        column = raw[np.isfinite(raw[:, m]), m]
-        if column.size:
-            sum_press[m] = float(column.sum())
+    sum_press = np.array([column.sum() if column.size else np.nan
+                          for column in _columns(press_matrix)])
     valid_cols = np.flatnonzero(np.isfinite(sum_press))
     notes = list(anova.notes)
     pairwise_p: dict[int, float] = {}
-    candidates = []
     if anova.significant:
         means = anova.group_means
         sizes = anova.group_sizes
         worst = valid_cols[np.argmax(means[valid_cols])]
         mse = anova.sse / anova.df_error
-        for m in valid_cols:
-            if m == worst or not means[m] < means[worst]:
-                continue
+        for m in valid_cols[means[valid_cols] < means[worst]]:
             if mse == 0.0:
                 p_pair = 0.0
             else:
@@ -261,9 +257,8 @@ def select_optimal_pc(press_matrix, alpha: float = 0.05,
                 )
                 p_pair = 1.0 - f_cdf(t_sq, 1, anova.df_error)
             if p_pair < alpha:
-                candidates.append(m)
                 pairwise_p[int(m) + 1] = p_pair
-        if not candidates:
+        if not pairwise_p:
             # the overall test fired but no count beats the worst one
             # pairwise; without a qualified subset the gate has not really
             # been passed
@@ -275,19 +270,15 @@ def select_optimal_pc(press_matrix, alpha: float = 0.05,
     else:
         notes.append(UNSUITABLE_ALERT)
 
-    if candidates:
-        cand = np.asarray(candidates)
-        rank_error = _stable_ranks(anova.group_means[cand])
-        rank_signif = _stable_ranks(
-            np.asarray([pairwise_p[int(m) + 1] for m in cand]))
-        rank_sum = rank_error + rank_signif
-        # ties broken toward fewer components (cheaper, less overfit-prone)
-        best = cand[min(range(len(cand)), key=lambda n: (rank_sum[n], cand[n]))]
+    if pairwise_p:
+        cand = np.asarray(list(pairwise_p)) - 1
+        rank_sum = (_stable_ranks(anova.group_means[cand])
+                    + _stable_ranks(list(pairwise_p.values())))
+        best = cand[np.argmin(rank_sum)]
     else:
         best = valid_cols[np.argmin(sum_press[valid_cols])]
     return PcVerdict(
-        significant=bool(candidates), optimal_pc=int(best) + 1,
-        candidate_set=tuple(int(m) + 1 for m in candidates),
-        sum_press=sum_press, boxplot=tuple(boxplot_stats(press_matrix)),
-        anova=anova, pairwise_p=pairwise_p, notes=tuple(notes),
+        optimal_pc=int(best) + 1, sum_press=sum_press,
+        boxplot=tuple(boxplot_stats(press_matrix)), anova=anova,
+        pairwise_p=pairwise_p, notes=tuple(notes),
     )

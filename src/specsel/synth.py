@@ -89,7 +89,7 @@ class SpeciesSpec:
 class BaselineSpec:
     """Slowly varying additive background with a per-spectrum random scale.
 
-    kind 'exp_decay': coeffs = (amplitude, decay length cm-1), anchored at
+    kind 'exp_decay': coeffs = (amplitude, decay length cm-1 > 0), anchored at
     the axis start. kind 'polynomial': coeffs over the axis normalized to
     [0, 1].
     """
@@ -105,6 +105,9 @@ class BaselineSpec:
         _set(self, coeffs=_numbers(self.coeffs, "coeffs",
                                    2 if self.kind == "exp_decay" else None),
              scale_range=_range(self.scale_range, "scale_range"))
+        if self.kind == "exp_decay" and not self.coeffs[1] > 0:
+            raise SpecselError(f"coeffs decay length must be > 0, "
+                               f"got {self.coeffs[1]}")
 
 
 @dataclass(frozen=True)

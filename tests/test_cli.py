@@ -155,10 +155,16 @@ class TestSynthCrossval:
           "species": [{"name": "g", "peaks": []}]},
          "recipe baseline kind must be 'exp_decay' or 'polynomial', "
          "got 'nope'"),
+        ({}, "recipe species must be a non-empty list, got None"),
+        (None, "recipe must be an object, got None"),
+        ({"baseline": {"coeffs": [1.0, 0.0]},
+          "species": [{"name": "g", "peaks": []}]},
+         "recipe baseline coeffs decay length must be > 0, got 0.0"),
     ], ids=["missing_peaks", "axis_step", "conc_range_order",
             "conc_range_negative", "drift_range_order",
             "spike_amplitude_order", "scale_range_order", "spike_rate_huge",
-            "spike_rate_negative", "noise_sigma_negative", "baseline_kind"])
+            "spike_rate_negative", "noise_sigma_negative", "baseline_kind",
+            "recipe_empty", "recipe_null", "baseline_decay_zero"])
     def test_synth_malformed_recipe_exit_2(self, tmp_path, capsys, recipe,
                                            message):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,6 +265,21 @@ class TestSelectOptimalPc:
         assert int(np.argmin(verdict.anova.group_means)) + 1 == 3
         assert verdict.optimal_pc == 2
 
+    def test_unequal_fold_counts_rank_tie_goes_to_fewer_components(self):
+        # PC 3 has the smallest mean but only 4 valid folds, so its p is
+        # the larger one: the two ranks disagree, the rank sums tie at 1,
+        # and the tie goes to PC 2
+        spread = np.linspace(-3.0, 3.0, 10)
+        table = np.column_stack([10.0 + spread, 6.1 + spread, 6.0 + spread])
+        table[[1, 2, 3, 6, 7, 8], 2] = np.nan
+        verdict = select_optimal_pc(self.as_press(table), 0.05)
+        assert verdict.anova.group_means[2] == 6.0
+        assert sorted(verdict.pairwise_p) == [2, 3]
+        assert 0.0 < verdict.pairwise_p[2] < verdict.pairwise_p[3]
+        assert_allclose([verdict.pairwise_p[2], verdict.pairwise_p[3]],
+                        [4.26e-4, 3.94e-3], rtol=1e-2)
+        assert verdict.optimal_pc == 2
+
     def test_verdict_invariant(self):
         # significant verdicts pick from the candidate set; fallbacks pick
         # the argmin PRESS sum
@@ -278,3 +294,40 @@ class TestSelectOptimalPc:
             else:
                 sums = np.nansum(table, axis=0)
                 assert verdict.optimal_pc == int(np.argmin(sums)) + 1
+
+
+def assert_same(a, b):
+    """Field-by-field equality of gate results; NaN equals NaN."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for field in dataclasses.fields(a):
+            assert_same(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    elif isinstance(a, float) and math.isnan(a):
+        assert math.isnan(b)
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("gate", [
+    anova_oneway,
+    lambda m: anova_oneway(m, log_transform=True),
+    boxplot_stats,
+    select_optimal_pc,
+    lambda m: select_optimal_pc(m, log_transform=True),
+], ids=["anova", "anova_log", "boxplot", "select", "select_log"])
+def test_press_matrix_and_array_give_equal_results(gate):
+    rng = np.random.default_rng(9)
+    table = rng.uniform(2.0, 4.0, (8, 5))
+    table[:, 3] *= 0.1
+    table[:, 1] = np.nan
+    table[[2, 5], 4] = np.nan
+    matrix = PressMatrix(table, "test", tuple(f"s{n}" for n in range(8)))
+    from_matrix, from_array = gate(matrix), gate(matrix.values)
+    assert_same(from_matrix, from_array)

@@ -102,6 +102,8 @@ class TestGenerate:
         with pytest.raises(SpecselError):
             BaselineSpec("nope")
         with pytest.raises(SpecselError):
+            BaselineSpec("exp_decay", (1.0, 0.0))
+        with pytest.raises(SpecselError):
             SynthRecipe(noise_sigma=-0.5)
 
     @pytest.mark.parametrize("edit,message", [
