@@ -15,7 +15,7 @@ from pathlib import Path
 from . import synth
 from .crossval import loo_press_matrix
 from .errors import IoFailure, SpecselError
-from .preprocess import Pipeline, apply_pipeline, parse_pipeline
+from .preprocess import apply_pipeline, parse_pipeline
 from .regress import load_model, pcr_predict, save_model
 from .selector import (
     dataset_digest,
@@ -23,7 +23,7 @@ from .selector import (
     train_final,
     write_report,
 )
-from .significance import boxplot_stats
+from .significance import DEFAULT_ALPHA, boxplot_stats
 from .spectra import (
     load_concentrations,
     load_spectra,
@@ -38,9 +38,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NOT_SIGNIFICANT = 3
 
-DEFAULT_ALPHA = 0.05
-
-# candidate grid used when neither the config nor the command line lists any
+# candidate grid used when neither the command line nor the config gives one
 DEFAULT_CANDIDATES = [
     "snv",
     "rnv(75)",
@@ -57,45 +55,47 @@ DEFAULT_CANDIDATES = [
 ]
 
 
+# each setting a flag or the config file can give: its default, the JSON
+# type(s) it must have and the wording of its error
+SETTINGS = {
+    "n": (40, int, "an integer"),
+    "seed": (0, int, "an integer"),
+    "pipeline": ("identity", str, "a pipeline string"),
+    "candidates": (DEFAULT_CANDIDATES, list, "a list of pipeline strings"),
+    "alpha": (DEFAULT_ALPHA, (int, float), "a number"),
+    "log_press": (False, bool, "true or false"),
+    "threads": (1, int, "an integer"),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     config = read_json(path)
     if not isinstance(config, dict):
         raise SpecselError(f"config {path} must be a JSON object")
+    for key, (_, kind, what) in SETTINGS.items():
+        if key not in config:
+            continue
+        value = config[key]
+        # JSON true and false are ints to isinstance, but they are not numbers
+        if (not isinstance(value, kind)
+                or (isinstance(value, bool) and kind is not bool)
+                or (kind is list and not all(isinstance(v, str)
+                                             for v in value))):
+            raise SpecselError(f"config {key!r} must be {what}, got {value!r}")
     return config
 
 
-def _typed_setting(args, config: dict, key: str, default, kind, what: str,
-                   items=None):
-    """A setting that must be of ``kind``: a type or a tuple of types.
-
-    With ``items`` given, the setting is a list whose every element must be
-    of that type.
-    """
+def _setting(args, config: dict, key: str):
     value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    # JSON true and false are ints to isinstance, but they are not numbers
-    if (not isinstance(value, kind)
-            or (isinstance(value, bool) and kind is not bool)
-            or (items and not all(isinstance(v, items) for v in value))):
-        raise SpecselError(f"config {key!r} must be {what}, got {value!r}")
-    return value
+    return config.get(key, SETTINGS[key][0]) if value is None else value
 
 
 def _load_pair(spectra_path, conc_path):
     spectra = load_spectra(spectra_path)
     conc = load_concentrations(conc_path, labels=spectra.labels)
     return spectra, conc
-
-
-def _candidate_pipelines(args, config: dict) -> list[Pipeline]:
-    texts = (getattr(args, "candidate", None)
-             or _typed_setting(args, config, "candidates", [], list,
-                               "a list of pipeline strings", items=str)
-             or DEFAULT_CANDIDATES)
-    return [parse_pipeline(t) for t in texts]
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -107,8 +107,8 @@ def cmd_validate(args, config) -> int:
 
 
 def cmd_synth(args, config) -> int:
-    seed = _typed_setting(args, config, "seed", 0, int, "an integer")
-    n = _typed_setting(args, config, "n", 40, int, "an integer")
+    seed = _setting(args, config, "seed")
+    n = _setting(args, config, "n")
     if "recipe" in config:
         recipe = synth.recipe_from_dict(config["recipe"], seed)
         conc = synth.phantom_concentrations(recipe, n)
@@ -123,8 +123,7 @@ def cmd_synth(args, config) -> int:
 
 def cmd_crossval(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
-    pipeline = parse_pipeline(_typed_setting(
-        args, config, "pipeline", "identity", str, "a pipeline string"))
+    pipeline = parse_pipeline(_setting(args, config, "pipeline"))
     matrix = loo_press_matrix(spectra, conc, pipeline)
     out_dir = Path(args.out_dir)
     try:
@@ -155,14 +154,12 @@ def _write_boxplot_csv(path, matrix) -> None:
 
 def cmd_select(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
-    candidates = _candidate_pipelines(args, config)
-    alpha = float(_typed_setting(args, config, "alpha", DEFAULT_ALPHA,
-                                 (int, float), "a number"))
-    log_press = _typed_setting(args, config, "log_press", False, bool,
-                               "true or false")
-    workers = _typed_setting(args, config, "threads", 1, int, "an integer")
-    report = select_method(spectra, conc, candidates, alpha=alpha,
-                           log_press=log_press, workers=workers)
+    candidates = [parse_pipeline(t)
+                  for t in _setting(args, config, "candidates")]
+    report = select_method(spectra, conc, candidates,
+                           alpha=float(_setting(args, config, "alpha")),
+                           log_press=_setting(args, config, "log_press"),
+                           workers=_setting(args, config, "threads"))
     inputs = {
         "spectra": str(args.spectra),
         "concentrations": str(args.concentrations),
@@ -185,8 +182,7 @@ def cmd_select(args, config) -> int:
 
 def cmd_train(args, config) -> int:
     spectra, conc = _load_pair(args.spectra, args.concentrations)
-    pipeline = parse_pipeline(_typed_setting(
-        args, config, "pipeline", "identity", str, "a pipeline string"))
+    pipeline = parse_pipeline(_setting(args, config, "pipeline"))
     model = train_final(spectra, conc, pipeline, int(args.pc))
     save_model(args.out_model, model)
     fewer = (f"; {args.pc} requested" if model.n_components < args.pc
@@ -221,10 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file with defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--spectra", required=True)
+    pair.add_argument("--concentrations", required=True)
 
-    p = sub.add_parser("validate", help="check a spectra/concentrations pair")
-    p.add_argument("--spectra", required=True)
-    p.add_argument("--concentrations", required=True)
+    p = sub.add_parser("validate", parents=[pair],
+                       help="check a spectra/concentrations pair")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="generate a synthetic phantom data set")
@@ -234,19 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("crossval",
+    p = sub.add_parser("crossval", parents=[pair],
                        help="leave-one-out PRESS matrix for one pipeline")
-    p.add_argument("--spectra", required=True)
-    p.add_argument("--concentrations", required=True)
     p.add_argument("--pipeline")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_crossval)
 
-    p = sub.add_parser("select",
+    p = sub.add_parser("select", parents=[pair],
                        help="qualify candidate pipelines and pick the best")
-    p.add_argument("--spectra", required=True)
-    p.add_argument("--concentrations", required=True)
-    p.add_argument("--candidate", action="append",
+    p.add_argument("--candidate", dest="candidates", action="append",
                    help="pipeline description; repeatable")
     p.add_argument("--alpha", type=float)
     p.add_argument("--log-press", dest="log_press", action="store_const",
@@ -258,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("train", help="train a final model on the full set")
-    p.add_argument("--spectra", required=True)
-    p.add_argument("--concentrations", required=True)
+    p = sub.add_parser("train", parents=[pair],
+                       help="train a final model on the full set")
     p.add_argument("--pipeline")
     p.add_argument("--pc", type=int, required=True)
     p.add_argument("--out-model", required=True)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .preprocess import Pipeline, apply_pipeline
 from .regress import usable_components
-from .spectra import ConcentrationSet, SpectraSet
+from .spectra import ConcentrationSet, SpectraSet, _frozen_array
 
 FOLD_BLOCK = 8  # folds per stacked SVD: caps its ~3 x 8 x i x min(i, j) floats
 
@@ -48,9 +48,7 @@ class PressMatrix:
         with np.errstate(invalid="ignore"):
             if np.any(values < 0):
                 raise ShapeMismatch("PRESS values must be non-negative")
-        values = np.array(values, copy=True)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen_array(values))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "notes", tuple(self.notes))
 
@@ -110,8 +108,6 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
             notes.extend(
                 f"fold {label!r}: singular scores at {m} components; column "
                 f"recorded as NaN" for m in range(k_fit + 1, k_have + 1))
-            if not k_fit:
-                continue
             scaled = held[b, 0, :k_fit] / singulars[b, :k_fit]
             estimates = np.cumsum(fits[b, :k_fit] * scaled[:, None],
                                   axis=0) + y_mean[b]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisMismatch, BadOrder, NoConvergence
-from .spectra import SpectraSet
+from .spectra import SpectraSet, _frozen_array
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
@@ -45,8 +45,9 @@ def _signed_model(spectra: SpectraSet, mean_spectrum: np.ndarray,
     flipping its scores with it (the sign convention of both fits)."""
     n = loadings.shape[1]
     signs = np.sign(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(n)])
-    return PcaModel(spectra.axis, mean_spectrum,
-                    np.ascontiguousarray(loadings * signs), scores * signs)
+    return PcaModel(spectra.axis, _frozen_array(mean_spectrum),
+                    _frozen_array(loadings * signs, order="C"),
+                    _frozen_array(scores * signs))
 
 
 def _check_order(spectra: SpectraSet, k: int) -> None:

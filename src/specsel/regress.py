@@ -16,7 +16,8 @@ import numpy as np
 from .decompose import PcaModel, project
 from .errors import (BadOrder, IoFailure, NonFiniteValue, ShapeMismatch,
                      SingularScores, SpecselError)
-from .spectra import ConcentrationSet, SpectraSet, read_json, write_json
+from .spectra import (ConcentrationSet, SpectraSet, _frozen_array, read_json,
+                      write_json)
 
 MAX_SCORE_CONDITION = 1e12
 
@@ -37,7 +38,7 @@ class PcrModel:
 
     def __post_init__(self):
         # every array is float before any shape is read
-        arrays = {name: np.asarray(getattr(self, name), dtype=float) for name
+        arrays = {name: _frozen_array(getattr(self, name)) for name
                   in ("axis", "mean_spectrum", "loadings", "coeffs", "mean_conc")}
         if not isinstance(self.pipeline_name, str):
             raise SpecselError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .decompose import pca_fit
 from .errors import AllCandidatesFailed, ShapeMismatch, SpecselError
 from .preprocess import Pipeline, apply_pipeline
 from .regress import PcrModel, pcr_fit, pcr_predict_all_counts
-from .significance import PcVerdict, select_optimal_pc
+from .significance import DEFAULT_ALPHA, PcVerdict, select_optimal_pc
 from .spectra import ConcentrationSet, SpectraSet, write_json
 
 NO_SIGNIFICANCE_ALERT = (
@@ -66,7 +66,7 @@ class SelectionReport:
 
 
 def select_method(spectra: SpectraSet, conc: ConcentrationSet,
-                  candidates: list[Pipeline], alpha: float = 0.05,
+                  candidates: list[Pipeline], alpha: float = DEFAULT_ALPHA,
                   log_press: bool = False,
                   workers: int = 1) -> SelectionReport:
     """Evaluate candidate pipelines and choose the qualified best.
@@ -193,22 +193,6 @@ def dataset_digest(spectra: SpectraSet, conc: ConcentrationSet) -> str:
     return h.hexdigest()
 
 
-def _json_num(value: float):
-    return None if np.isnan(value) else float(value)
-
-
-def _boxstats_payload(verdict: PcVerdict) -> list[dict]:
-    return [
-        {
-            "pc": b.pc, "q1": _json_num(b.q1), "median": _json_num(b.median),
-            "q3": _json_num(b.q3), "lo_whisker": _json_num(b.lo_whisker),
-            "hi_whisker": _json_num(b.hi_whisker),
-            "outliers": list(b.outliers), "n_valid": b.n_valid,
-        }
-        for b in verdict.boxplot
-    ]
-
-
 def _entry_payload(entry: CandidateResult) -> dict:
     payload: dict = {"pipeline": entry.pipeline_name, "ok": entry.ok}
     if not entry.ok:
@@ -228,13 +212,13 @@ def _entry_payload(entry: CandidateResult) -> dict:
             "p_value": anova.p_value,
             "df_treat": anova.df_treat,
             "df_error": anova.df_error,
-            "group_means": [_json_num(v) for v in anova.group_means],
+            "group_means": anova.group_means.tolist(),
             "log_transformed": anova.log_transformed,
         },
-        "sum_press": [_json_num(v) for v in verdict.sum_press],
+        "sum_press": verdict.sum_press.tolist(),
         "pairwise_p_vs_worst": {str(pc): p for pc, p
                                 in sorted(verdict.pairwise_p.items())},
-        "boxplot": _boxstats_payload(verdict),
+        "boxplot": [asdict(b) for b in verdict.boxplot],
         "notes": list(verdict.notes),
     })
     return payload
@@ -242,7 +226,7 @@ def _entry_payload(entry: CandidateResult) -> dict:
 
 def report_payload(report: SelectionReport, inputs: dict | None = None,
                    include_timing: bool = False) -> dict:
-    """JSON-ready dict for a selection report.
+    """Dict for a selection report; ``write_json`` writes its NaNs as null.
 
     Timing is opt-in so that default reports are byte-reproducible across
     runs and thread counts.

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateMatrix
 
 _TINY = 1e-300
+DEFAULT_ALPHA = 0.05
 
 
 # --- F distribution ----------------------------------------------------------
@@ -63,7 +64,7 @@ def _columns(matrix) -> list[np.ndarray]:
     return [c[np.isfinite(c)] for c in np.asarray(matrix, dtype=float).T]
 
 
-def anova_oneway(press_matrix, alpha: float = 0.05,
+def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
                  log_transform: bool = False) -> AnovaResult:
     """One-way ANOVA with each PC-count column as a treatment group.
 
@@ -215,7 +216,7 @@ def _stable_ranks(values) -> np.ndarray:
     return ranks
 
 
-def select_optimal_pc(press_matrix, alpha: float = 0.05,
+def select_optimal_pc(press_matrix, alpha: float = DEFAULT_ALPHA,
                       log_transform: bool = False) -> PcVerdict:
     """Qualify the PRESS matrix and pick the optimal component count.
 

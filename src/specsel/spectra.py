@@ -349,11 +349,21 @@ def write_csv(path, header: Sequence[str], rows) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _nan_to_null(value):
+    """``value`` with every NaN float in its dicts, lists and tuples as None."""
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_to_null(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def write_json(path, payload) -> None:
-    """Write a JSON document, one space per indent level and a final newline."""
+    """Write a JSON document, one space per indent level and a final newline;
+    a NaN is written as null."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(_nan_to_null(payload), fh, indent=1)
             fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import specsel
+from specsel import synth
 from specsel.cli import main
 from specsel.spectra import (
+    ConcentrationSet,
     load_concentrations,
     load_spectra,
     save_concentrations,
@@ -273,6 +275,33 @@ class TestConfigTypes:
         assert code == 2
         assert f"error: SpecselError: {message}" in capsys.readouterr().err
 
+    def test_empty_candidates_exit_2(self, mixture_files, tmp_path, capsys):
+        spath, cpath, *_ = mixture_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"candidates": []}))
+        code = main(["--config", str(cfg), "select", "--spectra", str(spath),
+                     "--concentrations", str(cpath),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert ("error: AllCandidatesFailed: no candidate pipelines supplied"
+                in capsys.readouterr().err)
+
+    # synth reads no alpha, and its --n flag overrides the file's n
+    @pytest.mark.parametrize("key,value,message", [
+        ("alpha", "x", "config 'alpha' must be a number, got 'x'"),
+        ("n", "abc", "config 'n' must be an integer, got 'abc'"),
+    ], ids=["key_not_read", "key_under_flag"])
+    def test_bad_value_synth_does_not_use_exit_2(self, tmp_path, capsys, key,
+                                                 value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["--config", str(cfg), "synth", "--n", "8",
+                     "--out-spectra", str(tmp_path / "s.csv"),
+                     "--out-concentrations", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert f"error: SpecselError: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestSelect:
     def test_noiseless_identity_exit_0(self, mixture_files, tmp_path):
@@ -392,6 +421,50 @@ class TestSelect:
                      str(cpath), "--candidate", "identity", "--out", str(out)])
         assert code == 2
         assert "error: IoFailure: cannot write" in capsys.readouterr().err
+
+    def test_failed_candidate_in_report(self, tmp_path):
+        spectra, conc = synth.tears_phantom(8, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        out = tmp_path / "report.json"
+        code = main(["select", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--candidate", "snv",
+                     "--candidate", "peak_normalize(5000)", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        error = ("FoldPreprocessFailure: pipeline 'peak_normalize(5000,10)' "
+                 "failed: spectrum 's000', step peak_normalize(5000,10): "
+                 "window [4990, 5010] cm-1 not inside axis [400, 1800] cm-1")
+        assert payload["candidates"][1] == {
+            "pipeline": "peak_normalize(5000,10)", "ok": False, "error": error}
+        assert (f"candidate peak_normalize(5000,10) failed: {error}"
+                in payload["alerts"])
+        assert payload["chosen_pipeline"] == "snv"
+
+    def test_all_nan_columns_written_as_null(self, tmp_path):
+        # four spectra, each twice: every fold has 3 of 6 components, so
+        # columns pc_4 to pc_6 hold no value at all
+        spectra, conc = synth.tears_phantom(8, 7)
+        twice = np.r_[0:4, 0:4]
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra.with_matrix(spectra.matrix[twice]))
+        save_concentrations(cpath, ConcentrationSet(
+            conc.matrix[:, twice], conc.species, conc.units), spectra.labels)
+        out = tmp_path / "report.json"
+        main(["select", "--spectra", str(spath), "--concentrations",
+              str(cpath), "--candidate", "identity", "--out", str(out)])
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the report")
+
+        entry = json.loads(out.read_text(),
+                           parse_constant=refuse)["candidates"][0]
+        for values in (entry["sum_press"], entry["anova"]["group_means"]):
+            assert all(isinstance(v, float) for v in values[:3])
+            assert values[3:] == [None, None, None]
+        for box in entry["boxplot"][3:]:
+            assert box["q1"] is box["median"] is box["q3"] is None
+            assert box["n_valid"] == 0
 
 
 class TestTrainPredict:

@@ -133,6 +133,21 @@ class TestLooPressMatrix:
         slow = brute_force_press(spectra, conc, pipeline)
         assert np.allclose(fast.values, slow, rtol=0, atol=1e-9, equal_nan=True)
 
+    def test_fold_without_components_is_all_nan(self):
+        # five identical spectra: the fold holding out s5 trains on no
+        # variance at all, every other fold on one direction
+        matrix = np.vstack([np.ones(10)] * 5 + [np.arange(10.0)])
+        spectra = SpectraSet(400.0 + 2.0 * np.arange(10), matrix,
+                             tuple(f"s{n}" for n in range(6)))
+        conc = ConcentrationSet(np.array([[1.0] * 5 + [2.0]]), ("a",), ("u",))
+        out = loo_press_matrix(spectra, conc, IDENTITY)
+        assert ("fold 's5': only 0 of 4 components available; later columns "
+                "recorded as NaN") in out.notes
+        assert np.isnan(out.values[5]).all()
+        assert np.array_equal(out.values[:5],
+                              np.tile([0.0, np.nan, np.nan, np.nan], (5, 1)),
+                              equal_nan=True)
+
     def test_noiseless_mixtures_collapse(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=3)
         out = loo_press_matrix(spectra, conc, IDENTITY)

@@ -144,6 +144,20 @@ class TestPcrModel:
             assert type(again) is type(trained), field.name
             assert np.array_equal(again, trained), field.name
 
+    def test_arrays_frozen_and_not_shared(self):
+        spectra, conc, _ = noiseless_mixtures(n_samples=10, n_species=3)
+        pca = pca_fit(spectra, 3)
+        model = pcr_fit(pca, conc)
+        for array in (pca.mean_spectrum, pca.loadings, pca.scores,
+                      model.axis, model.mean_spectrum, model.loadings,
+                      model.coeffs, model.mean_conc):
+            assert not array.flags.writeable
+        before = pcr_predict(model, spectra)
+        for array in (pca.mean_spectrum, pca.loadings, pca.scores):
+            array.setflags(write=True)  # each owns its data, so this is allowed
+            array[...] = 0.0
+        assert np.array_equal(pcr_predict(model, spectra), before)
+
 
 class TestPcrPredict:
     def test_noiseless_self_prediction(self):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 import tempfile
 import tracemalloc
@@ -32,6 +33,7 @@ from specsel.spectra import (
     save_concentrations,
     save_matrix,
     save_spectra,
+    write_json,
 )
 
 from conftest import noiseless_mixtures, random_spectra_set
@@ -609,3 +611,13 @@ class TestReadJson:
         with pytest.raises(IoFailure,
                            match=f"^cannot read {re.escape(str(f))}: "):
             read_json(f)
+
+
+class TestWriteJson:
+    def test_nan_written_as_null_at_any_depth(self, tmp_path):
+        f = tmp_path / "x.json"
+        write_json(f, {"a": float("nan"), "b": [1.0, np.float64("nan")],
+                       "c": (np.nan, {"d": [np.nan, "nan"]})})
+        assert "NaN" not in f.read_text()
+        assert json.loads(f.read_text()) == {
+            "a": None, "b": [1.0, None], "c": [None, {"d": [None, "nan"]}]}

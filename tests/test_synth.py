@@ -12,6 +12,7 @@ from specsel.synth import (
     BaselineSpec,
     SpeciesSpec,
     SynthRecipe,
+    baseline_shape,
     generate,
     phantom_concentrations,
     recipe_from_dict,
@@ -139,6 +140,25 @@ class TestGenerate:
         assert recipe.species == (as_lists,)
         assert recipe.drift_range == (1.0, 2.0)
         assert recipe.baseline.coeffs == (1.0, 2.0, 3.0)
+
+
+class TestPolynomialBaseline:
+    def test_sums_powers_of_the_unit_axis(self):
+        axis = 400.0 + 5.0 * np.arange(41)
+        u = (axis - 400.0) / 200.0
+        shape = baseline_shape(BaselineSpec("polynomial", (0.5, -1.0, 2.0)),
+                               axis)
+        assert_allclose(shape, 0.5 - 1.0 * u + 2.0 * u ** 2, rtol=0,
+                        atol=1e-12)
+
+    def test_recipe_synthesizes_finite_spectra(self):
+        cfg = dict(TestRecipeFromDict.CONFIG, baseline={
+            "kind": "polynomial", "coeffs": [1.0, -0.5, 0.25]})
+        recipe = recipe_from_dict(cfg, seed=3)
+        assert recipe.baseline == BaselineSpec("polynomial", (1.0, -0.5, 0.25))
+        spectra = generate(recipe, phantom_concentrations(recipe, 6))
+        assert spectra.matrix.shape == (6, 301)
+        assert np.isfinite(spectra.matrix).all()
 
 
 class TestTearsPhantom:
