@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import (
     BadOrder,
@@ -248,13 +247,15 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     points above the running estimate get the small weight ``p`` so the
     baseline hugs the bottom of the spectrum. Each of the ``iterations``
     solves the pentadiagonal system ``(W + lam * D @ D.T) z = W x`` by a
-    banded Cholesky factorization (``scipy.linalg.solveh_banded``).
+    banded Cholesky factorization (``scipy.linalg``).
 
-    A matrix is solved as one block-diagonal banded system of the rows
-    still iterating: the zero leading corner cells of each row's bands
-    decouple it from the row before. A row stops at its fixed point, the
-    first solve whose new weights equal the weights it was solved with,
-    since every later solve would repeat that one bit for bit.
+    Every row starts from unit weights, so the first solve factors
+    ``I + lam * D @ D.T`` once and takes the rows as its right-hand sides.
+    Each later solve is one block-diagonal banded system of the rows still
+    iterating: the zero leading corner cells of each row's bands decouple
+    it from the row before. A row stops at its fixed point, the first solve
+    whose new weights equal the weights it was solved with, since every
+    later solve would repeat that one bit for bit.
     Returns (corrected, baseline).
     """
     _check_baseline_als(lam, p, iterations)
@@ -265,15 +266,25 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
         raise WindowTooLarge(
             f"baseline estimation needs >= {MIN_ALS_CHANNELS} channels, got {j}"
         )
-    penalty = np.tile(_second_difference_bands(j, lam), i)
-    baseline = np.empty_like(rows)
-    active = np.arange(i)
-    weights = np.ones((i, j))
-    for _ in range(iterations):
+    # imported here: scipy.linalg costs a process about 28 MB and a quarter
+    # of a second, which no pipeline without this step needs
+    from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
+
+    penalty = _second_difference_bands(j, lam)
+    unit = penalty.copy()
+    unit[2] += 1.0
+    factor = cholesky_banded(unit, overwrite_ab=True, check_finite=False)
+    # the right-hand sides are the columns of rows.T, so the solution's
+    # transpose is C-ordered with one baseline per row
+    baseline = cho_solve_banded((factor, False), rows.T, check_finite=False).T
+    weights = np.where(rows > baseline, p, 1.0 - p)
+    moving = (weights != 1.0).any(axis=1)
+    active, weights = np.flatnonzero(moving), weights[moving]
+    for _ in range(iterations - 1):
         if not active.size:
             break
         targets = rows[active]
-        system = penalty[:, :active.size * j].copy()
+        system = np.tile(penalty, active.size)
         system[2] += weights.ravel()
         solved = solveh_banded(system, (weights * targets).ravel(),
                                overwrite_ab=True, check_finite=False)

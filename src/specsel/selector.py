@@ -77,6 +77,8 @@ def select_method(spectra: SpectraSet, conc: ConcentrationSet,
     """
     if not 0.0 < alpha < 1.0:
         raise SpecselError(f"alpha must be in (0, 1), got {alpha}")
+    if not workers >= 1:
+        raise SpecselError(f"threads must be at least 1, got {workers}")
     if not candidates:
         raise AllCandidatesFailed("no candidate pipelines supplied")
 

@@ -3,10 +3,12 @@
 One wide CSV holds a whole set of spectra: the first column is the shared
 wavenumber axis (header ``wavenumber_cm-1``), every further column is one
 spectrum. Concentrations travel in a species-per-row CSV whose header is
-``species,unit,<label1>,<label2>,...``. All floats are parsed as 64-bit and
-written back in shortest-round-trip form, so save/load is exact. Model
-files, reports and configs are JSON, read by ``read_json`` and written by
-``write_json``.
+``species,unit,<label1>,<label2>,...``. All floats are parsed as 64-bit.
+The writers hand ``csv.writer`` one row of Python floats at a time (one
+``tolist`` per row, never of the whole matrix), and it writes each as its
+``repr``: the shortest text that parses back to the same float, with NaN
+as ``nan``. So save/load is exact. Model files, reports and configs are
+JSON, read by ``read_json`` and written by ``write_json``.
 
 A CSV's cells are parsed as the file is read, in chunks of about
 ``CHUNK_CELLS`` cells, so the file never sits in memory as one Python
@@ -43,15 +45,6 @@ AXIS_HEADER = "wavenumber_cm-1"
 MIN_CHANNELS = 8
 # cells parsed per numpy call while a CSV is read
 CHUNK_CELLS = 1 << 16
-
-
-def _fmt(value: float) -> str:
-    """Shortest text that parses back to the exact float (NaN -> 'nan').
-
-    Exact round-trips keep save/load the identity, which both the set-level
-    I/O contract and synthetic ground-truth files rely on.
-    """
-    return repr(float(value))
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -373,8 +366,9 @@ def save_spectra(path, spectra: SpectraSet) -> None:
     """Write a SpectraSet back to the wide CSV format."""
     _check_header_labels(path, spectra.labels)
     write_csv(path, [AXIS_HEADER, *spectra.labels], (
-        [_fmt(spectra.axis[r])] + [_fmt(v) for v in spectra.matrix[:, r]]
-        for r in range(spectra.n_channels)))
+        [wavenumber, *column.tolist()]
+        for wavenumber, column in zip(spectra.axis.tolist(),
+                                      spectra.matrix.T)))
 
 
 def load_concentrations(path, labels: Sequence[str] | None = None) -> ConcentrationSet:
@@ -417,8 +411,8 @@ def save_concentrations(path, conc: ConcentrationSet,
     _check_header_labels(path, conc.species, "species")
     _check_header_labels(path, conc.units, "unit")
     write_csv(path, ["species", "unit", *labels], (
-        [conc.species[r], conc.units[r]] + [_fmt(v) for v in conc.matrix[r]]
-        for r in range(conc.n_species)))
+        [species, unit, *row.tolist()]
+        for species, unit, row in zip(conc.species, conc.units, conc.matrix)))
 
 
 def save_matrix(path, matrix, headers: Sequence[str],
@@ -439,5 +433,4 @@ def save_matrix(path, matrix, headers: Sequence[str],
             f"{len(row_labels)} row labels for {arr.shape[0]} matrix rows"
         )
     write_csv(path, [row_label_header, *headers],
-              ([label] + [_fmt(v) for v in row]
-               for label, row in zip(row_labels, arr)))
+              ([label, *row.tolist()] for label, row in zip(row_labels, arr)))

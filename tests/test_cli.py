@@ -24,6 +24,16 @@ from specsel.spectra import (
 from conftest import noiseless_mixtures
 
 
+def run_fresh(script: str, cwd) -> None:
+    """Run ``script`` in a fresh interpreter that imports this specsel."""
+    src = str(Path(specsel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.fixture
 def mixture_files(tmp_path):
     spectra, conc, recipe = noiseless_mixtures(n_samples=10, n_species=3)
@@ -244,6 +254,7 @@ class TestConfigTypes:
         ("seed", True, "config 'seed' must be an integer, got True"),
         ("seed", -1, "seed must be a non-negative integer, got -1"),
         ("threads", "abc", "config 'threads' must be an integer, got 'abc'"),
+        ("threads", 0, "threads must be at least 1, got 0"),
         ("alpha", "abc", "config 'alpha' must be a number, got 'abc'"),
         ("log_press", "false",
          "config 'log_press' must be true or false, got 'false'"),
@@ -253,8 +264,8 @@ class TestConfigTypes:
          "config 'candidates' must be a list of pipeline strings, got 'snv'"),
         ("pipeline", ["snv"],
          "config 'pipeline' must be a pipeline string, got ['snv']"),
-    ], ids=["n", "seed", "seed_negative", "threads", "alpha", "log_press", "candidates_item",
-            "candidates_str", "pipeline"])
+    ], ids=["n", "seed", "seed_negative", "threads", "threads_zero", "alpha",
+            "log_press", "candidates_item", "candidates_str", "pipeline"])
     def test_bad_value_exit_2(self, mixture_files, tmp_path, capsys, key,
                               value, message):
         spath, cpath, *_ = mixture_files
@@ -403,6 +414,19 @@ class TestSelect:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, mixture_files, tmp_path, capsys,
+                                      threads):
+        spath, cpath, *_ = mixture_files
+        out = tmp_path / "report.json"
+        code = main(["select", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--candidate", "snv", "--threads", threads,
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"error: SpecselError: threads must be at least 1, got "
+                f"{threads}" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_concentrations_without_species_exit_2(self, mixture_files,
                                                    tmp_path, capsys):
         spath, cpath, *_ = mixture_files
@@ -520,12 +544,36 @@ class TestTrainPredict:
             main(["select", *data, "--candidate", "snv", "--out", "r.json"])
             assert "scipy.special" in sys.modules
         """)
-        src = str(Path(specsel.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
-            text=True, env=dict(os.environ, PYTHONPATH=path))
-        assert result.returncode == 0, result.stderr
+        run_fresh(script, tmp_path)
+
+    def test_only_baseline_als_imports_scipy_linalg(self, tmp_path):
+        # scipy.linalg (the banded Cholesky) costs a process about 28 MB and
+        # a quarter of a second, so only a pipeline with baseline_als may
+        # load it; importing the package or the CLI loads no scipy at all
+        script = textwrap.dedent("""
+            import sys
+            import specsel
+            import specsel.cli
+            assert not [m for m in sys.modules if m.startswith("scipy")]
+            from specsel.cli import main
+            data = ["--spectra", "s.csv", "--concentrations", "c.csv"]
+            for argv in (
+                    ["synth", "--n", "8", "--out-spectra", "s.csv",
+                     "--out-concentrations", "c.csv"],
+                    ["validate", *data],
+                    ["crossval", *data, "--pipeline", "snv", "--out-dir", "cv"],
+                    ["train", *data, "--pipeline", "snv", "--pc", "2",
+                     "--out-model", "m.json"],
+                    ["predict", "--model", "m.json", "--spectra", "s.csv",
+                     "--out", "p.csv"],
+                    ["select", *data, "--candidate", "snv", "--out", "r.json"]):
+                assert main(argv) in (0, 3), argv
+                assert "scipy.linalg" not in sys.modules, argv[0]
+            main(["crossval", *data, "--pipeline", "baseline_als",
+                  "--out-dir", "cv_als"])
+            assert "scipy.linalg" in sys.modules
+        """)
+        run_fresh(script, tmp_path)
 
     def test_csv_trained_model_equals_in_memory_model(self, tmp_path):
         from specsel.preprocess import parse_pipeline

@@ -315,6 +315,19 @@ class TestBaselineAlsMatrix:
         assert np.array_equal(baseline, rows_baseline[1])
         assert np.array_equal(corrected, rows_corrected[1])
 
+    @pytest.mark.parametrize("lam,p", [(1e5, 0.01), (1e3, 0.05), (1.0, 0.5)])
+    def test_first_solve_is_the_unit_weight_system(self, lam, p):
+        # every row's first solve shares one factor of I + lam * D @ D.T
+        spectra, _ = tears_phantom(20, 3)
+        system = _second_difference_bands(spectra.n_channels, lam)
+        system[2] += 1.0
+        expected = np.array([solveh_banded(system, x, check_finite=False)
+                             for x in spectra.matrix])
+        _, baseline = baseline_als(spectra.matrix, lam, p, 1)
+        assert np.array_equal(baseline, expected)
+        _, row = baseline_als(spectra.matrix[7], lam, p, 1)
+        assert np.array_equal(row, expected[7])
+
     @settings(max_examples=60, deadline=None)
     @given(i=st.integers(1, 6),
            j=st.integers(8, 200),

@@ -116,6 +116,13 @@ class TestSelectMethod:
         with pytest.raises(SpecselError):
             select_method(spectra, conc, [IDENTITY], alpha=1.5)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one(self, workers):
+        spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
+        from specsel.errors import SpecselError
+        with pytest.raises(SpecselError, match="threads must be at least 1"):
+            select_method(spectra, conc, [IDENTITY], workers=workers)
+
     @pytest.mark.parametrize("n,seed,chosen_pc,optimal_pcs,p_zero", [
         (20, 7, 4, [16, 18, 16, 4, 17, 11, 6, 3, 4, 1, 9, 18], 34),
         (40, 11, 5, [4, 4, 5, 5, 35, 34, 36, 3, 24, 9, 34, 38], 74),

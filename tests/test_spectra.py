@@ -547,6 +547,66 @@ class TestSaveMatrix:
         assert lines[1] == "s0,1.0,2.0"
 
 
+# floats whose shortest text is easy to get wrong: signed zero, the smallest
+# subnormal and normal, exponent switches on both sides, and repeating or
+# long fractions; sorted, so they also make a strictly increasing axis
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1 / 3,
+               123456789012345.67, 1e16]
+EDGE_TEXTS = ["-0.0", "5e-324", "2.2250738585072014e-308", "1e-05", "0.1",
+              "0.3333333333333333", "123456789012345.67", "1e+16"]
+
+
+class TestWriterBytes:
+    """Each float cell is written as its repr, and loads back bit for bit."""
+
+    def test_texts_are_reprs(self):
+        assert [repr(v) for v in EDGE_FLOATS] == EDGE_TEXTS
+
+    def test_save_spectra(self, tmp_path):
+        f = tmp_path / "s.csv"
+        spectra = SpectraSet(EDGE_FLOATS, [EDGE_FLOATS, EDGE_FLOATS[::-1]],
+                             ("a", "b"))
+        save_spectra(f, spectra)
+        lines = ["wavenumber_cm-1,a,b"] + [
+            f"{text},{text},{back}"
+            for text, back in zip(EDGE_TEXTS, EDGE_TEXTS[::-1])]
+        assert f.read_bytes() == "".join(
+            line + "\r\n" for line in lines).encode()
+        loaded = load_spectra(f)
+        assert loaded.axis.tobytes() == spectra.axis.tobytes()
+        assert loaded.matrix.tobytes() == spectra.matrix.tobytes()
+
+    def test_save_concentrations(self, tmp_path):
+        f = tmp_path / "c.csv"
+        labels = [f"s{n}" for n in range(len(EDGE_FLOATS))]
+        conc = ConcentrationSet([EDGE_FLOATS], ("x",), ("mM",))
+        save_concentrations(f, conc, labels)
+        assert f.read_bytes() == (
+            f"species,unit,{','.join(labels)}\r\n"
+            f"x,mM,{','.join(EDGE_TEXTS)}\r\n").encode()
+        loaded = load_concentrations(f, labels)
+        assert loaded.matrix.tobytes() == conc.matrix.tobytes()
+
+    def test_save_matrix_with_nan(self, tmp_path):
+        f = tmp_path / "m.csv"
+        # NaN's sign does not survive text, so only the finite cells flip
+        matrix = [[*EDGE_FLOATS, np.nan], [*(-v for v in EDGE_FLOATS), np.nan]]
+        headers = [f"pc_{k}" for k in range(1, len(matrix[0]) + 1)]
+        save_matrix(f, matrix, headers, row_labels=["r0", "r1"],
+                    row_label_header="label")
+        negated = ["0.0", "-5e-324", "-2.2250738585072014e-308", "-1e-05",
+                   "-0.1", "-0.3333333333333333", "-123456789012345.67",
+                   "-1e+16"]
+        assert f.read_bytes() == (
+            f"label,{','.join(headers)}\r\n"
+            f"r0,{','.join(EDGE_TEXTS)},nan\r\n"
+            f"r1,{','.join(negated)},nan\r\n").encode()
+        cells = [line.split(",")[1:]
+                 for line in f.read_text().splitlines()[1:]]
+        assert (np.array(cells, dtype=float).tobytes()
+                == np.array(matrix).tobytes())
+
+
 class TestConcentrationSet:
     def test_negative_rejected(self):
         with pytest.raises(NegativeConcentration):
