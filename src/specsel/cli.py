@@ -109,12 +109,9 @@ def cmd_validate(args, config) -> int:
 def cmd_synth(args, config) -> int:
     seed = _setting(args, config, "seed")
     n = _setting(args, config, "n")
-    if "recipe" in config:
-        recipe = synth.recipe_from_dict(config["recipe"], seed)
-        conc = synth.phantom_concentrations(recipe, n)
-        spectra = synth.generate(recipe, conc)
-    else:
-        spectra, conc = synth.tears_phantom(n, seed)
+    recipe = (synth.recipe_from_dict(config["recipe"], seed)
+              if "recipe" in config else synth.tears_recipe(seed))
+    spectra, conc = synth.phantom(recipe, n)
     save_spectra(args.out_spectra, spectra)
     save_concentrations(args.out_concentrations, conc, spectra.labels)
     print(f"wrote {spectra.n_spectra} spectra x {spectra.n_channels} channels")

@@ -5,6 +5,8 @@ The set is reduced once to X = R Q^T, Q orthonormal and R i x min(i, j)
 vectors and held-out scores of its centered spectra. One stacked SVD per
 block of folds, coefficients u_k^T y_c / s_k and a cumulative sum give the
 i x (i-2) matrix of held-out squared prediction errors at every PC count.
+A fold uses the components ``usable_components`` allows by the norm of its
+uncentered rows of R (that of its spectra); later counts are NaN, one note.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import rank_cut
+from .decompose import usable_components
 from .errors import (
     FoldPreprocessFailure,
     ShapeMismatch,
@@ -21,7 +23,6 @@ from .errors import (
     TooFewSpectra,
 )
 from .preprocess import Pipeline, apply_pipeline
-from .regress import usable_components
 from .spectra import ConcentrationSet, SpectraSet, _frozen_array
 
 FOLD_BLOCK = 8  # folds per stacked SVD: caps its ~3 x 8 x i x min(i, j) floats
@@ -32,8 +33,8 @@ class PressMatrix:
     """Held-out squared prediction errors, rows = samples, columns = PC counts.
 
     Column m holds the errors of the (m+1)-component model. Entries are
-    non-negative; a NaN marks a (fold, PC count) pair that could not be
-    evaluated (rank-deficient fold or singular scores); ``notes`` says why.
+    non-negative; a NaN marks a (fold, PC count) pair past the fold's usable
+    components; ``notes`` says so.
     """
 
     values: np.ndarray
@@ -89,25 +90,22 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
     for start in range(0, i, FOLD_BLOCK):
         folds = range(start, min(start + FOLD_BLOCK, i))
         train = np.array([[r for r in range(i) if r != n] for n in folds])
-        mean = reduced[train].mean(axis=1, keepdims=True)
-        u, singulars, vt = np.linalg.svd(reduced[train] - mean,
-                                         full_matrices=False)
+        rows = reduced[train]
+        mean = rows.mean(axis=1, keepdims=True)
+        u, singulars, vt = np.linalg.svd(rows - mean, full_matrices=False)
         held = (reduced[list(folds), None, :] - mean) @ vt.transpose(0, 2, 1)
         y_mean = conc.matrix.T[train].mean(axis=1, keepdims=True)
         fits = u.transpose(0, 2, 1) @ (conc.matrix.T[train] - y_mean)
-        kept = rank_cut(singulars, k_possible)
+        kept = usable_components(singulars[:, :k_possible],
+                                 np.linalg.norm(rows, axis=(1, 2))[:, None])
         for b, n in enumerate(folds):
             label = processed.labels[n]
-            k_have = int(kept[b])
-            k_fit = usable_components(singulars[b, :k_have])
-            if k_have < k_max:
+            k_fit = int(kept[b])
+            if k_fit < k_max:
                 notes.append(
-                    f"fold {label!r}: only {k_have} of {k_max} components "
+                    f"fold {label!r}: only {k_fit} of {k_max} components "
                     f"available; later columns recorded as NaN"
                 )
-            notes.extend(
-                f"fold {label!r}: singular scores at {m} components; column "
-                f"recorded as NaN" for m in range(k_fit + 1, k_have + 1))
             scaled = held[b, 0, :k_fit] / singulars[b, :k_fit]
             estimates = np.cumsum(fits[b, :k_fit] * scaled[:, None],
                                   axis=0) + y_mean[b]

@@ -3,7 +3,8 @@
 ``pca_fit`` decomposes the centered set with one thin SVD: O(i^2 j) for wide
 data (i spectra << j channels), with no iteration to converge. ``nipals_fit``
 extracts the same components one at a time by power iteration and is kept
-as an independent iterative reference.
+as an independent iterative reference. ``usable_components`` is the one
+rule, relative to the data, for how many components any fit may use.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .spectra import SpectraSet, _frozen_array
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
 RANK_EPS = 1e-12
+MAX_SCORE_CONDITION = 1e12
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class PcaModel:
 
     loadings columns are unit-norm and mutually orthogonal; each column's
     largest-magnitude entry is positive so refits are bit-comparable. A set
-    whose rank runs out first gives fewer components than asked for.
+    with fewer usable components than asked for gives only those.
     """
 
     axis: np.ndarray
@@ -59,23 +61,26 @@ def _check_order(spectra: SpectraSet, k: int) -> None:
         )
 
 
-def rank_cut(singulars: np.ndarray, k: int) -> np.ndarray:
-    """From descending singular values along the last axis: how many of the
-    leading k components leave a residual of at least RANK_EPS x max(norm, 1)
-    before them."""
-    tail = np.sqrt(np.cumsum(singulars[..., ::-1] ** 2, axis=-1)[..., ::-1])
-    return np.sum(tail[..., :k] >= RANK_EPS * np.maximum(tail[..., :1], 1.0),
+def usable_components(singulars: np.ndarray, data_norm=0.0) -> np.ndarray:
+    """How many leading components, from descending singular values along
+    the last axis, a fit may use: none if the first is at most RANK_EPS x
+    data_norm (the norm before centering bounds the rounding it leaves),
+    else those whose squared condition number is within MAX_SCORE_CONDITION.
+    data_norm broadcasts against singulars[..., :1]."""
+    first = singulars[..., :1]
+    return np.sum((first > RANK_EPS * data_norm)
+                  & (first ** 2 <= MAX_SCORE_CONDITION * singulars ** 2),
                   axis=-1)
 
 
 def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
-    """Leading k principal components of the centered set, from one SVD;
-    rank cut (RANK_EPS) and sign convention as in nipals_fit."""
+    """Leading k principal components of the centered set, from one SVD,
+    cut to the usable ones; sign convention as in nipals_fit."""
     _check_order(spectra, k)
     mean_spectrum = spectra.matrix.mean(axis=0)
     u, singulars, vt = np.linalg.svd(spectra.matrix - mean_spectrum,
                                      full_matrices=False)
-    n = int(rank_cut(singulars, k))
+    n = int(usable_components(singulars[:k], np.linalg.norm(spectra.matrix)))
     return _signed_model(spectra, mean_spectrum, vt[:n].T,
                          u[:, :n] * singulars[:n])
 
@@ -86,7 +91,7 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
 
     Raises NoConvergence if a component fails to settle within max_iter
     iterations. If the residual norm falls below RANK_EPS relative to the
-    centered matrix before k components are found, the model keeps the
+    uncentered matrix before k components are found, the model keeps the
     components found so far.
     """
     _check_order(spectra, k)
@@ -98,14 +103,14 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
 
     mean_spectrum = spectra.matrix.mean(axis=0)
     residual = spectra.matrix - mean_spectrum
-    norm0 = np.sqrt(float(np.sum(residual * residual)))
+    floor = RANK_EPS * np.linalg.norm(spectra.matrix)
 
     loadings = np.zeros((j, k))
     scores = np.zeros((i, k))
     n_done = 0
 
     for comp in range(k):
-        if np.linalg.norm(residual) < RANK_EPS * max(norm0, 1.0):
+        if np.linalg.norm(residual) < floor:
             break
         t = residual[:, int(np.argmax(residual.var(axis=0)))].copy()
         converged = False

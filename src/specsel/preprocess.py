@@ -256,7 +256,8 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     it from the row before. A row stops at its fixed point, the first solve
     whose new weights equal the weights it was solved with, since every
     later solve would repeat that one bit for bit.
-    Returns (corrected, baseline).
+    Returns (corrected, baseline). BadOrder names ``lam`` and ``p`` when
+    rounding leaves a system not positive definite.
     """
     _check_baseline_als(lam, p, iterations)
     x = np.asarray(spectrum, dtype=float)
@@ -273,26 +274,31 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     penalty = _second_difference_bands(j, lam)
     unit = penalty.copy()
     unit[2] += 1.0
-    factor = cholesky_banded(unit, overwrite_ab=True, check_finite=False)
-    # the right-hand sides are the columns of rows.T, so the solution's
-    # transpose is C-ordered with one baseline per row
-    baseline = cho_solve_banded((factor, False), rows.T, check_finite=False).T
-    weights = np.where(rows > baseline, p, 1.0 - p)
-    moving = (weights != 1.0).any(axis=1)
-    active, weights = np.flatnonzero(moving), weights[moving]
-    for _ in range(iterations - 1):
-        if not active.size:
-            break
-        targets = rows[active]
-        system = np.tile(penalty, active.size)
-        system[2] += weights.ravel()
-        solved = solveh_banded(system, (weights * targets).ravel(),
-                               overwrite_ab=True, check_finite=False)
-        solved = solved.reshape(active.size, j)
-        baseline[active] = solved
-        new_weights = np.where(targets > solved, p, 1.0 - p)
-        moving = (new_weights != weights).any(axis=1)
-        active, weights = active[moving], new_weights[moving]
+    try:
+        factor = cholesky_banded(unit, overwrite_ab=True, check_finite=False)
+        # the right-hand sides are the columns of rows.T, so the solution's
+        # transpose is C-ordered with one baseline per row
+        baseline = cho_solve_banded((factor, False), rows.T,
+                                    check_finite=False).T
+        weights = np.where(rows > baseline, p, 1.0 - p)
+        moving = (weights != 1.0).any(axis=1)
+        active, weights = np.flatnonzero(moving), weights[moving]
+        for _ in range(iterations - 1):
+            if not active.size:
+                break
+            targets = rows[active]
+            system = np.tile(penalty, active.size)
+            system[2] += weights.ravel()
+            solved = solveh_banded(system, (weights * targets).ravel(),
+                                   overwrite_ab=True, check_finite=False)
+            solved = solved.reshape(active.size, j)
+            baseline[active] = solved
+            new_weights = np.where(targets > solved, p, 1.0 - p)
+            moving = (new_weights != weights).any(axis=1)
+            active, weights = active[moving], new_weights[moving]
+    except np.linalg.LinAlgError as exc:
+        raise BadOrder(f"lambda {lam:g} and p {p:g} give a baseline system "
+                       f"that is not positive definite ({exc})") from exc
     baseline = baseline.reshape(x.shape)
     return x - baseline, baseline
 

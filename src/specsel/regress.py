@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import PcaModel, project
+from .decompose import PcaModel, project, usable_components
 from .errors import (BadOrder, IoFailure, NonFiniteValue, ShapeMismatch,
                      SingularScores, SpecselError)
 from .spectra import (ConcentrationSet, SpectraSet, _frozen_array, read_json,
                       write_json)
-
-MAX_SCORE_CONDITION = 1e12
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,6 @@ class PcrModel:
     @property
     def n_components(self) -> int:
         return self.coeffs.shape[1]
-
-
-def usable_components(singulars: np.ndarray) -> int:
-    """Leading components, given descending score singular values, whose
-    squared condition number stays within MAX_SCORE_CONDITION."""
-    return int(np.sum((singulars > 0) & (
-        singulars[:1] ** 2 <= MAX_SCORE_CONDITION * singulars ** 2)))
 
 
 def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:

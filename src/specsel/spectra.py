@@ -146,11 +146,6 @@ class SpectraSet:
         """Same axis and labels, new intensities (used by preprocessing)."""
         return SpectraSet(self.axis, matrix, self.labels)
 
-    def subset(self, indices: Sequence[int]) -> "SpectraSet":
-        idx = list(indices)
-        return SpectraSet(self.axis, self.matrix[idx, :],
-                          tuple(self.labels[n] for n in idx))
-
 
 @dataclass(frozen=True)
 class ConcentrationSet:
@@ -192,10 +187,6 @@ class ConcentrationSet:
     @property
     def n_samples(self) -> int:
         return self.matrix.shape[1]
-
-    def select_columns(self, indices: Sequence[int]) -> "ConcentrationSet":
-        idx = list(indices)
-        return ConcentrationSet(self.matrix[:, idx], self.species, self.units)
 
 
 # --- file I/O -----------------------------------------------------------------

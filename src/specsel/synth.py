@@ -255,13 +255,19 @@ def tears_recipe(seed: int = 0) -> SynthRecipe:
     )
 
 
-def tears_phantom(n: int, seed: int = 0) -> tuple[SpectraSet, ConcentrationSet]:
-    """n tear-like spectra with glucose and lysozyme in physiological ranges."""
+def phantom(recipe: SynthRecipe, n: int
+            ) -> tuple[SpectraSet, ConcentrationSet]:
+    """n spectra of the recipe, at concentrations phantom_concentrations
+    draws; leave-one-out needs at least 4."""
     if n < 4:
         raise SpecselError(f"phantom set needs at least 4 spectra, got {n}")
-    recipe = tears_recipe(seed)
     conc = phantom_concentrations(recipe, n)
     return generate(recipe, conc), conc
+
+
+def tears_phantom(n: int, seed: int = 0) -> tuple[SpectraSet, ConcentrationSet]:
+    """n tear-like spectra with glucose and lysozyme in physiological ranges."""
+    return phantom(tears_recipe(seed), n)
 
 
 # --- recipes from JSON-style mappings ---------------------------------------
@@ -313,7 +319,7 @@ def recipe_from_dict(cfg, seed: int) -> SynthRecipe:
 
 def phantom_concentrations(recipe: SynthRecipe, n: int) -> ConcentrationSet:
     """n uniform draws per recipe species on its conc_range, from the
-    recipe's seed; tears_phantom draws its concentrations here too."""
+    recipe's seed; phantom draws its concentrations here too."""
     if n < 1:
         raise SpecselError(f"phantom set needs at least 1 spectrum, got {n}")
     rng = _rng(recipe.seed, CONC_STREAM)

@@ -35,6 +35,30 @@ def noiseless_mixtures(n_samples=10, n_species=3, conc_seed=7, recipe_seed=5):
     return synth.generate(recipe, conc), conc, recipe
 
 
+def subset(spectra, indices):
+    """The spectra at ``indices``, in that order, with their labels."""
+    idx = list(indices)
+    return SpectraSet(spectra.axis, spectra.matrix[idx, :],
+                      tuple(spectra.labels[n] for n in idx))
+
+
+def select_columns(conc, indices):
+    """The concentration columns (samples) at ``indices``, in that order."""
+    return ConcentrationSet(conc.matrix[:, list(indices)], conc.species,
+                            conc.units)
+
+
+def weak_third_direction():
+    """Six spectra of three directions, the third 1e-8 as strong as the
+    other two: beyond the scores' condition limit, so no fit uses it."""
+    rng = np.random.default_rng(7)
+    weights = rng.uniform(0.5, 2.0, (6, 3)) * [1.0, 1.0, 1e-8]
+    spectra = SpectraSet(400.0 + 2.0 * np.arange(12),
+                         weights @ rng.normal(size=(3, 12)),
+                         tuple(f"s{n}" for n in range(6)))
+    return spectra, ConcentrationSet(weights[:, :2].T, ("a", "b"), ("u", "u"))
+
+
 def random_spectra_set(i=6, j=40, seed=0):
     rng = np.random.default_rng(seed)
     axis = 400.0 + 2.0 * np.arange(j)

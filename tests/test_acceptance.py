@@ -37,7 +37,8 @@ from specsel.spectra import (
 )
 from specsel import synth
 
-from conftest import noiseless_mixtures, mixture_species
+from conftest import (mixture_species, noiseless_mixtures, select_columns,
+                      subset)
 
 
 @contextmanager
@@ -111,9 +112,9 @@ def test_crossval_matches_brute_force_oracle():
             slow = np.full((i, i - 2), np.nan)
             for n in range(i):
                 train_idx = [r for r in range(i) if r != n]
-                train = apply_pipeline(spectra.subset(train_idx), pipeline)
-                held = apply_pipeline(spectra.subset([n]), pipeline)
-                tconc = conc.select_columns(train_idx)
+                train = apply_pipeline(subset(spectra, train_idx), pipeline)
+                held = apply_pipeline(subset(spectra, [n]), pipeline)
+                tconc = select_columns(conc, train_idx)
                 for m in range(1, i - 1):
                     fold = pcr_fit(nipals_fit(train, m, max_iter=10000), tconc)
                     slow[n, m - 1] = press(pcr_predict(fold, held),

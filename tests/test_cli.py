@@ -21,7 +21,7 @@ from specsel.spectra import (
     save_spectra,
 )
 
-from conftest import noiseless_mixtures
+from conftest import noiseless_mixtures, weak_third_direction
 
 
 def run_fresh(script: str, cwd) -> None:
@@ -215,6 +215,32 @@ class TestSynthCrossval:
         assert code == 2
         assert ("error: SpecselError: phantom set needs at least 4 spectra, "
                 "got 3" in capsys.readouterr().err)
+
+    def test_recipe_synth_too_few_spectra_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"recipe": {
+            "species": [{"name": "a", "peaks": [[600, 10, 1.0]]}]}}))
+        code = main(["--config", str(cfg), "synth",
+                     "--out-spectra", str(tmp_path / "s.csv"),
+                     "--out-concentrations", str(tmp_path / "c.csv"),
+                     "--n", "3"])
+        assert code == 2
+        assert ("error: SpecselError: phantom set needs at least 4 spectra, "
+                "got 3" in capsys.readouterr().err)
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_crossval_baseline_system_failure_exit_2(self, tmp_path, capsys):
+        spectra, conc = synth.tears_phantom(8, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        code = main(["crossval", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "baseline_als(1e300)",
+                     "--out-dir", str(tmp_path / "cv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FoldPreprocessFailure: ")
+        assert "lambda 1e+300 and p 0.01" in err
 
     def test_crossval_has_no_threads_option(self, mixture_files, tmp_path):
         spath, cpath, *_ = mixture_files
@@ -609,6 +635,20 @@ class TestTrainPredict:
         assert printed in capsys.readouterr().out
         coeffs = json.loads(model_path.read_text())["coeffs"]
         assert np.shape(coeffs) == (3, 3)
+
+    def test_train_keeps_only_well_conditioned_components(self, tmp_path,
+                                                          capsys):
+        spectra, conc = weak_third_direction()
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "identity", "--pc", "3",
+                     "--out-model", str(model_path)]) == 0
+        assert ("(identity, 2 components; 3 requested)"
+                in capsys.readouterr().out)
+        assert np.shape(json.loads(model_path.read_text())["coeffs"]) == (2, 2)
 
     def test_model_file_round_trip_bit_identical(self, mixture_files,
                                                  tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from specsel import crossval
 from specsel.crossval import PressMatrix, loo_press_matrix
-from specsel.decompose import nipals_fit, pca_fit
+from specsel.decompose import nipals_fit, pca_fit, usable_components
 from specsel.errors import (
     FoldPreprocessFailure,
     NoConvergence,
@@ -12,10 +12,11 @@ from specsel.errors import (
     TooFewSpectra,
 )
 from specsel.preprocess import IDENTITY, apply_pipeline, parse_pipeline
-from specsel.regress import pcr_fit, pcr_predict, press, usable_components
+from specsel.regress import pcr_fit, pcr_predict, press
 from specsel.spectra import ConcentrationSet, SpectraSet
 
-from conftest import noiseless_mixtures
+from conftest import (noiseless_mixtures, select_columns, subset,
+                      weak_third_direction)
 
 
 def brute_force_press(spectra, conc, pipeline):
@@ -24,9 +25,9 @@ def brute_force_press(spectra, conc, pipeline):
     out = np.full((i, i - 2), np.nan)
     for n in range(i):
         train_idx = [r for r in range(i) if r != n]
-        train = apply_pipeline(spectra.subset(train_idx), pipeline)
-        held = apply_pipeline(spectra.subset([n]), pipeline)
-        train_conc = conc.select_columns(train_idx)
+        train = apply_pipeline(subset(spectra, train_idx), pipeline)
+        held = apply_pipeline(subset(spectra, [n]), pipeline)
+        train_conc = select_columns(conc, train_idx)
         for m in range(1, i - 1):
             pca = nipals_fit(train, m, max_iter=10000)
             model = pcr_fit(pca, train_conc)
@@ -40,6 +41,7 @@ def per_fold_press(spectra, conc, pipeline):
 
     The fold loop loo_press_matrix used before its folds shared one
     factorization, with every PC count fitted and predicted on its own.
+    A fold's component count is the one rule on its spectra's own SVD.
     """
     i = spectra.n_spectra
     k_max = i - 2
@@ -49,21 +51,21 @@ def per_fold_press(spectra, conc, pipeline):
     for n in range(i):
         label = processed.labels[n]
         train_idx = [r for r in range(i) if r != n]
-        train = processed.subset(train_idx)
-        model = pca_fit(train, min(k_max, processed.n_channels))
-        k_have = model.n_components
-        k_fit = usable_components(np.linalg.norm(model.scores, axis=0))
-        if k_have < k_max:
+        train = subset(processed, train_idx)
+        singulars = np.linalg.svd(train.matrix - train.matrix.mean(axis=0),
+                                  full_matrices=False)[1]
+        k_fit = int(usable_components(singulars[:min(k_max, train.n_channels)],
+                                      np.linalg.norm(train.matrix)))
+        if k_fit < k_max:
             notes.append(
-                f"fold {label!r}: only {k_have} of {k_max} components "
+                f"fold {label!r}: only {k_fit} of {k_max} components "
                 f"available; later columns recorded as NaN")
-        notes.extend(
-            f"fold {label!r}: singular scores at {m} components; column "
-            f"recorded as NaN" for m in range(k_fit + 1, k_have + 1))
         negatives = 0
         for m in range(1, k_fit + 1):
-            fit = pcr_fit(pca_fit(train, m), conc.select_columns(train_idx))
-            estimate = pcr_predict(fit, processed.subset([n]))
+            pca = pca_fit(train, m)
+            assert pca.n_components == m
+            fit = pcr_fit(pca, select_columns(conc, train_idx))
+            estimate = pcr_predict(fit, subset(processed, [n]))
             values[n, m - 1] = press(estimate, conc.matrix[:, [n]])
             negatives += bool(np.any(estimate < 0))
         if negatives:
@@ -85,8 +87,8 @@ def small_sets(draw):
         i = draw(st.integers(j + 3, j + 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rank = draw(st.integers(1, min(i, j)))
-    # a last direction 1e-8 as strong as the others is kept by the rank cut
-    # but too ill-conditioned to regress on
+    # a last direction 1e-8 as strong as the others is too ill-conditioned
+    # to regress on
     weights = rng.normal(size=(i, rank))
     if rank > 1:
         weights[:, -1] *= draw(st.sampled_from([1.0, 1e-8]))
@@ -161,8 +163,8 @@ class TestLooPressMatrix:
 
     def test_too_few_spectra(self):
         spectra, conc = toy_problem(4, seed=2)
-        small = spectra.subset([0, 1, 2])
-        small_conc = conc.select_columns([0, 1, 2])
+        small = subset(spectra, [0, 1, 2])
+        small_conc = select_columns(conc, [0, 1, 2])
         with pytest.raises(TooFewSpectra):
             loo_press_matrix(small, small_conc, IDENTITY)
 
@@ -170,8 +172,8 @@ class TestLooPressMatrix:
         spectra, conc = toy_problem(6, seed=3)
         base = loo_press_matrix(spectra, conc, IDENTITY)
         perm = [0, 3, 1, 5, 2, 4]  # keeps sample 0 first
-        permuted = loo_press_matrix(spectra.subset(perm),
-                                    conc.select_columns(perm), IDENTITY)
+        permuted = loo_press_matrix(subset(spectra, perm),
+                                    select_columns(conc, perm), IDENTITY)
         assert np.allclose(base.values[0], permuted.values[0],
                            rtol=0, atol=1e-12)
 
@@ -217,7 +219,7 @@ class TestLooPressMatrix:
     def test_conc_count_mismatch(self):
         spectra, conc = toy_problem(5, seed=6)
         with pytest.raises(ShapeMismatch):
-            loo_press_matrix(spectra, conc.select_columns([0, 1, 2, 3]),
+            loo_press_matrix(spectra, select_columns(conc, [0, 1, 2, 3]),
                              IDENTITY)
 
     def test_rank_deficient_folds_noted(self):
@@ -227,18 +229,12 @@ class TestLooPressMatrix:
         assert np.isnan(out.values[:, -1]).all()
 
     def test_singular_score_columns_noted(self):
-        # a third direction 1e-8 as strong as the other two: kept by the
-        # decomposition, but too ill-conditioned to regress on
-        rng = np.random.default_rng(7)
-        weights = rng.uniform(0.5, 2.0, (6, 3)) * [1.0, 1.0, 1e-8]
-        matrix = weights @ rng.normal(size=(3, 12))
-        spectra = SpectraSet(400.0 + 2.0 * np.arange(12), matrix,
-                             tuple(f"s{n}" for n in range(6)))
-        conc = ConcentrationSet(weights[:, :2].T, ("a", "b"), ("u", "u"))
+        spectra, conc = weak_third_direction()
         out = loo_press_matrix(spectra, conc, IDENTITY)
         assert np.isfinite(out.values[:, :2]).all()
         assert np.isnan(out.values[:, 2:]).all()
-        assert sum("singular scores at 3 components" in note
+        assert sum(note.endswith(": only 2 of 4 components available; "
+                                 "later columns recorded as NaN")
                    for note in out.notes) == 6
 
     def test_near_tied_components_give_full_rows(self):
@@ -259,7 +255,7 @@ class TestLooPressMatrix:
                              tuple(f"s{n}" for n in range(12)))
         conc = ConcentrationSet(1.0 + basis[:, :2].T, ("a", "b"), ("u", "u"))
         with pytest.raises(NoConvergence):
-            nipals_fit(spectra.subset(range(1, 12)), 10, max_iter=10000)
+            nipals_fit(subset(spectra, range(1, 12)), 10, max_iter=10000)
         out = loo_press_matrix(spectra, conc, IDENTITY)
         assert out.values.shape == (12, 10)
         assert np.isfinite(out.values).all()

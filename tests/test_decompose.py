@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specsel.decompose import nipals_fit, pca_fit, project
+from specsel.decompose import nipals_fit, pca_fit, project, usable_components
 from specsel.errors import AxisMismatch, BadOrder, NoConvergence
 from specsel.spectra import SpectraSet
 
-from conftest import random_spectra_set
+from conftest import random_spectra_set, subset
 
 
 def svd_loadings(matrix, k):
@@ -86,7 +86,7 @@ class TestNipalsFit:
     def test_row_permutation(self):
         ss = random_spectra_set(i=8, j=40, seed=5)
         perm = [3, 1, 7, 0, 5, 2, 6, 4]
-        permuted = ss.subset(perm)
+        permuted = subset(ss, perm)
         a = nipals_fit(ss, 3)
         b = nipals_fit(permuted, 3)
         assert_allclose(b.loadings, a.loadings, atol=1e-9)
@@ -164,7 +164,7 @@ class TestPcaFit:
         ss = random_spectra_set(i=8, j=40, seed=5)
         perm = [3, 1, 7, 0, 5, 2, 6, 4]
         a = pca_fit(ss, 3)
-        b = pca_fit(ss.subset(perm), 3)
+        b = pca_fit(subset(ss, perm), 3)
         assert_allclose(b.loadings, a.loadings, atol=1e-12)
         assert_allclose(b.scores, a.scores[perm, :], atol=1e-12)
 
@@ -183,6 +183,43 @@ class TestPcaFit:
         for k in (0, 5, 21):
             with pytest.raises(BadOrder):
                 pca_fit(ss, k)
+
+    @pytest.mark.parametrize("e", [-60, -36, 0, 100])
+    def test_components_do_not_depend_on_intensity_unit(self, e):
+        # a power of two scales every step exactly: the same components,
+        # with scores scaled by it
+        ss = random_spectra_set(i=8, j=40, seed=9)
+        base = pca_fit(ss, 5)
+        scaled = pca_fit(ss.with_matrix(ss.matrix * 2.0 ** e), 5)
+        assert scaled.n_components == base.n_components == 5
+        assert np.array_equal(scaled.loadings, base.loadings)
+        assert np.array_equal(scaled.scores, base.scores * 2.0 ** e)
+
+    @pytest.mark.parametrize("e", [-60, 0, 100])
+    def test_constant_set_has_no_component(self, e):
+        # centering leaves only rounding of the set's level, at any unit
+        ss = random_spectra_set(i=7, j=30, seed=10)
+        level = np.tile(ss.matrix[0] + 5.0, (7, 1)) * 2.0 ** e
+        assert pca_fit(ss.with_matrix(level), 3).n_components == 0
+
+
+class TestUsableComponents:
+    def test_condition_cut(self):
+        assert usable_components(np.array([1.0, 1e-3, 1e-6, 1e-7])) == 3
+
+    def test_floor_relative_to_data_norm(self):
+        singulars = np.array([2e-12, 1e-12])
+        assert usable_components(singulars) == 2
+        assert usable_components(singulars, 1.0) == 2
+        assert usable_components(singulars, 2.0) == 0
+
+    def test_zero_singulars(self):
+        assert usable_components(np.zeros(3)) == 0
+
+    def test_rows_of_folds(self):
+        singulars = np.array([[1.0, 0.5, 1e-9], [1e-13, 1e-14, 0.0]])
+        kept = usable_components(singulars, np.array([[1.0], [1.0]]))
+        assert kept.tolist() == [2, 0]
 
 
 class TestProject:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +38,7 @@ from specsel.cli import DEFAULT_CANDIDATES
 from specsel.spectra import SpectraSet
 from specsel.synth import tears_phantom
 
-from conftest import random_spectra_set
+from conftest import random_spectra_set, subset
 
 
 class TestSnv:
@@ -214,6 +216,20 @@ class TestBaselineAls:
             baseline_als(np.zeros(50), 1e5, 1.5, 10)
         with pytest.raises(BadOrder):
             baseline_als(np.zeros(50), 1e5, 0.01, 0)
+
+    @pytest.mark.parametrize("lam,p", [(1e16, 0.01), (1e300, 0.01)])
+    def test_shared_factor_not_positive_definite(self, lam, p):
+        spectra, _ = tears_phantom(8, 7)
+        with pytest.raises(BadOrder,
+                           match=re.escape(f"lambda {lam:g} and p {p:g}")):
+            baseline_als(spectra.matrix, lam, p, 10)
+
+    def test_reweighted_system_not_positive_definite(self):
+        # unit weights solve; the weight 1e-300 then drowns in the penalty
+        spectra, _ = tears_phantom(8, 7)
+        baseline_als(spectra.matrix, 1e5, 1e-300, 1)
+        with pytest.raises(BadOrder, match="lambda 100000 and p 1e-300"):
+            baseline_als(spectra.matrix, 1e5, 1e-300, 10)
 
 
 
@@ -630,7 +646,7 @@ class TestApplyPipeline:
             direct = step.apply(direct, ss.axis)
         assert np.array_equal(direct, whole.matrix)
         for n in range(ss.n_spectra):
-            alone = apply_pipeline(ss.subset([n]), pipe)
+            alone = apply_pipeline(subset(ss, [n]), pipe)
             assert np.array_equal(whole.matrix[n], alone.matrix[0])
 
     def test_savgol_derivative_needs_uniform_axis(self):

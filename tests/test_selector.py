@@ -64,6 +64,33 @@ class TestSelectMethod:
         assert report.chosen_pipeline == "identity"
         assert any("failed" in alert for alert in report.alerts)
 
+    def test_failed_baseline_system_is_entry(self):
+        spectra, conc = synth.tears_phantom(8, 7)
+        report = select_method(spectra, conc,
+                               [parse_pipeline("baseline_als(1e300)"),
+                                parse_pipeline("snv")])
+        failed, ok = report.entries
+        assert not failed.ok and ok.ok
+        assert failed.error.startswith("FoldPreprocessFailure: ")
+        assert "lambda 1e+300 and p 0.01" in failed.error
+        assert report.chosen_pipeline == "snv"
+
+    def test_select_report_does_not_depend_on_intensity_unit(self):
+        # a power of two rescales every preprocessing step and fit exactly,
+        # so only a limit that is not relative to the data moves the report
+        from specsel.cli import DEFAULT_CANDIDATES
+        spectra, conc = synth.tears_phantom(20, 7)
+        grid = [parse_pipeline(t) for t in DEFAULT_CANDIDATES]
+
+        def payload(e):
+            scaled = spectra.with_matrix(spectra.matrix * 2.0 ** e)
+            return json.dumps(report_payload(select_method(scaled, conc,
+                                                           grid)))
+
+        base = payload(0)
+        for e in (-60, -45, -36, 20, 100):
+            assert payload(e) == base, e
+
     def test_all_candidates_failed(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
         flat = spectra.with_matrix(np.ones_like(spectra.matrix))

@@ -36,7 +36,8 @@ from specsel.spectra import (
     write_json,
 )
 
-from conftest import noiseless_mixtures, random_spectra_set
+from conftest import (noiseless_mixtures, random_spectra_set, select_columns,
+                      subset)
 
 
 def write_wide_csv(path, axis, columns, labels):
@@ -51,7 +52,7 @@ class TestSpectraSet:
         ss = SpectraSet(np.arange(10.0), np.arange(30.0).reshape(3, 10),
                         ("a", "b", "c"))
         assert ss.matrix.shape == (3, 10)
-        sub = ss.subset([2, 0])
+        sub = subset(ss, [2, 0])
         assert sub.labels == ("c", "a")
         assert np.array_equal(sub.matrix[0], ss.matrix[2])
 
@@ -614,7 +615,7 @@ class TestConcentrationSet:
 
     def test_column_selection(self):
         conc = ConcentrationSet([[1.0, 2.0, 3.0]], ("a",), ("u",))
-        sub = conc.select_columns([2, 0])
+        sub = select_columns(conc, [2, 0])
         assert np.array_equal(sub.matrix, [[3.0, 1.0]])
 
     def test_matrix_stored_c_ordered(self, tmp_path):
