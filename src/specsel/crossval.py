@@ -4,9 +4,10 @@ The set is reduced once to X = R Q^T, Q orthonormal and R i x min(i, j)
 (Chan's R-SVD): a fold's centered rows of R have the singular values, left
 vectors and held-out scores of its centered spectra. One stacked SVD per
 block of folds, coefficients u_k^T y_c / s_k and a cumulative sum give the
-i x (i-2) matrix of held-out squared prediction errors at every PC count.
-A fold uses the components ``usable_components`` allows by the norm of its
-uncentered rows of R (that of its spectra); later counts are NaN, one note.
+held-out squared prediction errors at every PC count. A fold uses the
+components ``usable_components`` allows by the norm of its uncentered rows
+of R (that of its spectra); the matrix keeps the PC counts every fold can
+fit, so it has no missing cell, and each fold that limits it has one note.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .decompose import usable_components
 from .errors import (
+    DegenerateMatrix,
     FoldPreprocessFailure,
     ShapeMismatch,
     SpecselError,
@@ -33,8 +35,7 @@ class PressMatrix:
     """Held-out squared prediction errors, rows = samples, columns = PC counts.
 
     Column m holds the errors of the (m+1)-component model. Entries are
-    non-negative; a NaN marks a (fold, PC count) pair past the fold's usable
-    components; ``notes`` says so.
+    finite and non-negative, so every column has one value per fold.
     """
 
     values: np.ndarray
@@ -46,9 +47,8 @@ class PressMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ShapeMismatch(f"PRESS matrix must be 2-D, got {values.shape}")
-        with np.errstate(invalid="ignore"):
-            if np.any(values < 0):
-                raise ShapeMismatch("PRESS values must be non-negative")
+        if not (np.isfinite(values).all() and (values >= 0).all()):
+            raise ShapeMismatch("PRESS values must be finite and non-negative")
         object.__setattr__(self, "values", _frozen_array(values))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "notes", tuple(self.notes))
@@ -62,7 +62,12 @@ class PressMatrix:
 
 def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
                      pipeline: Pipeline) -> PressMatrix:
-    """Full leave-one-out PRESS matrix for one preprocessing pipeline."""
+    """Leave-one-out PRESS matrix for one preprocessing pipeline.
+
+    Its columns are the PC counts 1..k, k being the fewest components any
+    fold may use (at most i - 2); each fold with fewer than i - 2 has one
+    note. A fold with none raises DegenerateMatrix.
+    """
     i = spectra.n_spectra
     if i < 4:
         raise TooFewSpectra(
@@ -85,8 +90,9 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
     k_max = i - 2
     k_possible = min(k_max, processed.n_channels)
     reduced = np.linalg.qr(processed.matrix.T, mode="r").T
-    values = np.full((i, k_max), np.nan)
-    notes = []
+    values = np.empty((i, k_max))
+    negative = np.empty((i, k_max), dtype=bool)
+    k_fits = []
     for start in range(0, i, FOLD_BLOCK):
         folds = range(start, min(start + FOLD_BLOCK, i))
         train = np.array([[r for r in range(i) if r != n] for n in folds])
@@ -99,22 +105,32 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         kept = usable_components(singulars[:, :k_possible],
                                  np.linalg.norm(rows, axis=(1, 2))[:, None])
         for b, n in enumerate(folds):
-            label = processed.labels[n]
             k_fit = int(kept[b])
-            if k_fit < k_max:
-                notes.append(
-                    f"fold {label!r}: only {k_fit} of {k_max} components "
-                    f"available; later columns recorded as NaN"
-                )
+            k_fits.append(k_fit)
             scaled = held[b, 0, :k_fit] / singulars[b, :k_fit]
             estimates = np.cumsum(fits[b, :k_fit] * scaled[:, None],
                                   axis=0) + y_mean[b]
             errors = estimates - conc.matrix[:, n]
             values[n, :k_fit] = np.sum(errors * errors, axis=1)
-            negatives = int(np.sum(np.any(estimates < 0, axis=1)))
-            if negatives:
-                notes.append(
-                    f"fold {label!r}: negative predicted concentrations at "
-                    f"{negatives} PC count(s)"
-                )
-    return PressMatrix(values, pipeline.name, spectra.labels, notes)
+            negative[n, :k_fit] = np.any(estimates < 0, axis=1)
+
+    k = min(k_fits)
+    if k == 0:
+        raise DegenerateMatrix(
+            f"fold {processed.labels[k_fits.index(0)]!r}: no usable "
+            f"component, so no PC count can be scored"
+        )
+    notes = []
+    for label, k_fit, negatives in zip(processed.labels, k_fits,
+                                       negative[:, :k].sum(axis=1)):
+        if k_fit < k_max:
+            notes.append(
+                f"fold {label!r}: only {k_fit} of {k_max} components "
+                f"available; PC counts above {k} dropped"
+            )
+        if negatives:
+            notes.append(
+                f"fold {label!r}: negative predicted concentrations at "
+                f"{negatives} PC count(s)"
+            )
+    return PressMatrix(values[:, :k], pipeline.name, spectra.labels, notes)

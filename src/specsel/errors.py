@@ -112,7 +112,8 @@ class FoldPreprocessFailure(SpecselError):
 
 
 class DegenerateMatrix(SpecselError):
-    """PRESS matrix unusable for ANOVA (fewer than 2 valid columns/rows)."""
+    """PRESS matrix unusable: a fold with no usable component, or a matrix
+    too small for ANOVA or holding a non-finite value."""
 
 
 # --- synthesis / selection ---------------------------------------------------

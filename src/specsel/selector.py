@@ -228,7 +228,7 @@ def _entry_payload(entry: CandidateResult) -> dict:
 
 def report_payload(report: SelectionReport, inputs: dict | None = None,
                    include_timing: bool = False) -> dict:
-    """Dict for a selection report; ``write_json`` writes its NaNs as null.
+    """Dict for a selection report.
 
     Timing is opt-in so that default reports are byte-reproducible across
     runs and thread counts.

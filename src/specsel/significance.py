@@ -1,12 +1,13 @@
 """ANOVA significance gate over a PRESS matrix and optimal-PC selection.
 
-The gate is statistics on a 2-D array; a ``PressMatrix`` converts with
-``np.asarray``. Each PC count is one treatment group whose observations are
-the per-fold PRESS values. If the group means differ significantly (one-way
-F-test), the PC counts that beat the worst-performing one are short-listed
-and the pick combines low error with strong significance, a tie going to
-fewer components; if they do not, the preprocessing pipeline itself is
-flagged as unsuitable and the fallback is the smallest PRESS sum.
+The gate is statistics on a finite 2-D array; a ``PressMatrix`` converts
+with ``np.asarray``. Each PC count is one treatment group whose observations
+are the per-fold PRESS values, one per row, so all groups have one size.
+If the group means differ significantly (one-way F-test), the PC counts
+that beat the worst-performing one are short-listed and the pick combines
+low error with strong significance, a tie going to fewer components; if
+they do not, the preprocessing pipeline itself is flagged as unsuitable and
+the fallback is the smallest PRESS sum.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class AnovaResult:
     p_value: float
     df_treat: int
     df_error: int
-    group_means: np.ndarray   # per column; NaN where a column was dropped
-    group_sizes: np.ndarray   # valid observations per column
+    group_means: np.ndarray   # per column
     alpha: float
     log_transformed: bool = False
     notes: tuple[str, ...] = ()
@@ -59,69 +59,52 @@ class AnovaResult:
         return self.p_value < self.alpha
 
 
-def _columns(matrix) -> list[np.ndarray]:
-    """Each column's finite entries, in row order."""
-    return [c[np.isfinite(c)] for c in np.asarray(matrix, dtype=float).T]
+def _columns(press_matrix, min_size: int = 1) -> np.ndarray:
+    """The columns of a finite 2-D PRESS matrix with at least ``min_size``
+    rows and columns, each one contiguous row of the result, so that every
+    column is reduced as one vector."""
+    values = np.asarray(press_matrix, dtype=float)
+    if values.ndim != 2 or min(values.shape) < min_size:
+        raise DegenerateMatrix(
+            f"need a 2-D PRESS matrix of at least {min_size} x {min_size}, "
+            f"got shape {values.shape}"
+        )
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise DegenerateMatrix(
+            f"PRESS value at row {row + 1}, column pc_{col + 1} is "
+            f"{values[row, col]}, not finite"
+        )
+    return np.ascontiguousarray(values.T)
 
 
 def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
                  log_transform: bool = False) -> AnovaResult:
     """One-way ANOVA with each PC-count column as a treatment group.
 
-    NaN entries (unattainable fold/PC pairs) are dropped per column; a
-    column with no valid entries is dropped entirely, both with notes.
-    With ``log_transform`` the test runs on log10 of the values (useful
-    when PRESS spans orders of magnitude) and the result says so.
+    Takes a finite matrix of at least 2 rows and 2 columns, else raises
+    DegenerateMatrix. With ``log_transform`` the test runs on log10 of the
+    values (useful when PRESS spans orders of magnitude) and the result
+    says so.
     """
-    values = np.asarray(press_matrix, dtype=float)
-    if values.ndim != 2:
-        raise DegenerateMatrix(f"PRESS matrix must be 2-D, got shape {values.shape}")
-    n_rows, n_cols = values.shape
-    if n_rows < 2 or n_cols < 2:
-        raise DegenerateMatrix(
-            f"need at least 2 rows and 2 columns, got {values.shape}"
-        )
+    columns = _columns(press_matrix, min_size=2)
     notes = []
     if log_transform:
         with np.errstate(divide="ignore"):
-            values = np.log10(np.maximum(values, _TINY))
+            columns = np.log10(np.maximum(columns, _TINY))
         notes.append("ANOVA computed on log10-transformed PRESS values")
 
-    columns = _columns(values)
-    group_sizes = np.array([column.size for column in columns])
-    kept = group_sizes > 0
-    if not np.all(kept):
-        dropped = [f"pc_{m + 1}" for m in np.flatnonzero(~kept)]
-        notes.append(f"dropped all-NaN column(s): {', '.join(dropped)}")
-    partial = int(np.sum(group_sizes[kept] < n_rows))
-    if partial:
-        notes.append(f"{partial} column(s) had NaN entries dropped pairwise")
-    n_groups = int(kept.sum())
-    if n_groups < 2:
-        raise DegenerateMatrix(
-            f"only {n_groups} usable PRESS column(s); cannot test significance"
-        )
-
-    group_means = np.full(n_cols, np.nan)
-    sse = 0.0
-    total = 0.0
-    n_obs = int(group_sizes.sum())
-    for m in np.flatnonzero(kept):
-        column = columns[m]
-        group_means[m] = column.mean()
-        sse += float(np.sum((column - group_means[m]) ** 2))
-        total += float(column.sum())
-    grand_mean = total / n_obs
-    sst = float(np.sum(
-        group_sizes[kept] * (group_means[kept] - grand_mean) ** 2
-    ))
+    n_groups, n_rows = columns.shape
+    group_means = columns.mean(axis=1)
+    # running totals of the column sums: np.sum would add them pairwise
+    # and round differently
+    sse = float(np.cumsum(
+        np.sum((columns - group_means[:, None]) ** 2, axis=1))[-1])
+    grand_mean = float(np.cumsum(columns.sum(axis=1))[-1]) / columns.size
+    sst = float(np.sum(n_rows * (group_means - grand_mean) ** 2))
     df_treat = n_groups - 1
-    df_error = n_obs - n_groups
-    if df_error < 1:
-        raise DegenerateMatrix(
-            f"no error degrees of freedom ({n_obs} observations, "
-            f"{n_groups} groups)"
-        )
+    df_error = columns.size - n_groups
     if sse == 0.0 and sst == 0.0:
         notes.append("degenerate PRESS matrix: all values identical")
         f_stat, p_value = 0.0, 1.0
@@ -133,8 +116,7 @@ def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
     return AnovaResult(
         sst=sst, sse=sse, f_statistic=f_stat, p_value=p_value,
         df_treat=df_treat, df_error=df_error, group_means=group_means,
-        group_sizes=group_sizes, alpha=alpha,
-        log_transformed=log_transform, notes=tuple(notes),
+        alpha=alpha, log_transformed=log_transform, notes=tuple(notes),
     )
 
 
@@ -157,16 +139,15 @@ class BoxStats:
 def boxplot_stats(press_matrix) -> list[BoxStats]:
     """Per-column box-plot summary: type-7 quartiles, 1.5 IQR whiskers.
 
-    Points beyond 1.5 interquartile ranges from the quartiles are outliers;
-    whiskers end at the most extreme points that are not.
+    Takes a finite 2-D matrix, one row or one column included, else raises
+    DegenerateMatrix. Points beyond 1.5 interquartile ranges from the
+    quartiles are outliers; whiskers end at the most extreme points that
+    are not.
     """
+    columns = _columns(press_matrix)
+    quartiles = np.percentile(columns, [25.0, 50.0, 75.0], axis=1)
     stats = []
-    for m, column in enumerate(_columns(press_matrix)):
-        if column.size == 0:
-            stats.append(BoxStats(m + 1, math.nan, math.nan, math.nan,
-                                  math.nan, math.nan, (), 0))
-            continue
-        q1, med, q3 = np.percentile(column, [25.0, 50.0, 75.0])
+    for m, (column, (q1, med, q3)) in enumerate(zip(columns, quartiles.T)):
         iqr = q3 - q1
         lo_limit, hi_limit = q1 - 1.5 * iqr, q3 + 1.5 * iqr
         inside = column[(column >= lo_limit) & (column <= hi_limit)]
@@ -187,7 +168,7 @@ class PcVerdict:
     """Outcome of the significance gate for one pipeline's PRESS matrix."""
 
     optimal_pc: int
-    sum_press: np.ndarray       # per column; NaN where no valid entries
+    sum_press: np.ndarray       # per column
     boxplot: tuple[BoxStats, ...]
     anova: AnovaResult
     pairwise_p: dict            # short-listed PC count -> p vs the worst
@@ -229,33 +210,31 @@ def select_optimal_pc(press_matrix, alpha: float = DEFAULT_ALPHA,
     PRESS sum, plus an alert that the preprocessing treatment looks
     unsuitable.
 
-    The rule that runs is simpler than it reads. Every pairwise test is
-    against the same worst column with the same df, so when every column
-    has the same number of valid folds p rises with the column mean: the
-    pairwise-p rank equals the mean-PRESS rank, and the pick is the
+    Takes a finite matrix of at least 2 rows and 2 columns, else raises
+    DegenerateMatrix. The rule that runs is simpler than it reads. Every
+    pairwise test is against the same worst column with the same df and
+    every column has one value per row, so p rises with the column mean:
+    the pairwise-p rank equals the mean-PRESS rank, and the pick is the
     smallest mean PRESS on the short list. Pairwise p-values that
     underflow to 0.0 tie, and the stable rank gives those ties to fewer
     components, so among them the pick can fall on fewer components than
-    the smallest mean. With unequal fold counts the two ranks can disagree.
+    the smallest mean.
     """
     anova = anova_oneway(press_matrix, alpha=alpha, log_transform=log_transform)
-    sum_press = np.array([column.sum() if column.size else np.nan
-                          for column in _columns(press_matrix)])
-    valid_cols = np.flatnonzero(np.isfinite(sum_press))
+    columns = _columns(press_matrix)
+    n_rows = columns.shape[1]
+    sum_press = columns.sum(axis=1)
     notes = list(anova.notes)
     pairwise_p: dict[int, float] = {}
     if anova.significant:
         means = anova.group_means
-        sizes = anova.group_sizes
-        worst = valid_cols[np.argmax(means[valid_cols])]
+        worst = np.argmax(means)
         mse = anova.sse / anova.df_error
-        for m in valid_cols[means[valid_cols] < means[worst]]:
+        for m in np.flatnonzero(means < means[worst]):
             if mse == 0.0:
                 p_pair = 0.0
             else:
-                t_sq = (means[worst] - means[m]) ** 2 / (
-                    mse * (1.0 / sizes[m] + 1.0 / sizes[worst])
-                )
+                t_sq = (means[worst] - means[m]) ** 2 / (mse * (2 / n_rows))
                 p_pair = 1.0 - f_cdf(t_sq, 1, anova.df_error)
             if p_pair < alpha:
                 pairwise_p[int(m) + 1] = p_pair
@@ -277,9 +256,9 @@ def select_optimal_pc(press_matrix, alpha: float = DEFAULT_ALPHA,
                     + _stable_ranks(list(pairwise_p.values())))
         best = cand[np.argmin(rank_sum)]
     else:
-        best = valid_cols[np.argmin(sum_press[valid_cols])]
+        best = np.argmin(sum_press)
     return PcVerdict(
         optimal_pc=int(best) + 1, sum_press=sum_press,
-        boxplot=tuple(boxplot_stats(press_matrix)), anova=anova,
+        boxplot=tuple(boxplot_stats(columns.T)), anova=anova,
         pairwise_p=pairwise_p, notes=tuple(notes),
     )

@@ -59,6 +59,20 @@ def weak_third_direction():
     return spectra, ConcentrationSet(weights[:, :2].T, ("a", "b"), ("u", "u"))
 
 
+def snv_collapsed_fold():
+    """Five offset and scaled copies of one spectrum plus one other. snv
+    maps the copies onto one spectrum, so the fold holding out s5 has no
+    component under snv; identity keeps two directions in every fold."""
+    rng = np.random.default_rng(11)
+    shape, other = rng.normal(size=(2, 20))
+    copies = rng.uniform(0.5, 2.0, (5, 1)) * shape + rng.uniform(-1, 1, (5, 1))
+    spectra = SpectraSet(400.0 + 2.0 * np.arange(20),
+                         np.vstack([copies, other]),
+                         tuple(f"s{n}" for n in range(6)))
+    return spectra, ConcentrationSet(rng.uniform(0.5, 2.0, (1, 6)), ("a",),
+                                     ("u",))
+
+
 def random_spectra_set(i=6, j=40, seed=0):
     rng = np.random.default_rng(seed)
     axis = 400.0 + 2.0 * np.arange(j)

@@ -15,13 +15,15 @@ from specsel import synth
 from specsel.cli import main
 from specsel.spectra import (
     ConcentrationSet,
+    SpectraSet,
     load_concentrations,
     load_spectra,
     save_concentrations,
     save_spectra,
 )
 
-from conftest import noiseless_mixtures, weak_third_direction
+from conftest import (noiseless_mixtures, snv_collapsed_fold,
+                      weak_third_direction)
 
 
 def run_fresh(script: str, cwd) -> None:
@@ -60,6 +62,20 @@ class TestValidate:
         code = main(["validate", "--spectra", str(f), "--concentrations", str(c)])
         assert code == 2
         assert "RaggedRows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        ("wavenumber_cm-1\n1\n2\n", "no sample columns after "
+                                       "'wavenumber_cm-1'"),
+    ], ids=["empty", "no_sample_column"])
+    def test_malformed_spectra_exit_2(self, tmp_path, capsys, text, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        c = tmp_path / "c.csv"
+        c.write_text("species,unit,a\nx,u,1\n")
+        code = main(["validate", "--spectra", str(f), "--concentrations", str(c)])
+        assert code == 2
+        assert f"error: IoFailure: {f}: {message}" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["validate", "--spectra", str(tmp_path / "no.csv"),
@@ -242,6 +258,39 @@ class TestSynthCrossval:
         assert err.startswith("error: FoldPreprocessFailure: ")
         assert "lambda 1e+300 and p 0.01" in err
 
+    def test_crossval_duplicated_spectrum_complete_matrix(self, tmp_path,
+                                                          capsys):
+        spectra, conc = synth.tears_phantom(8, 7)
+        twice = [*range(8), 0]
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, SpectraSet(spectra.axis, spectra.matrix[twice],
+                                       spectra.labels + ("dup",)))
+        save_concentrations(cpath, ConcentrationSet(
+            conc.matrix[:, twice], conc.species, conc.units),
+            spectra.labels + ("dup",))
+        out_dir = tmp_path / "cv"
+        assert main(["crossval", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "snv",
+                     "--out-dir", str(out_dir)]) == 0
+        assert ("note: fold 's001': only 6 of 7 components available; "
+                "PC counts above 6 dropped") in capsys.readouterr().out
+        press_lines = (out_dir / "press_matrix.csv").read_text().splitlines()
+        assert press_lines[0].count("pc_") == 6
+        assert "nan" not in "".join(press_lines)
+
+    def test_crossval_fold_without_components_exit_2(self, tmp_path, capsys):
+        spectra, conc = snv_collapsed_fold()
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        code = main(["crossval", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "snv",
+                     "--out-dir", str(tmp_path / "cv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: DegenerateMatrix: fold 's5': no usable component")
+        assert not (tmp_path / "cv" / "press_matrix.csv").exists()
+
     def test_crossval_has_no_threads_option(self, mixture_files, tmp_path):
         spath, cpath, *_ = mixture_files
         with pytest.raises(SystemExit) as exc:
@@ -311,6 +360,17 @@ class TestConfigTypes:
         code = main(["--config", str(cfg), *argv])
         assert code == 2
         assert f"error: SpecselError: {message}" in capsys.readouterr().err
+
+    def test_config_not_an_object_exit_2(self, mixture_files, tmp_path,
+                                         capsys):
+        spath, cpath, *_ = mixture_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["snv"]))
+        code = main(["--config", str(cfg), "validate", "--spectra", str(spath),
+                     "--concentrations", str(cpath)])
+        assert code == 2
+        assert (f"error: SpecselError: config {cfg} must be a JSON object"
+                in capsys.readouterr().err)
 
     def test_empty_candidates_exit_2(self, mixture_files, tmp_path, capsys):
         spath, cpath, *_ = mixture_files
@@ -492,9 +552,9 @@ class TestSelect:
                 in payload["alerts"])
         assert payload["chosen_pipeline"] == "snv"
 
-    def test_all_nan_columns_written_as_null(self, tmp_path):
+    def test_duplicated_spectra_keep_complete_columns(self, tmp_path):
         # four spectra, each twice: every fold has 3 of 6 components, so
-        # columns pc_4 to pc_6 hold no value at all
+        # the report covers pc_1 to pc_3, each with a value per fold
         spectra, conc = synth.tears_phantom(8, 7)
         twice = np.r_[0:4, 0:4]
         spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
@@ -507,14 +567,15 @@ class TestSelect:
         def refuse(constant):
             raise AssertionError(f"{constant} in the report")
 
-        entry = json.loads(out.read_text(),
-                           parse_constant=refuse)["candidates"][0]
+        text = out.read_text()
+        assert "null" not in text
+        entry = json.loads(text, parse_constant=refuse)["candidates"][0]
         for values in (entry["sum_press"], entry["anova"]["group_means"]):
-            assert all(isinstance(v, float) for v in values[:3])
-            assert values[3:] == [None, None, None]
-        for box in entry["boxplot"][3:]:
-            assert box["q1"] is box["median"] is box["q3"] is None
-            assert box["n_valid"] == 0
+            assert len(values) == 3
+            assert all(isinstance(v, float) for v in values)
+        assert [box["n_valid"] for box in entry["boxplot"]] == [8, 8, 8]
+        assert sum(alert.endswith("PC counts above 3 dropped")
+                   for alert in json.loads(text)["alerts"]) == 8
 
 
 class TestTrainPredict:

@@ -6,6 +6,7 @@ from specsel import crossval
 from specsel.crossval import PressMatrix, loo_press_matrix
 from specsel.decompose import nipals_fit, pca_fit, usable_components
 from specsel.errors import (
+    DegenerateMatrix,
     FoldPreprocessFailure,
     NoConvergence,
     ShapeMismatch,
@@ -37,31 +38,38 @@ def brute_force_press(spectra, conc, pipeline):
 
 
 def per_fold_press(spectra, conc, pipeline):
-    """Values and notes from one dense pca_fit and pcr_fit per fold.
+    """Values, notes and per-fold component counts from one dense pca_fit
+    and pcr_fit per fold and PC count.
 
     The fold loop loo_press_matrix used before its folds shared one
     factorization, with every PC count fitted and predicted on its own.
-    A fold's component count is the one rule on its spectra's own SVD.
+    A fold's component count is the one rule on its spectra's own SVD;
+    the matrix keeps the PC counts every fold has.
     """
     i = spectra.n_spectra
     k_max = i - 2
     processed = apply_pipeline(spectra, pipeline)
-    values = np.full((i, k_max), np.nan)
+    k_fits = []
+    for n in range(i):
+        train = subset(processed, [r for r in range(i) if r != n])
+        singulars = np.linalg.svd(train.matrix - train.matrix.mean(axis=0),
+                                  full_matrices=False)[1]
+        k_fits.append(int(usable_components(
+            singulars[:min(k_max, train.n_channels)],
+            np.linalg.norm(train.matrix))))
+    k = min(k_fits)
+    values = np.empty((i, k))
     notes = []
     for n in range(i):
         label = processed.labels[n]
         train_idx = [r for r in range(i) if r != n]
         train = subset(processed, train_idx)
-        singulars = np.linalg.svd(train.matrix - train.matrix.mean(axis=0),
-                                  full_matrices=False)[1]
-        k_fit = int(usable_components(singulars[:min(k_max, train.n_channels)],
-                                      np.linalg.norm(train.matrix)))
-        if k_fit < k_max:
+        if k_fits[n] < k_max:
             notes.append(
-                f"fold {label!r}: only {k_fit} of {k_max} components "
-                f"available; later columns recorded as NaN")
+                f"fold {label!r}: only {k_fits[n]} of {k_max} components "
+                f"available; PC counts above {k} dropped")
         negatives = 0
-        for m in range(1, k_fit + 1):
+        for m in range(1, k + 1):
             pca = pca_fit(train, m)
             assert pca.n_components == m
             fit = pcr_fit(pca, select_columns(conc, train_idx))
@@ -72,7 +80,7 @@ def per_fold_press(spectra, conc, pipeline):
             notes.append(
                 f"fold {label!r}: negative predicted concentrations at "
                 f"{negatives} PC count(s)")
-    return values, tuple(notes)
+    return values, tuple(notes), k_fits
 
 
 @st.composite
@@ -135,30 +143,25 @@ class TestLooPressMatrix:
         slow = brute_force_press(spectra, conc, pipeline)
         assert np.allclose(fast.values, slow, rtol=0, atol=1e-9, equal_nan=True)
 
-    def test_fold_without_components_is_all_nan(self):
+    def test_fold_without_components_raises(self):
         # five identical spectra: the fold holding out s5 trains on no
-        # variance at all, every other fold on one direction
+        # variance at all, so no PC count can be scored
         matrix = np.vstack([np.ones(10)] * 5 + [np.arange(10.0)])
         spectra = SpectraSet(400.0 + 2.0 * np.arange(10), matrix,
                              tuple(f"s{n}" for n in range(6)))
         conc = ConcentrationSet(np.array([[1.0] * 5 + [2.0]]), ("a",), ("u",))
-        out = loo_press_matrix(spectra, conc, IDENTITY)
-        assert ("fold 's5': only 0 of 4 components available; later columns "
-                "recorded as NaN") in out.notes
-        assert np.isnan(out.values[5]).all()
-        assert np.array_equal(out.values[:5],
-                              np.tile([0.0, np.nan, np.nan, np.nan], (5, 1)),
-                              equal_nan=True)
+        with pytest.raises(DegenerateMatrix,
+                           match="^fold 's5': no usable component"):
+            loo_press_matrix(spectra, conc, IDENTITY)
 
     def test_noiseless_mixtures_collapse(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=3)
         out = loo_press_matrix(spectra, conc, IDENTITY)
         values = out.values
-        # exact recovery once the species count is reached; later columns
-        # are either as tiny or unattainable (rank-deficient folds -> NaN)
+        # exact recovery once the species count is reached; rank-deficient
+        # folds keep no later column
+        assert values.shape == (8, 3)
         assert np.all(values[:, 2] < 1e-10)
-        tail = values[:, 3:]
-        assert np.all(np.isnan(tail) | (tail < 1e-10))
         assert np.all(values[:, 0] > 1e-6)
 
     def test_too_few_spectra(self):
@@ -188,13 +191,17 @@ class TestLooPressMatrix:
     @given(small_sets())
     def test_matches_per_fold_fits(self, case):
         spectra, conc = case
-        values, notes = per_fold_press(spectra, conc, IDENTITY)
+        values, notes, k_fits = per_fold_press(spectra, conc, IDENTITY)
+        if min(k_fits) == 0:
+            label = spectra.labels[k_fits.index(0)]
+            with pytest.raises(DegenerateMatrix,
+                               match=f"^fold '{label}': no usable component"):
+                loo_press_matrix(spectra, conc, IDENTITY)
+            return
         out = loo_press_matrix(spectra, conc, IDENTITY)
-        assert np.array_equal(np.isnan(out.values), np.isnan(values))
+        assert out.values.shape == values.shape
         assert out.notes == notes
-        finite = ~np.isnan(values)
-        np.testing.assert_allclose(out.values[finite], values[finite],
-                                   rtol=1e-9, atol=0)
+        np.testing.assert_allclose(out.values, values, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("i,pipeline_text", [
         (7, "snv"), (20, "identity"), (40, "savgol(7,2,0)")])
@@ -225,16 +232,17 @@ class TestLooPressMatrix:
     def test_rank_deficient_folds_noted(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=3)
         out = loo_press_matrix(spectra, conc, IDENTITY)
-        assert any("components available" in note for note in out.notes)
-        assert np.isnan(out.values[:, -1]).all()
+        assert any(note.endswith("components available; PC counts above 3 "
+                                 "dropped") for note in out.notes)
+        assert out.values.shape == (8, 3)
 
     def test_singular_score_columns_noted(self):
         spectra, conc = weak_third_direction()
         out = loo_press_matrix(spectra, conc, IDENTITY)
-        assert np.isfinite(out.values[:, :2]).all()
-        assert np.isnan(out.values[:, 2:]).all()
+        assert out.values.shape == (6, 2)
+        assert np.isfinite(out.values).all()
         assert sum(note.endswith(": only 2 of 4 components available; "
-                                 "later columns recorded as NaN")
+                                 "PC counts above 2 dropped")
                    for note in out.notes) == 6
 
     def test_near_tied_components_give_full_rows(self):
@@ -266,6 +274,12 @@ class TestPressMatrixType:
     def test_rejects_negative(self):
         with pytest.raises(ShapeMismatch):
             PressMatrix(np.array([[1.0, -0.5], [0.2, 0.3]]), "identity",
+                        ("a", "b"))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_rejects_non_finite(self, cell):
+        with pytest.raises(ShapeMismatch, match="finite and non-negative"):
+            PressMatrix(np.array([[1.0, cell], [0.2, 0.3]]), "identity",
                         ("a", "b"))
 
     def test_headers(self):

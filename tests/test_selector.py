@@ -23,7 +23,7 @@ from specsel.spectra import (
 )
 from specsel import synth
 
-from conftest import noiseless_mixtures
+from conftest import noiseless_mixtures, snv_collapsed_fold
 
 
 def holdout_mixtures(recipe, n, conc_seed):
@@ -170,11 +170,23 @@ class TestSelectMethod:
                    for p in v.pairwise_p.values()) == p_zero
 
     def test_fold_notes_surface_as_alerts(self):
-        # rank-deficient noiseless folds produce NaN-column notes that the
+        # rank-deficient noiseless folds drop PC counts with notes that the
         # report must carry
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
         report = select_method(spectra, conc, [IDENTITY], alpha=0.05)
-        assert any("NaN" in alert for alert in report.alerts)
+        assert any(alert.startswith("identity: fold ")
+                   and alert.endswith("PC counts above 2 dropped")
+                   for alert in report.alerts)
+
+    def test_fold_without_components_fails_its_candidate(self):
+        spectra, conc = snv_collapsed_fold()
+        report = select_method(spectra, conc,
+                               [IDENTITY, parse_pipeline("snv")])
+        assert [e.ok for e in report.entries] == [True, False]
+        assert report.entries[1].error.startswith(
+            "DegenerateMatrix: fold 's5': no usable component")
+        assert report.entries[0].press_matrix.values.shape == (6, 2)
+        assert report.chosen_pipeline == "identity"
 
 
 class TestTrainFinal:

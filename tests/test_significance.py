@@ -116,14 +116,13 @@ class TestAnovaOneway:
         total = float(np.sum((table - table.mean()) ** 2))
         assert abs((res.sst + res.sse) - total) < 1e-9 * total
 
-    def test_nan_columns_dropped_with_note(self):
-        rng = np.random.default_rng(3)
-        table = rng.uniform(1.0, 2.0, (6, 4))
-        table[:, 3] = np.nan
+    def test_zero_within_variance_is_infinitely_significant(self):
+        # constant columns that differ: SSE is 0 and SST is not
+        table = np.tile([4.0, 1.0, 3.0, 2.0], (5, 1))
         res = anova_oneway(table, 0.05)
-        assert np.isnan(res.group_means[3])
-        assert res.df_treat == 2
-        assert any("dropped" in n for n in res.notes)
+        assert res.sse == 0.0 and res.sst > 0.0
+        assert res.f_statistic == math.inf and res.p_value == 0.0
+        assert res.significant
 
     def test_false_rejection_rate(self):
         rng = np.random.default_rng(0)
@@ -139,6 +138,8 @@ class TestAnovaOneway:
             anova_oneway(np.ones((1, 3)), 0.05)
         with pytest.raises(DegenerateMatrix):
             anova_oneway(np.ones((5, 1)), 0.05)
+        with pytest.raises(DegenerateMatrix):
+            anova_oneway(np.ones(5), 0.05)
 
 
 class TestBoxplotStats:
@@ -164,6 +165,22 @@ class TestBoxplotStats:
         stats = boxplot_stats(np.full((6, 1), 3.3))[0]
         assert stats.outliers == ()
         assert stats.q1 == stats.q3 == stats.median == 3.3
+
+    def test_one_row(self):
+        stats = boxplot_stats(np.array([[2.0, 5.0]]))
+        assert [(b.pc, b.q1, b.median, b.q3, b.n_valid) for b in stats] == [
+            (1, 2.0, 2.0, 2.0, 1), (2, 5.0, 5.0, 5.0, 1)]
+
+    def test_matches_per_column_percentiles(self):
+        rng = np.random.default_rng(10)
+        table = rng.exponential(1.0, (13, 7))
+        for b, column in zip(boxplot_stats(table), table.T):
+            q1, med, q3 = np.percentile(column, [25.0, 50.0, 75.0])
+            assert (b.q1, b.median, b.q3) == (q1, med, q3)
+
+    def test_empty_refused(self):
+        with pytest.raises(DegenerateMatrix):
+            boxplot_stats(np.empty((0, 3)))
 
 
 class TestSelectOptimalPc:
@@ -265,20 +282,17 @@ class TestSelectOptimalPc:
         assert int(np.argmin(verdict.anova.group_means)) + 1 == 3
         assert verdict.optimal_pc == 2
 
-    def test_unequal_fold_counts_rank_tie_goes_to_fewer_components(self):
-        # PC 3 has the smallest mean but only 4 valid folds, so its p is
-        # the larger one: the two ranks disagree, the rank sums tie at 1,
-        # and the tie goes to PC 2
-        spread = np.linspace(-3.0, 3.0, 10)
-        table = np.column_stack([10.0 + spread, 6.1 + spread, 6.0 + spread])
-        table[[1, 2, 3, 6, 7, 8], 2] = np.nan
+    def test_zero_within_variance_short_lists_at_p_zero(self):
+        # constant columns that differ: the pooled mean square is 0, so
+        # every column below the worst one is short-listed at p = 0.0; the
+        # p-values tie, so the rank sums (PC 2: 2 + 0, PC 3: 0 + 1, PC 4:
+        # 1 + 2) pick PC 3, the smallest mean
+        table = np.tile([4.0, 2.0, 1.0, 1.5], (5, 1))
         verdict = select_optimal_pc(self.as_press(table), 0.05)
-        assert verdict.anova.group_means[2] == 6.0
-        assert sorted(verdict.pairwise_p) == [2, 3]
-        assert 0.0 < verdict.pairwise_p[2] < verdict.pairwise_p[3]
-        assert_allclose([verdict.pairwise_p[2], verdict.pairwise_p[3]],
-                        [4.26e-4, 3.94e-3], rtol=1e-2)
-        assert verdict.optimal_pc == 2
+        assert verdict.anova.f_statistic == math.inf
+        assert verdict.significant
+        assert verdict.pairwise_p == {2: 0.0, 3: 0.0, 4: 0.0}
+        assert verdict.optimal_pc == 3
 
     def test_verdict_invariant(self):
         # significant verdicts pick from the candidate set; fallbacks pick
@@ -297,7 +311,7 @@ class TestSelectOptimalPc:
 
 
 def assert_same(a, b):
-    """Field-by-field equality of gate results; NaN equals NaN."""
+    """Field-by-field equality of gate results."""
     assert type(a) is type(b)
     if dataclasses.is_dataclass(a):
         for field in dataclasses.fields(a):
@@ -309,8 +323,6 @@ def assert_same(a, b):
     elif isinstance(a, np.ndarray):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
-    elif isinstance(a, float) and math.isnan(a):
-        assert math.isnan(b)
     else:
         assert a == b
 
@@ -326,8 +338,19 @@ def test_press_matrix_and_array_give_equal_results(gate):
     rng = np.random.default_rng(9)
     table = rng.uniform(2.0, 4.0, (8, 5))
     table[:, 3] *= 0.1
-    table[:, 1] = np.nan
-    table[[2, 5], 4] = np.nan
     matrix = PressMatrix(table, "test", tuple(f"s{n}" for n in range(8)))
     from_matrix, from_array = gate(matrix), gate(matrix.values)
     assert_same(from_matrix, from_array)
+
+
+@pytest.mark.parametrize("gate", [anova_oneway, boxplot_stats,
+                                  select_optimal_pc],
+                         ids=["anova", "boxplot", "select"])
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_non_finite_cell_refused(gate, cell):
+    rng = np.random.default_rng(3)
+    table = rng.uniform(1.0, 2.0, (6, 4))
+    table[2, 3] = cell
+    with pytest.raises(DegenerateMatrix,
+                       match=f"row 3, column pc_4 is {cell}, not finite"):
+        gate(table)
