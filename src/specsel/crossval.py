@@ -88,7 +88,6 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         ) from exc
 
     k_max = i - 2
-    k_possible = min(k_max, processed.n_channels)
     reduced = np.linalg.qr(processed.matrix.T, mode="r").T
     values = np.empty((i, k_max))
     negative = np.empty((i, k_max), dtype=bool)
@@ -102,7 +101,9 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         held = (reduced[list(folds), None, :] - mean) @ vt.transpose(0, 2, 1)
         y_mean = conc.matrix.T[train].mean(axis=1, keepdims=True)
         fits = u.transpose(0, 2, 1) @ (conc.matrix.T[train] - y_mean)
-        kept = usable_components(singulars[:, :k_possible],
+        # a fold's SVD has min(i - 1, j) singular values, so this keeps
+        # min(i - 2, j): no fold may use more than i - 2 components
+        kept = usable_components(singulars[:, :k_max],
                                  np.linalg.norm(rows, axis=(1, 2))[:, None])
         for b, n in enumerate(folds):
             k_fit = int(kept[b])

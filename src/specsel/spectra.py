@@ -334,17 +334,20 @@ def write_csv(path, header: Sequence[str], rows) -> None:
 
 
 def _nan_to_null(value):
-    """``value`` with every NaN float in its dicts, lists and tuples as None."""
+    """``value`` with every non-finite float (NaN, +inf, -inf) in its dicts,
+    lists and tuples as None."""
     if isinstance(value, dict):
         return {k: _nan_to_null(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_nan_to_null(v) for v in value]
-    return None if isinstance(value, float) and math.isnan(value) else value
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def write_json(path, payload) -> None:
     """Write a JSON document, one space per indent level and a final newline;
-    a NaN is written as null."""
+    a NaN or an infinity is written as null, so the file is strict JSON."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(_nan_to_null(payload), fh, indent=1)

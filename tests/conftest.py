@@ -5,6 +5,13 @@ from specsel.spectra import ConcentrationSet, SpectraSet
 from specsel import synth
 
 
+def one_spectrum_csv(cells, last_row=9):
+    """Text of a wide CSV of one spectrum 'a' whose file rows 2..``last_row``
+    read ``<row>,<10 * row>``; ``cells`` overrides rows by file row number."""
+    return "wavenumber_cm-1,a\n" + "".join(
+        cells.get(r, f"{r},{r * 10}") + "\n" for r in range(2, last_row + 1))
+
+
 def mixture_species(n_species=3):
     """Distinct Lorentzian peak sets, one per species."""
     return tuple(

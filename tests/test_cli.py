@@ -13,7 +13,9 @@ import pytest
 import specsel
 from specsel import synth
 from specsel.cli import main
+from specsel.selector import dataset_digest
 from specsel.spectra import (
+    CHUNK_CELLS,
     ConcentrationSet,
     SpectraSet,
     load_concentrations,
@@ -22,8 +24,8 @@ from specsel.spectra import (
     save_spectra,
 )
 
-from conftest import (noiseless_mixtures, snv_collapsed_fold,
-                      weak_third_direction)
+from conftest import (noiseless_mixtures, one_spectrum_csv,
+                      snv_collapsed_fold, weak_third_direction)
 
 
 def run_fresh(script: str, cwd) -> None:
@@ -34,6 +36,10 @@ def run_fresh(script: str, cwd) -> None:
         [sys.executable, "-c", script], cwd=cwd, capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0, result.stderr
+
+
+# a two-column CSV's first chunk holds file rows 2..CHUNK_CELLS // 2 + 1
+SECOND_CHUNK_ROW = CHUNK_CELLS // 2 + 20
 
 
 @pytest.fixture
@@ -63,19 +69,28 @@ class TestValidate:
         assert code == 2
         assert "RaggedRows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text,message", [
-        ("", "empty file"),
-        ("wavenumber_cm-1\n1\n2\n", "no sample columns after "
-                                       "'wavenumber_cm-1'"),
-    ], ids=["empty", "no_sample_column"])
-    def test_malformed_spectra_exit_2(self, tmp_path, capsys, text, message):
+    @pytest.mark.parametrize("text,error,message", [
+        ("", "IoFailure", "empty file"),
+        ("wavenumber_cm-1\n1\n2\n", "IoFailure",
+         "no sample columns after 'wavenumber_cm-1'"),
+        (one_spectrum_csv({2: "400,1", 3: "300,1"}), "NonmonotonicAxis",
+         "row 3, axis: not strictly increasing (400 -> 300)"),
+        (one_spectrum_csv({SECOND_CHUNK_ROW: f"{SECOND_CHUNK_ROW},oops"},
+                          last_row=SECOND_CHUNK_ROW + 5),
+         "NonFiniteValue",
+         f"row {SECOND_CHUNK_ROW}, column 'a': cannot parse 'oops' as a "
+         "number"),
+    ], ids=["empty", "no_sample_column", "decreasing_axis",
+            "bad_cell_second_chunk"])
+    def test_malformed_spectra_exit_2(self, tmp_path, capsys, text, error,
+                                      message):
         f = tmp_path / "bad.csv"
         f.write_text(text)
         c = tmp_path / "c.csv"
         c.write_text("species,unit,a\nx,u,1\n")
         code = main(["validate", "--spectra", str(f), "--concentrations", str(c)])
         assert code == 2
-        assert f"error: IoFailure: {f}: {message}" in capsys.readouterr().err
+        assert f"error: {error}: {f}: {message}" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["validate", "--spectra", str(tmp_path / "no.csv"),
@@ -418,7 +433,9 @@ class TestSelect:
                              ids=["crlf", "lf", "cr"])
     def test_report_digests_the_bytes_parsed(self, mixture_files, tmp_path,
                                              monkeypatch, newline):
-        spath, cpath, *_ = mixture_files
+        # the file digests follow the bytes; dataset_digest, of the values
+        # parsed, is the same whatever the line endings
+        spath, cpath, spectra, conc = mixture_files
         for path in (spath, cpath):
             written = path.read_bytes()
             assert b"\r\n" in written  # the CSV writer ends rows with CRLF
@@ -444,6 +461,7 @@ class TestSelect:
                 == hashlib.sha256(spath.read_bytes()).hexdigest())
         assert (inputs["concentrations_sha256"]
                 == hashlib.sha256(cpath.read_bytes()).hexdigest())
+        assert inputs["dataset_digest"] == dataset_digest(spectra, conc)
 
     def test_iid_noise_exit_3(self, tmp_path):
         # pure noise: no pipeline can make PC count matter

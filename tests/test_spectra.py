@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -36,8 +37,8 @@ from specsel.spectra import (
     write_json,
 )
 
-from conftest import (noiseless_mixtures, random_spectra_set, select_columns,
-                      subset)
+from conftest import (noiseless_mixtures, one_spectrum_csv,
+                      random_spectra_set, select_columns, subset)
 
 
 def write_wide_csv(path, axis, columns, labels):
@@ -153,14 +154,6 @@ class TestLoadSpectra:
             load_spectra(tmp_path / "absent.csv")
 
 
-def eight_row_csv(path, cells):
-    """A one-spectrum wide CSV; ``cells`` overrides rows by 1-based row number."""
-    lines = ["wavenumber_cm-1,a"]
-    for r in range(2, 10):
-        lines.append(cells.get(r, f"{r},{r * 10}"))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def load_error(path):
     with pytest.raises((NonFiniteValue, RaggedRows, NonmonotonicAxis)) as info:
         load_spectra(path)
@@ -182,44 +175,45 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 class TestLoadSpectraErrors:
     def test_nan_data_cell(self, tmp_path):
         f = tmp_path / "s.csv"
-        eight_row_csv(f, {5: "5,nan"})
+        f.write_text(one_spectrum_csv({5: "5,nan"}))
         assert load_error(f) == (
             NonFiniteValue, f"{f}: row 5, column 'a': non-finite value 'nan'")
 
     def test_inf_axis_cell(self, tmp_path):
         f = tmp_path / "s.csv"
-        eight_row_csv(f, {4: "inf,40"})
+        f.write_text(one_spectrum_csv({4: "inf,40"}))
         assert load_error(f) == (
             NonFiniteValue, f"{f}: row 4, axis: non-finite value 'inf'")
 
     def test_axis_cell_reported_before_data_cell(self, tmp_path):
         f = tmp_path / "s.csv"
-        eight_row_csv(f, {6: "six,oops"})
+        f.write_text(one_spectrum_csv({6: "six,oops"}))
         assert load_error(f) == (
             NonFiniteValue, f"{f}: row 6, axis: cannot parse 'six' as a number")
 
     def test_garbage_cell_before_ragged_row(self, tmp_path):
         f = tmp_path / "s.csv"
-        eight_row_csv(f, {3: "3,oops", 7: "7,70,1"})
+        f.write_text(one_spectrum_csv({3: "3,oops", 7: "7,70,1"}))
         assert load_error(f) == (
             NonFiniteValue,
             f"{f}: row 3, column 'a': cannot parse 'oops' as a number")
 
     def test_ragged_row_before_garbage_cell(self, tmp_path):
         f = tmp_path / "s.csv"
-        eight_row_csv(f, {3: "3,30,1", 7: "7,oops"})
+        f.write_text(one_spectrum_csv({3: "3,30,1", 7: "7,oops"}))
         assert load_error(f) == (
             RaggedRows, f"{f}: row 3 has 3 cells, expected 2")
 
     def test_uniform_rows_wider_than_header(self, tmp_path):
         f = tmp_path / "s.csv"
-        eight_row_csv(f, {r: f"{r},{r},{r}" for r in range(2, 10)})
+        f.write_text(one_spectrum_csv(
+            {r: f"{r},{r},{r}" for r in range(2, 10)}))
         assert load_error(f) == (
             RaggedRows, f"{f}: row 2 has 3 cells, expected 2")
 
     def test_decreasing_axis_names_file_row(self, tmp_path):
         f = tmp_path / "s.csv"
-        eight_row_csv(f, {2: "400,1", 3: "300,1"})
+        f.write_text(one_spectrum_csv({2: "400,1", 3: "300,1"}))
         assert load_error(f) == (
             NonmonotonicAxis,
             f"{f}: row 3, axis: not strictly increasing (400 -> 300)")
@@ -234,7 +228,7 @@ class TestLoadSpectraErrors:
 
     def test_oversized_cell(self, tmp_path):
         f = tmp_path / "s.csv"
-        eight_row_csv(f, {5: "5," + "9" * 200_000})
+        f.write_text(one_spectrum_csv({5: "5," + "9" * 200_000}))
         with pytest.raises(IoFailure, match=f"^cannot read {re.escape(str(f))}: "
                                             "field larger than field limit"):
             load_spectra(f)
@@ -465,7 +459,7 @@ class TestChunkedReader:
                                                  message):
         # at seven cells a chunk holds rows 2-4, 5-7 and 8-9
         f = tmp_path / "s.csv"
-        eight_row_csv(f, cells_of_row)
+        f.write_text(one_spectrum_csv(cells_of_row))
         chunked(monkeypatch, cells)
         assert load_error(f) == (error, f"{f}: {message}")
 
@@ -676,9 +670,13 @@ class TestReadJson:
 
 class TestWriteJson:
     def test_nan_written_as_null_at_any_depth(self, tmp_path):
+        # NaN and both infinities: none of them is JSON
         f = tmp_path / "x.json"
         write_json(f, {"a": float("nan"), "b": [1.0, np.float64("nan")],
-                       "c": (np.nan, {"d": [np.nan, "nan"]})})
-        assert "NaN" not in f.read_text()
-        assert json.loads(f.read_text()) == {
-            "a": None, "b": [1.0, None], "c": [None, {"d": [None, "nan"]}]}
+                       "c": (np.nan, {"d": [np.nan, "nan", math.inf]}),
+                       "e": -np.inf})
+        text = f.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        assert json.loads(text) == {
+            "a": None, "b": [1.0, None],
+            "c": [None, {"d": [None, "nan", None]}], "e": None}
