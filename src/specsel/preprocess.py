@@ -109,12 +109,6 @@ def rnv(spectrum, percentile: float) -> np.ndarray:
     return ((rows - pct) / sd).reshape(x.shape)
 
 
-def _savgol_design(window: int, polyorder: int) -> np.ndarray:
-    half = window // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
-    return np.vander(offsets, polyorder + 1, increasing=True)
-
-
 def _check_savgol(window, polyorder, deriv=0) -> None:
     if not (window % 2 == 1 and window >= 5):
         raise BadOrder(f"window must be odd and >= 5, got {window}")
@@ -126,13 +120,16 @@ def _check_savgol(window, polyorder, deriv=0) -> None:
 
 def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
                    delta: float = 1.0) -> np.ndarray:
-    """Moving-window least-squares polynomial smoothing / differentiation.
+    """Moving-window least-squares polynomial smoothing / differentiation
+    (Savitzky & Golay, 1964), edges included (Gorry, 1990).
 
-    Interior points take the deriv-th derivative of the local fit at the
-    window center. The first and last half-windows are filled by fitting the
-    first/last full window once and evaluating that polynomial at the
-    off-center positions, so the output keeps the input length. Derivatives
-    are scaled by ``delta**deriv`` (the channel spacing).
+    One ``window x window`` operator does it all: its row h maps a window
+    of samples to the deriv-th derivative, divided by ``delta**deriv`` (the
+    channel spacing), of the polynomial fitted to that window, at offset
+    ``h - window // 2`` from the window's centre. Interior channels take the
+    middle row on their centred window; the first and last ``window // 2``
+    channels take the first and last rows on the first and last full
+    window, so the output keeps the input length.
     """
     _check_savgol(window, polyorder, deriv)
     x = np.asarray(spectrum, dtype=float)
@@ -142,31 +139,22 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
         raise WindowTooLarge(f"window {window} exceeds {j} channels")
 
     half = window // 2
-    design = _savgol_design(window, polyorder)
-    # pinv rows are the least-squares polynomial coefficients as linear
-    # functionals of the window samples
-    pinv = np.linalg.pinv(design)
-    scale = math.factorial(deriv) / delta ** deriv
-    kernel = pinv[deriv] * scale
+    design = np.vander(np.arange(-half, half + 1, dtype=float),
+                       polyorder + 1, increasing=True)
+    # pinv(design) maps a window to its fit's coefficients c; slopes[h] @ c
+    # is the fit's deriv-th derivative at offset h - half, as the deriv-th
+    # derivative of u**m is perm(m, deriv) * u**(m - deriv)
+    slopes = design[:, :polyorder + 1 - deriv] * [
+        math.perm(m, deriv) for m in range(deriv, polyorder + 1)]
+    operator = slopes @ np.linalg.pinv(design)[deriv:] / delta ** deriv
 
     out = np.empty_like(rows)
     windows = np.lib.stride_tricks.sliding_window_view(rows, window, axis=1)
-    out[:, half:j - half] = windows @ kernel
-
-    # derivative of each row's fitted polynomial, evaluated off-center
-    def poly_deriv_at(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        acc = np.zeros((coeffs.shape[0], u.size))
-        for m in range(deriv, polyorder + 1):
-            factor = math.factorial(m) / math.factorial(m - deriv)
-            acc += coeffs[:, m, None] * factor * u ** (m - deriv)
-        return acc / delta ** deriv
-
+    out[:, half:j - half] = windows @ operator[half]
     # one matrix-vector product per row, as for a single spectrum
-    left_coeffs = (pinv @ rows[:, :window, None])[..., 0]
-    out[:, :half] = poly_deriv_at(left_coeffs, np.arange(-half, 0, dtype=float))
-    right_coeffs = (pinv @ rows[:, j - window:, None])[..., 0]
-    out[:, j - half:] = poly_deriv_at(right_coeffs,
-                                      np.arange(1, half + 1, dtype=float))
+    out[:, :half] = (operator[:half] @ rows[:, :window, None])[..., 0]
+    out[:, j - half:] = (operator[half + 1:]
+                         @ rows[:, j - window:, None])[..., 0]
     return out.reshape(x.shape)
 
 
@@ -376,22 +364,21 @@ def peak_normalize(spectrum, axis, reference_wavenumber: float,
 # --- pipeline steps -------------------------------------------------------------
 
 def _fmt_param(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int) or (value.is_integer() and abs(value) < 1e16):
         return str(int(value))
-    f = float(value)
-    if f.is_integer() and abs(f) < 1e16:
-        return str(int(f))
-    return repr(f)
+    return repr(value)
 
 
 @dataclass(frozen=True)
 class PipelineStep:
     """One validated preprocessing step; params are positional and typed.
 
-    The kind may be an alias and trailing defaulted params may be left out:
-    construction resolves both through ``_STEPS`` and runs the step's range
-    check, so it raises PipelineSyntaxError for any step ``parse_pipeline``
-    would refuse.
+    The kind may be an alias, trailing defaulted params may be left out and
+    each param may be a number or its text: construction resolves the
+    first two through ``_STEPS``, converts each param to its declared type
+    and runs the step's range check. So it raises the PipelineSyntaxError
+    of any step ``parse_pipeline`` refuses, naming the parameter for a
+    value that is not a finite number of its type.
     """
 
     kind: str
@@ -519,16 +506,8 @@ def parse_pipeline(text: str) -> Pipeline:
             if not part.endswith(")"):
                 raise PipelineSyntaxError(f"unbalanced parentheses in step {part!r}")
             kind, arg_text = part[:-1].split("(", 1)
-            arg_text = arg_text.strip()
-            if arg_text:
-                try:
-                    args = tuple(float(a) for a in arg_text.split(","))
-                except ValueError as exc:
-                    raise PipelineSyntaxError(
-                        f"cannot parse arguments of step {part!r}"
-                    ) from exc
-            else:
-                args = ()
+            args = (tuple(a.strip() for a in arg_text.split(","))
+                    if arg_text.strip() else ())
         else:
             kind, args = part, ()
         steps.append(PipelineStep(kind, args))

@@ -16,8 +16,8 @@ import numpy as np
 from .decompose import PcaModel, project, usable_components
 from .errors import (BadOrder, IoFailure, NonFiniteValue, ShapeMismatch,
                      SingularScores, SpecselError)
-from .spectra import (ConcentrationSet, SpectraSet, _frozen_array, read_json,
-                      write_json)
+from .spectra import (ConcentrationSet, SpectraSet, _check_unique,
+                      _frozen_array, read_json, write_json)
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ class PcrModel:
         if len(self.units) != len(self.species):
             raise ShapeMismatch(
                 f"{len(self.units)} units for {len(self.species)} species")
+        _check_unique(self.species, "species")
         loadings = arrays["loadings"]
         j, q = arrays["axis"].size, len(self.species)
         k = loadings.shape[1] if loadings.ndim == 2 else 0

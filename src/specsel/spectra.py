@@ -90,6 +90,14 @@ def _check_nonnegative(matrix: np.ndarray, species: Sequence[str], path=None,
             f"{matrix[r, c]:.9g} for species {species[r]!r}, {where}")
 
 
+def _check_unique(names: Sequence[str], what: str, path=None) -> None:
+    """Refuse a name given twice; with ``path``, name the file."""
+    if len(set(names)) != len(names):
+        dup = sorted({x for x in names if names.count(x) > 1})
+        raise LabelMismatch(
+            f"{'' if path is None else f'{path}: '}duplicate {what} {dup}")
+
+
 def _frozen_array(arr: np.ndarray, order: str = "K") -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True, order=order)
     out.setflags(write=False)
@@ -171,6 +179,7 @@ class ConcentrationSet:
             )
         if len(units) != len(species):
             raise RaggedRows(f"{len(units)} units for {len(species)} species")
+        _check_unique(species, "species")
         if not np.all(np.isfinite(matrix)):
             raise NonFiniteValue("non-finite concentration value")
         _check_nonnegative(matrix, species)
@@ -229,9 +238,7 @@ def _read_csv(path, lead: Sequence[str], names
             if not labels:
                 raise IoFailure(
                     f"{path}: no sample columns after {lead_text!r}")
-            if len(set(labels)) != len(labels):
-                dup = sorted({x for x in labels if labels.count(x) > 1})
-                raise LabelMismatch(f"{path}: duplicate sample labels {dup}")
+            _check_unique(labels, "sample labels", path)
             columns = names(labels)
             text = len(header) - len(columns)
             size = max(1, CHUNK_CELLS // len(header))
@@ -379,6 +386,7 @@ def load_concentrations(path, labels: Sequence[str] | None = None) -> Concentrat
         raise IoFailure(f"{path}: no species rows after the header")
     species = tuple(row[0] for row in texts)
     units = tuple(row[1] for row in texts)
+    _check_unique(species, "species", path)
     _check_nonnegative(data, species, path, file_labels)
     if labels is not None:
         wanted = [str(x) for x in labels]

@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import RecipeSpeciesMismatch, SpecselError
-from .spectra import ConcentrationSet, SpectraSet
+from .spectra import ConcentrationSet, SpectraSet, _check_unique
 
 
 # --- field conversion, shared by every recipe dataclass ---------------------
@@ -131,6 +131,7 @@ class SynthRecipe:
              drift_range=_range(self.drift_range, "drift_range"))
         if self.axis_step <= 0 or self.axis_stop <= self.axis_start:
             raise SpecselError("axis must be increasing with step > 0")
+        _check_unique([spec.name for spec in self.species], "species")
         for spec in self.species:
             for center, _width, _amp in spec.peaks:
                 if not self.axis_start <= center <= self.axis_stop:

@@ -92,6 +92,25 @@ class TestValidate:
         assert code == 2
         assert f"error: {error}: {f}: {message}" in capsys.readouterr().err
 
+    # each command's output option comes last and takes tmp_path / "out"
+    @pytest.mark.parametrize("command,options", [
+        ("validate", []), ("crossval", ["--out-dir"]), ("select", ["--out"]),
+        ("train", ["--pc", "2", "--out-model"])],
+        ids=["validate", "crossval", "select", "train"])
+    def test_duplicate_species_exit_2(self, mixture_files, tmp_path, capsys,
+                                      command, options):
+        spath, cpath, *_ = mixture_files
+        lines = cpath.read_text().splitlines(keepends=True)
+        twice = tmp_path / "twice.csv"
+        twice.write_text("".join(lines + lines[1:2]))
+        out = [str(tmp_path / "out")] if options else []
+        code = main([command, "--spectra", str(spath), "--concentrations",
+                     str(twice), *options, *out])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        assert (f"error: LabelMismatch: {twice}: duplicate species ['sp0']"
+                in capsys.readouterr().err)
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["validate", "--spectra", str(tmp_path / "no.csv"),
                      "--concentrations", str(tmp_path / "no2.csv")])
@@ -203,11 +222,15 @@ class TestSynthCrossval:
         ({"baseline": {"coeffs": [1.0, 0.0]},
           "species": [{"name": "g", "peaks": []}]},
          "recipe baseline coeffs decay length must be > 0, got 0.0"),
+        ({"species": [{"name": "g", "peaks": []}, {"name": "h", "peaks": []},
+                      {"name": "g", "peaks": []}]},
+         "recipe duplicate species ['g']"),
     ], ids=["missing_peaks", "axis_step", "conc_range_order",
             "conc_range_negative", "drift_range_order",
             "spike_amplitude_order", "scale_range_order", "spike_rate_huge",
             "spike_rate_negative", "noise_sigma_negative", "baseline_kind",
-            "recipe_empty", "recipe_null", "baseline_decay_zero"])
+            "recipe_empty", "recipe_null", "baseline_decay_zero",
+            "species_duplicate"])
     def test_synth_malformed_recipe_exit_2(self, tmp_path, capsys, recipe,
                                            message):
         cfg = tmp_path / "cfg.json"
@@ -787,11 +810,13 @@ class TestTrainPredict:
          "model has no components"),
         (lambda p: p.update(axis=5), "axis has shape (), expected (1,)"),
         (lambda p: p["loadings"][3].pop(), "not a valid model file: "),
+        (lambda p: p.update(species=["sp1", "sp0", "sp1"]),
+         "duplicate species ['sp1']"),
     ], ids=["missing_key", "loadings", "mean_spectrum", "coeffs",
             "mean_conc", "version", "format", "pipeline_int",
             "pipeline_null", "species_string", "species_not_strings",
             "units_null", "units_length", "coeffs_nan", "no_components",
-            "axis_scalar", "ragged_loadings"])
+            "axis_scalar", "ragged_loadings", "species_duplicate"])
     def test_malformed_model_exit_2(self, mixture_files, tmp_path, capsys,
                                     edit, message):
         spath, cpath, *_ = mixture_files

@@ -15,6 +15,7 @@ from specsel.errors import (
 from specsel.preprocess import IDENTITY, apply_pipeline, parse_pipeline
 from specsel.regress import pcr_fit, pcr_predict, press
 from specsel.spectra import ConcentrationSet, SpectraSet
+from specsel.synth import tears_phantom
 
 from conftest import (noiseless_mixtures, select_columns, subset,
                       weak_third_direction)
@@ -123,6 +124,16 @@ def toy_problem(i, seed, noise=0.05):
     return spectra, conc
 
 
+def tears_with_first_spectrum_twice():
+    """tears_phantom(20, 7) with s000 again as a 21st spectrum: the two folds
+    that hold out a copy of s000 fit 19 components, the other 19 fit 18."""
+    spectra, conc = tears_phantom(20, 7)
+    twice = [*range(20), 0]
+    return (SpectraSet(spectra.axis, spectra.matrix[twice],
+                       spectra.labels + ("s000",)),
+            select_columns(conc, twice))
+
+
 class TestLooPressMatrix:
     def test_shape_law(self):
         spectra, conc = toy_problem(5, seed=1)
@@ -203,12 +214,17 @@ class TestLooPressMatrix:
         assert out.notes == notes
         np.testing.assert_allclose(out.values, values, rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("i,pipeline_text", [
-        (7, "snv"), (20, "identity"), (40, "savgol(7,2,0)")])
+    @pytest.mark.parametrize("problem,pipeline_text", [
+        (lambda: toy_problem(7, seed=9), "snv"),
+        (lambda: toy_problem(20, seed=9), "identity"),
+        (lambda: toy_problem(40, seed=9), "savgol(7,2,0)"),
+        (tears_with_first_spectrum_twice, "identity"),
+    ], ids=["7-snv", "20-identity", "40-savgol(7,2,0)",
+            "tears20_s000_twice-identity"])
     @pytest.mark.parametrize("block", [1, 3])
-    def test_fold_block_size_changes_no_bit(self, monkeypatch, i,
+    def test_fold_block_size_changes_no_bit(self, monkeypatch, problem,
                                             pipeline_text, block):
-        spectra, conc = toy_problem(i, seed=9)
+        spectra, conc = problem()
         pipeline = parse_pipeline(pipeline_text)
         base = loo_press_matrix(spectra, conc, pipeline)
         monkeypatch.setattr(crossval, "FOLD_BLOCK", block)

@@ -136,6 +136,28 @@ class TestSavitzkyGolay:
             out = savitzky_golay(poly, 7, 2, 0)
             assert np.abs(out - poly).max() < 1e-10
 
+    @pytest.mark.parametrize("window,polyorder,deriv", [
+        (5, 2, 0), (7, 2, 1), (7, 3, 2), (9, 4, 0), (11, 3, 3)])
+    def test_every_channel_is_its_window_fit(self, window, polyorder, deriv):
+        # independent oracle on random rows, which no fit reproduces, so a
+        # channel read from the wrong window or offset shows: np.polyfit on
+        # the channel's centred window in the interior and on the first or
+        # last full window at the edges, differentiated and evaluated at the
+        # channel's offset from that window's centre
+        rng = np.random.default_rng(100 * window + 10 * polyorder + deriv)
+        rows = rng.normal(size=(3, 30))
+        delta = 2.5
+        out = savitzky_golay(rows, window, polyorder, deriv, delta=delta)
+        half, j = window // 2, rows.shape[1]
+        offsets = np.arange(-half, half + 1.0)
+        for row, got in zip(rows, out):
+            for c in range(j):
+                start = min(max(c - half, 0), j - window)
+                fit = np.polyfit(offsets, row[start:start + window], polyorder)
+                want = (np.polyval(np.polyder(fit, deriv), c - start - half)
+                        / delta ** deriv)
+                assert_allclose(got[c], want, rtol=1e-9, atol=1e-12)
+
     def test_constant_first_derivative_zero(self):
         out = savitzky_golay(np.full(30, 4.2), 5, 2, 1)
         assert np.abs(out).max() < 1e-12
@@ -449,12 +471,24 @@ class TestPipelineGrammar:
         assert c != a and c.name != a.name
 
     def test_rejects_garbage(self):
-        for text in ("", "wibble(3)", "snv|", "rnv(150)", "savgol(4,2)",
-                     "rnv(a)", "derivative(3)", "despike(7,nan)",
-                     "baseline_als(nan)", "baseline_als(inf)",
-                     "peak_normalize(1000,inf)"):
-            with pytest.raises(PipelineSyntaxError):
+        for text, message in [
+            ("", "empty pipeline description"),
+            ("wibble(3)", "unknown preprocessing step 'wibble'"),
+            ("snv|", "empty step in pipeline 'snv|'"),
+            ("rnv(150)", "step rnv(150): percentile must be in (0, 100]"),
+            ("savgol(4,2)", "step savgol(4,2,0): window must be odd"),
+            ("rnv(a)", "rnv percentile must be a number, got 'a'"),
+            ("rnv(75,)", "rnv takes (percentile)"),
+            ("derivative(3)", "step derivative(3): derivative order must be"),
+            ("despike(7,nan)", "despike threshold must be finite, got 'nan'"),
+            ("baseline_als(nan)", "baseline_als lambda must be finite"),
+            ("baseline_als(inf)", "baseline_als lambda must be finite"),
+            ("peak_normalize(1000,inf)",
+             "peak_normalize half_width must be finite"),
+        ]:
+            with pytest.raises(PipelineSyntaxError) as info:
                 parse_pipeline(text)
+            assert str(info.value).startswith(message), text
 
     @pytest.mark.parametrize("text,name", [
         ("baseline_als", "baseline_als(100000,0.01,10)"),

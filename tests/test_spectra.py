@@ -394,6 +394,12 @@ class TestLoadConcentrationsErrors:
             NonFiniteValue,
             f"{f}: row 4, sample 's1': cannot parse 'oops' as a number")
 
+    def test_duplicate_species(self, tmp_path):
+        f = tmp_path / "c.csv"
+        conc_csv(f, {4: "sp2,u,4,40"})
+        assert conc_error(f) == (
+            LabelMismatch, f"{f}: duplicate species ['sp2']")
+
     def test_header_only(self, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("species,unit,s0,s1\n")
@@ -606,6 +612,10 @@ class TestConcentrationSet:
     def test_negative_rejected(self):
         with pytest.raises(NegativeConcentration):
             ConcentrationSet([[0.1, -0.2]], ("a",), ("u",))
+
+    def test_duplicate_species_rejected(self):
+        with pytest.raises(LabelMismatch, match=r"^duplicate species \['a'\]$"):
+            ConcentrationSet([[0.1], [0.2], [0.3]], ("a", "b", "a"))
 
     def test_column_selection(self):
         conc = ConcentrationSet([[1.0, 2.0, 3.0]], ("a",), ("u",))
