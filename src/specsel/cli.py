@@ -109,8 +109,13 @@ def cmd_validate(args, config) -> int:
 def cmd_synth(args, config) -> int:
     seed = _setting(args, config, "seed")
     n = _setting(args, config, "n")
-    recipe = (synth.recipe_from_dict(config["recipe"], seed)
-              if "recipe" in config else synth.tears_recipe(seed))
+    if "recipe" not in config:
+        recipe = synth.tears_recipe(seed)
+    else:
+        try:
+            recipe = synth.recipe_from_dict(config["recipe"], seed)
+        except SpecselError as exc:
+            raise SpecselError(f"{args.config}: {exc}") from exc
     spectra, conc = synth.phantom(recipe, n)
     save_spectra(args.out_spectra, spectra)
     save_concentrations(args.out_concentrations, conc, spectra.labels)

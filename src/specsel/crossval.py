@@ -3,8 +3,10 @@
 The set is reduced once to X = R Q^T, Q orthonormal and R i x min(i, j)
 (Chan's R-SVD): a fold's centered rows of R have the singular values, left
 vectors and held-out scores of its centered spectra. One stacked SVD per
-block of folds, coefficients u_k^T y_c / s_k and a cumulative sum give the
-held-out squared prediction errors at every PC count. A fold uses the
+block of folds feeds the PCR helpers the final fit uses too:
+``regress.pcr_coefficients`` gives the coefficients u_k^T y_c / s_k and
+``regress.cumulative_estimates`` the held-out estimates at every PC count,
+hence the squared prediction errors. A fold uses the
 components ``usable_components`` allows by the norm of its uncentered rows
 of R (that of its spectra); the matrix keeps the PC counts every fold can
 fit, so it has no missing cell, and each fold that limits it has one note.
@@ -25,6 +27,7 @@ from .errors import (
     TooFewSpectra,
 )
 from .preprocess import Pipeline, apply_pipeline
+from .regress import cumulative_estimates, pcr_coefficients
 from .spectra import ConcentrationSet, SpectraSet, _frozen_array
 
 FOLD_BLOCK = 8  # folds per stacked SVD: caps its ~3 x 8 x i x min(i, j) floats
@@ -89,31 +92,32 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
 
     k_max = i - 2
     reduced = np.linalg.qr(processed.matrix.T, mode="r").T
-    values = np.empty((i, k_max))
-    negative = np.empty((i, k_max), dtype=bool)
-    k_fits = []
+    k_fits, sq_errors, negative = [], [], []
     for start in range(0, i, FOLD_BLOCK):
-        folds = range(start, min(start + FOLD_BLOCK, i))
+        folds = np.arange(start, min(start + FOLD_BLOCK, i))
         train = np.array([[r for r in range(i) if r != n] for n in folds])
         rows = reduced[train]
         mean = rows.mean(axis=1, keepdims=True)
         u, singulars, vt = np.linalg.svd(rows - mean, full_matrices=False)
-        held = (reduced[list(folds), None, :] - mean) @ vt.transpose(0, 2, 1)
-        y_mean = conc.matrix.T[train].mean(axis=1, keepdims=True)
-        fits = u.transpose(0, 2, 1) @ (conc.matrix.T[train] - y_mean)
+        held = (reduced[folds, None, :] - mean) @ vt.transpose(0, 2, 1)
         # a fold's SVD has min(i - 1, j) singular values, so this keeps
         # min(i - 2, j): no fold may use more than i - 2 components
-        kept = usable_components(singulars[:, :k_max],
+        singulars = singulars[:, :k_max]
+        kept = usable_components(singulars,
                                  np.linalg.norm(rows, axis=(1, 2))[:, None])
-        for b, n in enumerate(folds):
-            k_fit = int(kept[b])
-            k_fits.append(k_fit)
-            scaled = held[b, 0, :k_fit] / singulars[b, :k_fit]
-            estimates = np.cumsum(fits[b, :k_fit] * scaled[:, None],
-                                  axis=0) + y_mean[b]
-            errors = estimates - conc.matrix[:, n]
-            values[n, :k_fit] = np.sum(errors * errors, axis=1)
-            negative[n, :k_fit] = np.any(estimates < 0, axis=1)
+        # an infinite singular value gives a component past its fold's
+        # usable count a zero coefficient; those counts lie past k anyway
+        singulars[np.arange(singulars.shape[1]) >= kept[:, None]] = np.inf
+        y = conc.matrix.T[train]
+        y_mean = y.mean(axis=1)
+        coeffs = pcr_coefficients(u[:, :, :k_max], singulars,
+                                  y - y_mean[:, None, :])
+        estimates = cumulative_estimates(coeffs, held[:, :, :k_max],
+                                         y_mean)[:, :, 0]
+        errors = estimates - conc.matrix.T[folds][:, :, None]
+        sq_errors.append(np.sum(errors * errors, axis=1))
+        negative.append(np.any(estimates < 0, axis=1))
+        k_fits.extend(kept.tolist())
 
     k = min(k_fits)
     if k == 0:
@@ -122,8 +126,9 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
             f"component, so no PC count can be scored"
         )
     notes = []
-    for label, k_fit, negatives in zip(processed.labels, k_fits,
-                                       negative[:, :k].sum(axis=1)):
+    for label, k_fit, negatives in zip(
+            processed.labels, k_fits,
+            np.concatenate(negative)[:, :k].sum(axis=1)):
         if k_fit < k_max:
             notes.append(
                 f"fold {label!r}: only {k_fit} of {k_max} components "
@@ -134,4 +139,5 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
                 f"fold {label!r}: negative predicted concentrations at "
                 f"{negatives} PC count(s)"
             )
-    return PressMatrix(values[:, :k], pipeline.name, spectra.labels, notes)
+    return PressMatrix(np.concatenate(sq_errors)[:, :k], pipeline.name,
+                       spectra.labels, notes)

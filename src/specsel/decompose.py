@@ -27,8 +27,10 @@ class PcaModel:
     """Centered decomposition X = scores @ loadings.T + residual.
 
     loadings columns are unit-norm and mutually orthogonal; each column's
-    largest-magnitude entry is positive so refits are bit-comparable. A set
-    with fewer usable components than asked for gives only those.
+    largest-magnitude entry is positive so refits are bit-comparable. The
+    scores columns must be mutually orthogonal too, as pcr_fit reads each
+    alone: pca_fit's are to about 1e-16, nipals_fit's only within its tol.
+    A set with fewer usable components than asked for gives only those.
     """
 
     axis: np.ndarray

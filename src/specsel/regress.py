@@ -1,10 +1,10 @@
 """Principal component regression: coefficients, prediction, PRESS.
 
 Concentrations are regressed onto the PCA scores after centering both
-sides; the species means come back at prediction time. The coefficient
-matrix is solved by an orthogonal-factorization least squares, never by an
-explicit normal-equation inverse. PcrModel checks its own fields, so a model
-from pcr_fit, ``dataclasses.replace`` or load_model passes the same checks.
+sides; the species means come back at prediction time. The leave-one-out
+folds and the final fit share one formula: ``pcr_coefficients`` and
+``cumulative_estimates``. PcrModel checks its own fields, so a model from
+pcr_fit, ``dataclasses.replace`` or load_model passes the same checks.
 """
 
 from __future__ import annotations
@@ -72,25 +72,48 @@ class PcrModel:
         return self.coeffs.shape[1]
 
 
+def pcr_coefficients(u: np.ndarray, singulars: np.ndarray,
+                     y_centered: np.ndarray) -> np.ndarray:
+    """Coefficients (... x q x k) of centered concentrations y_centered
+    (... x i x q) on the orthogonal scores u * singulars, u (... x i x k)
+    having orthonormal columns: u_k^T y_c / s_k. A singular value of inf
+    gives its component a zero coefficient."""
+    return (np.swapaxes(y_centered, -1, -2) @ u) / singulars[..., None, :]
+
+
+def cumulative_estimates(coeffs: np.ndarray, scores: np.ndarray,
+                         mean_conc: np.ndarray) -> np.ndarray:
+    """Estimates (... x q x r x k) at every component count, [..., m - 1]
+    using the leading m, from coefficients (... x q x k), scores
+    (... x r x k) and species means (... x q). Orthogonal scores make the
+    leading m coefficients of a k-component fit those of an m-component
+    fit, so all counts are one cumulative sum."""
+    terms = coeffs[..., :, None, :] * scores[..., None, :, :]
+    return np.cumsum(terms, axis=-1) + mean_conc[..., :, None, None]
+
+
 def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
-    """Least-squares regression of centered concentrations on the scores."""
+    """Regression of centered concentrations on the scores t, as u = t / |t|
+    and s = |t|: the score columns must be orthogonal (see PcaModel).
+    Raises SingularScores if ``usable_components`` refuses a score norm or
+    there is none."""
     scores = pca.scores
     if conc.n_samples != scores.shape[0]:
         raise ShapeMismatch(
             f"{conc.n_samples} concentration columns for {scores.shape[0]} spectra"
         )
-    mean_conc = conc.matrix.mean(axis=1)
-    centered = conc.matrix - mean_conc[:, None]
-    solution, _, _, singulars = np.linalg.lstsq(scores, centered.T, rcond=None)
-    if not singulars.size or usable_components(singulars) < singulars.size:
+    norms = np.linalg.norm(scores, axis=0)
+    if not norms.size or usable_components(norms) < norms.size:
         raise SingularScores(
             "score matrix is too ill-conditioned for a stable regression fit"
         )
+    mean_conc = conc.matrix.mean(axis=1)
+    centered = conc.matrix - mean_conc[:, None]
     return PcrModel(
         axis=pca.axis,
         mean_spectrum=pca.mean_spectrum,
         loadings=pca.loadings,
-        coeffs=solution.T,
+        coeffs=pcr_coefficients(scores / norms, norms, centered.T),
         mean_conc=mean_conc,
         species=conc.species,
         units=conc.units,
@@ -98,24 +121,14 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
 
 
 def pcr_predict(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
-    """Concentration estimates (q x r) for new spectra.
+    """Concentration estimates (q x r) for new spectra: the last count of
+    ``cumulative_estimates``.
 
     Negative estimates are reported as-is; clamping would bias downstream
     error statistics.
     """
-    new_scores = project(model, new_set)
-    return model.coeffs @ new_scores.T + model.mean_conc[:, None]
-
-
-def pcr_predict_all_counts(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
-    """Estimates (q x r x k) at every component count: [:, :, m - 1] uses m.
-
-    Orthogonal scores make the leading m coefficients of a k-component fit
-    those of an m-component fit, so all counts are one cumulative sum.
-    """
-    new_scores = project(model, new_set)   # r x k
-    terms = model.coeffs[:, None, :] * new_scores[None, :, :]
-    return np.cumsum(terms, axis=2) + model.mean_conc[:, None, None]
+    return cumulative_estimates(model.coeffs, project(model, new_set),
+                                model.mean_conc)[..., -1]
 
 
 def press(estimated, actual) -> float:

@@ -18,10 +18,10 @@ import numpy as np
 
 from ._parallel import run_indexed
 from .crossval import PressMatrix, loo_press_matrix
-from .decompose import pca_fit
+from .decompose import pca_fit, project
 from .errors import AllCandidatesFailed, ShapeMismatch, SpecselError
 from .preprocess import Pipeline, apply_pipeline
-from .regress import PcrModel, pcr_fit, pcr_predict_all_counts
+from .regress import PcrModel, cumulative_estimates, pcr_fit
 from .significance import DEFAULT_ALPHA, PcVerdict, select_optimal_pc
 from .spectra import ConcentrationSet, SpectraSet, write_json
 
@@ -174,8 +174,10 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
             f"truth species {list(truth.species)} != model species "
             f"{list(model.species)}"
         )
-    # q x r x k; raises AxisMismatch
-    diff = pcr_predict_all_counts(model, holdout) - truth.matrix[:, :, None]
+    # q x r x k; project raises AxisMismatch
+    diff = (cumulative_estimates(model.coeffs, project(model, holdout),
+                                 model.mean_conc)
+            - truth.matrix[:, :, None])
     per_species = np.sum(diff * diff, axis=1)
     return HoldoutEvaluation(rss=per_species.sum(axis=0),
                              per_species=per_species,

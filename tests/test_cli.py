@@ -239,7 +239,8 @@ class TestSynthCrossval:
                      "--out-spectra", str(tmp_path / "s.csv"),
                      "--out-concentrations", str(tmp_path / "c.csv")])
         assert code == 2
-        assert f"error: SpecselError: {message}" in capsys.readouterr().err
+        assert (f"error: SpecselError: {cfg}: {message}"
+                in capsys.readouterr().err)
 
     def test_crossval_out_dir_under_file_exit_2(self, mixture_files, tmp_path,
                                                 capsys):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from specsel.decompose import nipals_fit, pca_fit
+from specsel.decompose import nipals_fit, pca_fit, project
 from specsel.errors import ShapeMismatch, SingularScores, SpecselError
-from specsel.preprocess import parse_pipeline
+from specsel.preprocess import IDENTITY, parse_pipeline
 from specsel.regress import (
+    cumulative_estimates,
     load_model,
     pcr_fit,
     pcr_predict,
@@ -28,7 +29,9 @@ from conftest import noiseless_mixtures, random_spectra_set
 class TestPcrFit:
     def test_concentration_equal_to_first_score(self):
         ss = random_spectra_set(i=8, j=40, seed=20)
-        pca = nipals_fit(ss, 3)
+        # coefficients are fitted one component at a time, exact only on
+        # scores as orthogonal as pca_fit's (nipals_fit's meet only its tol)
+        pca = pca_fit(ss, 3)
         conc = ConcentrationSet(
             np.maximum(pca.scores[:, 0] - pca.scores[:, 0].min(), 0.0)[None, :],
             ("a",), ("u",))
@@ -37,9 +40,11 @@ class TestPcrFit:
         assert abs(coeffs[0] - 1.0) < 1e-10
         assert np.abs(coeffs[1:]).max() < 1e-10
 
-    def test_matches_normal_equations_oracle(self):
+    @pytest.mark.parametrize("extract", [nipals_fit, pca_fit],
+                             ids=["nipals_fit", "pca_fit"])
+    def test_matches_normal_equations_oracle(self, extract):
         ss = random_spectra_set(i=9, j=50, seed=21)
-        pca = nipals_fit(ss, 4)
+        pca = extract(ss, 4)
         rng = np.random.default_rng(22)
         conc = ConcentrationSet(rng.uniform(0.0, 2.0, (3, 9)),
                                 ("a", "b", "c"), ("u",) * 3)
@@ -160,6 +165,16 @@ class TestPcrModel:
 
 
 class TestPcrPredict:
+    def test_is_last_count_of_cumulative_estimates(self):
+        # evaluate_holdout reads every count of the same estimates
+        model = train_final(*tears_phantom(20, 7), IDENTITY, 6)
+        batch, _ = tears_phantom(30, 8)
+        every_count = cumulative_estimates(
+            model.coeffs, project(model, batch), model.mean_conc)
+        assert every_count.shape == (2, 30, 6)
+        assert np.array_equal(pcr_predict(model, batch),
+                              every_count[:, :, -1])
+
     def test_noiseless_self_prediction(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=10, n_species=3)
         model = pcr_fit(nipals_fit(spectra, 3), conc)
