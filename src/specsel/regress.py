@@ -3,8 +3,9 @@
 Concentrations are regressed onto the PCA scores after centering both
 sides; the species means come back at prediction time. The leave-one-out
 folds and the final fit share one formula: ``pcr_coefficients`` and
-``cumulative_estimates``. PcrModel checks its own fields, so a model from
-pcr_fit, ``dataclasses.replace`` or load_model passes the same checks.
+``cumulative_estimates``. PcrModel checks its own fields, its arrays through
+``spectra._set_arrays``, so a model from pcr_fit, ``dataclasses.replace``
+or load_model passes the same checks.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import PcaModel, project, usable_components
-from .errors import (BadOrder, IoFailure, NonFiniteValue, ShapeMismatch,
-                     SingularScores, SpecselError)
+from .errors import (BadOrder, IoFailure, ShapeMismatch, SingularScores,
+                     SpecselError)
 from .spectra import (ConcentrationSet, SpectraSet, _check_unique,
-                      _frozen_array, read_json, write_json)
+                      _set_arrays, read_json, write_json)
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,6 @@ class PcrModel:
     pipeline_name: str = "identity"
 
     def __post_init__(self):
-        # every array is float before any shape is read
-        arrays = {name: _frozen_array(getattr(self, name)) for name
-                  in ("axis", "mean_spectrum", "loadings", "coeffs", "mean_conc")}
         if not isinstance(self.pipeline_name, str):
             raise SpecselError(
                 f"pipeline must be a string, got {self.pipeline_name!r}")
@@ -52,18 +50,10 @@ class PcrModel:
             raise ShapeMismatch(
                 f"{len(self.units)} units for {len(self.species)} species")
         _check_unique(self.species, "species")
-        loadings = arrays["loadings"]
-        j, q = arrays["axis"].size, len(self.species)
-        k = loadings.shape[1] if loadings.ndim == 2 else 0
-        expected = {"axis": (j,), "mean_spectrum": (j,), "loadings": (j, k),
-                    "coeffs": (q, k), "mean_conc": (q,)}
-        for name, shape in expected.items():
-            if arrays[name].shape != shape:
-                raise ShapeMismatch(f"{name} has shape {arrays[name].shape}, "
-                                    f"expected {shape}")
-            if not np.isfinite(arrays[name]).all():
-                raise NonFiniteValue(f"{name} has a non-finite value")
-            object.__setattr__(self, name, arrays[name])
+        j, q = np.size(self.axis), len(self.species)
+        k = np.shape(self.loadings)[1] if np.ndim(self.loadings) == 2 else 0
+        _set_arrays(self, {"axis": (j,), "mean_spectrum": (j,), "loadings": (j, k),
+                           "coeffs": (q, k), "mean_conc": (q,)})
         if k == 0:
             raise BadOrder("model has no components")
 

@@ -23,7 +23,7 @@ from .errors import AllCandidatesFailed, ShapeMismatch, SpecselError
 from .preprocess import Pipeline, apply_pipeline
 from .regress import PcrModel, cumulative_estimates, pcr_fit
 from .significance import DEFAULT_ALPHA, PcVerdict, select_optimal_pc
-from .spectra import ConcentrationSet, SpectraSet, write_json
+from .spectra import ConcentrationSet, SpectraSet, _check_unique, write_json
 
 NO_SIGNIFICANCE_ALERT = (
     "no candidate pipeline reached statistical significance; the returned "
@@ -73,7 +73,7 @@ def select_method(spectra: SpectraSet, conc: ConcentrationSet,
 
     A candidate that raises anywhere in its evaluation becomes a failed
     entry instead of aborting the run; only when every candidate fails is
-    AllCandidatesFailed raised.
+    AllCandidatesFailed raised. Duplicate pipelines raise LabelMismatch.
     """
     if not 0.0 < alpha < 1.0:
         raise SpecselError(f"alpha must be in (0, 1), got {alpha}")
@@ -81,6 +81,7 @@ def select_method(spectra: SpectraSet, conc: ConcentrationSet,
         raise SpecselError(f"threads must be at least 1, got {workers}")
     if not candidates:
         raise AllCandidatesFailed("no candidate pipelines supplied")
+    _check_unique([c.name for c in candidates], "candidate pipelines")
 
     def evaluate(index: int) -> CandidateResult:
         pipeline = candidates[index]

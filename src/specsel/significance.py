@@ -91,8 +91,7 @@ def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
     columns = _columns(press_matrix, min_size=2)
     notes = []
     if log_transform:
-        with np.errstate(divide="ignore"):
-            columns = np.log10(np.maximum(columns, _TINY))
+        columns = np.log10(np.maximum(columns, _TINY))
         notes.append("ANOVA computed on log10-transformed PRESS values")
 
     n_groups, n_rows = columns.shape

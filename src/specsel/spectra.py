@@ -8,7 +8,9 @@ The writers hand ``csv.writer`` one row of Python floats at a time (one
 ``tolist`` per row, never of the whole matrix), and it writes each as its
 ``repr``: the shortest text that parses back to the same float, with NaN
 as ``nan``. So save/load is exact. Model files, reports and configs are
-JSON, read by ``read_json`` and written by ``write_json``.
+JSON, read by ``read_json`` and written by ``write_json``. SpectraSet,
+ConcentrationSet and ``regress.PcrModel`` store every array field through
+``_set_arrays``, one table of field shapes per type.
 
 A CSV's cells are parsed as the file is read, in chunks of about
 ``CHUNK_CELLS`` cells, so the file never sits in memory as one Python
@@ -45,16 +47,6 @@ AXIS_HEADER = "wavenumber_cm-1"
 MIN_CHANNELS = 8
 # cells parsed per numpy call while a CSV is read
 CHUNK_CELLS = 1 << 16
-
-
-def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise RaggedRows(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise NonFiniteValue(f"{name} has a non-finite value at index {bad}")
-    return arr
 
 
 def _check_axis(axis: np.ndarray, path=None) -> None:
@@ -104,6 +96,26 @@ def _frozen_array(arr: np.ndarray, order: str = "K") -> np.ndarray:
     return out
 
 
+def _set_arrays(obj, shapes: dict[str, tuple[int, ...]],
+                nonfinite_row: dict | None = None) -> None:
+    """Store each field of the frozen dataclass ``obj`` named in ``shapes``,
+    in order, as a read-only float copy of that shape; C-ordered whatever
+    the input's layout (a CSV body is Fortran-ordered), so a row's
+    reductions give the same bits from every source. Raises ShapeMismatch,
+    or NonFiniteValue naming the field or, by ``nonfinite_row[name](row)``,
+    the first row with a NaN or an infinity."""
+    for name, shape in shapes.items():
+        arr = _frozen_array(getattr(obj, name), order="C")
+        if arr.shape != shape:
+            raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            if name in (nonfinite_row or {}):
+                row = int(np.argwhere(~np.isfinite(arr))[0][0])
+                raise NonFiniteValue(nonfinite_row[name](row))
+            raise NonFiniteValue(f"{name} has a non-finite value")
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class SpectraSet:
     """i spectra sharing one wavenumber axis, stored as an i x j matrix."""
@@ -115,31 +127,13 @@ class SpectraSet:
     source_sha256: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
-        axis = _as_float_vector(self.axis, "axis")
-        _check_axis(axis)
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise RaggedRows(f"spectra matrix must be 2-D, got shape {matrix.shape}")
         labels = tuple(str(x) for x in self.labels)
-        if matrix.shape[0] != len(labels):
-            raise RaggedRows(
-                f"{matrix.shape[0]} spectra rows but {len(labels)} labels"
-            )
-        if matrix.shape[0] < 1:
+        if not labels:
             raise RaggedRows("spectra set must contain at least one spectrum")
-        if matrix.shape[1] != axis.size:
-            raise RaggedRows(
-                f"rows have {matrix.shape[1]} channels but axis has {axis.size}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-            raise NonFiniteValue(
-                f"non-finite intensity in spectrum {labels[int(rows[0])]!r}"
-            )
-        object.__setattr__(self, "axis", _frozen_array(axis))
-        # C order whatever the input's layout (a CSV body is Fortran-ordered),
-        # so a row's reductions give the same bits from every source
-        object.__setattr__(self, "matrix", _frozen_array(matrix, order="C"))
+        j = np.size(self.axis)
+        _set_arrays(self, {"axis": (j,), "matrix": (len(labels), j)}, {
+            "matrix": lambda r: f"non-finite intensity in spectrum {labels[r]!r}"})
+        _check_axis(self.axis)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -166,26 +160,14 @@ class ConcentrationSet:
     source_sha256: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise RaggedRows(
-                f"concentration matrix must be 2-D, got shape {matrix.shape}"
-            )
         species = tuple(str(s) for s in self.species)
         units = tuple(str(u) for u in self.units) if self.units else ("",) * len(species)
-        if matrix.shape[0] != len(species):
-            raise RaggedRows(
-                f"{matrix.shape[0]} concentration rows but {len(species)} species"
-            )
         if len(units) != len(species):
             raise RaggedRows(f"{len(units)} units for {len(species)} species")
         _check_unique(species, "species")
-        if not np.all(np.isfinite(matrix)):
-            raise NonFiniteValue("non-finite concentration value")
-        _check_nonnegative(matrix, species)
-        # C order, as in SpectraSet: a CSV body is Fortran-ordered, and a
-        # fit's mean over samples must sum in one order from every source
-        object.__setattr__(self, "matrix", _frozen_array(matrix, order="C"))
+        # any number of samples: the last axis, whatever the matrix's rank
+        _set_arrays(self, {"matrix": (len(species), *np.shape(self.matrix)[-1:])})
+        _check_nonnegative(self.matrix, species)
         object.__setattr__(self, "species", species)
         object.__setattr__(self, "units", units)
 

@@ -508,6 +508,20 @@ class TestSelect:
         payload = json.loads(out.read_text())
         assert payload["chosen_significant"] is False
 
+    def test_duplicate_candidates_exit_2(self, mixture_files, tmp_path,
+                                         capsys):
+        # two spellings of one pipeline: refused before any is evaluated
+        spath, cpath, *_ = mixture_files
+        out = tmp_path / "report.json"
+        code = main(["select", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--candidate", "sg(7,2)", "--candidate",
+                     "savgol(7,2,0)", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: LabelMismatch: duplicate candidate pipelines "
+                       "['savgol(7,2,0)']\n")
+        assert not out.exists()
+
     def test_report_contains_every_candidate(self, mixture_files, tmp_path):
         spath, cpath, *_ = mixture_files
         out = tmp_path / "report.json"

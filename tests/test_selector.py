@@ -1,11 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsel.errors import AllCandidatesFailed, AxisMismatch, BadOrder
+from specsel.errors import (AllCandidatesFailed, AxisMismatch, BadOrder,
+                            LabelMismatch, ShapeMismatch)
 from specsel.preprocess import IDENTITY, apply_pipeline, parse_pipeline
 from specsel.regress import pcr_predict, press, save_model, load_model
 from specsel.selector import (
@@ -43,15 +45,29 @@ class TestSelectMethod:
         assert report.chosen_pc == 3
         assert report.chosen_significant
 
-    def test_duplicate_candidates_tie_break_by_order(self):
+    def test_duplicate_candidates_refused(self):
+        # two spellings of one pipeline: refused before either is evaluated
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
-        a = parse_pipeline("identity")
-        b = parse_pipeline("identity")
-        report = select_method(spectra, conc, [a, b], alpha=0.05)
-        assert report.entries[0].verdict.optimal_pc == \
-            report.entries[1].verdict.optimal_pc
+        candidates = [parse_pipeline("sg(7,2)"), parse_pipeline("snv"),
+                      parse_pipeline("savgol(7,2,0)")]
+        with pytest.raises(
+                LabelMismatch,
+                match=re.escape("duplicate candidate pipelines ['savgol(7,2,0)']")):
+            select_method(spectra, conc, candidates, alpha=0.05)
+
+    def test_exact_tie_keeps_earlier_candidate(self):
+        # no point lies 1e9 local MADs off its running median, so despike
+        # passes every spectrum through bit for bit: two distinct pipelines
+        # that tie exactly
+        spectra, conc = synth.tears_phantom(12, 3)
+        report = select_method(spectra, conc, [
+            parse_pipeline("identity"), parse_pipeline("despike(7,1e9)")])
+        assert report.entries[0].sum_press_at_optimal == \
+            report.entries[1].sum_press_at_optimal
         assert report.chosen_pipeline == "identity"
-        assert any("tie" in alert for alert in report.alerts)
+        assert report.alerts == (
+            "tie on PRESS sum between identity and despike(7,1000000000); "
+            "kept the earlier candidate",)
 
     def test_failed_candidate_is_entry_not_abort(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
@@ -255,6 +271,20 @@ class TestEvaluateHoldout:
             smaller = train_final(spectra, conc, IDENTITY, m)
             rss = press(pcr_predict(smaller, hold), hconc.matrix)
             assert abs(ev.rss[m - 1] - rss) < 1e-9 * max(rss, 1.0)
+
+    @pytest.mark.parametrize("truth,message", [
+        (lambda conc: ConcentrationSet(conc.matrix[:, :7], conc.species,
+                                       conc.units),
+         "7 truth columns for 8 spectra"),
+        (lambda conc: ConcentrationSet(conc.matrix[::-1], conc.species[::-1],
+                                       conc.units),
+         "truth species ['sp1', 'sp0'] != model species ['sp0', 'sp1']"),
+    ], ids=["column_count", "species"])
+    def test_refuses_mismatched_truth(self, truth, message):
+        spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
+        model = train_final(spectra, conc, IDENTITY, 2)
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            evaluate_holdout(model, spectra, truth(conc))
 
     def test_axis_mismatch(self):
         spectra, conc, recipe = noiseless_mixtures(n_samples=8, n_species=2)

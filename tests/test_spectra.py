@@ -20,6 +20,7 @@ from specsel.errors import (
     NonFiniteValue,
     NonmonotonicAxis,
     RaggedRows,
+    ShapeMismatch,
     SpecselError,
 )
 from specsel.preprocess import IDENTITY
@@ -60,8 +61,8 @@ class TestSpectraSet:
     @pytest.mark.parametrize("axis,row,error,message", [
         (np.r_[0.0, 1, 2, 3, 4, 4, 6, 7, 8, 9], np.ones(10), NonmonotonicAxis,
          "not strictly increasing at row 5"),
-        (np.arange(10.0), np.ones(9), RaggedRows,
-         "rows have 9 channels but axis has 10"),
+        (np.arange(10.0), np.ones(9), ShapeMismatch,
+         re.escape("matrix has shape (1, 9), expected (1, 10)")),
         (np.arange(10.0), np.r_[1.0, 1, 1, np.nan, 1, 1, 1, 1, 1, 1],
          NonFiniteValue, "non-finite intensity in spectrum 'a'"),
         (np.arange(5.0), np.ones(5), RaggedRows,
@@ -532,6 +533,21 @@ class TestSaveMatrix:
         with pytest.raises(EmptyMatrix):
             save_matrix(tmp_path / "m.csv", np.zeros((0, 3)), ["a", "b", "c"],
                         row_labels=[], row_label_header="label")
+
+    @pytest.mark.parametrize("matrix,headers,row_labels,message", [
+        ([1.0, 2.0], ["a", "b"], ["x"],
+         "save_matrix needs a 2-D matrix, got shape (2,)"),
+        ([[1.0, 2.0]], ["a"], ["x"], "1 headers for 2 matrix columns"),
+        ([[1.0, 2.0]], ["a", "b"], ["x", "y"],
+         "2 row labels for 1 matrix rows"),
+    ], ids=["one_dimensional", "header_count", "row_label_count"])
+    def test_refuses_misshaped_input(self, tmp_path, matrix, headers,
+                                     row_labels, message):
+        f = tmp_path / "m.csv"
+        with pytest.raises(RaggedRows, match=f"^{re.escape(message)}$"):
+            save_matrix(f, matrix, headers, row_labels=row_labels,
+                        row_label_header="label")
+        assert not f.exists()
 
     def test_nan_written_as_nan(self, tmp_path):
         f = tmp_path / "m.csv"
