@@ -28,7 +28,7 @@ from .errors import (
 )
 from .preprocess import Pipeline, apply_pipeline
 from .regress import cumulative_estimates, pcr_coefficients
-from .spectra import ConcentrationSet, SpectraSet, _frozen_array
+from .spectra import ConcentrationSet, SpectraSet, _set_arrays, _set_names
 
 FOLD_BLOCK = 8  # folds per stacked SVD: caps its ~3 x 8 x i x min(i, j) floats
 
@@ -47,14 +47,10 @@ class PressMatrix:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ShapeMismatch(f"PRESS matrix must be 2-D, got {values.shape}")
-        if not (np.isfinite(values).all() and (values >= 0).all()):
+        _set_names(self, {"labels": "sample labels", "notes": None})
+        _set_arrays(self, {"values": (len(self.labels), *np.shape(self.values)[-1:])})
+        if not (self.values >= 0).all():
             raise ShapeMismatch("PRESS values must be finite and non-negative")
-        object.__setattr__(self, "values", _frozen_array(values))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "notes", tuple(self.notes))
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.values, dtype=dtype, copy=copy)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisMismatch, BadOrder, NoConvergence
-from .spectra import SpectraSet, _frozen_array
+from .spectra import SpectraSet, _set_arrays
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
@@ -38,6 +38,12 @@ class PcaModel:
     loadings: np.ndarray            # j x k
     scores: np.ndarray              # i x k
 
+    def __post_init__(self):
+        j = np.size(self.axis)
+        k = np.shape(self.loadings)[1] if np.ndim(self.loadings) == 2 else 0
+        _set_arrays(self, {"axis": (j,), "mean_spectrum": (j,), "loadings": (j, k),
+                           "scores": (*np.shape(self.scores)[:1], k)})
+
     @property
     def n_components(self) -> int:
         return self.loadings.shape[1]
@@ -49,9 +55,7 @@ def _signed_model(spectra: SpectraSet, mean_spectrum: np.ndarray,
     flipping its scores with it (the sign convention of both fits)."""
     n = loadings.shape[1]
     signs = np.sign(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(n)])
-    return PcaModel(spectra.axis, _frozen_array(mean_spectrum),
-                    _frozen_array(loadings * signs, order="C"),
-                    _frozen_array(scores * signs))
+    return PcaModel(spectra.axis, mean_spectrum, loadings * signs, scores * signs)
 
 
 def _check_order(spectra: SpectraSet, k: int) -> None:

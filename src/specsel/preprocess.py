@@ -58,6 +58,17 @@ def _as_rows(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.atleast_2d(x))
 
 
+def _rows_on_axis(spectrum, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float ``spectrum``, its ``_as_rows`` and float ``axis``; NonuniformAxis
+    unless the axis has one point per channel."""
+    x, ax = np.asarray(spectrum, dtype=float), np.asarray(axis, dtype=float)
+    rows = _as_rows(x)
+    if rows.shape[1] != ax.size:
+        raise NonuniformAxis(
+            f"{rows.shape[1]} intensities for {ax.size} axis points")
+    return x, rows, ax
+
+
 def snv(spectrum) -> np.ndarray:
     """Center by the mean and scale by the sample standard deviation."""
     x = np.asarray(spectrum, dtype=float)
@@ -183,12 +194,7 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
     order 1 removes a constant baseline, order 2 a linear one.
     """
     _check_derivative(order)
-    x = np.asarray(spectrum, dtype=float)
-    rows = _as_rows(x)
-    ax = np.asarray(axis, dtype=float)
-    if rows.shape[1] != ax.size:
-        raise NonuniformAxis(
-            f"{rows.shape[1]} intensities for {ax.size} axis points")
+    x, rows, ax = _rows_on_axis(spectrum, axis)
     h = _uniform_spacing(ax)
     if order == 1:
         return np.gradient(rows, h, axis=1, edge_order=1).reshape(x.shape)
@@ -337,9 +343,7 @@ def peak_normalize(spectrum, axis, reference_wavenumber: float,
                    half_width: float = 10.0) -> np.ndarray:
     """Scale so the maximum inside the reference-peak window becomes 1."""
     _check_peak_normalize(reference_wavenumber, half_width)
-    x = np.asarray(spectrum, dtype=float)
-    rows = _as_rows(x)
-    ax = np.asarray(axis, dtype=float)
+    x, rows, ax = _rows_on_axis(spectrum, axis)
     lo, hi = reference_wavenumber - half_width, reference_wavenumber + half_width
     if lo < ax[0] or hi > ax[-1]:
         raise WindowOutsideAxis(

@@ -3,9 +3,9 @@
 Concentrations are regressed onto the PCA scores after centering both
 sides; the species means come back at prediction time. The leave-one-out
 folds and the final fit share one formula: ``pcr_coefficients`` and
-``cumulative_estimates``. PcrModel checks its own fields, its arrays through
-``spectra._set_arrays``, so a model from pcr_fit, ``dataclasses.replace``
-or load_model passes the same checks.
+``cumulative_estimates``. PcrModel checks its fields by the rules of
+``spectra`` and its pipeline by ``parse_pipeline``, so a model from pcr_fit,
+``dataclasses.replace`` or load_model passes the same checks.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import numpy as np
 from .decompose import PcaModel, project, usable_components
 from .errors import (BadOrder, IoFailure, ShapeMismatch, SingularScores,
                      SpecselError)
-from .spectra import (ConcentrationSet, SpectraSet, _check_unique,
-                      _set_arrays, read_json, write_json)
+from .preprocess import parse_pipeline
+from .spectra import (ConcentrationSet, SpectraSet, _check_axis, _set_arrays,
+                      _set_names, read_json, write_json)
 
 
 @dataclass(frozen=True)
@@ -39,21 +40,13 @@ class PcrModel:
         if not isinstance(self.pipeline_name, str):
             raise SpecselError(
                 f"pipeline must be a string, got {self.pipeline_name!r}")
-        for name in ("species", "units"):
-            names = getattr(self, name)
-            if not (isinstance(names, (list, tuple))
-                    and all(isinstance(n, str) for n in names)):
-                raise SpecselError(
-                    f"{name} must be a list of strings, got {names!r}")
-            object.__setattr__(self, name, tuple(names))
-        if len(self.units) != len(self.species):
-            raise ShapeMismatch(
-                f"{len(self.units)} units for {len(self.species)} species")
-        _check_unique(self.species, "species")
+        parse_pipeline(self.pipeline_name)
+        _set_names(self, {"species": "species", "units": None})
         j, q = np.size(self.axis), len(self.species)
         k = np.shape(self.loadings)[1] if np.ndim(self.loadings) == 2 else 0
         _set_arrays(self, {"axis": (j,), "mean_spectrum": (j,), "loadings": (j, k),
                            "coeffs": (q, k), "mean_conc": (q,)})
+        _check_axis(self.axis)
         if k == 0:
             raise BadOrder("model has no components")
 
@@ -169,14 +162,11 @@ def load_model(path) -> PcrModel:
             f"expected {_MODEL_VERSION}"
         )
     try:
-        values = {name: payload[name] for name in (
+        return PcrModel(**{name: payload[name] for name in (
             "axis", "mean_spectrum", "loadings", "coeffs", "mean_conc",
-            "species", "units")}
-        values["pipeline_name"] = payload["pipeline"]
+            "species", "units")}, pipeline_name=payload["pipeline"])
     except KeyError as exc:
         raise IoFailure(f"{path}: model file has no {exc} entry") from exc
-    try:
-        return PcrModel(**values)
     except (TypeError, ValueError) as exc:
         raise IoFailure(f"{path}: not a valid model file: {exc}") from exc
     except SpecselError as exc:

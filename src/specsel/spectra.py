@@ -8,9 +8,9 @@ The writers hand ``csv.writer`` one row of Python floats at a time (one
 ``tolist`` per row, never of the whole matrix), and it writes each as its
 ``repr``: the shortest text that parses back to the same float, with NaN
 as ``nan``. So save/load is exact. Model files, reports and configs are
-JSON, read by ``read_json`` and written by ``write_json``. SpectraSet,
-ConcentrationSet and ``regress.PcrModel`` store every array field through
-``_set_arrays``, one table of field shapes per type.
+JSON, read by ``read_json`` and written by ``write_json``. Each frozen data
+type stores its arrays through ``_set_arrays``, one table of field shapes
+per type, and its lists of names through ``_set_names``, one rule for all.
 
 A CSV's cells are parsed as the file is read, in chunks of about
 ``CHUNK_CELLS`` cells, so the file never sits in memory as one Python
@@ -41,6 +41,7 @@ from .errors import (
     NonmonotonicAxis,
     RaggedRows,
     ShapeMismatch,
+    SpecselError,
 )
 
 AXIS_HEADER = "wavenumber_cm-1"
@@ -90,12 +91,6 @@ def _check_unique(names: Sequence[str], what: str, path=None) -> None:
             f"{'' if path is None else f'{path}: '}duplicate {what} {dup}")
 
 
-def _frozen_array(arr: np.ndarray, order: str = "K") -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True, order=order)
-    out.setflags(write=False)
-    return out
-
-
 def _set_arrays(obj, shapes: dict[str, tuple[int, ...]],
                 nonfinite_row: dict | None = None) -> None:
     """Store each field of the frozen dataclass ``obj`` named in ``shapes``,
@@ -105,7 +100,7 @@ def _set_arrays(obj, shapes: dict[str, tuple[int, ...]],
     or NonFiniteValue naming the field or, by ``nonfinite_row[name](row)``,
     the first row with a NaN or an infinity."""
     for name, shape in shapes.items():
-        arr = _frozen_array(getattr(obj, name), order="C")
+        arr = np.array(getattr(obj, name), dtype=float, order="C")
         if arr.shape != shape:
             raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
@@ -113,7 +108,25 @@ def _set_arrays(obj, shapes: dict[str, tuple[int, ...]],
                 row = int(np.argwhere(~np.isfinite(arr))[0][0])
                 raise NonFiniteValue(nonfinite_row[name](row))
             raise NonFiniteValue(f"{name} has a non-finite value")
+        arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
+
+
+def _set_names(obj, fields: dict[str, str | None]) -> None:
+    """Store each field in ``fields``, a list or tuple of str, as a tuple on
+    the frozen dataclass ``obj``: no name twice where the entry (what the
+    names identify) is not None, and ``units`` one per species."""
+    for name, what in fields.items():
+        names = getattr(obj, name)
+        if not (isinstance(names, (list, tuple))
+                and all(isinstance(n, str) for n in names)):
+            raise SpecselError(
+                f"{name} must be a list of strings, got {names!r}")
+        if what is not None:
+            _check_unique(names, what)
+        object.__setattr__(obj, name, tuple(names))
+    if "units" in fields and len(obj.units) != len(obj.species):
+        raise ShapeMismatch(f"{len(obj.units)} units for {len(obj.species)} species")
 
 
 @dataclass(frozen=True)
@@ -127,14 +140,13 @@ class SpectraSet:
     source_sha256: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        if not labels:
+        _set_names(self, {"labels": "sample labels"})
+        if not self.labels:
             raise RaggedRows("spectra set must contain at least one spectrum")
         j = np.size(self.axis)
-        _set_arrays(self, {"axis": (j,), "matrix": (len(labels), j)}, {
-            "matrix": lambda r: f"non-finite intensity in spectrum {labels[r]!r}"})
+        _set_arrays(self, {"axis": (j,), "matrix": (len(self.labels), j)}, {
+            "matrix": lambda r: f"non-finite intensity in spectrum {self.labels[r]!r}"})
         _check_axis(self.axis)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n_spectra(self) -> int:
@@ -155,21 +167,18 @@ class ConcentrationSet:
 
     matrix: np.ndarray
     species: tuple[str, ...]
-    units: tuple[str, ...] = field(default=())
+    units: tuple[str, ...] = field(default=())  # empty: one blank each
     # sha256 of the file bytes parsed; empty for a set built in memory
     source_sha256: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
-        species = tuple(str(s) for s in self.species)
-        units = tuple(str(u) for u in self.units) if self.units else ("",) * len(species)
-        if len(units) != len(species):
-            raise RaggedRows(f"{len(units)} units for {len(species)} species")
-        _check_unique(species, "species")
+        _set_names(self, {"species": "species"})
+        if isinstance(self.units, (list, tuple)) and not self.units:
+            object.__setattr__(self, "units", ("",) * len(self.species))
+        _set_names(self, {"units": None})
         # any number of samples: the last axis, whatever the matrix's rank
-        _set_arrays(self, {"matrix": (len(species), *np.shape(self.matrix)[-1:])})
-        _check_nonnegative(self.matrix, species)
-        object.__setattr__(self, "species", species)
-        object.__setattr__(self, "units", units)
+        _set_arrays(self, {"matrix": (len(self.species), *np.shape(self.matrix)[-1:])})
+        _check_nonnegative(self.matrix, self.species)
 
     @property
     def n_species(self) -> int:
@@ -366,8 +375,7 @@ def load_concentrations(path, labels: Sequence[str] | None = None) -> Concentrat
         lambda labels: [f"sample {x!r}" for x in labels])
     if not texts:
         raise IoFailure(f"{path}: no species rows after the header")
-    species = tuple(row[0] for row in texts)
-    units = tuple(row[1] for row in texts)
+    species, units = zip(*texts)
     _check_unique(species, "species", path)
     _check_nonnegative(data, species, path, file_labels)
     if labels is not None:

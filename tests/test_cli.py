@@ -827,11 +827,16 @@ class TestTrainPredict:
         (lambda p: p["loadings"][3].pop(), "not a valid model file: "),
         (lambda p: p.update(species=["sp1", "sp0", "sp1"]),
          "duplicate species ['sp1']"),
+        (lambda p: p.update(pipeline="bogus(1)"),
+         "unknown preprocessing step 'bogus'"),
+        (lambda p: p.update(axis=p["axis"][::-1]),
+         "wavenumber axis not strictly increasing at row 1 (1800 -> 1798)"),
     ], ids=["missing_key", "loadings", "mean_spectrum", "coeffs",
             "mean_conc", "version", "format", "pipeline_int",
             "pipeline_null", "species_string", "species_not_strings",
             "units_null", "units_length", "coeffs_nan", "no_components",
-            "axis_scalar", "ragged_loadings", "species_duplicate"])
+            "axis_scalar", "ragged_loadings", "species_duplicate",
+            "pipeline_unknown", "axis_reversed"])
     def test_malformed_model_exit_2(self, mixture_files, tmp_path, capsys,
                                     edit, message):
         spath, cpath, *_ = mixture_files

@@ -9,6 +9,7 @@ from specsel.errors import (
     DegenerateMatrix,
     FoldPreprocessFailure,
     NoConvergence,
+    NonFiniteValue,
     ShapeMismatch,
     TooFewSpectra,
 )
@@ -125,12 +126,13 @@ def toy_problem(i, seed, noise=0.05):
 
 
 def tears_with_first_spectrum_twice():
-    """tears_phantom(20, 7) with s000 again as a 21st spectrum: the two folds
-    that hold out a copy of s000 fit 19 components, the other 19 fit 18."""
+    """tears_phantom(20, 7) with s000 again as a 21st spectrum, labelled
+    s000_again: the two folds that hold out a copy of s000 fit 19
+    components, the other 19 fit 18."""
     spectra, conc = tears_phantom(20, 7)
     twice = [*range(20), 0]
     return (SpectraSet(spectra.axis, spectra.matrix[twice],
-                       spectra.labels + ("s000",)),
+                       spectra.labels + ("s000_again",)),
             select_columns(conc, twice))
 
 
@@ -294,9 +296,15 @@ class TestPressMatrixType:
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
     def test_rejects_non_finite(self, cell):
-        with pytest.raises(ShapeMismatch, match="finite and non-negative"):
+        with pytest.raises(NonFiniteValue,
+                           match="^values has a non-finite value$"):
             PressMatrix(np.array([[1.0, cell], [0.2, 0.3]]), "identity",
                         ("a", "b"))
+
+    def test_rejects_a_row_count_other_than_the_labels(self):
+        with pytest.raises(ShapeMismatch,
+                           match=r"^values has shape \(3, 2\), expected \(1, 2\)$"):
+            PressMatrix(np.ones((3, 2)), "p", ("a",))
 
     def test_headers(self):
         pm = PressMatrix(np.ones((4, 2)), "snv", ("a", "b", "c", "d"))

@@ -593,6 +593,18 @@ class TestStepTable:
         with pytest.raises(error):
             direct(x, base.axis)
 
+    # the steps that read the axis, called directly with an axis of another
+    # length than the spectra: one shared check, one class and message
+    @pytest.mark.parametrize("direct", [
+        lambda x, ax: derivative(x, ax, 1),
+        lambda x, ax: peak_normalize(x, ax, 420.0, 5.0),
+    ], ids=["derivative", "peak_normalize"])
+    def test_axis_of_another_length(self, direct):
+        base = random_spectra_set(i=3, j=100, seed=12)
+        with pytest.raises(NonuniformAxis,
+                           match=r"^100 intensities for 50 axis points$"):
+            direct(base.matrix + 10.0, base.axis[:50])
+
     def test_out_of_range_cases_cover_every_checked_kind(self):
         checked = {kind for kind, spec in _STEPS.items() if spec.params}
         assert {text.split("(")[0] for text, *_ in OUT_OF_RANGE} == checked

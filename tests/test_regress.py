@@ -129,10 +129,15 @@ class TestPcrModel:
         (lambda m: {"loadings": m.loadings[:, :0], "coeffs": m.coeffs[:, :0]},
          "model has no components"),
         (lambda m: {"axis": 5}, "axis has shape (), expected (1,)"),
+        (lambda m: {"pipeline_name": "bogus(1)"},
+         "unknown preprocessing step 'bogus'"),
+        (lambda m: {"axis": m.axis[::-1]},
+         "wavenumber axis not strictly increasing at row 1 (1800 -> 1798)"),
     ], ids=["loadings", "mean_spectrum", "coeffs", "mean_conc",
             "pipeline_int", "pipeline_null", "species_string",
             "species_not_strings", "units_null", "units_length", "coeffs_nan",
-            "no_components", "axis_scalar"])
+            "no_components", "axis_scalar", "pipeline_unknown",
+            "axis_reversed"])
     def test_replace_refuses_bad_field(self, edit, message):
         model = self.trained()
         with pytest.raises(SpecselError, match=f"^{re.escape(message)}$"):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from specsel.cli import _write_boxplot_csv
+from specsel.crossval import PressMatrix
 from specsel.errors import (
     EmptyMatrix,
     IoFailure,
@@ -24,7 +26,7 @@ from specsel.errors import (
     SpecselError,
 )
 from specsel.preprocess import IDENTITY
-from specsel.regress import save_model
+from specsel.regress import PcrModel, save_model
 from specsel.selector import SelectionReport, train_final, write_report
 from specsel.spectra import (
     ConcentrationSet,
@@ -622,6 +624,64 @@ class TestWriterBytes:
                  for line in f.read_text().splitlines()[1:]]
         assert (np.array(cells, dtype=float).tobytes()
                 == np.array(matrix).tobytes())
+
+
+# each type with a list of names that identify things: the field, what the
+# names identify, and the type built around two names
+NAMED_TYPES = {
+    "SpectraSet": ("labels", "sample labels", lambda names: SpectraSet(
+        np.arange(10.0), np.ones((2, 10)), names)),
+    "ConcentrationSet": ("species", "species", lambda names: ConcentrationSet(
+        np.ones((2, 3)), names, ("u", "u"))),
+    "PcrModel": ("species", "species", lambda names: PcrModel(
+        np.arange(10.0), np.zeros(10), np.ones((10, 1)), np.ones((2, 1)),
+        np.zeros(2), names, ("u", "u"))),
+    "PressMatrix": ("labels", "sample labels", lambda names: PressMatrix(
+        np.ones((2, 1)), "identity", names)),
+}
+
+
+class TestNamesRule:
+    @pytest.mark.parametrize("kind", NAMED_TYPES)
+    @pytest.mark.parametrize("names", ["ab", None, ("a", 1)],
+                             ids=["bare_string", "none", "non_string_entry"])
+    def test_refuses_what_is_not_a_list_of_strings(self, kind, names):
+        field, _, build = NAMED_TYPES[kind]
+        with pytest.raises(SpecselError) as info:
+            build(names)
+        assert type(info.value) is SpecselError
+        assert str(info.value) == (
+            f"{field} must be a list of strings, got {names!r}")
+
+    @pytest.mark.parametrize("kind", NAMED_TYPES)
+    def test_refuses_a_name_given_twice(self, kind):
+        _, what, build = NAMED_TYPES[kind]
+        with pytest.raises(LabelMismatch) as info:
+            build(["a", "a"])
+        assert str(info.value) == f"duplicate {what} ['a']"
+
+    @pytest.mark.parametrize("kind", NAMED_TYPES)
+    def test_stores_a_list_as_a_tuple(self, kind):
+        field, _, build = NAMED_TYPES[kind]
+        assert getattr(build(["a", "b"]), field) == ("a", "b")
+
+    def test_duplicate_labels_refused_in_memory_as_in_a_file(self, tmp_path):
+        labels = ["a", "b", "a", "b"]
+        f = tmp_path / "s.csv"
+        write_wide_csv(f, np.arange(10.0), [np.ones(10)] * 4, labels)
+        message = "duplicate sample labels ['a', 'b']"
+        with pytest.raises(LabelMismatch) as in_file:
+            load_spectra(f)
+        assert str(in_file.value) == f"{f}: {message}"
+        with pytest.raises(LabelMismatch) as in_memory:
+            SpectraSet(np.arange(10.0), np.ones((4, 10)), labels)
+        assert str(in_memory.value) == message
+
+    @pytest.mark.parametrize("kind", ["ConcentrationSet", "PcrModel"])
+    def test_units_one_per_species(self, kind):
+        _, _, build = NAMED_TYPES[kind]
+        with pytest.raises(ShapeMismatch, match=r"^1 units for 2 species$"):
+            dataclasses.replace(build(["a", "b"]), units=("u",))
 
 
 class TestConcentrationSet:

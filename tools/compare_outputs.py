@@ -15,8 +15,13 @@ standard error go to a log file there and are compared too.
 The commands: ``synth``, then ``select`` on the default grid with and
 without ``--log-press``, and ``crossval --pipeline snv``, on
 ``tears_phantom`` (8, 7), (20, 7), (40, 11) and (100, 7); ``train`` with
-the README pipeline at 5 components on (20, 7); and ``predict`` with that
-model on a 200-spectrum batch.
+the README pipeline at 5 components on (20, 7); ``predict`` with that
+model on a 200-spectrum batch; and three refusals, which exit 2 and write
+only their log: ``synth --n 3``, ``crossval --pipeline "bogus(1)"`` and
+``train --pc 0``.
+
+Run with the same directory twice (``compare_outputs.py src src``), it
+checks that every command writes the same bytes on two runs.
 
 Exits 0 when every file matches, and 1 naming the first file (in sorted
 order) that differs or that only one tree wrote.
@@ -62,6 +67,14 @@ def commands() -> list[list[str]]:
          "--out-concentrations", "batch_conc.csv"],
         ["predict", "--model", "model.json", "--spectra", "batch_spectra.csv",
          "--out", "predictions.csv"],
+        ["synth", "--n", "3", "--out-spectra", "n3_spectra.csv",
+         "--out-concentrations", "n3_conc.csv"],
+        ["crossval", "--spectra", "n8_seed7_spectra.csv",
+         "--concentrations", "n8_seed7_conc.csv", "--pipeline", "bogus(1)",
+         "--out-dir", "bogus_cv"],
+        ["train", "--spectra", f"{TRAIN_SET}_spectra.csv",
+         "--concentrations", f"{TRAIN_SET}_conc.csv", "--pc", "0",
+         "--out-model", "pc0_model.json"],
     ]
 
 
