@@ -148,9 +148,9 @@ def _write_boxplot_csv(path, matrix) -> None:
     header = ["pc", "q1", "median", "q3", "lo_whisker", "hi_whisker",
               "outliers"]
     write_csv(path, header, (
-        [b.pc, f"{b.q1:.9g}", f"{b.median:.9g}", f"{b.q3:.9g}",
-         f"{b.lo_whisker:.9g}", f"{b.hi_whisker:.9g}",
-         ";".join(f"{v:.9g}" for v in b.outliers)]
+        ([b.pc, f"{b.q1:.9g}", f"{b.median:.9g}", f"{b.q3:.9g}",
+          f"{b.lo_whisker:.9g}", f"{b.hi_whisker:.9g}",
+          ";".join(f"{v:.9g}" for v in b.outliers)], ())
         for b in stats))
 
 

@@ -180,8 +180,10 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
                                  model.mean_conc)
             - truth.matrix[:, :, None])
     per_species = np.sum(diff * diff, axis=1)
-    return HoldoutEvaluation(rss=per_species.sum(axis=0),
-                             per_species=per_species,
+    rss = per_species.sum(axis=0)
+    for arr in (rss, per_species):
+        arr.setflags(write=False)
+    return HoldoutEvaluation(rss=rss, per_species=per_species,
                              species=model.species)
 
 

@@ -49,7 +49,7 @@ class AnovaResult:
     p_value: float
     df_treat: int
     df_error: int
-    group_means: np.ndarray   # per column
+    group_means: np.ndarray   # per column; read-only
     alpha: float
     log_transformed: bool = False
     notes: tuple[str, ...] = ()
@@ -96,6 +96,7 @@ def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
 
     n_groups, n_rows = columns.shape
     group_means = columns.mean(axis=1)
+    group_means.setflags(write=False)
     # running totals of the column sums: np.sum would add them pairwise
     # and round differently
     sse = float(np.cumsum(
@@ -167,7 +168,7 @@ class PcVerdict:
     """Outcome of the significance gate for one pipeline's PRESS matrix."""
 
     optimal_pc: int
-    sum_press: np.ndarray       # per column
+    sum_press: np.ndarray       # per column; read-only
     boxplot: tuple[BoxStats, ...]
     anova: AnovaResult
     pairwise_p: dict            # short-listed PC count -> p vs the worst
@@ -223,6 +224,7 @@ def select_optimal_pc(press_matrix, alpha: float = DEFAULT_ALPHA,
     columns = _columns(press_matrix)
     n_rows = columns.shape[1]
     sum_press = columns.sum(axis=1)
+    sum_press.setflags(write=False)
     notes = list(anova.notes)
     pairwise_p: dict[int, float] = {}
     if anova.significant:

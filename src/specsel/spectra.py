@@ -4,20 +4,21 @@ One wide CSV holds a whole set of spectra: the first column is the shared
 wavenumber axis (header ``wavenumber_cm-1``), every further column is one
 spectrum. Concentrations travel in a species-per-row CSV whose header is
 ``species,unit,<label1>,<label2>,...``. All floats are parsed as 64-bit.
-The writers hand ``csv.writer`` one row of Python floats at a time (one
-``tolist`` per row, never of the whole matrix), and it writes each as its
-``repr``: the shortest text that parses back to the same float, with NaN
-as ``nan``. So save/load is exact. Model files, reports and configs are
+``write_csv`` writes text cells through ``csv.writer`` and each float as
+its ``repr``: the shortest text that parses back to the same float, with
+NaN as ``nan``. So save/load is exact. Model files, reports and configs are
 JSON, read by ``read_json`` and written by ``write_json``. Each frozen data
 type stores its arrays through ``_set_arrays``, one table of field shapes
 per type, and its lists of names through ``_set_names``, one rule for all.
 
 A CSV's cells are parsed as the file is read, in chunks of about
 ``CHUNK_CELLS`` cells, so the file never sits in memory as one Python
-string per cell. Errors come in file order: the header's, then each
-chunk's, where a read failure anywhere in the chunk wins over its first
-bad row (whose width is checked before its cells). The axis and sign
-checks, which need the whole table, come last.
+string per cell. numpy's C reader parses a spectra chunk (``_fast_chunk``);
+the first chunk it refuses, the rest of the file and any concentrations
+body take the csv path, which gives the same bits. Errors come in file
+order: the header's, then each chunk's, where a read failure anywhere in
+the chunk wins over its first bad row (whose width is checked before its
+cells). The axis and sign checks, which need the whole table, come last.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -214,8 +216,8 @@ def _read_csv(path, lead: Sequence[str], names
 
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = csv.reader(hashed(fh))
-            header = next(rows, None)
+            lines = hashed(fh)
+            header = next(csv.reader(lines), None)
             if header is None:
                 raise IoFailure(f"{path}: empty file")
             header = [cell.strip() for cell in header]
@@ -233,15 +235,23 @@ def _read_csv(path, lead: Sequence[str], names
             columns = names(labels)
             text = len(header) - len(columns)
             size = max(1, CHUNK_CELLS // len(header))
-            chunks, texts = [], []
+            # the csv path: a body with text columns, or a refused chunk on
+            chunks, texts, rows = [], [], None
             for first in itertools.count(2, size):
-                body = list(itertools.islice(rows, size))
-                chunks.append(_parse_body(path, body, text, columns, first))
+                if rows is None:
+                    body = list(itertools.islice(lines, size))
+                    table = None if text else _fast_chunk(body, len(columns))
+                    if table is None:
+                        rows = csv.reader(itertools.chain(body, lines))
+                if rows is not None:
+                    body = list(itertools.islice(rows, size))
+                    table = _parse_body(path, body, text, columns, first)
                 # a chunk is freed before the next is read, and an object
                 # kept from it would pin the memory of its cell strings
                 if text:
                     texts += ([cell.strip() for cell in row[:text]]
                               for row in body)
+                chunks.append(table)
                 if len(body) < size:
                     break
                 del body
@@ -250,42 +260,46 @@ def _read_csv(path, lead: Sequence[str], names
     return labels, np.concatenate(chunks), texts, digest.hexdigest()
 
 
+def _fast_chunk(lines: list[str], width: int) -> np.ndarray | None:
+    """Parse raw lines with numpy's C reader: the table if nothing raised or
+    warned and each line gave ``width`` finite values, as csv and float()
+    would, else None for the csv path. Refused first: U+001C-U+001F, which
+    numpy skips around a number and float() refuses; a cell over csv's limit."""
+    limit = csv.field_size_limit()
+    if any(any(c in line for c in "\x1c\x1d\x1e\x1f") or len(line) > limit
+           and max(map(len, line.split(","))) > limit for line in lines):
+        return None
+    with warnings.catch_warnings():  # such as "input contained no data"
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None,
+                               dtype=float, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    ok = table.shape == (len(lines), width) and np.isfinite(table).all()
+    return table if ok else None
+
+
 def _parse_body(path, body: list[list[str]], text: int,
                 names: Sequence[str], first_row: int) -> np.ndarray:
-    """Parse the cells after each row's ``text`` cells as finite floats.
-
-    The table has one row per body row and one column per entry of
-    ``names``, which name the columns in error messages; ``body[0]`` is
-    file row ``first_row``.
-    """
-    # one numpy conversion of the whole body; its str -> float parse accepts
-    # exactly what float() accepts, and reshape fails unless every row has
-    # the header's width. Without text columns the rows go in uncopied.
-    try:
-        table = np.array([row[text:] for row in body] if text else body,
-                         dtype=float).reshape(len(body), len(names))
-        if np.isfinite(table).all():
-            return table
-    except ValueError:
-        pass
-    # replay cell by cell to raise the error met first in file order; within
-    # a row the width is checked before the cells
-    width = text + len(names)
+    """The reference parser: each row's cells after its ``text`` cells as
+    finite floats by float(), raising the first error in file order (width
+    before cells); ``names`` name the columns, ``body[0]`` is row ``first_row``."""
+    width, values = text + len(names), []
     for r, row in enumerate(body, start=first_row):
         if len(row) != width:
-            raise RaggedRows(
-                f"{path}: row {r} has {len(row)} cells, expected {width}"
-            )
+            raise RaggedRows(f"{path}: row {r} has {len(row)} cells, "
+                             f"expected {width}")
         for name, cell in zip(names, row[text:]):
-            where = f"{path}: row {r}, {name}"
             try:
-                value = float(cell)
+                values.append(float(cell))
             except ValueError as exc:
+                raise NonFiniteValue(f"{path}: row {r}, {name}: cannot "
+                                     f"parse {cell!r} as a number") from exc
+            if not math.isfinite(values[-1]):
                 raise NonFiniteValue(
-                    f"{where}: cannot parse {cell!r} as a number") from exc
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"{where}: non-finite value {cell!r}")
-    raise NonFiniteValue(f"{path}: cannot parse the table")
+                    f"{path}: row {r}, {name}: non-finite value {cell!r}")
+    return np.array(values, dtype=float).reshape(len(body), len(names))
 
 
 def load_spectra(path) -> SpectraSet:
@@ -320,13 +334,16 @@ def read_json(path):
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write a header and rows of cells as CSV; rows may be a generator,
-    which is consumed while the file is open."""
+    """Write a header and rows of (text cells, Python floats) as CSV, floats
+    as their repr; rows may be a generator, consumed while the file is open."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            for cells, values in itertools.chain([(header, [])], rows):
+                if cells:
+                    writer.writerow([*cells, *values])
+                else:
+                    fh.write(",".join(map(repr, values)) + "\r\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -358,7 +375,7 @@ def save_spectra(path, spectra: SpectraSet) -> None:
     """Write a SpectraSet back to the wide CSV format."""
     _check_header_labels(path, spectra.labels)
     write_csv(path, [AXIS_HEADER, *spectra.labels], (
-        [wavenumber, *column.tolist()]
+        ((), [wavenumber, *column.tolist()])
         for wavenumber, column in zip(spectra.axis.tolist(),
                                       spectra.matrix.T)))
 
@@ -403,7 +420,7 @@ def save_concentrations(path, conc: ConcentrationSet,
     _check_header_labels(path, conc.species, "species")
     _check_header_labels(path, conc.units, "unit")
     write_csv(path, ["species", "unit", *labels], (
-        [species, unit, *row.tolist()]
+        ((species, unit), row.tolist())
         for species, unit, row in zip(conc.species, conc.units, conc.matrix)))
 
 
@@ -425,4 +442,4 @@ def save_matrix(path, matrix, headers: Sequence[str],
             f"{len(row_labels)} row labels for {arr.shape[0]} matrix rows"
         )
     write_csv(path, [row_label_header, *headers],
-              ([label, *row.tolist()] for label, row in zip(row_labels, arr)))
+              (((label,), row.tolist()) for label, row in zip(row_labels, arr)))

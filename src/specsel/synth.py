@@ -79,9 +79,11 @@ class SpeciesSpec:
         for _center, width, _amp in peaks:
             if width <= 0:
                 raise SpecselError(f"peak width must be > 0, got {width}")
-        _set(self, name=str(self.name), peaks=peaks,
+        for key in ("name", "unit"):
+            if not isinstance(value := getattr(self, key), str):
+                raise SpecselError(f"{key} must be a string, got {value!r}")
+        _set(self, peaks=peaks,
              response_coeff=_number(self.response_coeff, "response_coeff"),
-             unit=str(self.unit),
              conc_range=_range(self.conc_range, "conc_range", 0.0))
 
 

@@ -225,12 +225,14 @@ class TestSynthCrossval:
         ({"species": [{"name": "g", "peaks": []}, {"name": "h", "peaks": []},
                       {"name": "g", "peaks": []}]},
          "recipe duplicate species ['g']"),
+        ({"species": [{"name": "g", "peaks": [], "unit": None}]},
+         "recipe species 0 unit must be a string, got None"),
     ], ids=["missing_peaks", "axis_step", "conc_range_order",
             "conc_range_negative", "drift_range_order",
             "spike_amplitude_order", "scale_range_order", "spike_rate_huge",
             "spike_rate_negative", "noise_sigma_negative", "baseline_kind",
             "recipe_empty", "recipe_null", "baseline_decay_zero",
-            "species_duplicate"])
+            "species_duplicate", "unit_null"])
     def test_synth_malformed_recipe_exit_2(self, tmp_path, capsys, recipe,
                                            message):
         cfg = tmp_path / "cfg.json"

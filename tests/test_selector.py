@@ -24,6 +24,7 @@ from specsel.spectra import (
     save_spectra,
 )
 from specsel import synth
+from specsel.significance import select_optimal_pc
 
 from conftest import noiseless_mixtures, snv_collapsed_fold
 
@@ -244,6 +245,16 @@ class TestEvaluateHoldout:
         assert ev.rss[2] < 1e-10
         assert ev.best_pc == 3
         assert ev.per_species.shape == (3, 3)
+
+    def test_result_arrays_are_read_only(self):
+        spectra, conc, recipe = noiseless_mixtures(n_samples=10, n_species=3)
+        model = train_final(spectra, conc, IDENTITY, 3)
+        ev = evaluate_holdout(model, *holdout_mixtures(recipe, 5, conc_seed=99))
+        verdict = select_optimal_pc(np.arange(12.0).reshape(4, 3) ** 2)
+        for arr in (ev.rss, ev.per_species, verdict.sum_press,
+                    verdict.anova.group_means):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -1.0
 
     def test_full_truncation_matches_direct_predict(self):
         spectra, conc, recipe = noiseless_mixtures(n_samples=9, n_species=2)

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -31,6 +33,7 @@ from specsel.selector import SelectionReport, train_final, write_report
 from specsel.spectra import (
     ConcentrationSet,
     SpectraSet,
+    _fast_chunk,
     load_concentrations,
     load_spectra,
     read_json,
@@ -522,6 +525,100 @@ class TestChunkedReader:
         assert peak < 4 * spectra.matrix.nbytes
 
 
+
+def parity_csv(cells=None, ending="\n", final=True, last_row=13):
+    """Bytes of a one-spectrum CSV whose file rows 2..``last_row`` read
+    ``<row>,<10 * row>``, lines ended by ``ending``; ``cells`` overrides rows
+    by file row number, and may hold line breaks of its own."""
+    lines = ["wavenumber_cm-1,a"] + [(cells or {}).get(r, f"{r},{r * 10}")
+                                     for r in range(2, last_row + 1)]
+    return (ending.join(lines) + (ending if final else "")).encode(
+        "utf-8", "surrogateescape")
+
+
+# each input, and the class of the error it raises (None: it loads); at
+# three rows a chunk, rows 2-4, 5-7, 8-10 and 11-13 are one chunk each
+PARITY_CASES = {
+    "crlf": (parity_csv(ending="\r\n"), None),
+    "lf": (parity_csv(), None),
+    "cr": (parity_csv(ending="\r"), None),
+    "no_final_newline": (parity_csv(ending="\r\n", final=False), None),
+    "blank_line": (parity_csv({6: "\n6,60"}), RaggedRows),
+    "whitespace_line": (parity_csv({6: " \t\n6,60"}), RaggedRows),
+    "hash_in_cell": (parity_csv({6: "6,60#"}), NonFiniteValue),
+    "quoted_number": (parity_csv({6: '6,"60"'}), None),
+    # row 7 ends chunk 5-7, and its quoted cell's newline crosses into the
+    # lines of the next chunk
+    "quoted_newline_across_chunks": (
+        parity_csv({7: '7,"70\n"'}, ending="\r\n"), None),
+    "quoted_newline_then_bad_row": (
+        parity_csv({7: '7,"70\n"', 11: "11,oops"}), NonFiniteValue),
+    "underscore": (parity_csv({6: "6,6_0"}), None),
+    "arabic_indic_digits": (parity_csv({6: "6,\u0666\u0660"}), None),
+    "nbsp_around": (parity_csv({6: "6,\xa060\xa0"}), None),
+    "form_feed_around": (parity_csv({6: "6,\x0c60\x0c"}), None),
+    "file_separator_around": (parity_csv({6: "6,\x1c60"}), NonFiniteValue),
+    "trailing_comma": (parity_csv({6: "6,60,"}), RaggedRows),
+    "short_row": (parity_csv({6: "6"}), RaggedRows),
+    "nan": (parity_csv({6: "6,nan"}), NonFiniteValue),
+    "infinity": (parity_csv({6: "6,Infinity"}), NonFiniteValue),
+    "overflow": (parity_csv({6: "6,1e500"}), NonFiniteValue),
+    "hex_float": (parity_csv({6: "6,0x1p3"}), NonFiniteValue),
+    "nul": (parity_csv({6: "6,6\x000"}), (NonFiniteValue, IoFailure)),
+    "dot": (parity_csv({6: "6,."}), NonFiniteValue),
+    # a finite cell past csv's field limit, which csv refuses
+    "oversized_finite_cell": (
+        parity_csv({6: "6,0." + "0" * 200_000 + "6"}), IoFailure),
+    # past the text layer's read-ahead, so the first chunks parse first
+    "bad_utf8_later_chunk": (
+        parity_csv({1400: "1400,\udcff"}, last_row=1500), IoFailure),
+    "chunk_of_empty_lines": (
+        parity_csv({5: "", 6: "", 7: ""}, ending="\r\n"), RaggedRows),
+}
+
+
+def load_outcome(path):
+    """What loading ``path`` gives: the set's bits, labels and digest, or
+    the error's class and message."""
+    try:
+        s = load_spectra(path)
+    except SpecselError as exc:
+        return type(exc), str(exc)
+    return s.axis.tobytes(), s.matrix.tobytes(), s.labels, s.source_sha256
+
+
+class TestCReaderParity:
+    """numpy's C reader gives what the csv path gives, for every input."""
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_same_outcome_with_the_c_reader_refusing_all(
+            self, tmp_path, monkeypatch, recwarn, case):
+        data, error = PARITY_CASES[case]
+        f = tmp_path / "s.csv"
+        f.write_bytes(data)
+        chunked(monkeypatch, 6)
+        accepted = []
+
+        def spy(lines, width):
+            table = _fast_chunk(lines, width)
+            accepted.append(table is not None)
+            return table
+
+        monkeypatch.setattr("specsel.spectra._fast_chunk", spy)
+        with_c_reader = load_outcome(f)
+        monkeypatch.setattr("specsel.spectra._fast_chunk",
+                            lambda lines, width: None)
+        assert load_outcome(f) == with_c_reader
+        if error is None:
+            assert with_c_reader[3] == hashlib.sha256(data).hexdigest()
+        else:
+            assert issubclass(with_c_reader[0], error)
+        # the C reader took rows 2-4, and no warning got out of it, such
+        # as numpy's "input contained no data"
+        assert accepted[0]
+        assert not recwarn.list
+
+
 class TestSaveMatrix:
     def test_basic(self, tmp_path):
         f = tmp_path / "m.csv"
@@ -624,6 +721,26 @@ class TestWriterBytes:
                  for line in f.read_text().splitlines()[1:]]
         assert (np.array(cells, dtype=float).tobytes()
                 == np.array(matrix).tobytes())
+
+    def test_text_cells_written_as_csv_writer_writes_them(self, tmp_path):
+        # the reference is csv.writer on whole rows, floats included: a
+        # text cell is quoted where it needs it, and an empty one is not
+        def reference(rows):
+            out = io.StringIO(newline="")
+            csv.writer(out).writerows(rows)
+            return out.getvalue().encode()
+
+        f, g = tmp_path / "c.csv", tmp_path / "m.csv"
+        conc = ConcentrationSet([EDGE_FLOATS[:2], EDGE_FLOATS[2:4]],
+                                ("a,b", 'say "x"'), ("", "mg\nmL"))
+        save_concentrations(f, conc, ["s0", "s1"])
+        assert f.read_bytes() == reference([
+            ["species", "unit", "s0", "s1"], ["a,b", "", *EDGE_FLOATS[:2]],
+            ['say "x"', "mg\nmL", *EDGE_FLOATS[2:4]]])
+        save_matrix(g, [[1.0, np.nan]], ["p", "q"], row_labels=[""],
+                    row_label_header="label")
+        assert g.read_bytes() == reference([["label", "p", "q"],
+                                            ["", 1.0, math.nan]])
 
 
 # each type with a list of names that identify things: the field, what the

@@ -118,8 +118,12 @@ class TestGenerate:
          r"^scale_range must satisfy lo <= hi, got \[2\.0, 1\.0\]$"),
         (lambda r: dataclasses.replace(r, axis_stop=900.0),
          "glucose.*outside the axis"),
+        (lambda r: dataclasses.replace(r.species[0], unit=None),
+         r"^unit must be a string, got None$"),
+        (lambda r: dataclasses.replace(r.species[0], name=["a", "b"]),
+         r"^name must be a string, got \['a', 'b'\]$"),
     ], ids=["noise_sigma", "drift_range", "spike_rate", "scale_range",
-            "peak_outside_axis"])
+            "peak_outside_axis", "unit_none", "name_list"])
     def test_replace_checks_like_a_config(self, edit, message):
         # a recipe edited in Python passes the checks a config's recipe does
         with pytest.raises(SpecselError, match=message):
