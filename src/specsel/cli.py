@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: validate, synth, crossval, select, train, predict. Exit codes
-are machine-readable: 0 success, 2 input or validation failure, 3 when a
+are machine-readable: 0 success, 2 input or validation failure (an
+allocation the input asks for that fails included), 3 when a
 selection run had to fall back because no candidate pipeline reached
 statistical significance.
 """
@@ -277,6 +278,10 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except SpecselError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        # an input asked for more memory than the machine can give
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

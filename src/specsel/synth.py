@@ -7,9 +7,12 @@ and cosmic-ray spikes. Everything is driven by per-spectrum substreams of
 one seed, so generation is reproducible and scheduling-independent.
 
 Each recipe dataclass checks its own fields when built, so a recipe from
-Python, ``dataclasses.replace`` or a config (``recipe_from_dict`` only routes
-keys) passes the same checks. Peak positions are synthetic by construction;
-they make no claim of spectroscopic fidelity for any real analyte.
+Python, ``dataclasses.replace`` or a config passes the same checks.
+SynthRecipe takes its species and baseline as specs or as mappings of their
+fields, and refuses a seed that is not a non-negative integer and an axis
+step too fine for one array to hold the axis; ``recipe_from_dict`` only adds
+the seed. Peak positions are synthetic by construction; they make no claim
+of spectroscopic fidelity for any real analyte.
 """
 
 from __future__ import annotations
@@ -112,6 +115,10 @@ class BaselineSpec:
                                f"got {self.coeffs[1]}")
 
 
+# most channels one float64 array can hold: numpy indexes bytes with intp
+_MAX_CHANNELS = np.iinfo(np.intp).max // 8
+
+
 @dataclass(frozen=True)
 class SynthRecipe:
     axis_start: float = 400.0
@@ -126,13 +133,29 @@ class SynthRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.species, (list, tuple)) or not self.species:
+            raise SpecselError(
+                f"species must be a non-empty list, got {self.species!r}")
+        if isinstance(self.seed, bool) or not isinstance(
+                self.seed, (int, np.integer)) or self.seed < 0:
+            raise SpecselError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         _set(self, **{name: _number(getattr(self, name), name) for name in (
             "axis_start", "axis_stop", "axis_step", "noise_sigma",
-            "spike_rate")}, species=tuple(self.species),
+            "spike_rate")}, seed=int(self.seed),
+             species=tuple(_from_dict(SpeciesSpec, spec, f"species {n}")
+                           for n, spec in enumerate(self.species)),
+             baseline=None if self.baseline is None else _from_dict(
+                 BaselineSpec, self.baseline, "baseline"),
              spike_amplitude=_range(self.spike_amplitude, "spike_amplitude"),
              drift_range=_range(self.drift_range, "drift_range"))
         if self.axis_step <= 0 or self.axis_stop <= self.axis_start:
             raise SpecselError("axis must be increasing with step > 0")
+        steps = (self.axis_stop - self.axis_start) / self.axis_step
+        if not steps < _MAX_CHANNELS:  # an infinite count included
+            raise SpecselError(
+                f"axis_step {self.axis_step!r} gives {steps:g} channels; one "
+                f"float64 array holds at most {_MAX_CHANNELS}")
         _check_unique([spec.name for spec in self.species], "species")
         for spec in self.species:
             for center, _width, _amp in spec.peaks:
@@ -144,15 +167,18 @@ class SynthRecipe:
         if self.noise_sigma < 0:
             raise SpecselError(
                 f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        n_channels = self.axis().size
-        if not 0.0 <= self.spike_rate <= n_channels:
+        if not 0.0 <= self.spike_rate <= self.n_channels:
             raise SpecselError(
-                f"spike_rate must be in [0, {n_channels}] (the channel "
+                f"spike_rate must be in [0, {self.n_channels}] (the channel "
                 f"count), got {self.spike_rate}")
 
+    @property
+    def n_channels(self) -> int:
+        return round((self.axis_stop - self.axis_start) / self.axis_step) + 1
+
     def axis(self) -> np.ndarray:
-        n = int(round((self.axis_stop - self.axis_start) / self.axis_step)) + 1
-        return self.axis_start + self.axis_step * np.arange(n, dtype=float)
+        return self.axis_start + self.axis_step * np.arange(self.n_channels,
+                                                            dtype=float)
 
 
 def _lorentzian(axis: np.ndarray, center: float, hwhm: float) -> np.ndarray:
@@ -242,8 +268,6 @@ CONC_STREAM = 982451653  # substream tag separating concentration draws
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     """Generator of one substream of ``seed``; every draw here starts from one."""
-    if seed < 0:
-        raise SpecselError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng((seed, stream))
 
 
@@ -282,8 +306,10 @@ def _mapping(value, what: str) -> dict:
 
 
 def _from_dict(cls, cfg, what: str):
-    """cls from the mapping's keys that name its fields (others are ignored);
-    a missing required field or a refused value is named after ``what``."""
+    """cls from the mapping's keys that name its fields (others are ignored),
+    or an instance of cls as it is; an error is prefixed with ``what``."""
+    if isinstance(cfg, cls):
+        return cfg
     cfg = _mapping(cfg, what)
     for f in fields(cls):
         if f.default is MISSING and f.name not in cfg:
@@ -301,22 +327,12 @@ def recipe_from_dict(cfg, seed: int) -> SynthRecipe:
     Keys are SynthRecipe's fields, optional with the same defaults, except
     ``species``: a non-empty list of objects with SpeciesSpec's fields
     (``name`` and ``peaks``, a list of [center, hwhm, amplitude], are
-    required). ``baseline`` is an object with BaselineSpec's fields. The
-    dataclasses check their own fields; a missing or refused entry raises
+    required). ``baseline`` is an object with BaselineSpec's fields. A
+    ``seed`` key is ignored: this only adds ``seed`` and builds SynthRecipe,
+    which converts and checks every field; a missing or refused entry raises
     SpecselError naming it.
     """
-    cfg = _mapping(cfg, "recipe")
-    species_cfg = cfg.get("species")
-    if not isinstance(species_cfg, list) or not species_cfg:
-        raise SpecselError(
-            f"recipe species must be a non-empty list, got {species_cfg!r}"
-        )
-    species = tuple(_from_dict(SpeciesSpec, s, f"recipe species {n}")
-                    for n, s in enumerate(species_cfg))
-    baseline = (_from_dict(BaselineSpec, cfg["baseline"], "recipe baseline")
-                if "baseline" in cfg else None)
-    return _from_dict(SynthRecipe, {**cfg, "species": species,
-                                    "baseline": baseline, "seed": seed},
+    return _from_dict(SynthRecipe, {**_mapping(cfg, "recipe"), "seed": seed},
                       "recipe")
 
 

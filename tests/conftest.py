@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from specsel.decompose import nipals_fit
+from specsel.preprocess import apply_pipeline
+from specsel.regress import pcr_fit, pcr_predict, press
 from specsel.spectra import ConcentrationSet, SpectraSet
 from specsel import synth
 
@@ -53,6 +58,32 @@ def select_columns(conc, indices):
     """The concentration columns (samples) at ``indices``, in that order."""
     return ConcentrationSet(conc.matrix[:, list(indices)], conc.species,
                             conc.units)
+
+
+def brute_force_press(spectra, conc, pipeline):
+    """Independent loop: separate preprocessing, fit, and model per fold/k."""
+    i = spectra.n_spectra
+    out = np.full((i, i - 2), np.nan)
+    for n in range(i):
+        train_idx = [r for r in range(i) if r != n]
+        train = apply_pipeline(subset(spectra, train_idx), pipeline)
+        held = apply_pipeline(subset(spectra, [n]), pipeline)
+        train_conc = select_columns(conc, train_idx)
+        for m in range(1, i - 1):
+            pca = nipals_fit(train, m, max_iter=10000)
+            model = pcr_fit(pca, train_conc)
+            out[n, m - 1] = press(pcr_predict(model, held),
+                                  conc.matrix[:, [n]])
+    return out
+
+
+def f_density(t, d1, d2):
+    """Density of the F distribution with (d1, d2) degrees of freedom."""
+    log_num = ((d1 / 2.0) * math.log(d1 / d2) + (d1 / 2.0 - 1.0) * math.log(t)
+               - ((d1 + d2) / 2.0) * math.log(1.0 + d1 * t / d2))
+    log_beta = (math.lgamma(d1 / 2.0) + math.lgamma(d2 / 2.0)
+                - math.lgamma((d1 + d2) / 2.0))
+    return math.exp(log_num - log_beta)
 
 
 def weak_third_direction():

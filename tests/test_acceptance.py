@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
 
 import json
-import math
 from contextlib import contextmanager
 from time import perf_counter
 
@@ -26,7 +25,6 @@ from specsel.preprocess import (
     savitzky_golay,
     snv,
 )
-from specsel.regress import pcr_fit, pcr_predict, press
 from specsel.selector import evaluate_holdout, select_method, train_final
 from specsel.significance import anova_oneway, f_cdf
 from specsel.spectra import (
@@ -37,8 +35,8 @@ from specsel.spectra import (
 )
 from specsel import synth
 
-from conftest import (mixture_species, noiseless_mixtures, select_columns,
-                      subset)
+from conftest import (brute_force_press, f_density, mixture_species,
+                      noiseless_mixtures)
 
 
 @contextmanager
@@ -108,28 +106,9 @@ def test_crossval_matches_brute_force_oracle():
             conc = ConcentrationSet(conc_values, ("a", "b"), ("u", "u"))
             pipeline = parse_pipeline(pipeline_text)
             fast = loo_press_matrix(spectra, conc, pipeline)
-
-            slow = np.full((i, i - 2), np.nan)
-            for n in range(i):
-                train_idx = [r for r in range(i) if r != n]
-                train = apply_pipeline(subset(spectra, train_idx), pipeline)
-                held = apply_pipeline(subset(spectra, [n]), pipeline)
-                tconc = select_columns(conc, train_idx)
-                for m in range(1, i - 1):
-                    fold = pcr_fit(nipals_fit(train, m, max_iter=10000), tconc)
-                    slow[n, m - 1] = press(pcr_predict(fold, held),
-                                           conc.matrix[:, [n]])
+            slow = brute_force_press(spectra, conc, pipeline)
             assert np.allclose(fast.values, slow, rtol=0, atol=1e-9,
                                equal_nan=True)
-
-
-def _f_density(t, d1, d2):
-    log_num = ((d1 / 2.0) * math.log(d1 / d2)
-               + (d1 / 2.0 - 1.0) * math.log(t)
-               - ((d1 + d2) / 2.0) * math.log(1.0 + d1 * t / d2))
-    log_beta = (math.lgamma(d1 / 2.0) + math.lgamma(d2 / 2.0)
-                - math.lgamma((d1 + d2) / 2.0))
-    return math.exp(log_num - log_beta)
 
 
 def test_anova_correctness():
@@ -158,7 +137,7 @@ def test_anova_correctness():
                 for x in (0.4, 2.7)]
         assert len(grid) == 50
         for x, d1, d2 in grid:
-            oracle = quad(_f_density, 0.0, x, args=(d1, d2), limit=200)[0]
+            oracle = quad(f_density, 0.0, x, args=(d1, d2), limit=200)[0]
             assert abs(f_cdf(x, d1, d2) - oracle) < 1e-8
 
 

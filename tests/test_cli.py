@@ -217,7 +217,7 @@ class TestSynthCrossval:
           "species": [{"name": "g", "peaks": []}]},
          "recipe baseline kind must be 'exp_decay' or 'polynomial', "
          "got 'nope'"),
-        ({}, "recipe species must be a non-empty list, got None"),
+        ({}, "recipe species must be a non-empty list, got ()"),
         (None, "recipe must be an object, got None"),
         ({"baseline": {"coeffs": [1.0, 0.0]},
           "species": [{"name": "g", "peaks": []}]},
@@ -227,12 +227,19 @@ class TestSynthCrossval:
          "recipe duplicate species ['g']"),
         ({"species": [{"name": "g", "peaks": [], "unit": None}]},
          "recipe species 0 unit must be a string, got None"),
+        ({"axis_step": 1e-300, "species": [{"name": "g", "peaks": []}]},
+         "recipe axis_step 1e-300 gives 1.4e+303 channels; one float64 "
+         "array holds at most"),
+        ({"axis_step": 5e-324, "species": [{"name": "g", "peaks": []}]},
+         "recipe axis_step 5e-324 gives inf channels; one float64 array "
+         "holds at most"),
     ], ids=["missing_peaks", "axis_step", "conc_range_order",
             "conc_range_negative", "drift_range_order",
             "spike_amplitude_order", "scale_range_order", "spike_rate_huge",
             "spike_rate_negative", "noise_sigma_negative", "baseline_kind",
             "recipe_empty", "recipe_null", "baseline_decay_zero",
-            "species_duplicate", "unit_null"])
+            "species_duplicate", "unit_null", "axis_step_too_fine",
+            "axis_step_subnormal"])
     def test_synth_malformed_recipe_exit_2(self, tmp_path, capsys, recipe,
                                            message):
         cfg = tmp_path / "cfg.json"
@@ -272,6 +279,17 @@ class TestSynthCrossval:
         assert code == 2
         assert ("error: SpecselError: phantom set needs at least 4 spectra, "
                 "got 3" in capsys.readouterr().err)
+
+    def test_synth_unallocatable_n_exit_2(self, tmp_path, capsys):
+        # more bytes than the address space, so the allocation fails at once
+        code = main(["synth", "--out-spectra", str(tmp_path / "s.csv"),
+                     "--out-concentrations", str(tmp_path / "c.csv"),
+                     "--n", "1000000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MemoryError: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
 
     def test_recipe_synth_too_few_spectra_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -18,25 +18,8 @@ from specsel.regress import pcr_fit, pcr_predict, press
 from specsel.spectra import ConcentrationSet, SpectraSet
 from specsel.synth import tears_phantom
 
-from conftest import (noiseless_mixtures, select_columns, subset,
-                      weak_third_direction)
-
-
-def brute_force_press(spectra, conc, pipeline):
-    """Independent loop: separate preprocessing, fit, and model per fold/k."""
-    i = spectra.n_spectra
-    out = np.full((i, i - 2), np.nan)
-    for n in range(i):
-        train_idx = [r for r in range(i) if r != n]
-        train = apply_pipeline(subset(spectra, train_idx), pipeline)
-        held = apply_pipeline(subset(spectra, [n]), pipeline)
-        train_conc = select_columns(conc, train_idx)
-        for m in range(1, i - 1):
-            pca = nipals_fit(train, m, max_iter=10000)
-            model = pcr_fit(pca, train_conc)
-            out[n, m - 1] = press(pcr_predict(model, held),
-                                  conc.matrix[:, [n]])
-    return out
+from conftest import (brute_force_press, noiseless_mixtures,
+                      select_columns, subset, weak_third_direction)
 
 
 def per_fold_press(spectra, conc, pipeline):

@@ -15,13 +15,7 @@ from specsel.significance import (
     select_optimal_pc,
 )
 
-
-def f_density(t, d1, d2):
-    log_num = ((d1 / 2.0) * math.log(d1 / d2) + (d1 / 2.0 - 1.0) * math.log(t)
-               - ((d1 + d2) / 2.0) * math.log(1.0 + d1 * t / d2))
-    log_beta = (math.lgamma(d1 / 2.0) + math.lgamma(d2 / 2.0)
-                - math.lgamma((d1 + d2) / 2.0))
-    return math.exp(log_num - log_beta)
+from conftest import f_density
 
 
 def f_cdf_by_quadrature(x, d1, d2):

@@ -88,8 +88,10 @@ class TestGenerate:
         assert np.array_equal(again.axis, spectra.axis)
 
     def test_bad_recipe(self):
-        with pytest.raises(SpecselError):
-            SynthRecipe(axis_start=500.0, axis_stop=400.0)
+        one = (SpeciesSpec("a", ()),)
+        with pytest.raises(SpecselError,
+                           match="^axis must be increasing with step > 0$"):
+            SynthRecipe(axis_start=500.0, axis_stop=400.0, species=one)
         with pytest.raises(SpecselError):
             SynthRecipe(species=(SpeciesSpec("a", ((100.0, 5.0, 1.0),)),))
         with pytest.raises(SpecselError):
@@ -104,8 +106,9 @@ class TestGenerate:
             BaselineSpec("nope")
         with pytest.raises(SpecselError):
             BaselineSpec("exp_decay", (1.0, 0.0))
-        with pytest.raises(SpecselError):
-            SynthRecipe(noise_sigma=-0.5)
+        with pytest.raises(SpecselError,
+                           match=r"^noise_sigma must be >= 0, got -0\.5$"):
+            SynthRecipe(noise_sigma=-0.5, species=one)
 
     @pytest.mark.parametrize("edit,message", [
         (lambda r: dataclasses.replace(r, noise_sigma=-0.5),
@@ -122,12 +125,42 @@ class TestGenerate:
          r"^unit must be a string, got None$"),
         (lambda r: dataclasses.replace(r.species[0], name=["a", "b"]),
          r"^name must be a string, got \['a', 'b'\]$"),
+        (lambda r: dataclasses.replace(r, species=()),
+         r"^species must be a non-empty list, got \(\)$"),
+        (lambda r: dataclasses.replace(r, species=(r.species[0], "g")),
+         r"^species 1 must be an object, got 'g'$"),
+        (lambda r: dataclasses.replace(r, species=[{"peaks": []}]),
+         r"^species 0 has no 'name' entry$"),
+        (lambda r: dataclasses.replace(r, baseline="exp_decay"),
+         r"^baseline must be an object, got 'exp_decay'$"),
+        (lambda r: dataclasses.replace(r, seed=-1),
+         r"^seed must be a non-negative integer, got -1$"),
+        (lambda r: dataclasses.replace(r, seed=1.5),
+         r"^seed must be a non-negative integer, got 1\.5$"),
+        (lambda r: dataclasses.replace(r, seed="x"),
+         r"^seed must be a non-negative integer, got 'x'$"),
+        (lambda r: dataclasses.replace(r, seed=True),
+         r"^seed must be a non-negative integer, got True$"),
     ], ids=["noise_sigma", "drift_range", "spike_rate", "scale_range",
-            "peak_outside_axis", "unit_none", "name_list"])
+            "peak_outside_axis", "unit_none", "name_list", "species_empty",
+            "species_string", "species_no_name", "baseline_string",
+            "seed_negative", "seed_float", "seed_string", "seed_bool"])
     def test_replace_checks_like_a_config(self, edit, message):
         # a recipe edited in Python passes the checks a config's recipe does
         with pytest.raises(SpecselError, match=message):
             edit(tears_recipe())
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: {"species": [dataclasses.asdict(r.species[0]),
+                               r.species[1]]},
+        lambda r: {"baseline": dataclasses.asdict(r.baseline)},
+        lambda r: {"seed": np.int64(r.seed)},
+    ], ids=["species_mapping", "baseline_mapping", "seed_numpy"])
+    def test_equal_forms_build_the_same_recipe(self, edit):
+        recipe = tears_recipe(3)
+        edited = dataclasses.replace(recipe, **edit(recipe))
+        assert edited == recipe
+        assert type(edited.seed) is int
 
     def test_sequences_are_normalized(self):
         as_arrays = SpeciesSpec("a", np.array([[500, 5, 1], [600, 7, 2]]),

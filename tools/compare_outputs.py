@@ -19,9 +19,11 @@ the README pipeline at 5 components on (20, 7); ``predict`` with that
 model on a 200-spectrum batch; ``crossval --pipeline snv`` on a copy of
 the (20, 7) spectra CSV with LF line endings and a quoted cell every
 ``QUOTE_EVERY`` rows, which the reader parses on its csv path, not with
-numpy's C reader; and three refusals, which exit 2 and write only their
-log: ``synth --n 3``, ``crossval --pipeline "bogus(1)"`` and
-``train --pc 0``.
+numpy's C reader; ``synth --config`` with the custom ``RECIPE`` (species
+as objects, a polynomial baseline and spikes) and ``crossval --pipeline
+snv`` on its output; and four refusals, which exit 2 and write only their
+log: ``synth --n 3``, ``crossval --pipeline "bogus(1)"``,
+``train --pc 0`` and ``synth --config`` with ``BAD_RECIPE``.
 
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
@@ -33,6 +35,7 @@ order) that differs or that only one tree wrote.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -47,6 +50,19 @@ BATCH_N, BATCH_SEED = 200, 8
 QUOTED_SET = "n20_seed7_quoted"
 # rows between quoted cells: fewer than a chunk of the 21-column body
 QUOTE_EVERY = 64
+RECIPE = {
+    "axis_start": 400, "axis_stop": 1200, "axis_step": 4,
+    "species": [
+        {"name": "analyte", "peaks": [[600, 10, 1.0], [950, 12, 0.6]],
+         "conc_range": [0.0, 2.0]},
+        {"name": "matrix", "peaks": [[800, 20, 0.8]], "unit": "%"},
+    ],
+    "baseline": {"kind": "polynomial", "coeffs": [1.0, -0.5, 0.25],
+                 "scale_range": [0.8, 1.2]},
+    "noise_sigma": 0.005, "spike_rate": 1.5, "drift_range": [0.9, 1.1],
+}
+# refused: a species needs peaks
+BAD_RECIPE = {"species": [{"name": "analyte"}]}
 
 
 def write_quoted_copy(work: Path) -> None:
@@ -57,6 +73,12 @@ def write_quoted_copy(work: Path) -> None:
         head, _, last = lines[n].rpartition(b",")
         lines[n] = head + b',"' + last + b'"'
     (work / f"{QUOTED_SET}_spectra.csv").write_bytes(b"\n".join(lines))
+
+
+def write_recipe_configs(work: Path) -> None:
+    """Write ``RECIPE`` and ``BAD_RECIPE`` as config files in ``work``."""
+    for name, recipe in (("recipe", RECIPE), ("bad_recipe", BAD_RECIPE)):
+        (work / f"{name}.json").write_text(json.dumps({"recipe": recipe}))
 
 
 def commands() -> list:
@@ -96,6 +118,16 @@ def commands() -> list:
         ["train", "--spectra", f"{TRAIN_SET}_spectra.csv",
          "--concentrations", f"{TRAIN_SET}_conc.csv", "--pc", "0",
          "--out-model", "pc0_model.json"],
+        write_recipe_configs,
+        ["--config", "recipe.json", "synth", "--n", "12", "--seed", "5",
+         "--out-spectra", "recipe_spectra.csv",
+         "--out-concentrations", "recipe_conc.csv"],
+        ["crossval", "--spectra", "recipe_spectra.csv",
+         "--concentrations", "recipe_conc.csv", "--pipeline", "snv",
+         "--out-dir", "recipe_cv"],
+        ["--config", "bad_recipe.json", "synth",
+         "--out-spectra", "bad_recipe_spectra.csv",
+         "--out-concentrations", "bad_recipe_conc.csv"],
     ]
 
 
@@ -123,7 +155,8 @@ def run_all(env: dict, work: Path) -> None:
         result = subprocess.run([sys.executable, "-c", CHILD_MAIN, *argv],
                                 cwd=work, env=env, capture_output=True,
                                 text=True)
-        (work / f"{index:02d}_{argv[0]}.log").write_text(
+        command = argv[2] if argv[0] == "--config" else argv[0]
+        (work / f"{index:02d}_{command}.log").write_text(
             f"$ specsel {' '.join(argv)}\nexit {result.returncode}\n"
             f"--- stdout\n{result.stdout}--- stderr\n{result.stderr}")
 
