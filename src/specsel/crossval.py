@@ -21,9 +21,7 @@ import numpy as np
 from .decompose import usable_components
 from .errors import (
     DegenerateMatrix,
-    FoldPreprocessFailure,
     ShapeMismatch,
-    SpecselError,
     TooFewSpectra,
 )
 from .preprocess import Pipeline, apply_pipeline
@@ -79,12 +77,7 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
 
     # every implemented step is per-spectrum, so preprocessing the whole set
     # once is identical to preprocessing each fold separately
-    try:
-        processed = apply_pipeline(spectra, pipeline)
-    except SpecselError as exc:
-        raise FoldPreprocessFailure(
-            f"pipeline {pipeline.name!r} failed: {exc}"
-        ) from exc
+    processed = apply_pipeline(spectra, pipeline)
 
     k_max = i - 2
     reduced = np.linalg.qr(processed.matrix.T, mode="r").T

@@ -3,7 +3,9 @@
 Every error the library raises on bad data or bad parameters derives from
 SpecselError, so callers (and the CLI) can catch one base class. The leaf
 class names are part of the public contract; messages carry the offending
-row / column / label where that is knowable.
+row / column / label where that is knowable. A preprocessing step's error
+reads the same from train, predict, crossval and select: no layer re-wraps
+it in a class of its own.
 """
 
 
@@ -106,10 +108,6 @@ class SingularScores(SpecselError):
 
 
 # --- cross-validation / significance ----------------------------------------
-
-class FoldPreprocessFailure(SpecselError):
-    """Preprocessing failed for a spectrum used in cross-validation."""
-
 
 class DegenerateMatrix(SpecselError):
     """PRESS matrix unusable: a fold with no usable component, or a matrix

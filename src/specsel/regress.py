@@ -86,7 +86,9 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
             f"{conc.n_samples} concentration columns for {scores.shape[0]} spectra"
         )
     norms = np.linalg.norm(scores, axis=0)
-    if not norms.size or usable_components(norms) < norms.size:
+    if not norms.size:
+        raise SingularScores("no usable component, so no regression to fit")
+    if usable_components(norms) < norms.size:
         raise SingularScores(
             "score matrix is too ill-conditioned for a stable regression fit"
         )

@@ -115,8 +115,9 @@ class BaselineSpec:
                                f"got {self.coeffs[1]}")
 
 
-# most channels one float64 array can hold: numpy indexes bytes with intp
-_MAX_CHANNELS = np.iinfo(np.intp).max // 8
+# most float64 values one array can hold: numpy indexes bytes with intp;
+# it bounds both the channel count and the spectrum count
+_MAX_FLOAT64S_IN_ONE_ARRAY = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,10 @@ class SynthRecipe:
         if self.axis_step <= 0 or self.axis_stop <= self.axis_start:
             raise SpecselError("axis must be increasing with step > 0")
         steps = (self.axis_stop - self.axis_start) / self.axis_step
-        if not steps < _MAX_CHANNELS:  # an infinite count included
+        if not steps < _MAX_FLOAT64S_IN_ONE_ARRAY:  # an infinite count too
             raise SpecselError(
                 f"axis_step {self.axis_step!r} gives {steps:g} channels; one "
-                f"float64 array holds at most {_MAX_CHANNELS}")
+                f"float64 array holds at most {_MAX_FLOAT64S_IN_ONE_ARRAY}")
         _check_unique([spec.name for spec in self.species], "species")
         for spec in self.species:
             for center, _width, _amp in spec.peaks:
@@ -341,6 +342,9 @@ def phantom_concentrations(recipe: SynthRecipe, n: int) -> ConcentrationSet:
     recipe's seed; phantom draws its concentrations here too."""
     if n < 1:
         raise SpecselError(f"phantom set needs at least 1 spectrum, got {n}")
+    if n > _MAX_FLOAT64S_IN_ONE_ARRAY:
+        raise SpecselError(f"n {n} spectra: one float64 array holds at most "
+                           f"{_MAX_FLOAT64S_IN_ONE_ARRAY}")
     rng = _rng(recipe.seed, CONC_STREAM)
     rows = [rng.uniform(*s.conc_range, n) for s in recipe.species]
     return ConcentrationSet(

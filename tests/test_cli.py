@@ -291,6 +291,19 @@ class TestSynthCrossval:
         assert err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("n", ["2000000000000000000",
+                                   "9223372036854775808"])
+    def test_synth_unindexable_n_exit_2(self, tmp_path, capsys, n):
+        # more float64 values than numpy can index in one array
+        code = main(["synth", "--out-spectra", str(tmp_path / "s.csv"),
+                     "--out-concentrations", str(tmp_path / "c.csv"),
+                     "--n", n])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: SpecselError: n {n} spectra: one float64 array holds "
+            f"at most {np.iinfo(np.intp).max // 8}\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_recipe_synth_too_few_spectra_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"recipe": {
@@ -313,9 +326,10 @@ class TestSynthCrossval:
                      str(cpath), "--pipeline", "baseline_als(1e300)",
                      "--out-dir", str(tmp_path / "cv")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: FoldPreprocessFailure: ")
-        assert "lambda 1e+300 and p 0.01" in err
+        assert capsys.readouterr().err.startswith(
+            "error: BadOrder: spectrum 's000', step "
+            "baseline_als(1e+300,0.01,10): lambda 1e+300 and p 0.01 give a "
+            "baseline system that is not positive definite (")
 
     def test_crossval_duplicated_spectrum_complete_matrix(self, tmp_path,
                                                           capsys):
@@ -619,14 +633,41 @@ class TestSelect:
                      "--candidate", "peak_normalize(5000)", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        error = ("FoldPreprocessFailure: pipeline 'peak_normalize(5000,10)' "
-                 "failed: spectrum 's000', step peak_normalize(5000,10): "
-                 "window [4990, 5010] cm-1 not inside axis [400, 1800] cm-1")
+        error = ("WindowOutsideAxis: spectrum 's000', step "
+                 "peak_normalize(5000,10): window [4990, 5010] cm-1 not "
+                 "inside axis [400, 1800] cm-1")
         assert payload["candidates"][1] == {
             "pipeline": "peak_normalize(5000,10)", "ok": False, "error": error}
         assert (f"candidate peak_normalize(5000,10) failed: {error}"
                 in payload["alerts"])
         assert payload["chosen_pipeline"] == "snv"
+
+    @pytest.mark.parametrize("pipeline", ["peak_normalize(5000)",
+                                          "baseline_als(1e300)"])
+    def test_failed_pipeline_reads_the_same_everywhere(self, tmp_path, capsys,
+                                                       pipeline):
+        spectra, conc = synth.tears_phantom(8, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        data = ["--spectra", str(spath), "--concentrations", str(cpath)]
+        capsys.readouterr()
+        assert main(["crossval", *data, "--pipeline", pipeline,
+                     "--out-dir", str(tmp_path / "cv")]) == 2
+        crossval_err = capsys.readouterr().err
+        assert main(["train", *data, "--pipeline", pipeline, "--pc", "2",
+                     "--out-model", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == crossval_err
+        out = tmp_path / "report.json"
+        assert main(["select", *data, "--candidate", "snv",
+                     "--candidate", pipeline, "--out", str(out)]) == 0
+        failed = json.loads(out.read_text())["candidates"][1]
+        assert crossval_err == f"error: {failed['error']}\n"
+        if pipeline.startswith("peak_normalize"):
+            assert failed["error"] == (
+                "WindowOutsideAxis: spectrum 's000', step "
+                "peak_normalize(5000,10): window [4990, 5010] cm-1 not "
+                "inside axis [400, 1800] cm-1")
 
     def test_duplicated_spectra_keep_complete_columns(self, tmp_path):
         # four spectra, each twice: every fold has 3 of 6 components, so
@@ -811,7 +852,9 @@ class TestTrainPredict:
                      str(cpath), "--pipeline", "identity", "--pc", "2",
                      "--out-model", str(model_path)])
         assert code == 2
-        assert "error: SingularScores:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: SingularScores: no usable component, so no regression "
+            "to fit\n")
         assert not model_path.exists()
 
     @pytest.mark.parametrize("edit,message", [

@@ -7,11 +7,11 @@ from specsel.crossval import PressMatrix, loo_press_matrix
 from specsel.decompose import nipals_fit, pca_fit, usable_components
 from specsel.errors import (
     DegenerateMatrix,
-    FoldPreprocessFailure,
     NoConvergence,
     NonFiniteValue,
     ShapeMismatch,
     TooFewSpectra,
+    ZeroVariance,
 )
 from specsel.preprocess import IDENTITY, apply_pipeline, parse_pipeline
 from specsel.regress import pcr_fit, pcr_predict, press
@@ -221,8 +221,10 @@ class TestLooPressMatrix:
         spectra, conc = toy_problem(5, seed=5)
         flat = spectra.with_matrix(
             np.vstack([spectra.matrix[:4], np.ones(12)]))
-        with pytest.raises(FoldPreprocessFailure, match="'s4'"):
+        with pytest.raises(ZeroVariance) as info:
             loo_press_matrix(flat, conc, parse_pipeline("snv"))
+        assert str(info.value) == ("spectrum 's4', step snv: constant "
+                                   "spectrum has no variance to scale by")
 
     def test_conc_count_mismatch(self):
         spectra, conc = toy_problem(5, seed=6)

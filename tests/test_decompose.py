@@ -114,9 +114,9 @@ class TestNipalsFit:
         assert np.array_equal(a.loadings, b.loadings)
         assert np.array_equal(a.scores, b.scores)
 
-    def test_no_convergence_carries_partial_model(self):
+    def test_no_convergence_names_the_component(self):
         # two nearly tied variance directions stall the iteration; the
-        # exception must name the component and carry what converged
+        # exception must name the component that did not converge
         rng = np.random.default_rng(16)
         basis = np.linalg.qr(rng.normal(size=(12, 3)))[0]
         directions = np.linalg.qr(rng.normal(size=(30, 3)))[0]

@@ -88,7 +88,8 @@ class TestPcrFit:
         pca = pca_fit(ss.with_matrix(np.tile(ss.matrix[0], (7, 1))), 2)
         assert pca.n_components == 0
         conc = ConcentrationSet(np.ones((1, 7)), ("a",), ("u",))
-        with pytest.raises(SingularScores):
+        with pytest.raises(SingularScores, match="^no usable component, so "
+                                                 "no regression to fit$"):
             pcr_fit(pca, conc)
 
     def test_sample_count_mismatch(self):

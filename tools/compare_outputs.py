@@ -21,9 +21,13 @@ the (20, 7) spectra CSV with LF line endings and a quoted cell every
 ``QUOTE_EVERY`` rows, which the reader parses on its csv path, not with
 numpy's C reader; ``synth --config`` with the custom ``RECIPE`` (species
 as objects, a polynomial baseline and spikes) and ``crossval --pipeline
-snv`` on its output; and four refusals, which exit 2 and write only their
+snv`` on its output; four refusals, which exit 2 and write only their
 log: ``synth --n 3``, ``crossval --pipeline "bogus(1)"``,
-``train --pc 0`` and ``synth --config`` with ``BAD_RECIPE``.
+``train --pc 0`` and ``synth --config`` with ``BAD_RECIPE``; and two
+preprocessing failures on (8, 7), so that their text is compared too:
+``select --candidate snv --candidate "peak_normalize(5000)"``, which exits
+0 with one failed entry, and ``crossval --pipeline "baseline_als(1e300)"``,
+which exits 2.
 
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
@@ -128,6 +132,13 @@ def commands() -> list:
         ["--config", "bad_recipe.json", "synth",
          "--out-spectra", "bad_recipe_spectra.csv",
          "--out-concentrations", "bad_recipe_conc.csv"],
+        ["select", "--spectra", "n8_seed7_spectra.csv",
+         "--concentrations", "n8_seed7_conc.csv", "--candidate", "snv",
+         "--candidate", "peak_normalize(5000)",
+         "--out", "failed_candidate_select.json"],
+        ["crossval", "--spectra", "n8_seed7_spectra.csv",
+         "--concentrations", "n8_seed7_conc.csv",
+         "--pipeline", "baseline_als(1e300)", "--out-dir", "failed_als_cv"],
     ]
 
 
