@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: validate, synth, crossval, select, train, predict. Exit codes
-are machine-readable: 0 success, 2 input or validation failure (an
-allocation the input asks for that fails included), 3 when a
-selection run had to fall back because no candidate pipeline reached
-statistical significance.
+Subcommands: validate, synth, crossval, select, train, predict. Each
+command imports, when it starts, the specsel modules that not every
+command runs, so ``validate``, ``synth`` and ``predict`` load neither
+``crossval`` nor ``selector``. Exit codes are machine-readable: 0 success, 2 input or
+validation failure (an allocation the input asks for that fails
+included), 3 when a selection run had to fall back because no candidate
+pipeline reached statistical significance.
 """
 
 from __future__ import annotations
@@ -13,17 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import synth
-from .crossval import loo_press_matrix
 from .errors import IoFailure, SpecselError
-from .preprocess import apply_pipeline, parse_pipeline
-from .regress import load_model, pcr_predict, save_model
-from .selector import (
-    dataset_digest,
-    select_method,
-    train_final,
-    write_report,
-)
 from .significance import DEFAULT_ALPHA, boxplot_stats
 from .spectra import (
     load_concentrations,
@@ -108,6 +100,8 @@ def cmd_validate(args, config) -> int:
 
 
 def cmd_synth(args, config) -> int:
+    from . import synth
+
     seed = _setting(args, config, "seed")
     n = _setting(args, config, "n")
     if "recipe" not in config:
@@ -125,6 +119,9 @@ def cmd_synth(args, config) -> int:
 
 
 def cmd_crossval(args, config) -> int:
+    from .crossval import loo_press_matrix
+    from .preprocess import parse_pipeline
+
     spectra, conc = _load_pair(args.spectra, args.concentrations)
     pipeline = parse_pipeline(_setting(args, config, "pipeline"))
     matrix = loo_press_matrix(spectra, conc, pipeline)
@@ -156,6 +153,9 @@ def _write_boxplot_csv(path, matrix) -> None:
 
 
 def cmd_select(args, config) -> int:
+    from .preprocess import parse_pipeline
+    from .selector import dataset_digest, select_method, write_report
+
     spectra, conc = _load_pair(args.spectra, args.concentrations)
     candidates = [parse_pipeline(t)
                   for t in _setting(args, config, "candidates")]
@@ -184,6 +184,10 @@ def cmd_select(args, config) -> int:
 
 
 def cmd_train(args, config) -> int:
+    from .preprocess import parse_pipeline
+    from .regress import save_model
+    from .selector import train_final
+
     spectra, conc = _load_pair(args.spectra, args.concentrations)
     pipeline = parse_pipeline(_setting(args, config, "pipeline"))
     model = train_final(spectra, conc, pipeline, int(args.pc))
@@ -196,6 +200,9 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_predict(args, config) -> int:
+    from .preprocess import apply_pipeline, parse_pipeline
+    from .regress import load_model, pcr_predict
+
     model = load_model(args.model)
     spectra = load_spectra(args.spectra)
     pipeline = parse_pipeline(model.pipeline_name)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import usable_components
+from .decompose import scaled_norm, usable_components
 from .errors import (
     DegenerateMatrix,
     ShapeMismatch,
@@ -93,7 +93,7 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         # min(i - 2, j): no fold may use more than i - 2 components
         singulars = singulars[:, :k_max]
         kept = usable_components(singulars,
-                                 np.linalg.norm(rows, axis=(1, 2))[:, None])
+                                 scaled_norm(rows, axis=(1, 2))[:, None])
         # an infinite singular value gives a component past its fold's
         # usable count a zero coefficient; those counts lie past k anyway
         singulars[np.arange(singulars.shape[1]) >= kept[:, None]] = np.inf

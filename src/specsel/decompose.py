@@ -19,7 +19,7 @@ from .spectra import SpectraSet, _set_arrays
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
 RANK_EPS = 1e-12
-MAX_SCORE_CONDITION = 1e12
+MAX_CONDITION = 1e6
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,24 @@ def usable_components(singulars: np.ndarray, data_norm=0.0) -> np.ndarray:
     """How many leading components, from descending singular values along
     the last axis, a fit may use: none if the first is at most RANK_EPS x
     data_norm (the norm before centering bounds the rounding it leaves),
-    else those whose squared condition number is within MAX_SCORE_CONDITION.
+    else those whose condition number is within MAX_CONDITION and whose
+    singular value is a normal float (a subnormal one has lost its relative
+    precision, and its reciprocal overflows).
     data_norm broadcasts against singulars[..., :1]."""
     first = singulars[..., :1]
     return np.sum((first > RANK_EPS * data_norm)
-                  & (first ** 2 <= MAX_SCORE_CONDITION * singulars ** 2),
-                  axis=-1)
+                  & (first <= MAX_CONDITION * singulars)
+                  & (singulars >= np.finfo(float).tiny), axis=-1)
+
+
+def scaled_norm(x: np.ndarray, axis=None) -> np.ndarray:
+    """Frobenius norm of x over axis, as 2^e |x / 2^e| with 2^e the power of
+    two at or above max|x|: the squares neither overflow for huge values nor
+    underflow for tiny ones, and the result is np.linalg.norm's to the bit
+    wherever that does not overflow or underflow."""
+    _, e = np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))
+    return np.squeeze(np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis,
+                                              keepdims=True), e), axis)
 
 
 def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
@@ -86,7 +98,7 @@ def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
     mean_spectrum = spectra.matrix.mean(axis=0)
     u, singulars, vt = np.linalg.svd(spectra.matrix - mean_spectrum,
                                      full_matrices=False)
-    n = int(usable_components(singulars[:k], np.linalg.norm(spectra.matrix)))
+    n = int(usable_components(singulars[:k], scaled_norm(spectra.matrix)))
     return _signed_model(spectra, mean_spectrum, vt[:n].T,
                          u[:, :n] * singulars[:n])
 

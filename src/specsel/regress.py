@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import PcaModel, project, usable_components
+from .decompose import PcaModel, project, scaled_norm, usable_components
 from .errors import (BadOrder, IoFailure, ShapeMismatch, SingularScores,
                      SpecselError)
 from .preprocess import parse_pipeline
@@ -85,7 +85,7 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
         raise ShapeMismatch(
             f"{conc.n_samples} concentration columns for {scores.shape[0]} spectra"
         )
-    norms = np.linalg.norm(scores, axis=0)
+    norms = scaled_norm(scores, axis=0)
     if not norms.size:
         raise SingularScores("no usable component, so no regression to fit")
     if usable_components(norms) < norms.size:

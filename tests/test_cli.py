@@ -364,6 +364,41 @@ class TestSynthCrossval:
             "error: DegenerateMatrix: fold 's5': no usable component")
         assert not (tmp_path / "cv" / "press_matrix.csv").exists()
 
+    @staticmethod
+    def _identity_crossval(tmp_path, scale):
+        """Exit code and PRESS matrix (None if not written) of crossval on
+        ``tears_phantom(8, 1)`` with its intensities times ``scale``."""
+        spectra, conc = synth.tears_phantom(8, 1)
+        spath, cpath = tmp_path / f"s{scale}.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra.with_matrix(spectra.matrix * scale))
+        save_concentrations(cpath, conc, spectra.labels)
+        out_dir = tmp_path / f"cv{scale}"
+        code = main(["crossval", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "identity",
+                     "--out-dir", str(out_dir)])
+        path = out_dir / "press_matrix.csv"
+        return code, (np.loadtxt(path, delimiter=",", skiprows=1,
+                                 usecols=range(1, 7))
+                      if path.exists() else None)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 1e300],
+                             ids=["2^600", "1e300"])
+    def test_crossval_huge_intensities_exit_0(self, tmp_path, scale):
+        # the fold norms would overflow if squared directly; PRESS is in
+        # units of the concentrations, so it barely moves
+        _, base = self._identity_crossval(tmp_path, 1.0)
+        code, press = self._identity_crossval(tmp_path, scale)
+        assert code == 0
+        np.testing.assert_allclose(press, base, rtol=1e-12)
+
+    def test_crossval_subnormal_intensities_exit_2(self, tmp_path, capsys):
+        # subnormal intensities keep a few significant bits: no component
+        code, press = self._identity_crossval(tmp_path, 1e-320)
+        assert code == 2 and press is None
+        assert capsys.readouterr().err == (
+            "error: DegenerateMatrix: fold 's000': no usable component, so no "
+            "PC count can be scored\n")
+
     def test_crossval_has_no_threads_option(self, mixture_files, tmp_path):
         spath, cpath, *_ = mixture_files
         with pytest.raises(SystemExit) as exc:
@@ -776,6 +811,51 @@ class TestTrainPredict:
             main(["crossval", *data, "--pipeline", "baseline_als",
                   "--out-dir", "cv_als"])
             assert "scipy.linalg" in sys.modules
+        """)
+        run_fresh(script, tmp_path)
+
+    def test_commands_import_only_the_modules_they_run(self, tmp_path,
+                                                      mixture_files):
+        # importing the package loads no submodule, and validate, synth and
+        # predict never load cross-validation, selection or a thread pool;
+        # a fresh interpreter, because the test process has them all
+        spath, cpath, *_ = mixture_files
+        assert main(["train", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "snv", "--pc", "2",
+                     "--out-model", str(tmp_path / "m.json")]) == 0
+        script = textwrap.dedent("""
+            import sys
+            import specsel
+            assert [m for m in sys.modules if m.startswith("specsel")] == [
+                "specsel"]
+            from specsel.cli import main
+            unused = ("specsel.crossval", "specsel.selector",
+                      "concurrent.futures")
+            for argv in (
+                    ["synth", "--n", "8", "--out-spectra", "s8.csv",
+                     "--out-concentrations", "c8.csv"],
+                    ["validate", "--spectra", "spectra.csv",
+                     "--concentrations", "conc.csv"],
+                    ["predict", "--model", "m.json", "--spectra",
+                     "spectra.csv", "--out", "p.csv"]):
+                assert main(argv) == 0, argv
+                assert not [m for m in unused if m in sys.modules], argv[0]
+            listed = dir(specsel)
+            for name in specsel.__all__:
+                assert getattr(specsel, name) is not None, name
+                assert name in listed, name
+            for module in ("crossval", "decompose", "errors", "preprocess",
+                           "regress", "selector", "significance", "spectra",
+                           "synth", "_parallel"):
+                assert getattr(specsel, module) is sys.modules[
+                    f"specsel.{module}"], module
+            assert specsel.load_spectra is specsel.spectra.load_spectra
+            try:
+                specsel.no_such_name
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc)
+            else:
+                raise AssertionError("no AttributeError")
         """)
         run_fresh(script, tmp_path)
 

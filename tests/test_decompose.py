@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specsel.decompose import nipals_fit, pca_fit, project, usable_components
+from specsel.decompose import (nipals_fit, pca_fit, project, scaled_norm,
+                               usable_components)
 from specsel.errors import AxisMismatch, BadOrder, NoConvergence
 from specsel.spectra import SpectraSet
 
@@ -220,6 +221,37 @@ class TestUsableComponents:
         singulars = np.array([[1.0, 0.5, 1e-9], [1e-13, 1e-14, 0.0]])
         kept = usable_components(singulars, np.array([[1.0], [1.0]]))
         assert kept.tolist() == [2, 0]
+
+    def test_huge_singulars_keep_the_condition_cut(self):
+        # squaring these would overflow; the cut compares them unsquared
+        singulars = np.array([1.0, 1e-3, 1e-6, 1e-7]) * 1e300
+        assert usable_components(singulars, 1e301) == 3
+
+    def test_subnormal_singulars_are_not_usable(self):
+        tiny = np.finfo(float).tiny
+        assert usable_components(np.array([1.0, tiny, tiny / 2]) * 1e-300) == 1
+        assert usable_components(np.array([1e-320, 1e-321])) == 0
+
+
+class TestScaledNorm:
+    @pytest.mark.parametrize("axis", [None, 0, 1, (0, 1)])
+    def test_equals_numpy_norm_to_the_bit(self, axis):
+        rng = np.random.default_rng(40)
+        for e in (-100, -3, 0, 7, 100):
+            x = rng.standard_normal((6, 25)) * 10.0 ** e
+            assert np.array_equal(scaled_norm(x, axis),
+                                  np.linalg.norm(x, axis=axis))
+
+    @pytest.mark.parametrize("scale", [1e300, 2.0 ** -1070])
+    def test_huge_and_subnormal_values(self, scale):
+        # 2 x 2 of one value v has norm 2v, where v * v over- or underflows
+        assert scaled_norm(np.full((2, 2), scale)) == 2 * scale
+        assert scaled_norm(np.full((3, 2, 2), scale),
+                           axis=(1, 2)).tolist() == [2 * scale] * 3
+
+    def test_zeros(self):
+        assert scaled_norm(np.zeros((2, 3))) == 0.0
+        assert scaled_norm(np.zeros((2, 3)), axis=0).tolist() == [0.0] * 3
 
 
 class TestProject:

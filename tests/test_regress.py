@@ -54,6 +54,18 @@ class TestPcrFit:
         oracle = centered @ t @ np.linalg.inv(t.T @ t)
         assert np.abs(model.coeffs - oracle).max() < 1e-10
 
+    def test_huge_scores(self):
+        # the score norms would overflow if squared directly, and a zero
+        # coefficient from an infinite norm would go unnoticed
+        ss = random_spectra_set(i=8, j=40, seed=20)
+        rng = np.random.default_rng(26)
+        conc = ConcentrationSet(rng.uniform(0.0, 2.0, (2, 8)), ("a", "b"),
+                                ("u", "u"))
+        base = pcr_fit(pca_fit(ss, 3), conc)
+        huge = pcr_fit(pca_fit(ss.with_matrix(ss.matrix * 2.0 ** 600), 3),
+                       conc)
+        assert_allclose(huge.coeffs * 2.0 ** 600, base.coeffs, rtol=1e-12)
+
     def test_zero_concentrations(self):
         ss = random_spectra_set(i=6, j=30, seed=23)
         pca = nipals_fit(ss, 2)

@@ -27,7 +27,9 @@ log: ``synth --n 3``, ``crossval --pipeline "bogus(1)"``,
 preprocessing failures on (8, 7), so that their text is compared too:
 ``select --candidate snv --candidate "peak_normalize(5000)"``, which exits
 0 with one failed entry, and ``crossval --pipeline "baseline_als(1e300)"``,
-which exits 2.
+which exits 2; and ``crossval --pipeline identity`` on copies of the
+(8, 1) spectra CSV with every intensity times each of ``SCALES``, whose
+norms overflow or underflow if squared: ×2^600 exits 0 and ×1e-320 exits 2.
 
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
@@ -67,6 +69,8 @@ RECIPE = {
 }
 # refused: a species needs peaks
 BAD_RECIPE = {"species": [{"name": "analyte"}]}
+SCALED_SET = "n8_seed1"
+SCALES = {"x2p600": 2.0 ** 600, "x1em320": 1e-320}
 
 
 def write_quoted_copy(work: Path) -> None:
@@ -77,6 +81,17 @@ def write_quoted_copy(work: Path) -> None:
         head, _, last = lines[n].rpartition(b",")
         lines[n] = head + b',"' + last + b'"'
     (work / f"{QUOTED_SET}_spectra.csv").write_bytes(b"\n".join(lines))
+
+
+def write_scaled_copies(work: Path) -> None:
+    """Copy the (8, 1) spectra CSV in ``work`` once per ``SCALES`` entry,
+    with every intensity (not the axis) times that scale."""
+    header, *rows = (work / f"{SCALED_SET}_spectra.csv").read_text().split()
+    for tag, scale in SCALES.items():
+        scaled = [",".join([axis, *(repr(float(v) * scale) for v in values)])
+                  for axis, *values in (row.split(",") for row in rows)]
+        (work / f"{SCALED_SET}_{tag}_spectra.csv").write_text(
+            "\n".join([header, *scaled]) + "\n")
 
 
 def write_recipe_configs(work: Path) -> None:
@@ -139,6 +154,15 @@ def commands() -> list:
         ["crossval", "--spectra", "n8_seed7_spectra.csv",
          "--concentrations", "n8_seed7_conc.csv",
          "--pipeline", "baseline_als(1e300)", "--out-dir", "failed_als_cv"],
+        ["synth", "--n", "8", "--seed", "1",
+         "--out-spectra", f"{SCALED_SET}_spectra.csv",
+         "--out-concentrations", f"{SCALED_SET}_conc.csv"],
+        write_scaled_copies,
+    ] + [
+        ["crossval", "--spectra", f"{SCALED_SET}_{tag}_spectra.csv",
+         "--concentrations", f"{SCALED_SET}_conc.csv", "--pipeline",
+         "identity", "--out-dir", f"{SCALED_SET}_{tag}_cv"]
+        for tag in SCALES
     ]
 
 
