@@ -12,9 +12,7 @@ T = TypeVar("T")
 
 
 def run_indexed(fn: Callable[[int], T], count: int, workers: int = 1) -> list[T]:
-    if count == 0:
-        return []
-    if workers <= 1 or count == 1:
+    if workers <= 1 or count <= 1:
         return [fn(n) for n in range(count)]
     # imported here, as a single-worker run needs no thread pool
     from concurrent.futures import ThreadPoolExecutor

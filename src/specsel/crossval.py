@@ -2,14 +2,14 @@
 
 The set is reduced once to X = R Q^T, Q orthonormal and R i x min(i, j)
 (Chan's R-SVD): a fold's centered rows of R have the singular values, left
-vectors and held-out scores of its centered spectra. One stacked SVD per
-block of folds feeds the PCR helpers the final fit uses too:
+vectors and held-out scores of its centered spectra. A block of folds is
+one stacked ``decompose.centered_svd``, the factorization of ``pca_fit``,
+which counts the components a fold may use by the norm of its uncentered
+rows of R (that of its spectra). The PCR helpers of the final fit follow:
 ``regress.pcr_coefficients`` gives the coefficients u_k^T y_c / s_k and
 ``regress.cumulative_estimates`` the held-out estimates at every PC count,
-hence the squared prediction errors. A fold uses the
-components ``usable_components`` allows by the norm of its uncentered rows
-of R (that of its spectra); the matrix keeps the PC counts every fold can
-fit, so it has no missing cell, and each fold that limits it has one note.
+hence the squared prediction errors. The matrix keeps the PC counts every
+fold can fit, so it has no missing cell; each fold that limits it has a note.
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import scaled_norm, usable_components
-from .errors import (
-    DegenerateMatrix,
-    ShapeMismatch,
-    TooFewSpectra,
-)
+from .decompose import centered_svd
+from .errors import DegenerateMatrix, ShapeMismatch, TooFewSpectra
 from .preprocess import Pipeline, apply_pipeline
 from .regress import cumulative_estimates, pcr_coefficients
-from .spectra import ConcentrationSet, SpectraSet, _set_arrays, _set_names
+from .spectra import (ConcentrationSet, SpectraSet, _check_samples,
+                      _set_arrays, _set_names)
 
 FOLD_BLOCK = 8  # folds per stacked SVD: caps its ~3 x 8 x i x min(i, j) floats
 
@@ -70,10 +67,7 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         raise TooFewSpectra(
             f"leave-one-out over 1..i-2 components needs i >= 4 spectra, got {i}"
         )
-    if conc.n_samples != i:
-        raise ShapeMismatch(
-            f"{conc.n_samples} concentration columns for {i} spectra"
-        )
+    _check_samples(conc, i)
 
     # every implemented step is per-spectrum, so preprocessing the whole set
     # once is identical to preprocessing each fold separately
@@ -85,15 +79,10 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
     for start in range(0, i, FOLD_BLOCK):
         folds = np.arange(start, min(start + FOLD_BLOCK, i))
         train = np.array([[r for r in range(i) if r != n] for n in folds])
-        rows = reduced[train]
-        mean = rows.mean(axis=1, keepdims=True)
-        u, singulars, vt = np.linalg.svd(rows - mean, full_matrices=False)
-        held = (reduced[folds, None, :] - mean) @ vt.transpose(0, 2, 1)
-        # a fold's SVD has min(i - 1, j) singular values, so this keeps
+        # a fold's SVD has min(i - 1, j) singular values, so k_max keeps
         # min(i - 2, j): no fold may use more than i - 2 components
-        singulars = singulars[:, :k_max]
-        kept = usable_components(singulars,
-                                 scaled_norm(rows, axis=(1, 2))[:, None])
+        mean, u, singulars, vt, kept = centered_svd(reduced[train], k_max)
+        held = (reduced[folds, None, :] - mean) @ vt.transpose(0, 2, 1)
         # an infinite singular value gives a component past its fold's
         # usable count a zero coefficient; those counts lie past k anyway
         singulars[np.arange(singulars.shape[1]) >= kept[:, None]] = np.inf

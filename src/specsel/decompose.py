@@ -1,7 +1,8 @@
 """Principal component extraction and projection.
 
-``pca_fit`` decomposes the centered set with one thin SVD: O(i^2 j) for wide
-data (i spectra << j channels), with no iteration to converge. ``nipals_fit``
+``centered_svd``, the one factorization of ``pca_fit`` and of the folds of
+``crossval``, centres a set with one thin SVD: O(i^2 j) for wide data (i
+spectra << j channels), with no iteration to converge. ``nipals_fit``
 extracts the same components one at a time by power iteration and is kept
 as an independent iterative reference. ``usable_components`` is the one
 rule, relative to the data, for how many components any fit may use.
@@ -91,16 +92,24 @@ def scaled_norm(x: np.ndarray, axis=None) -> np.ndarray:
                                               keepdims=True), e), axis)
 
 
+def centered_svd(rows: np.ndarray, k: int):
+    """Thin SVD of rows (... x i x j), a set or a stack, each centred on its
+    mean row: (means, u, the first k singular values, vt, the count of them
+    ``usable_components`` allows by the norm of the uncentred rows)."""
+    means = rows.mean(axis=-2, keepdims=True)
+    u, singulars, vt = np.linalg.svd(rows - means, full_matrices=False)
+    singulars = singulars[..., :k]
+    usable = usable_components(
+        singulars, scaled_norm(rows, axis=(-2, -1))[..., None])
+    return means, u, singulars, vt, usable
+
+
 def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
-    """Leading k principal components of the centered set, from one SVD,
-    cut to the usable ones; sign convention as in nipals_fit."""
+    """Leading k principal components of the centered set, from
+    centered_svd, cut to the usable ones; sign as in nipals_fit."""
     _check_order(spectra, k)
-    mean_spectrum = spectra.matrix.mean(axis=0)
-    u, singulars, vt = np.linalg.svd(spectra.matrix - mean_spectrum,
-                                     full_matrices=False)
-    n = int(usable_components(singulars[:k], scaled_norm(spectra.matrix)))
-    return _signed_model(spectra, mean_spectrum, vt[:n].T,
-                         u[:, :n] * singulars[:n])
+    means, u, singulars, vt, n = centered_svd(spectra.matrix, k)
+    return _signed_model(spectra, means[0], vt[:n].T, u[:, :n] * singulars[:n])
 
 
 def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,

@@ -18,8 +18,9 @@ from .decompose import PcaModel, project, scaled_norm, usable_components
 from .errors import (BadOrder, IoFailure, ShapeMismatch, SingularScores,
                      SpecselError)
 from .preprocess import parse_pipeline
-from .spectra import (ConcentrationSet, SpectraSet, _check_axis, _set_arrays,
-                      _set_names, read_json, write_json)
+from .spectra import (ConcentrationSet, SpectraSet, _check_axis,
+                      _check_samples, _set_arrays, _set_names, read_json,
+                      write_json)
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,7 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
     Raises SingularScores if ``usable_components`` refuses a score norm or
     there is none."""
     scores = pca.scores
-    if conc.n_samples != scores.shape[0]:
-        raise ShapeMismatch(
-            f"{conc.n_samples} concentration columns for {scores.shape[0]} spectra"
-        )
+    _check_samples(conc, scores.shape[0])
     norms = scaled_norm(scores, axis=0)
     if not norms.size:
         raise SingularScores("no usable component, so no regression to fit")
@@ -130,6 +128,9 @@ def press(estimated, actual) -> float:
 
 _MODEL_FORMAT = "specsel-pcr-model"
 _MODEL_VERSION = 1
+# the model file's entries after format, version and pipeline, in order
+_MODEL_FIELDS = ("species", "units", "axis", "mean_spectrum", "loadings",
+                 "coeffs", "mean_conc")
 
 
 def save_model(path, model: PcrModel) -> None:
@@ -138,18 +139,12 @@ def save_model(path, model: PcrModel) -> None:
     Floats are serialized with full round-trip precision, so a reloaded
     model predicts bit-identically.
     """
-    payload = {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
-        "pipeline": model.pipeline_name,
-        "species": list(model.species),
-        "units": list(model.units),
-        "axis": model.axis.tolist(),
-        "mean_spectrum": model.mean_spectrum.tolist(),
-        "loadings": model.loadings.tolist(),
-        "coeffs": model.coeffs.tolist(),
-        "mean_conc": model.mean_conc.tolist(),
-    }
+    payload = {"format": _MODEL_FORMAT, "version": _MODEL_VERSION,
+               "pipeline": model.pipeline_name}
+    for name in _MODEL_FIELDS:
+        value = getattr(model, name)
+        payload[name] = (value.tolist() if isinstance(value, np.ndarray)
+                         else list(value))
     write_json(path, payload)
 
 
@@ -164,9 +159,8 @@ def load_model(path) -> PcrModel:
             f"expected {_MODEL_VERSION}"
         )
     try:
-        return PcrModel(**{name: payload[name] for name in (
-            "axis", "mean_spectrum", "loadings", "coeffs", "mean_conc",
-            "species", "units")}, pipeline_name=payload["pipeline"])
+        return PcrModel(**{name: payload[name] for name in _MODEL_FIELDS},
+                        pipeline_name=payload["pipeline"])
     except KeyError as exc:
         raise IoFailure(f"{path}: model file has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:

@@ -23,7 +23,8 @@ from .errors import AllCandidatesFailed, ShapeMismatch, SpecselError
 from .preprocess import Pipeline, apply_pipeline
 from .regress import PcrModel, cumulative_estimates, pcr_fit
 from .significance import DEFAULT_ALPHA, PcVerdict, select_optimal_pc
-from .spectra import ConcentrationSet, SpectraSet, _check_unique, write_json
+from .spectra import (ConcentrationSet, SpectraSet, _check_samples,
+                      _check_unique, write_json)
 
 NO_SIGNIFICANCE_ALERT = (
     "no candidate pipeline reached statistical significance; the returned "
@@ -166,10 +167,7 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
     already preprocessed the same way as the training set, e.g. with
     ``apply_pipeline(holdout, parse_pipeline(model.pipeline_name))``.
     """
-    if truth.n_samples != holdout.n_spectra:
-        raise ShapeMismatch(
-            f"{truth.n_samples} truth columns for {holdout.n_spectra} spectra"
-        )
+    _check_samples(truth, holdout.n_spectra, "truth")
     if tuple(truth.species) != tuple(model.species):
         raise ShapeMismatch(
             f"truth species {list(truth.species)} != model species "

@@ -93,6 +93,12 @@ def _check_unique(names: Sequence[str], what: str, path=None) -> None:
             f"{'' if path is None else f'{path}: '}duplicate {what} {dup}")
 
 
+def _check_samples(conc, i: int, what: str = "concentration") -> None:
+    """Refuse a ConcentrationSet without one column per spectrum of i."""
+    if conc.n_samples != i:
+        raise ShapeMismatch(f"{conc.n_samples} {what} columns for {i} spectra")
+
+
 def _set_arrays(obj, shapes: dict[str, tuple[int, ...]],
                 nonfinite_row: dict | None = None) -> None:
     """Store each field of the frozen dataclass ``obj`` named in ``shapes``,
