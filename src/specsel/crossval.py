@@ -93,7 +93,9 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         estimates = cumulative_estimates(coeffs, held[:, :, :k_max],
                                          y_mean)[:, :, 0]
         errors = estimates - conc.matrix.T[folds][:, :, None]
-        sq_errors.append(np.sum(errors * errors, axis=1))
+        # an error above sqrt(max float) squares to inf: refused below
+        with np.errstate(over="ignore"):
+            sq_errors.append(np.sum(errors * errors, axis=1))
         negative.append(np.any(estimates < 0, axis=1))
         k_fits.extend(kept.tolist())
 
@@ -102,6 +104,13 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         raise DegenerateMatrix(
             f"fold {processed.labels[k_fits.index(0)]!r}: no usable "
             f"component, so no PC count can be scored"
+        )
+    values = np.concatenate(sq_errors)[:, :k]
+    overflowed = ~np.isfinite(values).all(axis=1)
+    if overflowed.any():
+        raise DegenerateMatrix(
+            f"fold {processed.labels[int(np.argmax(overflowed))]!r}: squared "
+            f"prediction errors are not finite, so PRESS cannot be scored"
         )
     notes = []
     for label, k_fit, negatives in zip(
@@ -117,5 +126,4 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
                 f"fold {label!r}: negative predicted concentrations at "
                 f"{negatives} PC count(s)"
             )
-    return PressMatrix(np.concatenate(sq_errors)[:, :k], pipeline.name,
-                       spectra.labels, notes)
+    return PressMatrix(values, pipeline.name, spectra.labels, notes)

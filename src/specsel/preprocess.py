@@ -127,6 +127,14 @@ def _check_savgol(window, polyorder, deriv=0) -> None:
         raise BadOrder(f"polyorder must satisfy 0 <= polyorder < window, got {polyorder}")
     if not 0 <= deriv <= polyorder:
         raise BadOrder(f"deriv must satisfy 0 <= deriv <= polyorder, got {deriv}")
+    # the fit's design holds every offset up to window // 2 to every power
+    # up to polyorder; float powers raise rather than overflow to inf
+    try:
+        float(window // 2) ** polyorder
+    except OverflowError:
+        raise BadOrder(f"window {window} and polyorder {polyorder} overflow "
+                       f"the fit: (window // 2) ** polyorder is not a "
+                       f"finite float") from None
 
 
 def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
@@ -157,7 +165,11 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     # derivative of u**m is perm(m, deriv) * u**(m - deriv)
     slopes = design[:, :polyorder + 1 - deriv] * [
         math.perm(m, deriv) for m in range(deriv, polyorder + 1)]
-    operator = slopes @ np.linalg.pinv(design)[deriv:] / delta ** deriv
+    try:
+        operator = slopes @ np.linalg.pinv(design)[deriv:] / delta ** deriv
+    except np.linalg.LinAlgError as exc:
+        raise BadOrder(f"window {window} and polyorder {polyorder} give no "
+                       f"least-squares fit ({exc})") from exc
 
     out = np.empty_like(rows)
     windows = np.lib.stride_tricks.sliding_window_view(rows, window, axis=1)

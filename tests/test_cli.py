@@ -331,6 +331,43 @@ class TestSynthCrossval:
             "baseline_als(1e+300,0.01,10): lambda 1e+300 and p 0.01 give a "
             "baseline system that is not positive definite (")
 
+    @pytest.mark.parametrize("setting", ["201,200,0", "301,150,0",
+                                         "699,698,0"])
+    def test_crossval_overflowing_savgol_exit_2(self, tmp_path, capsys,
+                                                setting):
+        # (window // 2) ** polyorder overflows: refused before any fit,
+        # with no numpy warning (pytest turns one into an error)
+        spectra, conc = synth.tears_phantom(8, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        window, polyorder, _ = setting.split(",")
+        code = main(["crossval", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", f"savgol({setting})",
+                     "--out-dir", str(tmp_path / "cv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: PipelineSyntaxError: step savgol({setting}): window "
+            f"{window} and polyorder {polyorder} overflow the fit: "
+            f"(window // 2) ** polyorder is not a finite float\n")
+
+    def test_crossval_overflowing_press_names_the_fold(self, tmp_path,
+                                                       capsys):
+        # errors near 1e160 square past the largest float
+        spectra, conc = synth.tears_phantom(8, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, ConcentrationSet(
+            conc.matrix * 1e160, conc.species, conc.units), spectra.labels)
+        code = main(["crossval", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", "snv",
+                     "--out-dir", str(tmp_path / "cv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: DegenerateMatrix: fold 's000': squared prediction errors "
+            "are not finite, so PRESS cannot be scored\n")
+        assert not (tmp_path / "cv" / "press_matrix.csv").exists()
+
     def test_crossval_duplicated_spectrum_complete_matrix(self, tmp_path,
                                                           capsys):
         spectra, conc = synth.tears_phantom(8, 7)
@@ -676,6 +713,46 @@ class TestSelect:
         assert (f"candidate peak_normalize(5000,10) failed: {error}"
                 in payload["alerts"])
         assert payload["chosen_pipeline"] == "snv"
+
+    def test_savgol_without_fit_is_a_failed_entry(self, tmp_path,
+                                                  monkeypatch):
+        # a least-squares operator that cannot be built (here by an SVD
+        # that does not converge) fails its candidate, not the run
+        def no_convergence(design):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "pinv", no_convergence)
+        spectra, conc = synth.tears_phantom(8, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        out = tmp_path / "report.json"
+        code = main(["select", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--candidate", "snv",
+                     "--candidate", "savgol(7,2)", "--out", str(out)])
+        assert code in (0, 3)
+        assert json.loads(out.read_text())["candidates"][1] == {
+            "pipeline": "savgol(7,2,0)", "ok": False,
+            "error": "BadOrder: spectrum 's000', step savgol(7,2,0): window "
+                     "7 and polyorder 2 give no least-squares fit (SVD did "
+                     "not converge)"}
+
+    def test_overflowing_savgol_candidate_exit_2(self, tmp_path, capsys):
+        # refused by the parser, as every out-of-range candidate is
+        spectra, conc = synth.tears_phantom(8, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        code = main(["select", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--candidate", "snv",
+                     "--candidate", "savgol(301,150,0)",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: PipelineSyntaxError: step savgol(301,150,0): window 301 "
+            "and polyorder 150 overflow the fit: (window // 2) ** polyorder "
+            "is not a finite float\n")
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("pipeline", ["peak_normalize(5000)",
                                           "baseline_als(1e300)"])

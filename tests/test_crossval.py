@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from specsel import crossval
 from specsel.crossval import PressMatrix, loo_press_matrix
-from specsel.decompose import nipals_fit, pca_fit, usable_components
+from specsel.decompose import (centered_svd, nipals_fit, pca_fit,
+                               usable_components)
 from specsel.errors import (
     DegenerateMatrix,
     NoConvergence,
@@ -198,6 +199,20 @@ class TestLooPressMatrix:
         assert out.values.shape == values.shape
         assert out.notes == notes
         np.testing.assert_allclose(out.values, values, rtol=1e-9, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_sets())
+    def test_stacked_factorization_matches_each_fold(self, case):
+        # one function serves pca_fit (one set) and the folds (a stack)
+        # only if every set of a stack gets the bits it gets alone
+        spectra, _ = case
+        i = spectra.n_spectra
+        train = np.array([[r for r in range(i) if r != n] for n in range(i)])
+        stacked = centered_svd(spectra.matrix[train], i - 2)
+        for n in range(i):
+            alone = centered_svd(spectra.matrix[train[n]], i - 2)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[n], want)
 
     @pytest.mark.parametrize("problem,pipeline_text", [
         (lambda: toy_problem(7, seed=9), "snv"),

@@ -29,7 +29,12 @@ preprocessing failures on (8, 7), so that their text is compared too:
 0 with one failed entry, and ``crossval --pipeline "baseline_als(1e300)"``,
 which exits 2; and ``crossval --pipeline identity`` on copies of the
 (8, 1) spectra CSV with every intensity times each of ``SCALES``, whose
-norms overflow or underflow if squared: ×2^600 exits 0 and ×1e-320 exits 2.
+norms overflow or underflow if squared: ×2^600 exits 0 and ×1e-320 exits 2;
+then two more refusals on (8, 7), which exit 2 and write only their log:
+``crossval --pipeline "savgol(301,150,0)"``, whose fit's design would
+overflow, and ``crossval --pipeline snv`` on a copy of the concentrations
+CSV with every concentration times ``CONC_SCALE`` (1e160), whose squared
+prediction errors overflow.
 
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
@@ -71,6 +76,8 @@ RECIPE = {
 BAD_RECIPE = {"species": [{"name": "analyte"}]}
 SCALED_SET = "n8_seed1"
 SCALES = {"x2p600": 2.0 ** 600, "x1em320": 1e-320}
+# concentrations whose squared prediction errors overflow
+CONC_SCALE = 1e160
 
 
 def write_quoted_copy(work: Path) -> None:
@@ -92,6 +99,17 @@ def write_scaled_copies(work: Path) -> None:
                   for axis, *values in (row.split(",") for row in rows)]
         (work / f"{SCALED_SET}_{tag}_spectra.csv").write_text(
             "\n".join([header, *scaled]) + "\n")
+
+
+def write_scaled_concentrations(work: Path) -> None:
+    """Copy the (8, 7) concentrations CSV in ``work`` with every
+    concentration times ``CONC_SCALE``."""
+    header, *rows = (work / "n8_seed7_conc.csv").read_text().splitlines()
+    scaled = [",".join([name, unit, *(repr(float(v) * CONC_SCALE)
+                                      for v in values)])
+              for name, unit, *values in (row.split(",") for row in rows)]
+    (work / "n8_seed7_x1e160_conc.csv").write_text(
+        "\n".join([header, *scaled]) + "\n")
 
 
 def write_recipe_configs(work: Path) -> None:
@@ -163,6 +181,14 @@ def commands() -> list:
          "--concentrations", f"{SCALED_SET}_conc.csv", "--pipeline",
          "identity", "--out-dir", f"{SCALED_SET}_{tag}_cv"]
         for tag in SCALES
+    ] + [
+        ["crossval", "--spectra", "n8_seed7_spectra.csv",
+         "--concentrations", "n8_seed7_conc.csv",
+         "--pipeline", "savgol(301,150,0)", "--out-dir", "savgol_overflow_cv"],
+        write_scaled_concentrations,
+        ["crossval", "--spectra", "n8_seed7_spectra.csv",
+         "--concentrations", "n8_seed7_x1e160_conc.csv", "--pipeline", "snv",
+         "--out-dir", "n8_seed7_x1e160_cv"],
     ]
 
 
