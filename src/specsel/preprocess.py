@@ -49,36 +49,37 @@ ROW_BLOCK = 128
 
 # --- operations on one spectrum or a matrix of spectra -----------------------
 
-def _as_rows(x: np.ndarray) -> np.ndarray:
-    """``x`` as a C-ordered matrix with one spectrum per row.
+def _as_rows(spectrum) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``spectrum`` as a C-ordered float matrix with one spectrum per row,
+    and the input's shape, which the operation's output takes back.
 
     Only on C-ordered data does a reduction along axis 1 give each row the
     bits it gets alone, whatever the other rows and the input's layout.
     """
-    return np.ascontiguousarray(np.atleast_2d(x))
+    x = np.asarray(spectrum, dtype=float)
+    return np.ascontiguousarray(np.atleast_2d(x)), x.shape
 
 
-def _rows_on_axis(spectrum, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float ``spectrum``, its ``_as_rows`` and float ``axis``; NonuniformAxis
-    unless the axis has one point per channel."""
-    x, ax = np.asarray(spectrum, dtype=float), np.asarray(axis, dtype=float)
-    rows = _as_rows(x)
+def _rows_on_axis(spectrum, axis):
+    """``_as_rows(spectrum)`` and the float ``axis``; NonuniformAxis unless
+    the axis has one point per channel."""
+    rows, shape = _as_rows(spectrum)
+    ax = np.asarray(axis, dtype=float)
     if rows.shape[1] != ax.size:
         raise NonuniformAxis(
             f"{rows.shape[1]} intensities for {ax.size} axis points")
-    return x, rows, ax
+    return rows, shape, ax
 
 
 def snv(spectrum) -> np.ndarray:
     """Center by the mean and scale by the sample standard deviation."""
-    x = np.asarray(spectrum, dtype=float)
-    rows = _as_rows(x)
+    rows, shape = _as_rows(spectrum)
     if rows.shape[1] < 2:
         raise ZeroVariance("need at least 2 points for variate scaling")
     sd = rows.std(axis=1, ddof=1, keepdims=True)
     if not sd.all():
         raise ZeroVariance("constant spectrum has no variance to scale by")
-    return ((rows - rows.mean(axis=1, keepdims=True)) / sd).reshape(x.shape)
+    return ((rows - rows.mean(axis=1, keepdims=True)) / sd).reshape(shape)
 
 
 def _check_rnv(percentile) -> None:
@@ -95,8 +96,7 @@ def rnv(spectrum, percentile: float) -> np.ndarray:
     scaling by the full-vector deviation.
     """
     _check_rnv(percentile)
-    x = np.asarray(spectrum, dtype=float)
-    rows = _as_rows(x)
+    rows, shape = _as_rows(spectrum)
     pct = np.percentile(rows, percentile, axis=1, keepdims=True)
     below = rows <= pct
     counts = below.sum(axis=1)
@@ -117,7 +117,7 @@ def rnv(spectrum, percentile: float) -> np.ndarray:
         raise DegenerateSubset(
             f"zero spread at or below the {percentile} percentile"
         )
-    return ((rows - pct) / sd).reshape(x.shape)
+    return ((rows - pct) / sd).reshape(shape)
 
 
 def _check_savgol(window, polyorder, deriv=0) -> None:
@@ -151,8 +151,7 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     window, so the output keeps the input length.
     """
     _check_savgol(window, polyorder, deriv)
-    x = np.asarray(spectrum, dtype=float)
-    rows = _as_rows(x)
+    rows, shape = _as_rows(spectrum)
     j = rows.shape[1]
     if window > j:
         raise WindowTooLarge(f"window {window} exceeds {j} channels")
@@ -178,7 +177,7 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     out[:, :half] = (operator[:half] @ rows[:, :window, None])[..., 0]
     out[:, j - half:] = (operator[half + 1:]
                          @ rows[:, j - window:, None])[..., 0]
-    return out.reshape(x.shape)
+    return out.reshape(shape)
 
 
 def _uniform_spacing(axis: np.ndarray) -> float:
@@ -206,15 +205,15 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
     order 1 removes a constant baseline, order 2 a linear one.
     """
     _check_derivative(order)
-    x, rows, ax = _rows_on_axis(spectrum, axis)
+    rows, shape, ax = _rows_on_axis(spectrum, axis)
     h = _uniform_spacing(ax)
     if order == 1:
-        return np.gradient(rows, h, axis=1, edge_order=1).reshape(x.shape)
+        return np.gradient(rows, h, axis=1, edge_order=1).reshape(shape)
     out = np.empty_like(rows)
     out[:, 1:-1] = (rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]) / h ** 2
     out[:, 0] = (rows[:, 0] - 2.0 * rows[:, 1] + rows[:, 2]) / h ** 2
     out[:, -1] = (rows[:, -3] - 2.0 * rows[:, -2] + rows[:, -1]) / h ** 2
-    return out.reshape(x.shape)
+    return out.reshape(shape)
 
 
 def _second_difference_bands(j: int, lam: float) -> np.ndarray:
@@ -266,8 +265,7 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     rounding leaves a system not positive definite.
     """
     _check_baseline_als(lam, p, iterations)
-    x = np.asarray(spectrum, dtype=float)
-    rows = _as_rows(x)
+    rows, shape = _as_rows(spectrum)
     i, j = rows.shape
     if j < MIN_ALS_CHANNELS:
         raise WindowTooLarge(
@@ -305,8 +303,7 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     except np.linalg.LinAlgError as exc:
         raise BadOrder(f"lambda {lam:g} and p {p:g} give a baseline system "
                        f"that is not positive definite ({exc})") from exc
-    baseline = baseline.reshape(x.shape)
-    return x - baseline, baseline
+    return (rows - baseline).reshape(shape), baseline.reshape(shape)
 
 
 def _check_despike(window, threshold) -> None:
@@ -324,8 +321,7 @@ def despike(spectrum, window: int = 7, threshold: float = 8.0) -> np.ndarray:
     bit-identically. Windows are truncated at the edges.
     """
     _check_despike(window, threshold)
-    x = np.asarray(spectrum, dtype=float)
-    rows = _as_rows(x)
+    rows, shape = _as_rows(spectrum)
     j = rows.shape[1]
     half = window // 2
     medians = np.empty_like(rows)
@@ -343,7 +339,7 @@ def despike(spectrum, window: int = 7, threshold: float = 8.0) -> np.ndarray:
     spikes = np.abs(rows - medians) > threshold * mads
     out = rows.copy()
     out[spikes] = medians[spikes]
-    return out.reshape(x.shape)
+    return out.reshape(shape)
 
 
 def _check_peak_normalize(reference_wavenumber, half_width) -> None:
@@ -355,7 +351,7 @@ def peak_normalize(spectrum, axis, reference_wavenumber: float,
                    half_width: float = 10.0) -> np.ndarray:
     """Scale so the maximum inside the reference-peak window becomes 1."""
     _check_peak_normalize(reference_wavenumber, half_width)
-    x, rows, ax = _rows_on_axis(spectrum, axis)
+    rows, shape, ax = _rows_on_axis(spectrum, axis)
     lo, hi = reference_wavenumber - half_width, reference_wavenumber + half_width
     if lo < ax[0] or hi > ax[-1]:
         raise WindowOutsideAxis(
@@ -374,7 +370,7 @@ def peak_normalize(spectrum, axis, reference_wavenumber: float,
             f"maximum inside window [{lo:g}, {hi:g}] cm-1 is "
             f"{peak[low[0], 0]:.6g}"
         )
-    return (rows / peak).reshape(x.shape)
+    return (rows / peak).reshape(shape)
 
 
 # --- pipeline steps -------------------------------------------------------------
