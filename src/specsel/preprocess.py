@@ -2,12 +2,19 @@
 
 Every operation takes one spectrum or an i x j matrix of spectra (one per
 row, plus the axis where it matters); a single spectrum is the one-row case
-of the same code. Rows never influence each other, so ``apply_pipeline``
-runs each step once on a block of rows and gets the bits a row-by-row loop
-would. Pipelines have a canonical text form,
-``step(arg,...)|step(arg,...)``, e.g. ``baseline_als(100000,0.01,10)|rnv(75)``;
-the empty pipeline is spelled ``identity``. Two pipelines are equal iff their
-canonical names are equal.
+of the same code. Rows never influence each other, and ``_as_rows`` alone
+turns the input into the C-ordered float rows every operation works on
+(and gives back the shape its output takes), so ``apply_pipeline`` runs
+each step once on a block of rows and gets the bits a row-by-row loop
+would. ``snv`` and ``rnv`` are scale-free over the float range: each first
+brings every row's largest magnitude into [0.5, 1) by a power of two,
+which is exact, so a power-of-two scale of a spectrum changes none of
+their output bits and no square of a deviation overflows.
+
+Pipelines have a canonical text form, ``step(arg,...)|step(arg,...)``,
+e.g. ``baseline_als(100000,0.01,10)|rnv(75)``; the empty pipeline is
+spelled ``identity``. Two pipelines are equal iff their canonical names
+are equal.
 
 A step is declared once, in ``_STEPS``: its aliases, its parameters (name,
 int or float, default), its range check and how it calls the operation.
@@ -25,6 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .decompose import scale_exponent
 from .errors import (
     BadOrder,
     DegenerateSubset,
@@ -71,11 +79,20 @@ def _rows_on_axis(spectrum, axis):
     return rows, shape, ax
 
 
+def _unit_scaled(rows: np.ndarray) -> np.ndarray:
+    """Each row times the power of two that brings its largest magnitude
+    into [0.5, 1). That is exact unless a value underflows, so a scale-free
+    step gets the same bits at every power-of-two scale of its input, and
+    no square of a deviation overflows."""
+    return np.ldexp(rows, -scale_exponent(rows, axis=1))
+
+
 def snv(spectrum) -> np.ndarray:
     """Center by the mean and scale by the sample standard deviation."""
     rows, shape = _as_rows(spectrum)
     if rows.shape[1] < 2:
         raise ZeroVariance("need at least 2 points for variate scaling")
+    rows = _unit_scaled(rows)
     sd = rows.std(axis=1, ddof=1, keepdims=True)
     if not sd.all():
         raise ZeroVariance("constant spectrum has no variance to scale by")
@@ -97,6 +114,7 @@ def rnv(spectrum, percentile: float) -> np.ndarray:
     """
     _check_rnv(percentile)
     rows, shape = _as_rows(spectrum)
+    rows = _unit_scaled(rows)
     pct = np.percentile(rows, percentile, axis=1, keepdims=True)
     below = rows <= pct
     counts = below.sum(axis=1)

@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -33,7 +34,8 @@ from specsel.preprocess import (
     snv,
 )
 from specsel import preprocess
-from specsel.preprocess import ROW_BLOCK, _STEPS, _second_difference_bands
+from specsel.preprocess import (ROW_BLOCK, _REQUIRED, _STEPS,
+                                _second_difference_bands)
 from specsel.cli import DEFAULT_CANDIDATES
 from specsel.spectra import SpectraSet
 from specsel.synth import tears_phantom
@@ -69,6 +71,13 @@ class TestSnv:
         assert np.array_equal(snv(4.0 * x), snv(x))
         assert_allclose(snv(3.7 * x), snv(x), rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_extreme_power_of_two_scale(self, k):
+        # the squares of the spread would underflow at 2^-600 and overflow
+        # at 2^600 if each row were not brought to unit scale first
+        x = np.random.default_rng(2).normal(size=(3, 100))
+        assert np.array_equal(snv(x * 2.0 ** k), snv(x))
+
 
 class TestRnv:
     def test_hand_case(self):
@@ -103,6 +112,11 @@ class TestRnv:
         rng = np.random.default_rng(5)
         x = rng.normal(size=64)
         assert np.array_equal(rnv(2.0 * x, 75.0), rnv(x, 75.0))
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_extreme_power_of_two_scale(self, k):
+        x = np.random.default_rng(5).normal(size=(3, 64))
+        assert np.array_equal(rnv(x * 2.0 ** k, 75.0), rnv(x, 75.0))
 
     def test_matrix_equals_per_spectrum_formula(self):
         # ties give rows different subset sizes
@@ -454,6 +468,34 @@ class TestPeakNormalize:
             peak_normalize(-np.ones(100), ax, 500.0, 10.0)
 
 
+# an input each operation refuses, with the message a user reads
+REFUSED_INPUTS = {
+    "rnv_one_point_below": (
+        lambda: rnv([1.0, 2.0, 3.0, 4.0], 10.0), DegenerateSubset,
+        "only 1 point(s) at or below the 10.0 percentile"),
+    "peak_window_between_channels": (
+        lambda: peak_normalize(np.ones(100), 400.0 + 2.0 * np.arange(100),
+                               501.0, 0.5),
+        WindowOutsideAxis, "no channel inside window [500.5, 501.5] cm-1"),
+    "snv_one_point": (
+        lambda: snv([1.0]), ZeroVariance,
+        "need at least 2 points for variate scaling"),
+    "als_seven_channels": (
+        lambda: baseline_als(np.ones(7)), WindowTooLarge,
+        "baseline estimation needs >= 8 channels, got 7"),
+    "derivative_decreasing_axis": (
+        lambda: derivative(np.ones(10), -np.arange(10.0), 1),
+        NonuniformAxis, "axis must be increasing"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", REFUSED_INPUTS.values(),
+                         ids=REFUSED_INPUTS.keys())
+def test_refuses_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestPipelineGrammar:
     def test_parse_and_canonical_name(self):
         p = parse_pipeline("Baseline_ALS(1e5, 0.01, 10) | RNV(75)")
@@ -559,6 +601,12 @@ OUT_OF_RANGE = [
 ]
 
 
+# the operation each step kind calls
+STEP_OPERATIONS = {"snv": "snv", "rnv": "rnv", "savgol": "savitzky_golay",
+                   "derivative": "derivative", "baseline_als": "baseline_als",
+                   "despike": "despike", "peak_normalize": "peak_normalize"}
+
+
 @st.composite
 def step_texts(draw):
     kind = draw(st.sampled_from(sorted(_STEPS)))
@@ -610,6 +658,21 @@ class TestStepTable:
     def test_out_of_range_cases_cover_every_checked_kind(self):
         checked = {kind for kind, spec in _STEPS.items() if spec.params}
         assert {text.split("(")[0] for text, *_ in OUT_OF_RANGE} == checked
+
+    @pytest.mark.parametrize("kind", sorted(_STEPS))
+    def test_params_match_the_operation_signature(self, kind):
+        # each default is written twice, in the step's params and in the
+        # operation's signature; the step names lam "lambda"
+        operation = getattr(preprocess, STEP_OPERATIONS[kind])
+        signature = inspect.signature(operation, eval_str=True)
+        declared = [(p.name, p.annotation, repr(p.default))
+                    for p in signature.parameters.values()
+                    if p.name not in ("spectrum", "axis", "delta")]
+        assert declared == [
+            ("lam" if name == "lambda" else name, type_,
+             repr(inspect.Parameter.empty if default is _REQUIRED
+                  else default))
+            for name, type_, default in _STEPS[kind].params]
 
     @pytest.mark.parametrize("text,operation", [
         ("snv", "snv"), ("rnv(75)", "rnv"), ("sg(7,2,1)", "savitzky_golay"),

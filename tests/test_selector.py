@@ -111,6 +111,21 @@ class TestSelectMethod:
         for e in (-60, -45, -36, 20, 100):
             assert payload(e) == base, e
 
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_snv_and_rnv_entries_at_extreme_intensity_scales(self, e):
+        # snv and rnv bring each row to unit scale by a power of two first,
+        # so no spread overflows or underflows and no warning is raised
+        spectra, conc = synth.tears_phantom(8, 7)
+        grid = [parse_pipeline(t) for t in (
+            "snv", "rnv(75)", "rnv(90)", "baseline_als(100000,0.01,10)|rnv(75)")]
+
+        def entries(scale):
+            report = select_method(
+                spectra.with_matrix(spectra.matrix * scale), conc, grid)
+            return json.dumps(report_payload(report)["candidates"])
+
+        assert entries(2.0 ** e) == entries(1.0)
+
     def test_all_candidates_failed(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
         flat = spectra.with_matrix(np.ones_like(spectra.matrix))

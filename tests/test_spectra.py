@@ -78,6 +78,11 @@ class TestSpectraSet:
         with pytest.raises(error, match=message):
             SpectraSet(axis, row[None, :], ("a",))
 
+    def test_refuses_no_spectra(self):
+        with pytest.raises(RaggedRows, match="^spectra set must contain at "
+                                             "least one spectrum$"):
+            SpectraSet(np.arange(10.0), np.empty((0, 10)), ())
+
     def test_immutable(self):
         ss = SpectraSet(np.arange(10.0), np.zeros((2, 10)), ("a", "b"))
         with pytest.raises(ValueError):
@@ -334,6 +339,14 @@ class TestLoadConcentrations:
         f = tmp_path / "c.csv"
         with pytest.raises(LabelMismatch, match="'s1 ' has leading or trailing"):
             save_concentrations(f, conc, ["s0", "s1 "])
+        assert not f.exists()
+
+    def test_save_refuses_label_count(self, tmp_path):
+        conc = ConcentrationSet([[0.25, 1.5, 2.0]], ("a",), ("mg/mL",))
+        f = tmp_path / "c.csv"
+        with pytest.raises(ShapeMismatch,
+                           match=r"^2 labels for 3 concentration columns$"):
+            save_concentrations(f, conc, ["s0", "s1"])
         assert not f.exists()
 
     @pytest.mark.parametrize("species,unit,message", [

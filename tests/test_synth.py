@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -56,11 +57,14 @@ class TestGenerate:
         assert abs(sigma - 0.01 * reference) < 0.2 * 0.01 * reference
 
     def test_species_mismatch(self):
+        # renamed, or the recipe's names in another order
         _, conc, recipe = noiseless_mixtures(n_samples=6)
-        renamed = ConcentrationSet(conc.matrix,
-                                   ("x", "y", "z"), conc.units)
-        with pytest.raises(RecipeSpeciesMismatch):
-            generate(recipe, renamed)
+        for species in (("x", "y", "z"), conc.species[::-1]):
+            other = ConcentrationSet(conc.matrix, species, conc.units)
+            with pytest.raises(RecipeSpeciesMismatch, match="^" + re.escape(
+                    f"recipe species {list(conc.species)} != concentration "
+                    f"species {list(species)}") + "$"):
+                generate(recipe, other)
 
     def test_rank_equals_varying_species(self):
         spectra, _, _ = noiseless_mixtures(n_samples=10, n_species=3)

@@ -34,7 +34,8 @@ then two more refusals on (8, 7), which exit 2 and write only their log:
 ``crossval --pipeline "savgol(301,150,0)"``, whose fit's design would
 overflow, and ``crossval --pipeline snv`` on a copy of the concentrations
 CSV with every concentration times ``CONC_SCALE`` (1e160), whose squared
-prediction errors overflow.
+prediction errors overflow; last, the default ``select`` on the (8, 1)
+×2^600 copy, which exits 0 with no failed candidate.
 
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
@@ -189,6 +190,9 @@ def commands() -> list:
         ["crossval", "--spectra", "n8_seed7_spectra.csv",
          "--concentrations", "n8_seed7_x1e160_conc.csv", "--pipeline", "snv",
          "--out-dir", "n8_seed7_x1e160_cv"],
+        ["select", "--spectra", f"{SCALED_SET}_x2p600_spectra.csv",
+         "--concentrations", f"{SCALED_SET}_conc.csv",
+         "--out", f"{SCALED_SET}_x2p600_select.json"],
     ]
 
 
