@@ -51,8 +51,10 @@ MIN_ALS_CHANNELS = 8
 
 # rows per call of a step in apply_pipeline: a step's transient arrays (the
 # ALS system alone is 3 x rows x channels, with its weights and right-hand
-# side) grow with the rows it gets, so blocks cap them whatever the set size
-ROW_BLOCK = 128
+# side) grow with the rows it gets, so blocks cap them whatever the set size.
+# At 64 rows of 701 channels they are small beside the output and the set's
+# copy of it; fewer rows would save little more for more calls
+ROW_BLOCK = 64
 
 
 # --- operations on one spectrum or a matrix of spectra -----------------------
@@ -309,10 +311,15 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
             if not active.size:
                 break
             targets = rows[active]
-            system = np.tile(penalty, active.size)
-            system[2] += weights.ravel()
-            solved = solveh_banded(system, (weights * targets).ravel(),
-                                   overwrite_ab=True, check_finite=False)
+            # row k's bands in system[k], so the C-ordered array is the
+            # Fortran-ordered (3, rows * channels) band storage LAPACK takes
+            system = np.empty((active.size, j, 3))
+            system[:] = penalty.T
+            system[:, :, 2] += weights
+            solved = solveh_banded(system.reshape(-1, 3).T,
+                                   (weights * targets).ravel(),
+                                   overwrite_ab=True, overwrite_b=True,
+                                   check_finite=False)
             solved = solved.reshape(active.size, j)
             baseline[active] = solved
             new_weights = np.where(targets > solved, p, 1.0 - p)

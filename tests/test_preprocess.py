@@ -1,5 +1,6 @@
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -811,3 +812,18 @@ class TestApplyPipeline:
         assert str(info.value) == (
             f"spectrum 's{ROW_BLOCK + 1}', step snv: constant spectrum has "
             f"no variance to scale by")
+
+    def test_peak_memory_of_readme_pipeline(self):
+        # the output and the set's own copy of it take twice the matrix;
+        # each step's transient arrays on one block of rows come on top.
+        # scipy.linalg is imported above, so its import is not traced
+        spectra, _ = tears_phantom(1000, 7)
+        pipe = parse_pipeline("baseline_als(100000,0.01,10)|rnv(75)")
+        tracemalloc.start()
+        try:
+            out = apply_pipeline(spectra, pipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.matrix.shape == spectra.matrix.shape
+        assert peak < 2.4 * spectra.matrix.nbytes
