@@ -78,7 +78,9 @@ class BadOrder(SpecselError):
 
 
 class NonuniformAxis(SpecselError):
-    """Finite differencing requires (near-)uniform channel spacing."""
+    """Finite differencing requires (near-)uniform channel spacing, not so
+    fine or coarse that its power by the derivative order leaves the normal
+    float range."""
 
 
 class WindowOutsideAxis(SpecselError):

@@ -27,6 +27,7 @@ Parameters must be finite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -171,6 +172,7 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     window, so the output keeps the input length.
     """
     _check_savgol(window, polyorder, deriv)
+    _check_spacing(delta, deriv)
     rows, shape = _as_rows(spectrum)
     j = rows.shape[1]
     if window > j:
@@ -200,6 +202,21 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     return out.reshape(shape)
 
 
+def _check_spacing(h: float, order: int) -> None:
+    """NonuniformAxis unless ``h ** order``, by which a derivative of that
+    order divides, is a normal positive float: a spacing so fine that the
+    power underflows, or so coarse that it overflows, would turn every
+    output non-finite."""
+    try:
+        power = float(h) ** order
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:
+        raise NonuniformAxis(
+            f"channel spacing {h:g} to the power {order} is not a normal "
+            f"positive float")
+
+
 def _uniform_spacing(axis: np.ndarray) -> float:
     steps = np.diff(axis)
     mean_step = steps.mean()
@@ -227,6 +244,7 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
     _check_derivative(order)
     rows, shape, ax = _rows_on_axis(spectrum, axis)
     h = _uniform_spacing(ax)
+    _check_spacing(h, order)
     if order == 1:
         return np.gradient(rows, h, axis=1, edge_order=1).reshape(shape)
     out = np.empty_like(rows)
@@ -278,9 +296,12 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     ``I + lam * D @ D.T`` once and takes the rows as its right-hand sides.
     Each later solve is one block-diagonal banded system of the rows still
     iterating: the zero leading corner cells of each row's bands decouple
-    it from the row before. A row stops at its fixed point, the first solve
-    whose new weights equal the weights it was solved with, since every
-    later solve would repeat that one bit for bit.
+    it from the row before. It is built as a C-ordered (rows, channels, 3)
+    array, which is the Fortran-ordered (3, rows * channels) band storage
+    LAPACK takes, so it is factored in place, not copied, and the
+    right-hand side becomes the solution. A row stops at its fixed point,
+    the first solve whose new weights equal the weights it was solved with,
+    since every later solve would repeat that one bit for bit.
     Returns (corrected, baseline). BadOrder names ``lam`` and ``p`` when
     rounding leaves a system not positive definite.
     """
@@ -311,8 +332,7 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
             if not active.size:
                 break
             targets = rows[active]
-            # row k's bands in system[k], so the C-ordered array is the
-            # Fortran-ordered (3, rows * channels) band storage LAPACK takes
+            # row k's bands transposed in system[k]: LAPACK's band storage
             system = np.empty((active.size, j, 3))
             system[:] = penalty.T
             system[:, :, 2] += weights

@@ -436,6 +436,27 @@ class TestSynthCrossval:
             "error: DegenerateMatrix: fold 's000': no usable component, so no "
             "PC count can be scored\n")
 
+    @pytest.mark.parametrize("pipeline,code", [
+        ("derivative(2)", 2), ("savgol(7,2,2)", 2),
+        ("derivative(1)", 0), ("savgol(7,2,1)", 0)])
+    def test_crossval_fine_axis_spacing(self, tmp_path, capsys, pipeline,
+                                        code):
+        # a spacing of 2e-300 cm-1 squared underflows to 0, so a second
+        # derivative is refused by name, with no numpy warning (pytest turns
+        # one into an error); a first derivative divides by the spacing
+        spectra, conc = synth.tears_phantom(8, 7)
+        axis = 2e-300 * np.arange(1, spectra.n_channels + 1)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, SpectraSet(axis, spectra.matrix, spectra.labels))
+        save_concentrations(cpath, conc, spectra.labels)
+        assert main(["crossval", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pipeline", pipeline,
+                     "--out-dir", str(tmp_path / "cv")]) == code
+        assert capsys.readouterr().err == ("" if code == 0 else (
+            f"error: NonuniformAxis: spectrum 's000', step {pipeline}: "
+            f"channel spacing 2e-300 to the power 2 is not a normal "
+            f"positive float\n"))
+
     def test_crossval_has_no_threads_option(self, mixture_files, tmp_path):
         spath, cpath, *_ = mixture_files
         with pytest.raises(SystemExit) as exc:

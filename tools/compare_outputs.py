@@ -34,8 +34,11 @@ then two more refusals on (8, 7), which exit 2 and write only their log:
 ``crossval --pipeline "savgol(301,150,0)"``, whose fit's design would
 overflow, and ``crossval --pipeline snv`` on a copy of the concentrations
 CSV with every concentration times ``CONC_SCALE`` (1e160), whose squared
-prediction errors overflow; last, the default ``select`` on the (8, 1)
-×2^600 copy, which exits 0 with no failed candidate.
+prediction errors overflow; the default ``select`` on the (8, 1) ×2^600
+copy, which exits 0 with no failed candidate; last, on a copy of the
+(8, 7) spectra CSV whose axis spacing is ``FINE_SPACING`` (2e-300),
+``crossval --pipeline "derivative(2)"``, which exits 2 because the
+spacing's square underflows, and ``"derivative(1)"``, which exits 0.
 
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
@@ -79,6 +82,8 @@ SCALED_SET = "n8_seed1"
 SCALES = {"x2p600": 2.0 ** 600, "x1em320": 1e-320}
 # concentrations whose squared prediction errors overflow
 CONC_SCALE = 1e160
+# an axis spacing whose square underflows to 0
+FINE_SPACING = 2e-300
 
 
 def write_quoted_copy(work: Path) -> None:
@@ -111,6 +116,16 @@ def write_scaled_concentrations(work: Path) -> None:
               for name, unit, *values in (row.split(",") for row in rows)]
     (work / "n8_seed7_x1e160_conc.csv").write_text(
         "\n".join([header, *scaled]) + "\n")
+
+
+def write_fine_axis_copy(work: Path) -> None:
+    """Copy the (8, 7) spectra CSV in ``work`` with the k-th axis point
+    (from 1) set to k times ``FINE_SPACING``."""
+    header, *rows = (work / "n8_seed7_spectra.csv").read_text().split()
+    spaced = [",".join([repr(k * FINE_SPACING), *row.split(",")[1:]])
+              for k, row in enumerate(rows, start=1)]
+    (work / "n8_seed7_fine_spectra.csv").write_text(
+        "\n".join([header, *spaced]) + "\n")
 
 
 def write_recipe_configs(work: Path) -> None:
@@ -193,6 +208,12 @@ def commands() -> list:
         ["select", "--spectra", f"{SCALED_SET}_x2p600_spectra.csv",
          "--concentrations", f"{SCALED_SET}_conc.csv",
          "--out", f"{SCALED_SET}_x2p600_select.json"],
+        write_fine_axis_copy,
+    ] + [
+        ["crossval", "--spectra", "n8_seed7_fine_spectra.csv",
+         "--concentrations", "n8_seed7_conc.csv", "--pipeline", pipeline,
+         "--out-dir", f"n8_seed7_fine_{tag}_cv"]
+        for tag, pipeline in (("d2", "derivative(2)"), ("d1", "derivative(1)"))
     ]
 
 
