@@ -169,7 +169,8 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
     ``h - window // 2`` from the window's centre. Interior channels take the
     middle row on their centred window; the first and last ``window // 2``
     channels take the first and last rows on the first and last full
-    window, so the output keeps the input length.
+    window, so the output keeps the input length. NonuniformAxis unless
+    ``delta ** deriv`` is a normal positive float.
     """
     _check_savgol(window, polyorder, deriv)
     _check_spacing(delta, deriv)
@@ -240,6 +241,8 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
 
     Central differences at interior points, one-sided at the two edges;
     order 1 removes a constant baseline, order 2 a linear one.
+    NonuniformAxis unless the axis is uniform and increasing, with a
+    spacing whose power ``order`` is a normal positive float.
     """
     _check_derivative(order)
     rows, shape, ax = _rows_on_axis(spectrum, axis)
