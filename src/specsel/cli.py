@@ -204,11 +204,11 @@ def cmd_predict(args, config) -> int:
     from .regress import load_model, pcr_predict
 
     model = load_model(args.model)
-    spectra = load_spectra(args.spectra)
     pipeline = parse_pipeline(model.pipeline_name)
-    processed = apply_pipeline(spectra, pipeline)
+    # no name holds the raw set, so it is freed once preprocessed
+    processed = apply_pipeline(load_spectra(args.spectra), pipeline)
     estimates = pcr_predict(model, processed)
-    save_matrix(args.out, estimates, list(spectra.labels),
+    save_matrix(args.out, estimates, list(processed.labels),
                 row_labels=list(model.species), row_label_header="species")
     print(f"wrote predictions {args.out}")
     return EXIT_OK

@@ -23,6 +23,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
 RANK_EPS = 1e-12
 MAX_CONDITION = 1e6
+# spectra centred at a time by project: their copy stays small beside a batch
+PROJECT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -177,11 +179,24 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
 
 def project(model, new_set: SpectraSet) -> np.ndarray:
     """Scores of new spectra in the basis of a PcaModel or PcrModel:
-    (X - mean_spectrum) @ loadings, on the model's axis."""
+    (x - mean_spectrum) @ loadings for each spectrum x, on the model's axis.
+
+    Each spectrum is its own (1 x j) @ (j x k) product, so its scores have
+    the same bits whatever other spectra come with it, and the centred
+    spectra exist only ``PROJECT_BLOCK`` rows at a time.
+    """
     if new_set.axis.shape != model.axis.shape or not np.array_equal(
             new_set.axis, model.axis):
         raise AxisMismatch(
             "new spectra are not on the model's training axis"
         )
-    return (new_set.matrix - model.mean_spectrum) @ model.loadings
+    matrix = new_set.matrix
+    scores = np.empty((matrix.shape[0], model.loadings.shape[1]))
+    for start in range(0, matrix.shape[0], PROJECT_BLOCK):
+        # one expression, so each block's centred copy is freed before the
+        # next is made
+        block = slice(start, start + PROJECT_BLOCK)
+        scores[block] = ((matrix[block] - model.mean_spectrum)[:, None, :]
+                         @ model.loadings)[:, 0]
+    return scores
 

@@ -302,7 +302,9 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     it from the row before. It is built as a C-ordered (rows, channels, 3)
     array, which is the Fortran-ordered (3, rows * channels) band storage
     LAPACK takes, so it is factored in place, not copied, and the
-    right-hand side becomes the solution. A row stops at its fixed point,
+    right-hand side becomes the solution. Both live in buffers allocated
+    once per call for all the rows, of which each solve fills the leading
+    ones, so no solve allocates them again. A row stops at its fixed point,
     the first solve whose new weights equal the weights it was solved with,
     since every later solve would repeat that one bit for bit.
     Returns (corrected, baseline). BadOrder names ``lam`` and ``p`` when
@@ -331,18 +333,22 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
         weights = np.where(rows > baseline, p, 1.0 - p)
         moving = (weights != 1.0).any(axis=1)
         active, weights = np.flatnonzero(moving), weights[moving]
+        # one system and right-hand side for every later solve, of which
+        # each takes the leading rows: a C-ordered prefix, so still
+        # LAPACK's band storage
+        bands, rhs = np.empty((i, j, 3)), np.empty((i, j))
         for _ in range(iterations - 1):
             if not active.size:
                 break
             targets = rows[active]
             # row k's bands transposed in system[k]: LAPACK's band storage
-            system = np.empty((active.size, j, 3))
+            system = bands[:active.size]
             system[:] = penalty.T
             system[:, :, 2] += weights
-            solved = solveh_banded(system.reshape(-1, 3).T,
-                                   (weights * targets).ravel(),
-                                   overwrite_ab=True, overwrite_b=True,
-                                   check_finite=False)
+            solved = solveh_banded(
+                system.reshape(-1, 3).T,
+                np.multiply(weights, targets, out=rhs[:active.size]).ravel(),
+                overwrite_ab=True, overwrite_b=True, check_finite=False)
             solved = solved.reshape(active.size, j)
             baseline[active] = solved
             new_weights = np.where(targets > solved, p, 1.0 - p)
@@ -577,10 +583,11 @@ def parse_pipeline(text: str) -> Pipeline:
 def apply_pipeline(spectra: SpectraSet, pipeline: Pipeline) -> SpectraSet:
     """Apply the steps in order to every spectrum; the axis never changes.
 
-    Each step runs once per block of ``ROW_BLOCK`` rows. The error raised
-    is the one a spectrum-by-spectrum loop meets first: that of the first
-    spectrum in row order that fails, at its first failing step, with the
-    spectrum label and step name attached.
+    Each step runs once per block of ``ROW_BLOCK`` rows, into one output
+    matrix that the new set keeps as its own rather than copying. The error
+    raised is the one a spectrum-by-spectrum loop meets first: that of the
+    first spectrum in row order that fails, at its first failing step, with
+    the spectrum label and step name attached.
     """
     if not pipeline.steps:
         return spectra
@@ -595,7 +602,7 @@ def apply_pipeline(spectra: SpectraSet, pipeline: Pipeline) -> SpectraSet:
             _raise_first_failure(spectra, pipeline, range(start, stop))
             raise
         out[start:stop] = block
-    return spectra.with_matrix(out)
+    return spectra._adopt_matrix(out)
 
 
 def _raise_first_failure(spectra: SpectraSet, pipeline: Pipeline,

@@ -9,7 +9,8 @@ its ``repr``: the shortest text that parses back to the same float, with
 NaN as ``nan``. So save/load is exact. Model files, reports and configs are
 JSON, read by ``read_json`` and written by ``write_json``. Each frozen data
 type stores its arrays through ``_set_arrays``, one table of field shapes
-per type, and its lists of names through ``_set_names``, one rule for all.
+per type, as copies unless handed over as ``_Owned``, and its lists of
+names through ``_set_names``, one rule for all.
 
 A CSV's cells are parsed as the file is read, in chunks of about
 ``CHUNK_CELLS`` cells, so the file never sits in memory as one Python
@@ -30,7 +31,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,16 +100,29 @@ def _check_samples(conc, i: int, what: str = "concentration") -> None:
         raise ShapeMismatch(f"{conc.n_samples} {what} columns for {i} spectra")
 
 
+class _Owned(NamedTuple):
+    """An array handed to a frozen data type to keep as its own: the one
+    way a field takes an array without copying it. Only for a freshly
+    allocated array that no one else holds, since the field freezes it."""
+
+    array: np.ndarray
+
+
 def _set_arrays(obj, shapes: dict[str, tuple[int, ...]],
                 nonfinite_row: dict | None = None) -> None:
     """Store each field of the frozen dataclass ``obj`` named in ``shapes``,
     in order, as a read-only float copy of that shape; C-ordered whatever
     the input's layout (a CSV body is Fortran-ordered), so a row's
-    reductions give the same bits from every source. Raises ShapeMismatch,
-    or NonFiniteValue naming the field or, by ``nonfinite_row[name](row)``,
-    the first row with a NaN or an infinity."""
+    reductions give the same bits from every source. A field given as
+    ``_Owned`` keeps that array itself, frozen, if it is already a C-ordered
+    float array. Raises ShapeMismatch, or NonFiniteValue naming the field
+    or, by ``nonfinite_row[name](row)``, the first row with a NaN or an
+    infinity."""
     for name, shape in shapes.items():
-        arr = np.array(getattr(obj, name), dtype=float, order="C")
+        value = getattr(obj, name)
+        arr = (np.asarray(value.array, dtype=float, order="C")
+               if isinstance(value, _Owned)
+               else np.array(value, dtype=float, order="C"))
         if arr.shape != shape:
             raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
@@ -165,8 +179,15 @@ class SpectraSet:
         return self.matrix.shape[1]
 
     def with_matrix(self, matrix: np.ndarray) -> "SpectraSet":
-        """Same axis and labels, new intensities (used by preprocessing)."""
+        """Same axis and labels, new intensities (a copy of ``matrix``)."""
         return SpectraSet(self.axis, matrix, self.labels)
+
+    def _adopt_matrix(self, matrix: np.ndarray) -> "SpectraSet":
+        """``with_matrix`` that keeps ``matrix`` itself, frozen, instead of a
+        copy, with the same shape and non-finite checks: for a freshly
+        allocated C-ordered float matrix its caller then drops, as
+        ``apply_pipeline``'s output."""
+        return SpectraSet(self.axis, _Owned(matrix), self.labels)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,35 @@ class TestPcrPredict:
         assert every_count.shape == (2, 30, 6)
         assert np.array_equal(pcr_predict(model, batch),
                               every_count[:, :, -1])
+
+    def test_spectrum_gets_same_bits_in_any_batch(self):
+        # each spectrum is projected on its own, so neither its neighbours
+        # nor its row in the batch move a bit of its estimates
+        model = train_final(*tears_phantom(20, 7), IDENTITY, 5)
+        batch, _ = tears_phantom(1000, 100007)
+        every = pcr_predict(model, batch)
+
+        def rows(start, stop):
+            return pcr_predict(model, SpectraSet(
+                batch.axis, batch.matrix[start:stop],
+                batch.labels[start:stop]))
+
+        assert np.array_equal(rows(0, 10), every[:, :10])
+        for n in [*range(10), 65, 513, 999]:
+            assert np.array_equal(rows(n, n + 1), every[:, n:n + 1]), n
+
+    def test_memory_above_inputs(self):
+        # no centred copy of the batch: project centres a block of rows at
+        # a time, and the estimates are small beside the spectra
+        model = train_final(*tears_phantom(20, 7), IDENTITY, 5)
+        batch, _ = tears_phantom(1000, 100007)
+        tracemalloc.start()
+        try:
+            pcr_predict(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / batch.matrix.nbytes <= 0.25
 
     def test_noiseless_self_prediction(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=10, n_species=3)
