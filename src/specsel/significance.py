@@ -7,7 +7,9 @@ If the group means differ significantly (one-way F-test), the PC counts
 that beat the worst-performing one are short-listed and the pick combines
 low error with strong significance, a tie going to fewer components; if
 they do not, the preprocessing pipeline itself is flagged as unsuitable and
-the fallback is the smallest PRESS sum.
+the fallback is the smallest PRESS sum. Both tests run on the PRESS
+columns divided by one power of two, so the verdict is the same whatever
+the concentration unit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decompose import scale_exponent
 from .errors import DegenerateMatrix
 
 _TINY = 1e-300
@@ -79,6 +82,26 @@ def _columns(press_matrix, min_size: int = 1) -> np.ndarray:
     return np.ascontiguousarray(values.T)
 
 
+def _scaled_groups(press_matrix, log_transform: bool):
+    """The gate's groups: ``_columns`` of a matrix of at least 2 x 2, after
+    log10 if ``log_transform``, divided by 2^e, e being ``scale_exponent``
+    of them. Returns (those columns, their means, their within-group sum of
+    squares, e). F and the pairwise t^2 are ratios of squares of these, so
+    they do not depend on the concentration unit and no square overflows or
+    underflows; at normal scales the division changes none of their bits."""
+    columns = _columns(press_matrix, min_size=2)
+    if log_transform:
+        columns = np.log10(np.maximum(columns, _TINY))
+    e = scale_exponent(columns).item()
+    columns = np.ldexp(columns, -e)
+    group_means = columns.mean(axis=1)
+    # running totals of the column sums: np.sum would add them pairwise
+    # and round differently
+    sse = float(np.cumsum(
+        np.sum((columns - group_means[:, None]) ** 2, axis=1))[-1])
+    return columns, group_means, sse, e
+
+
 def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
                  log_transform: bool = False) -> AnovaResult:
     """One-way ANOVA with each PC-count column as a treatment group.
@@ -86,21 +109,14 @@ def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
     Takes a finite matrix of at least 2 rows and 2 columns, else raises
     DegenerateMatrix. With ``log_transform`` the test runs on log10 of the
     values (useful when PRESS spans orders of magnitude) and the result
-    says so.
+    says so. The test runs on the columns scaled by a power of two
+    (``_scaled_groups``); ``sst``, ``sse`` and ``group_means`` are scaled
+    back exactly, a value beyond the float range reading inf or 0.
     """
-    columns = _columns(press_matrix, min_size=2)
-    notes = []
-    if log_transform:
-        columns = np.log10(np.maximum(columns, _TINY))
-        notes.append("ANOVA computed on log10-transformed PRESS values")
-
+    columns, group_means, sse, e = _scaled_groups(press_matrix, log_transform)
+    notes = (["ANOVA computed on log10-transformed PRESS values"]
+             if log_transform else [])
     n_groups, n_rows = columns.shape
-    group_means = columns.mean(axis=1)
-    group_means.setflags(write=False)
-    # running totals of the column sums: np.sum would add them pairwise
-    # and round differently
-    sse = float(np.cumsum(
-        np.sum((columns - group_means[:, None]) ** 2, axis=1))[-1])
     grand_mean = float(np.cumsum(columns.sum(axis=1))[-1]) / columns.size
     sst = float(np.sum(n_rows * (group_means - grand_mean) ** 2))
     df_treat = n_groups - 1
@@ -113,6 +129,10 @@ def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
     else:
         f_stat = (sst / df_treat) / (sse / df_error)
         p_value = 1.0 - f_cdf(f_stat, df_treat, df_error)
+    with np.errstate(over="ignore", under="ignore"):
+        sst, sse = float(np.ldexp(sst, 2 * e)), float(np.ldexp(sse, 2 * e))
+        group_means = np.ldexp(group_means, e)
+    group_means.setflags(write=False)
     return AnovaResult(
         sst=sst, sse=sse, f_statistic=f_stat, p_value=p_value,
         df_treat=df_treat, df_error=df_error, group_means=group_means,
@@ -227,10 +247,11 @@ def select_optimal_pc(press_matrix, alpha: float = DEFAULT_ALPHA,
     sum_press.setflags(write=False)
     notes = list(anova.notes)
     pairwise_p: dict[int, float] = {}
+    # the scaled groups the ANOVA ran on, whose squares stay in range
+    _, means, sse, _ = _scaled_groups(press_matrix, log_transform)
     if anova.significant:
-        means = anova.group_means
         worst = np.argmax(means)
-        mse = anova.sse / anova.df_error
+        mse = sse / anova.df_error
         for m in np.flatnonzero(means < means[worst]):
             if mse == 0.0:
                 p_pair = 0.0
@@ -253,7 +274,7 @@ def select_optimal_pc(press_matrix, alpha: float = DEFAULT_ALPHA,
 
     if pairwise_p:
         cand = np.asarray(list(pairwise_p)) - 1
-        rank_sum = (_stable_ranks(anova.group_means[cand])
+        rank_sum = (_stable_ranks(means[cand])
                     + _stable_ranks(list(pairwise_p.values())))
         best = cand[np.argmin(rank_sum)]
     else:

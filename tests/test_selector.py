@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,28 @@ class TestSelectMethod:
             return json.dumps(report_payload(report)["candidates"])
 
         assert entries(2.0 ** e) == entries(1.0)
+
+    @pytest.mark.parametrize("e", [-300, 300])
+    def test_verdicts_do_not_depend_on_concentration_unit(self, e):
+        # PRESS scales by 4^e, so its squared deviations would leave the
+        # float range; the gate divides the PRESS columns by a power of two
+        # first, so the verdicts stay and no overflow warning is raised
+        from specsel.cli import DEFAULT_CANDIDATES
+        spectra, conc = synth.tears_phantom(8, 7)
+        grid = [parse_pipeline(t) for t in DEFAULT_CANDIDATES]
+
+        def verdicts(scale):
+            scaled = ConcentrationSet(conc.matrix * scale, conc.species,
+                                      conc.units)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = select_method(spectra, scaled, grid)
+            return (report.chosen_pipeline, report.chosen_pc,
+                    report.chosen_significant,
+                    [(entry.pipeline_name, entry.verdict.significant,
+                      entry.verdict.optimal_pc) for entry in report.entries])
+
+        assert verdicts(2.0 ** e) == verdicts(1.0)
 
     def test_all_candidates_failed(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
