@@ -87,8 +87,8 @@ def _scaled_groups(press_matrix, log_transform: bool):
     log10 if ``log_transform``, divided by 2^e, e being ``scale_exponent``
     of them. Returns (those columns, their means, their within-group sum of
     squares, e). F and the pairwise t^2 are ratios of squares of these, so
-    they do not depend on the concentration unit and no square overflows or
-    underflows; at normal scales the division changes none of their bits."""
+    they do not depend on the concentration unit, and no square overflows;
+    at normal scales the division changes none of their bits."""
     columns = _columns(press_matrix, min_size=2)
     if log_transform:
         columns = np.log10(np.maximum(columns, _TINY))
