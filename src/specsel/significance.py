@@ -121,13 +121,16 @@ def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
     sst = float(np.sum(n_rows * (group_means - grand_mean) ** 2))
     df_treat = n_groups - 1
     df_error = columns.size - n_groups
-    if sse == 0.0 and sst == 0.0:
-        notes.append("degenerate PRESS matrix: all values identical")
+    # a mean square can round to 0 where its sum of squares does not
+    ms_treat, ms_error = sst / df_treat, sse / df_error
+    if ms_treat == 0.0:
+        if sse == 0.0:
+            notes.append("degenerate PRESS matrix: all values identical")
         f_stat, p_value = 0.0, 1.0
-    elif sse == 0.0:
+    elif ms_error == 0.0:
         f_stat, p_value = math.inf, 0.0
     else:
-        f_stat = (sst / df_treat) / (sse / df_error)
+        f_stat = ms_treat / ms_error
         p_value = 1.0 - f_cdf(f_stat, df_treat, df_error)
     with np.errstate(over="ignore", under="ignore"):
         sst, sse = float(np.ldexp(sst, 2 * e)), float(np.ldexp(sse, 2 * e))
@@ -251,12 +254,13 @@ def select_optimal_pc(press_matrix, alpha: float = DEFAULT_ALPHA,
     _, means, sse, _ = _scaled_groups(press_matrix, log_transform)
     if anova.significant:
         worst = np.argmax(means)
-        mse = sse / anova.df_error
+        # the mean square of a difference of two column means
+        ms_diff = sse / anova.df_error * (2 / n_rows)
         for m in np.flatnonzero(means < means[worst]):
-            if mse == 0.0:
+            if ms_diff == 0.0:
                 p_pair = 0.0
             else:
-                t_sq = (means[worst] - means[m]) ** 2 / (mse * (2 / n_rows))
+                t_sq = float(means[worst] - means[m]) ** 2 / ms_diff
                 p_pair = 1.0 - f_cdf(t_sq, 1, anova.df_error)
             if p_pair < alpha:
                 pairwise_p[int(m) + 1] = p_pair

@@ -178,15 +178,11 @@ class SpectraSet:
     def n_channels(self) -> int:
         return self.matrix.shape[1]
 
-    def with_matrix(self, matrix: np.ndarray) -> "SpectraSet":
-        """Same axis and labels, new intensities (a copy of ``matrix``)."""
-        return SpectraSet(self.axis, matrix, self.labels)
-
     def _adopt_matrix(self, matrix: np.ndarray) -> "SpectraSet":
-        """``with_matrix`` that keeps ``matrix`` itself, frozen, instead of a
-        copy, with the same shape and non-finite checks: for a freshly
-        allocated C-ordered float matrix its caller then drops, as
-        ``apply_pipeline``'s output."""
+        """Same axis and labels, new intensities: ``matrix`` itself, frozen,
+        not a copy, with the constructor's shape and non-finite checks. For
+        a freshly allocated C-ordered float matrix its caller then drops,
+        as ``apply_pipeline``'s output."""
         return SpectraSet(self.axis, _Owned(matrix), self.labels)
 
 

@@ -407,7 +407,8 @@ class TestSynthCrossval:
         ``tears_phantom(8, 1)`` with its intensities times ``scale``."""
         spectra, conc = synth.tears_phantom(8, 1)
         spath, cpath = tmp_path / f"s{scale}.csv", tmp_path / "c.csv"
-        save_spectra(spath, spectra.with_matrix(spectra.matrix * scale))
+        save_spectra(spath, SpectraSet(spectra.axis, spectra.matrix * scale,
+                                       spectra.labels))
         save_concentrations(cpath, conc, spectra.labels)
         out_dir = tmp_path / f"cv{scale}"
         code = main(["crossval", "--spectra", str(spath), "--concentrations",
@@ -808,7 +809,8 @@ class TestSelect:
         spectra, conc = synth.tears_phantom(8, 7)
         twice = np.r_[0:4, 0:4]
         spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
-        save_spectra(spath, spectra.with_matrix(spectra.matrix[twice]))
+        save_spectra(spath, SpectraSet(spectra.axis, spectra.matrix[twice],
+                                       spectra.labels))
         save_concentrations(cpath, ConcentrationSet(
             conc.matrix[:, twice], conc.species, conc.units), spectra.labels)
         out = tmp_path / "report.json"
@@ -1022,8 +1024,9 @@ class TestTrainPredict:
         from specsel.synth import tears_phantom
         spectra, conc = tears_phantom(6, 3)
         spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
-        save_spectra(spath, spectra.with_matrix(
-            np.tile(spectra.matrix[0], (spectra.n_spectra, 1))))
+        save_spectra(spath, SpectraSet(
+            spectra.axis, np.tile(spectra.matrix[0], (spectra.n_spectra, 1)),
+            spectra.labels))
         save_concentrations(cpath, conc, spectra.labels)
         model_path = tmp_path / "model.json"
         code = main(["train", "--spectra", str(spath), "--concentrations",

@@ -234,8 +234,9 @@ class TestLooPressMatrix:
 
     def test_preprocess_failure_is_labelled(self):
         spectra, conc = toy_problem(5, seed=5)
-        flat = spectra.with_matrix(
-            np.vstack([spectra.matrix[:4], np.ones(12)]))
+        flat = SpectraSet(spectra.axis,
+                          np.vstack([spectra.matrix[:4], np.ones(12)]),
+                          spectra.labels)
         with pytest.raises(ZeroVariance) as info:
             loo_press_matrix(flat, conc, parse_pipeline("snv"))
         assert str(info.value) == ("spectrum 's4', step snv: constant "

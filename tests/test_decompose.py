@@ -191,7 +191,8 @@ class TestPcaFit:
         # with scores scaled by it
         ss = random_spectra_set(i=8, j=40, seed=9)
         base = pca_fit(ss, 5)
-        scaled = pca_fit(ss.with_matrix(ss.matrix * 2.0 ** e), 5)
+        scaled = pca_fit(
+            SpectraSet(ss.axis, ss.matrix * 2.0 ** e, ss.labels), 5)
         assert scaled.n_components == base.n_components == 5
         assert np.array_equal(scaled.loadings, base.loadings)
         assert np.array_equal(scaled.scores, base.scores * 2.0 ** e)
@@ -201,7 +202,8 @@ class TestPcaFit:
         # centering leaves only rounding of the set's level, at any unit
         ss = random_spectra_set(i=7, j=30, seed=10)
         level = np.tile(ss.matrix[0] + 5.0, (7, 1)) * 2.0 ** e
-        assert pca_fit(ss.with_matrix(level), 3).n_components == 0
+        flat = SpectraSet(ss.axis, level, ss.labels)
+        assert pca_fit(flat, 3).n_components == 0
 
 
 class TestUsableComponents:

@@ -703,7 +703,7 @@ class TestStepTable:
         monkeypatch.setattr(preprocess, operation,
                             lambda *a, **k: calls.append(1) or original(*a, **k))
         ss = random_spectra_set(i=3, j=40, seed=17)
-        ss = ss.with_matrix(ss.matrix + 10.0)
+        ss = SpectraSet(ss.axis, ss.matrix + 10.0, ss.labels)
         apply_pipeline(ss, parse_pipeline(text))
         assert calls == [1]
 
@@ -748,7 +748,7 @@ class TestApplyPipeline:
 
     def test_composition_matches_manual(self):
         ss = random_spectra_set(i=4, j=60, seed=9)
-        shifted = ss.with_matrix(ss.matrix + 40.0)
+        shifted = SpectraSet(ss.axis, ss.matrix + 40.0, ss.labels)
         pipe = parse_pipeline("baseline_als(1e5,0.01,10)|rnv(75)")
         out = apply_pipeline(shifted, pipe)
         for n in range(shifted.n_spectra):

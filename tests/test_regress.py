@@ -63,8 +63,8 @@ class TestPcrFit:
         conc = ConcentrationSet(rng.uniform(0.0, 2.0, (2, 8)), ("a", "b"),
                                 ("u", "u"))
         base = pcr_fit(pca_fit(ss, 3), conc)
-        huge = pcr_fit(pca_fit(ss.with_matrix(ss.matrix * 2.0 ** 600), 3),
-                       conc)
+        huge_set = SpectraSet(ss.axis, ss.matrix * 2.0 ** 600, ss.labels)
+        huge = pcr_fit(pca_fit(huge_set, 3), conc)
         assert_allclose(huge.coeffs * 2.0 ** 600, base.coeffs, rtol=1e-12)
 
     def test_zero_concentrations(self):
@@ -98,7 +98,8 @@ class TestPcrFit:
 
     def test_no_components(self):
         ss = random_spectra_set(i=7, j=35, seed=28)
-        pca = pca_fit(ss.with_matrix(np.tile(ss.matrix[0], (7, 1))), 2)
+        pca = pca_fit(
+            SpectraSet(ss.axis, np.tile(ss.matrix[0], (7, 1)), ss.labels), 2)
         assert pca.n_components == 0
         conc = ConcentrationSet(np.ones((1, 7)), ("a",), ("u",))
         with pytest.raises(SingularScores, match="^no usable component, so "

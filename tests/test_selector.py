@@ -39,6 +39,20 @@ def holdout_mixtures(recipe, n, conc_seed):
     return synth.generate(recipe, conc), conc
 
 
+def default_verdicts(spectra, conc):
+    """The default grid's chosen pair and each candidate's (significant,
+    optimal PC), with any warning an error."""
+    from specsel.cli import DEFAULT_CANDIDATES
+    grid = [parse_pipeline(t) for t in DEFAULT_CANDIDATES]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = select_method(spectra, conc, grid)
+    return (report.chosen_pipeline, report.chosen_pc,
+            report.chosen_significant,
+            [(entry.pipeline_name, entry.verdict.significant,
+              entry.verdict.optimal_pc) for entry in report.entries])
+
+
 class TestSelectMethod:
     def test_identity_on_noiseless_mixtures(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=10, n_species=3)
@@ -73,8 +87,10 @@ class TestSelectMethod:
 
     def test_failed_candidate_is_entry_not_abort(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
-        flat = spectra.with_matrix(
-            np.vstack([spectra.matrix[:-1], np.ones(spectra.n_channels)]))
+        flat = SpectraSet(
+            spectra.axis,
+            np.vstack([spectra.matrix[:-1], np.ones(spectra.n_channels)]),
+            spectra.labels)
         bad = parse_pipeline("snv")   # constant row breaks snv
         report = select_method(flat, conc, [bad, IDENTITY], alpha=0.05)
         assert not report.entries[0].ok
@@ -104,7 +120,8 @@ class TestSelectMethod:
         grid = [parse_pipeline(t) for t in DEFAULT_CANDIDATES]
 
         def payload(e):
-            scaled = spectra.with_matrix(spectra.matrix * 2.0 ** e)
+            scaled = SpectraSet(spectra.axis, spectra.matrix * 2.0 ** e,
+                                spectra.labels)
             return json.dumps(report_payload(select_method(scaled, conc,
                                                            grid)))
 
@@ -122,7 +139,8 @@ class TestSelectMethod:
 
         def entries(scale):
             report = select_method(
-                spectra.with_matrix(spectra.matrix * scale), conc, grid)
+                SpectraSet(spectra.axis, spectra.matrix * scale,
+                           spectra.labels), conc, grid)
             return json.dumps(report_payload(report)["candidates"])
 
         assert entries(2.0 ** e) == entries(1.0)
@@ -132,26 +150,39 @@ class TestSelectMethod:
         # PRESS scales by 4^e, so its squared deviations would leave the
         # float range; the gate divides the PRESS columns by a power of two
         # first, so the verdicts stay and no overflow warning is raised
-        from specsel.cli import DEFAULT_CANDIDATES
         spectra, conc = synth.tears_phantom(8, 7)
-        grid = [parse_pipeline(t) for t in DEFAULT_CANDIDATES]
+        scaled = ConcentrationSet(conc.matrix * 2.0 ** e, conc.species,
+                                  conc.units)
+        assert default_verdicts(spectra, scaled) == \
+            default_verdicts(spectra, conc)
 
-        def verdicts(scale):
-            scaled = ConcentrationSet(conc.matrix * scale, conc.species,
-                                      conc.units)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                report = select_method(spectra, scaled, grid)
-            return (report.chosen_pipeline, report.chosen_pc,
-                    report.chosen_significant,
-                    [(entry.pipeline_name, entry.verdict.significant,
-                      entry.verdict.optimal_pc) for entry in report.entries])
-
-        assert verdicts(2.0 ** e) == verdicts(1.0)
+    @pytest.mark.parametrize("transform", [
+        # the samples in another order, spectra and concentrations alike
+        lambda s, c, perm=np.random.default_rng(0).permutation(8): (
+            SpectraSet(s.axis, s.matrix[perm],
+                       tuple(s.labels[k] for k in perm)),
+            ConcentrationSet(c.matrix[:, perm], c.species, c.units)),
+        lambda s, c: (s, ConcentrationSet(c.matrix[::-1], c.species[::-1],
+                                          c.units[::-1])),
+        lambda s, c: (SpectraSet(s.axis, s.matrix,
+                                 tuple(f"x{k}" for k in range(8))), c),
+        lambda s, c: (SpectraSet(s.axis + 1000.0, s.matrix, s.labels), c),
+        lambda s, c: (SpectraSet(s.axis * 2.0, s.matrix, s.labels), c),
+        lambda s, c: (s, ConcentrationSet(
+            np.vstack([c.matrix, np.full(8, 3.0)]),
+            (*c.species, "constant"), (*c.units, "mg/mL"))),
+    ], ids=["permuted", "species_reversed", "relabelled", "axis_plus_1000",
+            "axis_times_2", "constant_species"])
+    def test_verdicts_survive_metamorphic_transform(self, transform):
+        # none of these changes what the data say about a pipeline
+        spectra, conc = synth.tears_phantom(8, 7)
+        assert default_verdicts(*transform(spectra, conc)) == \
+            default_verdicts(spectra, conc)
 
     def test_all_candidates_failed(self):
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
-        flat = spectra.with_matrix(np.ones_like(spectra.matrix))
+        flat = SpectraSet(spectra.axis, np.ones_like(spectra.matrix),
+                          spectra.labels)
         with pytest.raises(AllCandidatesFailed):
             select_method(flat, conc, [parse_pipeline("snv")], alpha=0.05)
 

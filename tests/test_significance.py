@@ -348,3 +348,22 @@ def test_non_finite_cell_refused(gate, cell):
     with pytest.raises(DegenerateMatrix,
                        match=f"row 3, column pc_4 is {cell}, not finite"):
         gate(table)
+
+
+@pytest.mark.parametrize("m", [1, 7, 2 ** 20])
+def test_mean_square_rounding_to_zero_is_infinitely_significant(m):
+    # column 2 is 2^-484 with cell 0 raised by m * 2^-536, so its sum of
+    # squares is a nonzero subnormal: the error mean square rounds to 0
+    # at m = 1, the pairwise difference's at m = 7, and t^2 overflows at
+    # m = 2^20; each reads F and t^2 = inf, p = 0, with no exception and
+    # no warning
+    table = np.ones((40, 2))
+    table[:, 1] = 2.0 ** -484
+    table[0, 1] += m * 2.0 ** -536
+    for anova in (anova_oneway(table), select_optimal_pc(table).anova):
+        assert anova.sse > 0.0
+        assert anova.f_statistic == math.inf and anova.p_value == 0.0
+        assert anova.notes == ()
+    verdict = select_optimal_pc(table)
+    assert verdict.pairwise_p == {2: 0.0}
+    assert verdict.optimal_pc == 2

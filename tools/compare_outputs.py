@@ -1,4 +1,4 @@
-"""Run a fixed list of specsel commands under two source trees and compare
+"""Run a fixed table of specsel commands under two source trees and compare
 every file they write, byte for byte.
 
 Usage, from anywhere:
@@ -6,39 +6,18 @@ Usage, from anywhere:
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory holding the ``specsel`` package, such as a
-checkout's ``src``. For each tree the commands run in a fresh temporary
-directory, with that tree first on ``PYTHONPATH``, BLAS pinned to one
-thread and only relative paths on the command line, so both trees should
-write the same bytes. Each command's exit code, standard output and
-standard error go to a log file there and are compared too.
+checkout's ``src``. For each tree the steps of ``steps()`` run in order in
+a fresh temporary directory, with that tree first on ``PYTHONPATH``, BLAS
+pinned to one thread and only relative paths on the command line, so both
+trees should write the same bytes. A step is either a specsel argument
+list, whose exit code, standard output and standard error go to a numbered
+log file there and are compared too, or a tuple of writers that make input
+files from earlier outputs (``rewrite`` copies a CSV with some cells
+changed, ``config`` writes a recipe file).
 
-The commands: ``synth``, then ``select`` on the default grid with and
-without ``--log-press``, and ``crossval --pipeline snv``, on
-``tears_phantom`` (8, 7), (20, 7), (40, 11) and (100, 7); ``train`` with
-the README pipeline at 5 components on (20, 7); ``predict`` with that
-model on a 200-spectrum batch; ``crossval --pipeline snv`` on a copy of
-the (20, 7) spectra CSV with LF line endings and a quoted cell every
-``QUOTE_EVERY`` rows, which the reader parses on its csv path, not with
-numpy's C reader; ``synth --config`` with the custom ``RECIPE`` (species
-as objects, a polynomial baseline and spikes) and ``crossval --pipeline
-snv`` on its output; four refusals, which exit 2 and write only their
-log: ``synth --n 3``, ``crossval --pipeline "bogus(1)"``,
-``train --pc 0`` and ``synth --config`` with ``BAD_RECIPE``; and two
-preprocessing failures on (8, 7), so that their text is compared too:
-``select --candidate snv --candidate "peak_normalize(5000)"``, which exits
-0 with one failed entry, and ``crossval --pipeline "baseline_als(1e300)"``,
-which exits 2; and ``crossval --pipeline identity`` on copies of the
-(8, 1) spectra CSV with every intensity times each of ``SCALES``, whose
-norms overflow or underflow if squared: ×2^600 exits 0 and ×1e-320 exits 2;
-then two more refusals on (8, 7), which exit 2 and write only their log:
-``crossval --pipeline "savgol(301,150,0)"``, whose fit's design would
-overflow, and ``crossval --pipeline snv`` on a copy of the concentrations
-CSV with every concentration times ``CONC_SCALE`` (1e160), whose squared
-prediction errors overflow; the default ``select`` on the (8, 1) ×2^600
-copy, which exits 0 with no failed candidate; last, on a copy of the
-(8, 7) spectra CSV whose axis spacing is ``FINE_SPACING`` (2e-300),
-``crossval --pipeline "derivative(2)"``, which exits 2 because the
-spacing's square underflows, and ``"derivative(1)"``, which exits 0.
+To add a case, append a step to ``steps()`` with a one-line comment on what
+it pins, building its arguments with ``pair``, ``synth`` and ``crossval``.
+Appending keeps the numbers of the earlier logs.
 
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
@@ -61,8 +40,6 @@ CHILD_MAIN = "import sys; from specsel.cli import main; sys.exit(main())"
 PHANTOMS = [(8, 7), (20, 7), (40, 11), (100, 7)]
 README_PIPELINE = "baseline_als(100000,0.01,10)|rnv(75)"
 TRAIN_SET = "n20_seed7"
-BATCH_N, BATCH_SEED = 200, 8
-QUOTED_SET = "n20_seed7_quoted"
 # rows between quoted cells: fewer than a chunk of the 21-column body
 QUOTE_EVERY = 64
 RECIPE = {
@@ -79,6 +56,7 @@ RECIPE = {
 # refused: a species needs peaks
 BAD_RECIPE = {"species": [{"name": "analyte"}]}
 SCALED_SET = "n8_seed1"
+# intensity scales whose squared norms overflow or underflow
 SCALES = {"x2p600": 2.0 ** 600, "x1em320": 1e-320}
 # concentrations whose squared prediction errors overflow
 CONC_SCALE = 1e160
@@ -86,134 +64,137 @@ CONC_SCALE = 1e160
 FINE_SPACING = 2e-300
 
 
-def write_quoted_copy(work: Path) -> None:
-    """Copy the (20, 7) spectra CSV in ``work`` with LF line endings and the
-    last cell of every ``QUOTE_EVERY``-th line quoted."""
-    lines = (work / f"{TRAIN_SET}_spectra.csv").read_bytes().split(b"\r\n")
-    for n in range(1, len(lines) - 1, QUOTE_EVERY):
-        head, _, last = lines[n].rpartition(b",")
-        lines[n] = head + b',"' + last + b'"'
-    (work / f"{QUOTED_SET}_spectra.csv").write_bytes(b"\n".join(lines))
+def pair(spectra: str, conc: str | None = None) -> list:
+    """The options naming ``{spectra}_spectra.csv`` and, by default from
+    the same tag, ``{conc}_conc.csv``."""
+    return ["--spectra", f"{spectra}_spectra.csv",
+            "--concentrations", f"{conc or spectra}_conc.csv"]
 
 
-def write_scaled_copies(work: Path) -> None:
-    """Copy the (8, 1) spectra CSV in ``work`` once per ``SCALES`` entry,
-    with every intensity (not the axis) times that scale."""
-    header, *rows = (work / f"{SCALED_SET}_spectra.csv").read_text().split()
-    for tag, scale in SCALES.items():
-        scaled = [",".join([axis, *(repr(float(v) * scale) for v in values)])
-                  for axis, *values in (row.split(",") for row in rows)]
-        (work / f"{SCALED_SET}_{tag}_spectra.csv").write_text(
-            "\n".join([header, *scaled]) + "\n")
+def synth(tag: str, *options: str) -> list:
+    """``synth`` with ``options``, writing the CSV pair of ``tag``."""
+    return ["synth", *options, "--out-spectra", f"{tag}_spectra.csv",
+            "--out-concentrations", f"{tag}_conc.csv"]
 
 
-def write_scaled_concentrations(work: Path) -> None:
-    """Copy the (8, 7) concentrations CSV in ``work`` with every
-    concentration times ``CONC_SCALE``."""
-    header, *rows = (work / "n8_seed7_conc.csv").read_text().splitlines()
-    scaled = [",".join([name, unit, *(repr(float(v) * CONC_SCALE)
-                                      for v in values)])
-              for name, unit, *values in (row.split(",") for row in rows)]
-    (work / "n8_seed7_x1e160_conc.csv").write_text(
-        "\n".join([header, *scaled]) + "\n")
+def crossval(spectra: str, pipeline: str, out_dir: str,
+             conc: str | None = None) -> list:
+    """``crossval`` of ``pipeline`` on ``pair(spectra, conc)``."""
+    return ["crossval", *pair(spectra, conc), "--pipeline", pipeline,
+            "--out-dir", out_dir]
 
 
-def write_fine_axis_copy(work: Path) -> None:
-    """Copy the (8, 7) spectra CSV in ``work`` with the k-th axis point
-    (from 1) set to k times ``FINE_SPACING``."""
-    header, *rows = (work / "n8_seed7_spectra.csv").read_text().split()
-    spaced = [",".join([repr(k * FINE_SPACING), *row.split(",")[1:]])
-              for k, row in enumerate(rows, start=1)]
-    (work / "n8_seed7_fine_spectra.csv").write_text(
-        "\n".join([header, *spaced]) + "\n")
+def rewrite(source: str, target: str, cells):
+    """A writer that copies the CSV ``source`` in the working directory to
+    ``target`` with LF line endings, the cells of its k-th body line (from
+    0) replaced by ``cells(k, those cells)``."""
+    def write(work: Path) -> None:
+        header, *rows = (work / source).read_text().splitlines()
+        body = [",".join(cells(k, row.split(",")))
+                for k, row in enumerate(rows)]
+        (work / target).write_text("\n".join([header, *body, ""]))
+    return write
 
 
-def write_recipe_configs(work: Path) -> None:
-    """Write ``RECIPE`` and ``BAD_RECIPE`` as config files in ``work``."""
-    for name, recipe in (("recipe", RECIPE), ("bad_recipe", BAD_RECIPE)):
+def scaled(factor: float, lead: int):
+    """Cells for ``rewrite``: the ``lead`` first kept, the rest times
+    ``factor``."""
+    return lambda k, cells: [*cells[:lead],
+                             *(repr(float(v) * factor) for v in cells[lead:])]
+
+
+def config(name: str, recipe: dict):
+    """A writer of ``recipe`` as the config file ``{name}.json``."""
+    def write(work: Path) -> None:
         (work / f"{name}.json").write_text(json.dumps({"recipe": recipe}))
+    return write
 
 
-def commands() -> list:
-    """The specsel argument lists, in the order they run; a function in the
-    list is called with the working directory instead."""
-    runs = []
+def steps() -> list:
+    """The steps in run order: a specsel argument list, or a tuple of
+    writers, each called with the working directory."""
+    table = []
     for n, seed in PHANTOMS:
         tag = f"n{n}_seed{seed}"
-        pair = ["--spectra", f"{tag}_spectra.csv",
-                "--concentrations", f"{tag}_conc.csv"]
-        runs += [
-            ["synth", "--n", str(n), "--seed", str(seed),
-             "--out-spectra", f"{tag}_spectra.csv",
-             "--out-concentrations", f"{tag}_conc.csv"],
-            ["select", *pair, "--out", f"{tag}_select.json"],
-            ["select", *pair, "--log-press", "--out", f"{tag}_select_log.json"],
-            ["crossval", *pair, "--pipeline", "snv", "--out-dir", f"{tag}_cv"],
+        table += [
+            # synthesis and the CSV writer
+            synth(tag, "--n", str(n), "--seed", str(seed)),
+            # the default grid through the ANOVA gate to the report
+            ["select", *pair(tag), "--out", f"{tag}_select.json"],
+            # the gate on log10 PRESS
+            ["select", *pair(tag), "--log-press",
+             "--out", f"{tag}_select_log.json"],
+            # one pipeline's PRESS matrix and box plots
+            crossval(tag, "snv", f"{tag}_cv"),
         ]
-    return runs + [
-        ["train", "--spectra", f"{TRAIN_SET}_spectra.csv",
-         "--concentrations", f"{TRAIN_SET}_conc.csv",
-         "--pipeline", README_PIPELINE, "--pc", "5", "--out-model", "model.json"],
-        ["synth", "--n", str(BATCH_N), "--seed", str(BATCH_SEED),
-         "--out-spectra", "batch_spectra.csv",
-         "--out-concentrations", "batch_conc.csv"],
+    return table + [
+        # the final fit and the model file, with the README pipeline
+        ["train", *pair(TRAIN_SET), "--pipeline", README_PIPELINE,
+         "--pc", "5", "--out-model", "model.json"],
+        # a 200-spectrum batch
+        synth("batch", "--n", "200", "--seed", "8"),
+        # preprocessing and projection of new spectra
         ["predict", "--model", "model.json", "--spectra", "batch_spectra.csv",
          "--out", "predictions.csv"],
-        write_quoted_copy,
-        ["crossval", "--spectra", f"{QUOTED_SET}_spectra.csv",
-         "--concentrations", f"{TRAIN_SET}_conc.csv", "--pipeline", "snv",
-         "--out-dir", f"{QUOTED_SET}_cv"],
-        ["synth", "--n", "3", "--out-spectra", "n3_spectra.csv",
-         "--out-concentrations", "n3_conc.csv"],
-        ["crossval", "--spectra", "n8_seed7_spectra.csv",
-         "--concentrations", "n8_seed7_conc.csv", "--pipeline", "bogus(1)",
-         "--out-dir", "bogus_cv"],
-        ["train", "--spectra", f"{TRAIN_SET}_spectra.csv",
-         "--concentrations", f"{TRAIN_SET}_conc.csv", "--pc", "0",
+        # quoted cells, which the reader parses on its csv path
+        (rewrite(f"{TRAIN_SET}_spectra.csv",
+                 f"{TRAIN_SET}_quoted_spectra.csv",
+                 lambda k, cells: [*cells[:-1], f'"{cells[-1]}"']
+                 if k % QUOTE_EVERY == 0 else cells),),
+        # that path gives the same PRESS as numpy's C reader
+        crossval(f"{TRAIN_SET}_quoted", "snv", f"{TRAIN_SET}_quoted_cv",
+                 TRAIN_SET),
+        # refused, exit 2: too few spectra
+        synth("n3", "--n", "3"),
+        # refused, exit 2: an unknown operation
+        crossval("n8_seed7", "bogus(1)", "bogus_cv"),
+        # refused, exit 2: zero components
+        ["train", *pair(TRAIN_SET), "--pc", "0",
          "--out-model", "pc0_model.json"],
-        write_recipe_configs,
-        ["--config", "recipe.json", "synth", "--n", "12", "--seed", "5",
-         "--out-spectra", "recipe_spectra.csv",
-         "--out-concentrations", "recipe_conc.csv"],
-        ["crossval", "--spectra", "recipe_spectra.csv",
-         "--concentrations", "recipe_conc.csv", "--pipeline", "snv",
-         "--out-dir", "recipe_cv"],
-        ["--config", "bad_recipe.json", "synth",
-         "--out-spectra", "bad_recipe_spectra.csv",
-         "--out-concentrations", "bad_recipe_conc.csv"],
-        ["select", "--spectra", "n8_seed7_spectra.csv",
-         "--concentrations", "n8_seed7_conc.csv", "--candidate", "snv",
+        # a custom recipe and one without peaks
+        (config("recipe", RECIPE), config("bad_recipe", BAD_RECIPE)),
+        # species as objects, a polynomial baseline and spikes
+        ["--config", "recipe.json",
+         *synth("recipe", "--n", "12", "--seed", "5")],
+        # PRESS on the recipe's output
+        crossval("recipe", "snv", "recipe_cv"),
+        # refused, exit 2: a species without peaks
+        ["--config", "bad_recipe.json", *synth("bad_recipe")],
+        # exit 0 with one failed candidate in the report
+        ["select", *pair("n8_seed7"), "--candidate", "snv",
          "--candidate", "peak_normalize(5000)",
          "--out", "failed_candidate_select.json"],
-        ["crossval", "--spectra", "n8_seed7_spectra.csv",
-         "--concentrations", "n8_seed7_conc.csv",
-         "--pipeline", "baseline_als(1e300)", "--out-dir", "failed_als_cv"],
-        ["synth", "--n", "8", "--seed", "1",
-         "--out-spectra", f"{SCALED_SET}_spectra.csv",
-         "--out-concentrations", f"{SCALED_SET}_conc.csv"],
-        write_scaled_copies,
-    ] + [
-        ["crossval", "--spectra", f"{SCALED_SET}_{tag}_spectra.csv",
-         "--concentrations", f"{SCALED_SET}_conc.csv", "--pipeline",
-         "identity", "--out-dir", f"{SCALED_SET}_{tag}_cv"]
-        for tag in SCALES
-    ] + [
-        ["crossval", "--spectra", "n8_seed7_spectra.csv",
-         "--concentrations", "n8_seed7_conc.csv",
-         "--pipeline", "savgol(301,150,0)", "--out-dir", "savgol_overflow_cv"],
-        write_scaled_concentrations,
-        ["crossval", "--spectra", "n8_seed7_spectra.csv",
-         "--concentrations", "n8_seed7_x1e160_conc.csv", "--pipeline", "snv",
-         "--out-dir", "n8_seed7_x1e160_cv"],
-        ["select", "--spectra", f"{SCALED_SET}_x2p600_spectra.csv",
-         "--concentrations", f"{SCALED_SET}_conc.csv",
+        # exit 2: a preprocessing failure's text
+        crossval("n8_seed7", "baseline_als(1e300)", "failed_als_cv"),
+        # the set that SCALES scales
+        synth(SCALED_SET, "--n", "8", "--seed", "1"),
+        # its intensities times each of SCALES
+        tuple(rewrite(f"{SCALED_SET}_spectra.csv",
+                      f"{SCALED_SET}_{tag}_spectra.csv", scaled(factor, 1))
+              for tag, factor in SCALES.items()),
+        # x2p600 exits 0, x1em320 exits 2
+        *(crossval(f"{SCALED_SET}_{tag}", "identity",
+                   f"{SCALED_SET}_{tag}_cv", SCALED_SET) for tag in SCALES),
+        # refused, exit 2: the fit's design would overflow
+        crossval("n8_seed7", "savgol(301,150,0)", "savgol_overflow_cv"),
+        # the concentrations times CONC_SCALE
+        (rewrite("n8_seed7_conc.csv", "n8_seed7_x1e160_conc.csv",
+                 scaled(CONC_SCALE, 2)),),
+        # refused, exit 2: squared prediction errors overflow
+        crossval("n8_seed7", "snv", "n8_seed7_x1e160_cv", "n8_seed7_x1e160"),
+        # exit 0 with no failed candidate at x2p600
+        ["select", *pair(f"{SCALED_SET}_x2p600", SCALED_SET),
          "--out", f"{SCALED_SET}_x2p600_select.json"],
-        write_fine_axis_copy,
-    ] + [
-        ["crossval", "--spectra", "n8_seed7_fine_spectra.csv",
-         "--concentrations", "n8_seed7_conc.csv", "--pipeline", pipeline,
-         "--out-dir", f"n8_seed7_fine_{tag}_cv"]
-        for tag, pipeline in (("d2", "derivative(2)"), ("d1", "derivative(1)"))
+        # the axis at FINE_SPACING, 2 * FINE_SPACING, ...
+        (rewrite("n8_seed7_spectra.csv", "n8_seed7_fine_spectra.csv",
+                 lambda k, cells: [repr((k + 1) * FINE_SPACING),
+                                   *cells[1:]]),),
+        # derivative(2) exits 2, the spacing's square underflowing;
+        # derivative(1) exits 0
+        *(crossval("n8_seed7_fine", pipeline, f"n8_seed7_fine_{tag}_cv",
+                   "n8_seed7")
+          for tag, pipeline in (("d2", "derivative(2)"),
+                                ("d1", "derivative(1)"))),
     ]
 
 
@@ -233,17 +214,18 @@ def tree_env(src: Path) -> dict:
 
 
 def run_all(env: dict, work: Path) -> None:
-    """Run every command under ``env``, in ``work``."""
-    for index, argv in enumerate(commands()):
-        if callable(argv):
-            argv(work)
+    """Run every step under ``env``, in ``work``."""
+    for index, step in enumerate(steps()):
+        if isinstance(step, tuple):
+            for write in step:
+                write(work)
             continue
-        result = subprocess.run([sys.executable, "-c", CHILD_MAIN, *argv],
+        result = subprocess.run([sys.executable, "-c", CHILD_MAIN, *step],
                                 cwd=work, env=env, capture_output=True,
                                 text=True)
-        command = argv[2] if argv[0] == "--config" else argv[0]
+        command = step[2] if step[0] == "--config" else step[0]
         (work / f"{index:02d}_{command}.log").write_text(
-            f"$ specsel {' '.join(argv)}\nexit {result.returncode}\n"
+            f"$ specsel {' '.join(step)}\nexit {result.returncode}\n"
             f"--- stdout\n{result.stdout}--- stderr\n{result.stderr}")
 
 
@@ -278,7 +260,7 @@ def main(argv=None) -> int:
     if diff:
         print(f"differs: {diff}")
         return 1
-    runs = sum(not callable(argv) for argv in commands())
+    runs = sum(not isinstance(step, tuple) for step in steps())
     print(f"all {count} files identical ({runs} commands)")
     return 0
 
