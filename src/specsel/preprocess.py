@@ -117,6 +117,8 @@ def rnv(spectrum, percentile: float) -> np.ndarray:
     """
     _check_rnv(percentile)
     rows, shape = _as_rows(spectrum)
+    if rows.shape[1] < 2:
+        raise DegenerateSubset("need at least 2 points for percentile scaling")
     rows = _unit_scaled(rows)
     pct = np.percentile(rows, percentile, axis=1, keepdims=True)
     below = rows <= pct
@@ -219,6 +221,8 @@ def _check_spacing(h: float, order: int) -> None:
 
 
 def _uniform_spacing(axis: np.ndarray) -> float:
+    if axis.size < 2:
+        raise WindowTooLarge(f"spacing needs >= 2 channels, got {axis.size}")
     steps = np.diff(axis)
     mean_step = steps.mean()
     if mean_step <= 0:
@@ -241,11 +245,15 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
 
     Central differences at interior points, one-sided at the two edges;
     order 1 removes a constant baseline, order 2 a linear one.
-    NonuniformAxis unless the axis is uniform and increasing, with a
-    spacing whose power ``order`` is a normal positive float.
+    WindowTooLarge below ``order + 1`` channels; NonuniformAxis unless the
+    axis is uniform and increasing, with a spacing whose power ``order`` is
+    a normal positive float.
     """
     _check_derivative(order)
     rows, shape, ax = _rows_on_axis(spectrum, axis)
+    if rows.shape[1] <= order:
+        raise WindowTooLarge(f"derivative of order {order} needs >= "
+                             f"{order + 1} channels, got {rows.shape[1]}")
     h = _uniform_spacing(ax)
     _check_spacing(h, order)
     if order == 1:
@@ -407,6 +415,8 @@ def peak_normalize(spectrum, axis, reference_wavenumber: float,
     _check_peak_normalize(reference_wavenumber, half_width)
     rows, shape, ax = _rows_on_axis(spectrum, axis)
     lo, hi = reference_wavenumber - half_width, reference_wavenumber + half_width
+    if not ax.size:
+        raise WindowOutsideAxis(f"empty axis for window [{lo:g}, {hi:g}] cm-1")
     if lo < ax[0] or hi > ax[-1]:
         raise WindowOutsideAxis(
             f"window [{lo:g}, {hi:g}] cm-1 not inside axis "

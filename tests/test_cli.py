@@ -916,9 +916,10 @@ class TestTrainPredict:
 
     def test_commands_import_only_the_modules_they_run(self, tmp_path,
                                                       mixture_files):
-        # importing the package loads no submodule, and validate, synth and
-        # predict never load cross-validation, selection or a thread pool;
-        # a fresh interpreter, because the test process has them all
+        # importing the package loads no submodule, the CLI the modules
+        # README lists, and synth, validate and predict add only what they
+        # run and never a thread pool; a fresh interpreter, because the
+        # test process has them all
         spath, cpath, *_ = mixture_files
         assert main(["train", "--spectra", str(spath), "--concentrations",
                      str(cpath), "--pipeline", "snv", "--pc", "2",
@@ -926,20 +927,29 @@ class TestTrainPredict:
         script = textwrap.dedent("""
             import sys
             import specsel
-            assert [m for m in sys.modules if m.startswith("specsel")] == [
-                "specsel"]
+
+            def loaded():
+                return sorted(m for m in sys.modules
+                              if m.startswith("specsel"))
+
+            assert loaded() == ["specsel"]
             from specsel.cli import main
-            unused = ("specsel.crossval", "specsel.selector",
-                      "concurrent.futures")
-            for argv in (
-                    ["synth", "--n", "8", "--out-spectra", "s8.csv",
-                     "--out-concentrations", "c8.csv"],
-                    ["validate", "--spectra", "spectra.csv",
-                     "--concentrations", "conc.csv"],
-                    ["predict", "--model", "m.json", "--spectra",
-                     "spectra.csv", "--out", "p.csv"]):
+            expected = ["specsel", "specsel.cli", "specsel.decompose",
+                        "specsel.errors", "specsel.significance",
+                        "specsel.spectra"]
+            assert loaded() == expected, loaded()
+            for argv, adds in (
+                    (["synth", "--n", "8", "--out-spectra", "s8.csv",
+                      "--out-concentrations", "c8.csv"], ["specsel.synth"]),
+                    (["validate", "--spectra", "spectra.csv",
+                      "--concentrations", "conc.csv"], []),
+                    (["predict", "--model", "m.json", "--spectra",
+                      "spectra.csv", "--out", "p.csv"],
+                     ["specsel.preprocess", "specsel.regress"])):
                 assert main(argv) == 0, argv
-                assert not [m for m in unused if m in sys.modules], argv[0]
+                expected = sorted(expected + adds)
+                assert loaded() == expected, (argv[0], loaded())
+                assert "concurrent.futures" not in sys.modules, argv[0]
             listed = dir(specsel)
             for name in specsel.__all__:
                 assert getattr(specsel, name) is not None, name

@@ -1,6 +1,7 @@
 import inspect
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from specsel.errors import (
     NonpositivePeak,
     NonuniformAxis,
     PipelineSyntaxError,
+    SpecselError,
     WindowOutsideAxis,
     WindowTooLarge,
     ZeroVariance,
@@ -501,6 +503,15 @@ REFUSED_INPUTS = {
         lambda: savitzky_golay(np.ones(20), 7, 2, 1, delta=0.0),
         NonuniformAxis,
         "channel spacing 0 to the power 1 is not a normal positive float"),
+    "derivative_two_channels_second_order": (
+        lambda: derivative(np.array([1.0, 2.0]), [0.0, 1.0], 2),
+        WindowTooLarge, "derivative of order 2 needs >= 3 channels, got 2"),
+    "rnv_no_channel": (
+        lambda: rnv(np.ones(0), 75.0), DegenerateSubset,
+        "need at least 2 points for percentile scaling"),
+    "peak_normalize_empty_axis": (
+        lambda: peak_normalize(np.ones(0), np.ones(0), 500.0, 10.0),
+        WindowOutsideAxis, "empty axis for window [490, 510] cm-1"),
 }
 
 
@@ -669,6 +680,32 @@ class TestStepTable:
         with pytest.raises(NonuniformAxis,
                            match=r"^100 intensities for 50 axis points$"):
             direct(base.matrix + 10.0, base.axis[:50])
+
+    # at least one step of every kind, with the fewest channels a spectrum
+    # can have; a SpectraSet holds at least 8
+    SHORT_SPECTRUM_STEPS = ("snv", "rnv(75)", "savgol(5,2,0)",
+                            "savgol(5,2,1)", "derivative(1)",
+                            "derivative(2)", "baseline_als", "despike",
+                            "peak_normalize(1,1)")
+
+    def test_short_spectrum_steps_cover_every_kind(self):
+        assert {parse_pipeline(text).steps[0].kind
+                for text in self.SHORT_SPECTRUM_STEPS} == set(_STEPS)
+
+    @pytest.mark.parametrize("channels", [0, 1, 2])
+    @pytest.mark.parametrize("text", SHORT_SPECTRUM_STEPS)
+    def test_short_spectrum_returns_or_refuses(self, text, channels):
+        # a result, or a SpecselError with no warning first: never an
+        # IndexError, an empty reduction or a mean of an empty slice
+        step = parse_pipeline(text).steps[0]
+        x, ax = np.arange(1.0, channels + 1.0), np.arange(float(channels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = step.apply(x, ax)
+            except SpecselError:
+                return
+        assert out.shape == x.shape
 
     def test_out_of_range_cases_cover_every_checked_kind(self):
         checked = {kind for kind, spec in _STEPS.items() if spec.params}
