@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisMismatch, BadOrder, NoConvergence
-from .spectra import SpectraSet, _set_arrays
+from .spectra import ROW_BLOCK, SpectraSet, _set_arrays
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
 RANK_EPS = 1e-12
 MAX_CONDITION = 1e6
-# spectra centred at a time by project: their copy stays small beside a batch
-PROJECT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,7 @@ def project(model, new_set: SpectraSet) -> np.ndarray:
 
     Each spectrum is its own (1 x j) @ (j x k) product, so its scores have
     the same bits whatever other spectra come with it, and the centred
-    spectra exist only ``PROJECT_BLOCK`` rows at a time.
+    spectra exist only ``ROW_BLOCK`` rows at a time.
     """
     if new_set.axis.shape != model.axis.shape or not np.array_equal(
             new_set.axis, model.axis):
@@ -192,10 +190,10 @@ def project(model, new_set: SpectraSet) -> np.ndarray:
         )
     matrix = new_set.matrix
     scores = np.empty((matrix.shape[0], model.loadings.shape[1]))
-    for start in range(0, matrix.shape[0], PROJECT_BLOCK):
+    for start in range(0, matrix.shape[0], ROW_BLOCK):
         # one expression, so each block's centred copy is freed before the
         # next is made
-        block = slice(start, start + PROJECT_BLOCK)
+        block = slice(start, start + ROW_BLOCK)
         scores[block] = ((matrix[block] - model.mean_spectrum)[:, None, :]
                          @ model.loadings)[:, 0]
     return scores

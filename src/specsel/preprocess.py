@@ -45,17 +45,10 @@ from .errors import (
     WindowTooLarge,
     ZeroVariance,
 )
-from .spectra import SpectraSet
+from .spectra import ROW_BLOCK, SpectraSet
 
 
 MIN_ALS_CHANNELS = 8
-
-# rows per call of a step in apply_pipeline: a step's transient arrays (the
-# ALS system alone is 3 x rows x channels, with its weights and right-hand
-# side) grow with the rows it gets, so blocks cap them whatever the set size.
-# At 64 rows of 701 channels they peak near 3.3 MB whatever the set size;
-# fewer rows would save little more for more calls
-ROW_BLOCK = 64
 
 
 # --- operations on one spectrum or a matrix of spectra -----------------------
@@ -300,21 +293,22 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     Smoothness comes from a second-difference penalty (weight ``lam``);
     points above the running estimate get the small weight ``p`` so the
     baseline hugs the bottom of the spectrum. Each of the ``iterations``
-    solves the pentadiagonal system ``(W + lam * D @ D.T) z = W x`` by a
-    banded Cholesky factorization (``scipy.linalg``).
+    solves the pentadiagonal system ``(W + lam * D @ D.T) z = W x`` by one
+    banded Cholesky driver, ``scipy.linalg.solveh_banded`` (LAPACK pbsv).
 
-    Every row starts from unit weights, so the first solve factors
-    ``I + lam * D @ D.T`` once and takes the rows as its right-hand sides.
-    Each later solve is one block-diagonal banded system of the rows still
-    iterating: the zero leading corner cells of each row's bands decouple
-    it from the row before. It is built as a C-ordered (rows, channels, 3)
-    array, which is the Fortran-ordered (3, rows * channels) band storage
-    LAPACK takes, so it is factored in place, not copied, and the
-    right-hand side becomes the solution. Both live in buffers allocated
-    once per call for all the rows, of which each solve fills the leading
-    ones, so no solve allocates them again. A row stops at its fixed point,
-    the first solve whose new weights equal the weights it was solved with,
-    since every later solve would repeat that one bit for bit.
+    Every row starts active with the unit weight 1.0, so the first solve
+    factors ``I + lam * D @ D.T`` once and takes the rows as its right-hand
+    sides. Each later pass first computes every active row's new weights
+    from its last solve and drops the rows at their fixed point, whose new
+    weights equal the weights they were solved with, since every later
+    solve would repeat that one bit for bit. It then solves the rows still
+    moving as one block-diagonal banded system: the zero leading corner
+    cells of each row's bands decouple it from the row before. That system
+    is built as a C-ordered (rows, channels, 3) array, which is the
+    Fortran-ordered (3, rows * channels) band storage LAPACK takes, so it
+    is factored in place, not copied, and the right-hand side becomes the
+    solution. Both live in buffers allocated once per call for all the
+    rows, of which each solve fills the leading ones.
     Returns (corrected, baseline). BadOrder names ``lam`` and ``p`` when
     rounding leaves a system not positive definite.
     """
@@ -327,25 +321,26 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
         )
     # imported here: scipy.linalg costs a process about 28 MB and a quarter
     # of a second, which no pipeline without this step needs
-    from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
+    from scipy.linalg import solveh_banded
 
     penalty = _second_difference_bands(j, lam)
     unit = penalty.copy()
     unit[2] += 1.0
+    # one system and right-hand side for every reweighted solve, of which
+    # each takes the leading rows: a C-ordered prefix, so still LAPACK's
+    # band storage
+    bands, rhs = np.empty((i, j, 3)), np.empty((i, j))
     try:
-        factor = cholesky_banded(unit, overwrite_ab=True, check_finite=False)
         # the right-hand sides are the columns of rows.T, so the solution's
         # transpose is C-ordered with one baseline per row
-        baseline = cho_solve_banded((factor, False), rows.T,
-                                    check_finite=False).T
-        weights = np.where(rows > baseline, p, 1.0 - p)
-        moving = (weights != 1.0).any(axis=1)
-        active, weights = np.flatnonzero(moving), weights[moving]
-        # one system and right-hand side for every later solve, of which
-        # each takes the leading rows: a C-ordered prefix, so still
-        # LAPACK's band storage
-        bands, rhs = np.empty((i, j, 3)), np.empty((i, j))
+        baseline = solveh_banded(unit, rows.T, overwrite_ab=True,
+                                 check_finite=False).T
+        # every row starts active, with the unit weight and its first solve
+        active, weights, targets, solved = np.arange(i), 1.0, rows, baseline
         for _ in range(iterations - 1):
+            new_weights = np.where(targets > solved, p, 1.0 - p)
+            moving = (new_weights != weights).any(axis=1)
+            active, weights = active[moving], new_weights[moving]
             if not active.size:
                 break
             targets = rows[active]
@@ -356,12 +351,9 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
             solved = solveh_banded(
                 system.reshape(-1, 3).T,
                 np.multiply(weights, targets, out=rhs[:active.size]).ravel(),
-                overwrite_ab=True, overwrite_b=True, check_finite=False)
-            solved = solved.reshape(active.size, j)
+                overwrite_ab=True, overwrite_b=True,
+                check_finite=False).reshape(-1, j)
             baseline[active] = solved
-            new_weights = np.where(targets > solved, p, 1.0 - p)
-            moving = (new_weights != weights).any(axis=1)
-            active, weights = active[moving], new_weights[moving]
     except np.linalg.LinAlgError as exc:
         raise BadOrder(f"lambda {lam:g} and p {p:g} give a baseline system "
                        f"that is not positive definite ({exc})") from exc

@@ -51,6 +51,11 @@ AXIS_HEADER = "wavenumber_cm-1"
 MIN_CHANNELS = 8
 # cells parsed per numpy call while a CSV is read
 CHUNK_CELLS = 1 << 16
+# spectra per block on the predict path: each preprocessing step in
+# apply_pipeline and the centring in project run on this many rows at a
+# time, so their transient arrays (the ALS system alone is 3 x rows x
+# channels) stay near 3.3 MB at 701 channels whatever the set size
+ROW_BLOCK = 64
 
 
 def _check_axis(axis: np.ndarray, path=None) -> None:
