@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -94,7 +95,7 @@ def _check_nonnegative(matrix: np.ndarray, species: Sequence[str], path=None,
 def _check_unique(names: Sequence[str], what: str, path=None) -> None:
     """Refuse a name given twice; with ``path``, name the file."""
     if len(set(names)) != len(names):
-        dup = sorted({x for x in names if names.count(x) > 1})
+        dup = sorted(x for x, count in Counter(names).items() if count > 1)
         raise LabelMismatch(
             f"{'' if path is None else f'{path}: '}duplicate {what} {dup}")
 
@@ -425,15 +426,18 @@ def load_concentrations(path, labels: Sequence[str] | None = None) -> Concentrat
     _check_nonnegative(data, species, path, file_labels)
     if labels is not None:
         wanted = [str(x) for x in labels]
-        missing = [x for x in wanted if x not in file_labels]
-        extra = [x for x in file_labels if x not in wanted]
+        # built once, outside the comprehensions, so aligning n labels is
+        # linear in n: a list lookup per label would make it quadratic
+        column = {x: k for k, x in enumerate(file_labels)}
+        wanted_set = set(wanted)
+        missing = [x for x in wanted if x not in column]
+        extra = [x for x in file_labels if x not in wanted_set]
         if missing or extra:
             raise LabelMismatch(
                 f"{path}: sample labels disagree with spectra "
                 f"(missing {missing}, unmatched {extra})"
             )
-        order = [file_labels.index(x) for x in wanted]
-        data = data[:, order]
+        data = data[:, [column[x] for x in wanted]]
     return ConcentrationSet(data, species, units, sha256)
 
 

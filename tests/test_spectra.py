@@ -276,10 +276,14 @@ class TestLoadConcentrations:
         assert np.array_equal(conc.matrix, [[0.0, 1.0, 2.0]])
 
     def test_label_mismatch(self, tmp_path):
+        # missing labels in spectra order, unmatched ones in file order
         f = tmp_path / "c.csv"
-        f.write_text("species,unit,s0,s1\nglucose,mg/mL,0,1\n")
-        with pytest.raises(LabelMismatch):
-            load_concentrations(f, labels=["s0", "s9"])
+        f.write_text("species,unit,s3,s0,s1,s2\nglucose,mg/mL,3,0,1,2\n")
+        with pytest.raises(LabelMismatch) as info:
+            load_concentrations(f, labels=["s9", "s0", "s8", "s2"])
+        assert str(info.value) == (
+            f"{f}: sample labels disagree with spectra "
+            f"(missing ['s9', 's8'], unmatched ['s3', 's1'])")
 
     def test_negative_rejected(self, tmp_path):
         f = tmp_path / "c.csv"

@@ -22,8 +22,9 @@ Appending keeps the numbers of the earlier logs.
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
 
-Exits 0 when every file matches, and 1 naming the first file (in sorted
-order) that differs or that only one tree wrote.
+Exits 0 when every file matches. Otherwise it prints one ``differs:``
+line for each file, in sorted order, that differs or that only one tree
+wrote, and exits 1.
 """
 
 from __future__ import annotations
@@ -229,19 +230,20 @@ def run_all(env: dict, work: Path) -> None:
             f"--- stdout\n{result.stdout}--- stderr\n{result.stderr}")
 
 
-def first_difference(a: Path, b: Path) -> str | None:
-    """The first relative path, sorted, whose bytes differ under ``a`` and
-    ``b`` or that exists under only one; None when all match."""
+def differences(a: Path, b: Path) -> list[str]:
+    """Every relative path, sorted, whose bytes differ under ``a`` and
+    ``b`` or that exists under only one; empty when all match."""
     def files(root):
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
     in_a, in_b = files(a), files(b)
+    diffs = []
     for rel in sorted(in_a | in_b):
         if rel not in in_a or rel not in in_b:
-            return f"{rel} (written under one tree only)"
-        if (a / rel).read_bytes() != (b / rel).read_bytes():
-            return str(rel)
-    return None
+            diffs.append(f"{rel} (written under one tree only)")
+        elif (a / rel).read_bytes() != (b / rel).read_bytes():
+            diffs.append(str(rel))
+    return diffs
 
 
 def main(argv=None) -> int:
@@ -255,10 +257,11 @@ def main(argv=None) -> int:
             tempfile.TemporaryDirectory() as change:
         for env, work in zip(envs, (parent, change)):
             run_all(env, Path(work))
-        diff = first_difference(Path(parent), Path(change))
+        diffs = differences(Path(parent), Path(change))
         count = sum(1 for p in Path(change).rglob("*") if p.is_file())
-    if diff:
+    for diff in diffs:
         print(f"differs: {diff}")
+    if diffs:
         return 1
     runs = sum(not isinstance(step, tuple) for step in steps())
     print(f"all {count} files identical ({runs} commands)")
