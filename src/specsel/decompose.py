@@ -6,8 +6,8 @@ spectra << j channels), with no iteration to converge. ``nipals_fit``
 extracts the same components one at a time by power iteration and is kept
 as an independent iterative reference. ``usable_components`` is the one
 rule, relative to the data, for how many components any fit may use, and
-``scale_exponent`` the one power-of-two scale of its norms and of the
-``snv`` and ``rnv`` steps.
+``unit_scaled`` the one power-of-two scale of its norms, of the ``snv``
+and ``rnv`` steps and of the significance gate's groups.
 """
 
 from __future__ import annotations
@@ -84,21 +84,23 @@ def usable_components(singulars: np.ndarray, data_norm=0.0) -> np.ndarray:
                   & (singulars >= np.finfo(float).tiny), axis=-1)
 
 
-def scale_exponent(x: np.ndarray, axis=None) -> np.ndarray:
-    """The e of 2^e, the power of two at or above max|x| over axis (kept as
-    length-1 axes), 0 where that is 0: ``np.ldexp(x, -e)`` brings the
-    largest magnitude into [0.5, 1), exactly unless a value underflows."""
-    return np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
+def unit_scaled(x: np.ndarray, axis=None):
+    """(x / 2^e, e), 2^e being the power of two at or above max|x| over axis
+    (e keeps length-1 axes, and is 0 where that maximum is 0): the division
+    brings the largest magnitude into [0.5, 1), exactly unless a value
+    underflows."""
+    e = np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
+    return np.ldexp(x, -e), e
 
 
 def scaled_norm(x: np.ndarray, axis=None) -> np.ndarray:
-    """Frobenius norm of x over axis, as 2^e |x / 2^e| with e from
-    scale_exponent: the squares neither overflow for huge values nor
-    underflow for tiny ones, and the result is np.linalg.norm's to the bit
-    wherever that does not overflow or underflow."""
-    e = scale_exponent(x, axis)
-    return np.squeeze(np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis,
-                                              keepdims=True), e), axis)
+    """Frobenius norm of x over axis, as 2^e |x / 2^e| with ``unit_scaled``:
+    the squares neither overflow for huge values nor underflow for tiny
+    ones, and the result is np.linalg.norm's to the bit wherever that does
+    not overflow or underflow."""
+    unit, e = unit_scaled(x, axis)
+    return np.squeeze(np.ldexp(np.linalg.norm(unit, axis=axis, keepdims=True),
+                               e), axis)
 
 
 def centered_svd(rows: np.ndarray, k: int):

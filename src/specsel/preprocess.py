@@ -7,9 +7,11 @@ turns the input into the C-ordered float rows every operation works on
 (and gives back the shape its output takes), so ``apply_pipeline`` runs
 each step once on a block of rows and gets the bits a row-by-row loop
 would. ``snv`` and ``rnv`` are scale-free over the float range: each first
-brings every row's largest magnitude into [0.5, 1) by a power of two,
-which is exact, so a power-of-two scale of a spectrum changes none of
-their output bits and no square of a deviation overflows.
+brings every row's largest magnitude into [0.5, 1) by a power of two
+(``decompose.unit_scaled``), which is exact, so a power-of-two scale of a
+spectrum changes none of their output bits and no square of a deviation
+overflows. The second difference (1, -2, 1) of ``derivative`` and of the
+``baseline_als`` penalty is written once in each.
 
 Pipelines have a canonical text form, ``step(arg,...)|step(arg,...)``,
 e.g. ``baseline_als(100000,0.01,10)|rnv(75)``; the empty pipeline is
@@ -33,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .decompose import scale_exponent
+from .decompose import unit_scaled
 from .errors import (
     BadOrder,
     DegenerateSubset,
@@ -75,20 +77,12 @@ def _rows_on_axis(spectrum, axis):
     return rows, shape, ax
 
 
-def _unit_scaled(rows: np.ndarray) -> np.ndarray:
-    """Each row times the power of two that brings its largest magnitude
-    into [0.5, 1). That is exact unless a value underflows, so a scale-free
-    step gets the same bits at every power-of-two scale of its input, and
-    no square of a deviation overflows."""
-    return np.ldexp(rows, -scale_exponent(rows, axis=1))
-
-
 def snv(spectrum) -> np.ndarray:
     """Center by the mean and scale by the sample standard deviation."""
     rows, shape = _as_rows(spectrum)
     if rows.shape[1] < 2:
         raise ZeroVariance("need at least 2 points for variate scaling")
-    rows = _unit_scaled(rows)
+    rows, _ = unit_scaled(rows, axis=1)
     sd = rows.std(axis=1, ddof=1, keepdims=True)
     if not sd.all():
         raise ZeroVariance("constant spectrum has no variance to scale by")
@@ -112,7 +106,7 @@ def rnv(spectrum, percentile: float) -> np.ndarray:
     rows, shape = _as_rows(spectrum)
     if rows.shape[1] < 2:
         raise DegenerateSubset("need at least 2 points for percentile scaling")
-    rows = _unit_scaled(rows)
+    rows, _ = unit_scaled(rows, axis=1)
     pct = np.percentile(rows, percentile, axis=1, keepdims=True)
     below = rows <= pct
     counts = below.sum(axis=1)
@@ -236,8 +230,10 @@ def _check_derivative(order) -> None:
 def derivative(spectrum, axis, order: int) -> np.ndarray:
     """Finite-difference derivative along the wavenumber axis.
 
-    Central differences at interior points, one-sided at the two edges;
-    order 1 removes a constant baseline, order 2 a linear one.
+    Central differences at interior points. At the two edges order 1 is
+    one-sided and order 2 takes its neighbour's value, which the one-sided
+    three-point stencil gives there. Order 1 removes a constant baseline,
+    order 2 a linear one.
     WindowTooLarge below ``order + 1`` channels; NonuniformAxis unless the
     axis is uniform and increasing, with a spacing whose power ``order`` is
     a normal positive float.
@@ -253,27 +249,21 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
         return np.gradient(rows, h, axis=1, edge_order=1).reshape(shape)
     out = np.empty_like(rows)
     out[:, 1:-1] = (rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]) / h ** 2
-    out[:, 0] = (rows[:, 0] - 2.0 * rows[:, 1] + rows[:, 2]) / h ** 2
-    out[:, -1] = (rows[:, -3] - 2.0 * rows[:, -2] + rows[:, -1]) / h ** 2
+    out[:, 0], out[:, -1] = out[:, 1], out[:, -2]
     return out.reshape(shape)
 
 
 def _second_difference_bands(j: int, lam: float) -> np.ndarray:
-    """Upper-banded ``lam * D @ D.T`` for the j x (j-2) second difference D.
-
-    Row 0 is the second superdiagonal (all 1), row 1 the first
-    (-2, -4, ..., -4, -2), row 2 the main diagonal (1, 5, 6, ..., 6, 5, 1);
-    the unused leading corner cells are 0.
-    """
-    bands = np.empty((3, j))
-    bands[0] = 1.0
-    bands[0, :2] = 0.0
-    bands[1] = -4.0
-    bands[1, 0] = 0.0
-    bands[1, [1, -1]] = -2.0
-    bands[2] = 6.0
-    bands[2, [0, -1]] = 1.0
-    bands[2, [1, -2]] = 5.0
+    """Upper-banded ``lam * D @ D.T`` for the j x (j-2) second difference D,
+    whose column c holds the stencil (1, -2, 1) at channels c to c + 2: row
+    2 - d is the d-th superdiagonal, the sum over the j - 2 columns of
+    stencil[k] * stencil[k + d] at channel c + k + d. The unused leading
+    corner cells are 0."""
+    stencil = (1.0, -2.0, 1.0)
+    bands = np.zeros((3, j))
+    for k, a in enumerate(stencil):
+        for d, b in enumerate(stencil[k:]):
+            bands[2 - d, k + d:k + d + j - 2] += a * b
     return lam * bands
 
 

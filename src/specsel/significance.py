@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import scale_exponent
+from .decompose import unit_scaled
 from .errors import DegenerateMatrix
 
 _TINY = 1e-300
@@ -84,22 +84,21 @@ def _columns(press_matrix, min_size: int = 1) -> np.ndarray:
 
 def _scaled_groups(press_matrix, log_transform: bool):
     """The gate's groups: ``_columns`` of a matrix of at least 2 x 2, after
-    log10 if ``log_transform``, divided by 2^e, e being ``scale_exponent``
-    of them. Returns (those columns, their means, their within-group sum of
-    squares, e). F and the pairwise t^2 are ratios of squares of these, so
-    they do not depend on the concentration unit, and no square overflows;
-    at normal scales the division changes none of their bits."""
+    log10 if ``log_transform``, divided by 2^e by ``unit_scaled``. Returns
+    (those columns, their means, their within-group sum of squares, e). F
+    and the pairwise t^2 are ratios of squares of these, so they do not
+    depend on the concentration unit, and no square overflows; at normal
+    scales the division changes none of their bits."""
     columns = _columns(press_matrix, min_size=2)
     if log_transform:
         columns = np.log10(np.maximum(columns, _TINY))
-    e = scale_exponent(columns).item()
-    columns = np.ldexp(columns, -e)
+    columns, e = unit_scaled(columns)
     group_means = columns.mean(axis=1)
     # running totals of the column sums: np.sum would add them pairwise
     # and round differently
     sse = float(np.cumsum(
         np.sum((columns - group_means[:, None]) ** 2, axis=1))[-1])
-    return columns, group_means, sse, e
+    return columns, group_means, sse, e.item()
 
 
 def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,

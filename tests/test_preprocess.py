@@ -213,6 +213,14 @@ class TestDerivative:
         out = derivative(ax ** 2, ax, 2)
         assert_allclose(out[1:-1], np.full(28, 2.0), atol=1e-10)
 
+    @pytest.mark.parametrize("j", [3, 4, 30])
+    def test_second_derivative_edges_are_their_neighbours(self, j):
+        rng = np.random.default_rng(j)
+        x = rng.normal(size=(2, j))
+        out = derivative(x, np.arange(j) * 0.5, 2)
+        assert np.array_equal(out[:, 0], out[:, 1])
+        assert np.array_equal(out[:, -1], out[:, -2])
+
     def test_nonuniform_axis(self):
         ax = np.array([1.0, 2.0, 3.0, 4.5, 6.0, 7.0, 8.0, 9.0])
         with pytest.raises(NonuniformAxis):
@@ -310,8 +318,9 @@ def assert_matches_oracle(x, lam, p, iterations, rtol=1e-8):
 
 
 class TestBaselineAlsOracle:
-    def test_penalty_bands_equal_dense_product(self):
-        j, lam = 9, 3.5
+    @pytest.mark.parametrize("j", [3, 4, 5, 9, 701])
+    def test_penalty_bands_equal_dense_product(self, j):
+        lam = 3.5
         diff = np.zeros((j, j - 2))
         for c in range(j - 2):
             diff[c:c + 3, c] = (1.0, -2.0, 1.0)
