@@ -137,8 +137,8 @@ def _check_savgol(window, polyorder, deriv=0) -> None:
         raise BadOrder(f"polyorder must satisfy 0 <= polyorder < window, got {polyorder}")
     if not 0 <= deriv <= polyorder:
         raise BadOrder(f"deriv must satisfy 0 <= deriv <= polyorder, got {deriv}")
-    # the fit's design holds every offset up to window // 2 to every power
-    # up to polyorder; float powers raise rather than overflow to inf
+    # the operator divides by (window // 2) ** deriv, which this bounds as
+    # deriv <= polyorder; float powers raise rather than overflow to inf
     try:
         float(window // 2) ** polyorder
     except OverflowError:
@@ -169,15 +169,17 @@ def savitzky_golay(spectrum, window: int, polyorder: int, deriv: int = 0,
         raise WindowTooLarge(f"window {window} exceeds {j} channels")
 
     half = window // 2
-    design = np.vander(np.arange(-half, half + 1, dtype=float),
-                       polyorder + 1, increasing=True)
+    # the fit is in u = offset / half, whose powers stay within [-1, 1]
+    design = np.vander(np.arange(-half, half + 1) / half, polyorder + 1,
+                       increasing=True)
     # pinv(design) maps a window to its fit's coefficients c; slopes[h] @ c
-    # is the fit's deriv-th derivative at offset h - half, as the deriv-th
-    # derivative of u**m is perm(m, deriv) * u**(m - deriv)
+    # is the fit's deriv-th derivative in u at offset h - half, as the
+    # deriv-th derivative of u**m is perm(m, deriv) * u**(m - deriv)
     slopes = design[:, :polyorder + 1 - deriv] * [
         math.perm(m, deriv) for m in range(deriv, polyorder + 1)]
     try:
-        operator = slopes @ np.linalg.pinv(design)[deriv:] / delta ** deriv
+        operator = (slopes @ np.linalg.pinv(design)[deriv:] / half ** deriv
+                    / delta ** deriv)
     except np.linalg.LinAlgError as exc:
         raise BadOrder(f"window {window} and polyorder {polyorder} give no "
                        f"least-squares fit ({exc})") from exc

@@ -175,6 +175,19 @@ class TestSavitzkyGolay:
                         / delta ** deriv)
                 assert_allclose(got[c], want, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("window,polyorder,deriv", [
+        (31, 14, 0), (25, 12, 1), (25, 12, 2), (41, 16, 1), (7, 2, 1)])
+    def test_high_order_fit_reproduces_its_polynomial(self, window, polyorder,
+                                                      deriv):
+        # sum of t**m for m <= polyorder, t = (x - 100) / 100 on x = 0..199:
+        # a fit of a polynomial of at most its own order is exact to
+        # rounding at every order
+        t = (np.arange(200.0) - 100.0) / 100.0
+        poly = np.polynomial.Polynomial(np.ones(polyorder + 1))
+        want = poly.deriv(deriv)(t) / 100.0 ** deriv
+        got = savitzky_golay(poly(t), window, polyorder, deriv)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
     def test_constant_first_derivative_zero(self):
         out = savitzky_golay(np.full(30, 4.2), 5, 2, 1)
         assert np.abs(out).max() < 1e-12

@@ -24,7 +24,10 @@ checks that every command writes the same bytes on two runs.
 
 Exits 0 when every file matches. Otherwise it prints one ``differs:``
 line for each file, in sorted order, that differs or that only one tree
-wrote, and exits 1.
+wrote, and exits 1. The line of a selection report that both trees wrote
+ends with ``(verdicts unchanged)`` or ``(verdicts moved)``: whether the
+chosen pipeline, PC and significance, and each candidate's
+``VERDICT_KEYS``, are the same in both.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ SCALES = {"x2p600": 2.0 ** 600, "x1em320": 1e-320}
 CONC_SCALE = 1e160
 # an axis spacing whose square underflows to 0
 FINE_SPACING = 2e-300
+# what a selection report decides for each candidate
+VERDICT_KEYS = ("ok", "significant", "optimal_pc", "candidate_set")
 
 
 def pair(spectra: str, conc: str | None = None) -> list:
@@ -230,9 +235,27 @@ def run_all(env: dict, work: Path) -> None:
             f"--- stdout\n{result.stdout}--- stderr\n{result.stderr}")
 
 
+def verdicts(path: Path):
+    """The chosen pipeline, PC and significance of the selection report at
+    ``path``, and each candidate's pipeline and ``VERDICT_KEYS``; None if
+    the file is not a selection report."""
+    try:
+        report = json.loads(path.read_bytes())
+    except ValueError:
+        return None
+    if not isinstance(report, dict) or report.get("report") != \
+            "specsel-selection":
+        return None
+    return (report["chosen_pipeline"], report["chosen_pc"],
+            report["chosen_significant"],
+            [[c["pipeline"], *(c.get(k) for k in VERDICT_KEYS)]
+             for c in report["candidates"]])
+
+
 def differences(a: Path, b: Path) -> list[str]:
     """Every relative path, sorted, whose bytes differ under ``a`` and
-    ``b`` or that exists under only one; empty when all match."""
+    ``b`` or that exists under only one, a selection report's with whether
+    its ``verdicts`` moved; empty when all match."""
     def files(root):
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
@@ -242,7 +265,12 @@ def differences(a: Path, b: Path) -> list[str]:
         if rel not in in_a or rel not in in_b:
             diffs.append(f"{rel} (written under one tree only)")
         elif (a / rel).read_bytes() != (b / rel).read_bytes():
-            diffs.append(str(rel))
+            old, new = verdicts(a / rel), verdicts(b / rel)
+            if old is None or new is None:
+                diffs.append(str(rel))
+            else:
+                moved = "unchanged" if old == new else "moved"
+                diffs.append(f"{rel} (verdicts {moved})")
     return diffs
 
 
