@@ -736,6 +736,20 @@ class TestSelect:
                 in payload["alerts"])
         assert payload["chosen_pipeline"] == "snv"
 
+    def test_every_candidate_failed_names_each_failure_once(self, tmp_path,
+                                                           capsys):
+        spectra, conc, _ = noiseless_mixtures(n_samples=3, n_species=2)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        code = main(["select", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: AllCandidatesFailed: every candidate pipeline failed: "
+            "TooFewSpectra: leave-one-out over 1..i-2 components needs "
+            "i >= 4 spectra, got 3\n")
+
     def test_savgol_without_fit_is_a_failed_entry(self, tmp_path,
                                                   monkeypatch):
         # a least-squares operator that cannot be built (here by an SVD
@@ -913,6 +927,11 @@ class TestTrainPredict:
             assert "scipy.linalg" in sys.modules
         """)
         run_fresh(script, tmp_path)
+
+    def test_dir_lists_every_public_name_and_submodule(self):
+        # in this process too, not only in the fresh one below
+        listed = set(dir(specsel))
+        assert {*specsel.__all__, "preprocess", "synth", "_parallel"} <= listed
 
     def test_commands_import_only_the_modules_they_run(self, tmp_path,
                                                       mixture_files):

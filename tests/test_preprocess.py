@@ -571,12 +571,15 @@ class TestPipelineGrammar:
         assert a == b and a.name == b.name
         c = parse_pipeline("snv|savgol(7,2,1)")
         assert c != a and c.name != a.name
+        assert str(a) == a.name == "snv|savgol(7,2,0)"
 
     def test_rejects_garbage(self):
         for text, message in [
             ("", "empty pipeline description"),
             ("wibble(3)", "unknown preprocessing step 'wibble'"),
             ("snv|", "empty step in pipeline 'snv|'"),
+            ("snv(", "unbalanced parentheses in step 'snv('"),
+            ("savgol(7.5,2)", "savgol window must be an integer, got '7.5'"),
             ("rnv(150)", "step rnv(150): percentile must be in (0, 100]"),
             ("savgol(4,2)", "step savgol(4,2,0): window must be odd"),
             ("rnv(a)", "rnv percentile must be a number, got 'a'"),

@@ -94,6 +94,7 @@ class TestSelectMethod:
         bad = parse_pipeline("snv")   # constant row breaks snv
         report = select_method(flat, conc, [bad, IDENTITY], alpha=0.05)
         assert not report.entries[0].ok
+        assert report.entries[0].sum_press_at_optimal is None
         assert report.entries[1].ok
         assert report.chosen_pipeline == "identity"
         assert any("failed" in alert for alert in report.alerts)

@@ -819,6 +819,9 @@ class TestNamesRule:
 
 
 class TestConcentrationSet:
+    def test_units_default_to_one_blank_each(self):
+        assert ConcentrationSet([[0.1], [0.2]], ("a", "b")).units == ("", "")
+
     def test_negative_rejected(self):
         with pytest.raises(NegativeConcentration):
             ConcentrationSet([[0.1, -0.2]], ("a",), ("u",))

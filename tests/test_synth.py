@@ -129,6 +129,8 @@ class TestGenerate:
          r"^unit must be a string, got None$"),
         (lambda r: dataclasses.replace(r.species[0], name=["a", "b"]),
          r"^name must be a string, got \['a', 'b'\]$"),
+        (lambda r: dataclasses.replace(r.species[0], peaks=5),
+         r"^peaks must be a list, got 5$"),
         (lambda r: dataclasses.replace(r, species=()),
          r"^species must be a non-empty list, got \(\)$"),
         (lambda r: dataclasses.replace(r, species=(r.species[0], "g")),
@@ -146,7 +148,8 @@ class TestGenerate:
         (lambda r: dataclasses.replace(r, seed=True),
          r"^seed must be a non-negative integer, got True$"),
     ], ids=["noise_sigma", "drift_range", "spike_rate", "scale_range",
-            "peak_outside_axis", "unit_none", "name_list", "species_empty",
+            "peak_outside_axis", "unit_none", "name_list", "peaks_number",
+            "species_empty",
             "species_string", "species_no_name", "baseline_string",
             "seed_negative", "seed_float", "seed_string", "seed_bool"])
     def test_replace_checks_like_a_config(self, edit, message):
@@ -365,3 +368,8 @@ class TestPhantomConcentrations:
             moved = phantom_concentrations(
                 dataclasses.replace(recipe, seed=other), n)
             assert not np.array_equal(moved.matrix, conc.matrix)
+
+    def test_no_spectra_refused(self):
+        with pytest.raises(SpecselError, match=r"^phantom set needs at least "
+                                               r"1 spectrum, got 0$"):
+            phantom_concentrations(tears_recipe(), 0)
