@@ -112,7 +112,7 @@ def select_method(spectra: SpectraSet, conc: ConcentrationSet,
     if not usable:
         raise AllCandidatesFailed(
             "every candidate pipeline failed: "
-            + "; ".join(dict.fromkeys(e.error for e in entries if e.error))
+            + "; ".join(dict.fromkeys(e.error for e in entries))
         )
     significant = [e for e in usable if e.verdict.significant]
     pool = significant if significant else usable

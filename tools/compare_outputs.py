@@ -243,8 +243,8 @@ def verdicts(path: Path):
         report = json.loads(path.read_bytes())
     except ValueError:
         return None
-    if not isinstance(report, dict) or report.get("report") != \
-            "specsel-selection":
+    if not (isinstance(report, dict)
+            and report.get("report") == "specsel-selection"):
         return None
     return (report["chosen_pipeline"], report["chosen_pc"],
             report["chosen_significant"],
