@@ -127,17 +127,17 @@ def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> PcaModel:
     """Extract the leading k principal components of the centered set.
 
-    Raises NoConvergence if a component fails to settle within max_iter
-    iterations. If the residual norm falls below RANK_EPS relative to the
-    uncentered matrix before k components are found, the model keeps the
-    components found so far.
+    Raises BadOrder for tol <= 0 or max_iter < 10, and NoConvergence if a
+    component fails to settle within max_iter iterations. If the residual
+    norm falls below RANK_EPS relative to the uncentered matrix before k
+    components are found, the model keeps the components found so far.
     """
     _check_order(spectra, k)
     i, j = spectra.matrix.shape
     if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+        raise BadOrder(f"tol must be > 0, got {tol}")
     if max_iter < 10:
-        raise ValueError(f"max_iter must be >= 10, got {max_iter}")
+        raise BadOrder(f"max_iter must be >= 10, got {max_iter}")
 
     mean_spectrum = spectra.matrix.mean(axis=0)
     residual = spectra.matrix - mean_spectrum

@@ -74,7 +74,9 @@ class WindowTooLarge(SpecselError):
 
 
 class BadOrder(SpecselError):
-    """Invalid polynomial / derivative / component-count order."""
+    """Invalid polynomial / derivative / component-count order, or another
+    count or tolerance out of its range (degrees of freedom, NIPALS
+    iterations and tolerance)."""
 
 
 class NonuniformAxis(SpecselError):

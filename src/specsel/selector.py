@@ -22,7 +22,8 @@ from .decompose import pca_fit, project
 from .errors import AllCandidatesFailed, ShapeMismatch, SpecselError
 from .preprocess import Pipeline, apply_pipeline
 from .regress import PcrModel, cumulative_estimates, pcr_fit
-from .significance import DEFAULT_ALPHA, PcVerdict, select_optimal_pc
+from .significance import (DEFAULT_ALPHA, PcVerdict, _check_alpha,
+                           select_optimal_pc)
 from .spectra import (ConcentrationSet, SpectraSet, _check_samples,
                       _check_unique, write_json)
 
@@ -76,8 +77,7 @@ def select_method(spectra: SpectraSet, conc: ConcentrationSet,
     entry instead of aborting the run; only when every candidate fails is
     AllCandidatesFailed raised. Duplicate pipelines raise LabelMismatch.
     """
-    if not 0.0 < alpha < 1.0:
-        raise SpecselError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if not workers >= 1:
         raise SpecselError(f"threads must be at least 1, got {workers}")
     if not candidates:

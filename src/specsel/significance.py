@@ -10,6 +10,12 @@ they do not, the preprocessing pipeline itself is flagged as unsuitable and
 the fallback is the smallest PRESS sum. Both tests run on the PRESS
 columns divided by one power of two, so the verdict is the same whatever
 the concentration unit.
+
+Each rule of the gate is written once. The omnibus test and every pairwise
+test call one F test, ``_f_test``, which holds the rules for a zero mean
+square and the p-value. The range rule for alpha, ``_check_alpha``, sits
+next to ``DEFAULT_ALPHA``; ``anova_oneway`` (hence ``select_optimal_pc``)
+and ``selector.select_method`` call it.
 """
 
 from __future__ import annotations
@@ -20,10 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import unit_scaled
-from .errors import DegenerateMatrix
+from .errors import BadOrder, DegenerateMatrix, SpecselError
 
 _TINY = 1e-300
 DEFAULT_ALPHA = 0.05
+
+
+def _check_alpha(alpha: float) -> None:
+    """The gate's one rule for its significance level: 0 < alpha < 1, so
+    NaN is refused too."""
+    if not 0.0 < alpha < 1.0:
+        raise SpecselError(f"alpha must be in (0, 1), got {alpha}")
 
 
 # --- F distribution ----------------------------------------------------------
@@ -32,12 +45,25 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
     """Cumulative F distribution with d1 and d2 degrees of freedom, a thin
     wrapper over ``scipy.special.fdtr``; x <= 0 gives 0.0."""
     if d1 < 1 or d2 < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
+        raise BadOrder(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     if x <= 0.0:
         return 0.0
     # imported here: only select computes a p-value, so no other command pays
     from scipy.special import fdtr
     return float(fdtr(d1, d2, x))
+
+
+def _f_test(ms_num: float, ms_den: float, d1: int, d2: int):
+    """F = ms_num / ms_den and its upper-tail p on (d1, d2) degrees of
+    freedom. A zero numerator gives F 0 and p 1; otherwise a zero
+    denominator gives F inf and p 0. A mean square can round to 0 where
+    its sum of squares does not, so these rules take the mean squares."""
+    if ms_num == 0.0:
+        return 0.0, 1.0
+    if ms_den == 0.0:
+        return math.inf, 0.0
+    f_stat = ms_num / ms_den
+    return f_stat, 1.0 - f_cdf(f_stat, d1, d2)
 
 
 # --- one-way ANOVA -------------------------------------------------------------
@@ -82,14 +108,14 @@ def _columns(press_matrix, min_size: int = 1) -> np.ndarray:
     return np.ascontiguousarray(values.T)
 
 
-def _scaled_groups(press_matrix, log_transform: bool):
-    """The gate's groups: ``_columns`` of a matrix of at least 2 x 2, after
-    log10 if ``log_transform``, divided by 2^e by ``unit_scaled``. Returns
-    (those columns, their means, their within-group sum of squares, e). F
-    and the pairwise t^2 are ratios of squares of these, so they do not
-    depend on the concentration unit, and no square overflows; at normal
-    scales the division changes none of their bits."""
-    columns = _columns(press_matrix, min_size=2)
+def _scaled_groups(columns: np.ndarray, log_transform: bool):
+    """The gate's groups: ``columns`` as ``_columns`` returns them for a
+    matrix of at least 2 x 2, after log10 if ``log_transform``, divided by
+    2^e by ``unit_scaled``. Returns (those columns, their means, their
+    within-group sum of squares, e). F and the pairwise t^2 are ratios of
+    squares of these, so they do not depend on the concentration unit, and
+    no square overflows; at normal scales the division changes none of
+    their bits."""
     if log_transform:
         columns = np.log10(np.maximum(columns, _TINY))
     columns, e = unit_scaled(columns)
@@ -106,31 +132,27 @@ def anova_oneway(press_matrix, alpha: float = DEFAULT_ALPHA,
     """One-way ANOVA with each PC-count column as a treatment group.
 
     Takes a finite matrix of at least 2 rows and 2 columns, else raises
-    DegenerateMatrix. With ``log_transform`` the test runs on log10 of the
-    values (useful when PRESS spans orders of magnitude) and the result
-    says so. The test runs on the columns scaled by a power of two
-    (``_scaled_groups``); ``sst``, ``sse`` and ``group_means`` are scaled
-    back exactly, a value beyond the float range reading inf or 0.
+    DegenerateMatrix, and 0 < alpha < 1, else raises SpecselError. With
+    ``log_transform`` the test runs on log10 of the values (useful when
+    PRESS spans orders of magnitude) and the result says so. The test runs
+    on the columns scaled by a power of two (``_scaled_groups``); ``sst``,
+    ``sse`` and ``group_means`` are scaled back exactly, a value beyond the
+    float range reading inf or 0.
     """
-    columns, group_means, sse, e = _scaled_groups(press_matrix, log_transform)
+    _check_alpha(alpha)
+    columns, group_means, sse, e = _scaled_groups(
+        _columns(press_matrix, min_size=2), log_transform)
     notes = (["ANOVA computed on log10-transformed PRESS values"]
              if log_transform else [])
     n_groups, n_rows = columns.shape
     grand_mean = float(np.cumsum(columns.sum(axis=1))[-1]) / columns.size
     sst = float(np.sum(n_rows * (group_means - grand_mean) ** 2))
-    df_treat = n_groups - 1
-    df_error = columns.size - n_groups
-    # a mean square can round to 0 where its sum of squares does not
-    ms_treat, ms_error = sst / df_treat, sse / df_error
-    if ms_treat == 0.0:
-        if sse == 0.0:
-            notes.append("degenerate PRESS matrix: all values identical")
-        f_stat, p_value = 0.0, 1.0
-    elif ms_error == 0.0:
-        f_stat, p_value = math.inf, 0.0
-    else:
-        f_stat = ms_treat / ms_error
-        p_value = 1.0 - f_cdf(f_stat, df_treat, df_error)
+    df_treat, df_error = n_groups - 1, columns.size - n_groups
+    f_stat, p_value = _f_test(sst / df_treat, sse / df_error, df_treat,
+                              df_error)
+    # with sse 0, F reads 0 only when the treatment mean square is 0 too
+    if f_stat == 0.0 and sse == 0.0:
+        notes.append("degenerate PRESS matrix: all values identical")
     with np.errstate(over="ignore", under="ignore"):
         sst, sse = float(np.ldexp(sst, 2 * e)), float(np.ldexp(sse, 2 * e))
         group_means = np.ldexp(group_means, e)
@@ -233,34 +255,34 @@ def select_optimal_pc(press_matrix, alpha: float = DEFAULT_ALPHA,
     unsuitable.
 
     Takes a finite matrix of at least 2 rows and 2 columns, else raises
-    DegenerateMatrix. The rule that runs is simpler than it reads. Every
-    pairwise test is against the same worst column with the same df and
-    every column has one value per row, so p rises with the column mean:
-    the pairwise-p rank equals the mean-PRESS rank, and the pick is the
-    smallest mean PRESS on the short list. Pairwise p-values that
-    underflow to 0.0 tie, and the stable rank gives those ties to fewer
-    components, so among them the pick can fall on fewer components than
-    the smallest mean.
+    DegenerateMatrix, and 0 < alpha < 1, else raises SpecselError. The
+    matrix is checked and turned into columns once, here; the ANOVA, the
+    pairwise tests and the box plots read that view.
+
+    The rule that runs is simpler than it reads. Every pairwise test is
+    against the same worst column with the same df and every column has
+    one value per row, so p rises with the column mean: the pairwise-p
+    rank equals the mean-PRESS rank, and the pick is the smallest mean
+    PRESS on the short list. Pairwise p-values that underflow to 0.0 tie,
+    and the stable rank gives those ties to fewer components, so among
+    them the pick can fall on fewer components than the smallest mean.
     """
-    anova = anova_oneway(press_matrix, alpha=alpha, log_transform=log_transform)
-    columns = _columns(press_matrix)
-    n_rows = columns.shape[1]
+    columns = _columns(press_matrix, min_size=2)
+    anova = anova_oneway(columns.T, alpha=alpha, log_transform=log_transform)
     sum_press = columns.sum(axis=1)
     sum_press.setflags(write=False)
     notes = list(anova.notes)
     pairwise_p: dict[int, float] = {}
     # the scaled groups the ANOVA ran on, whose squares stay in range
-    _, means, sse, _ = _scaled_groups(press_matrix, log_transform)
+    _, means, sse, _ = _scaled_groups(columns, log_transform)
     if anova.significant:
         worst = np.argmax(means)
         # the mean square of a difference of two column means
-        ms_diff = sse / anova.df_error * (2 / n_rows)
+        ms_diff = sse / anova.df_error * (2 / columns.shape[1])
         for m in np.flatnonzero(means < means[worst]):
-            if ms_diff == 0.0:
-                p_pair = 0.0
-            else:
-                t_sq = float(means[worst] - means[m]) ** 2 / ms_diff
-                p_pair = 1.0 - f_cdf(t_sq, 1, anova.df_error)
+            # t^2 on (1, df_error) degrees of freedom
+            _, p_pair = _f_test(float(means[worst] - means[m]) ** 2,
+                                ms_diff, 1, anova.df_error)
             if p_pair < alpha:
                 pairwise_p[int(m) + 1] = p_pair
         if not pairwise_p:

@@ -697,6 +697,19 @@ class TestSelect:
                 f"{threads}" in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["2", "nan"])
+    def test_alpha_outside_unit_interval_exit_2(self, mixture_files, tmp_path,
+                                                capsys, alpha):
+        spath, cpath, *_ = mixture_files
+        out = tmp_path / "report.json"
+        code = main(["select", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--candidate", "snv", "--alpha", alpha,
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"error: SpecselError: alpha must be in (0, 1), got "
+                f"{float(alpha)}\n" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_concentrations_without_species_exit_2(self, mixture_files,
                                                    tmp_path, capsys):
         spath, cpath, *_ = mixture_files
@@ -932,6 +945,23 @@ class TestTrainPredict:
         # in this process too, not only in the fresh one below
         listed = set(dir(specsel))
         assert {*specsel.__all__, "preprocess", "synth", "_parallel"} <= listed
+
+    def test_submodule_loads_at_first_attribute_access(self, tmp_path):
+        # the package's __getattr__ imports a submodule no import has
+        # bound yet, and refuses a name it does not own
+        script = textwrap.dedent("""
+            import sys
+            import specsel
+            assert "specsel.crossval" not in sys.modules
+            assert specsel.crossval is sys.modules["specsel.crossval"]
+            try:
+                specsel.nosuch
+            except AttributeError as exc:
+                assert "'nosuch'" in str(exc), exc
+            else:
+                raise AssertionError("no AttributeError")
+        """)
+        run_fresh(script, tmp_path)
 
     def test_commands_import_only_the_modules_they_run(self, tmp_path,
                                                       mixture_files):

@@ -130,6 +130,14 @@ class TestNipalsFit:
             nipals_fit(ss, 3, tol=1e-12, max_iter=50)
         assert info.value.component == 1
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"tol": 0.0}, "tol must be > 0, got 0.0"),
+        ({"max_iter": 5}, "max_iter must be >= 10, got 5"),
+    ], ids=["tol", "max_iter"])
+    def test_bad_solver_setting(self, setting, message):
+        with pytest.raises(BadOrder, match=message):
+            nipals_fit(random_spectra_set(i=6, j=20, seed=4), 2, **setting)
+
 
 class TestPcaFit:
     def test_matches_nipals_and_svd_oracle(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -24,7 +25,7 @@ from specsel.spectra import (
     save_concentrations,
     save_spectra,
 )
-from specsel import synth
+from specsel import selector, synth
 from specsel.significance import select_optimal_pc
 
 from conftest import noiseless_mixtures, snv_collapsed_fold
@@ -227,11 +228,19 @@ class TestSelectMethod:
         with pytest.raises(AllCandidatesFailed):
             select_method(spectra, conc, [], alpha=0.05)
 
-    def test_bad_alpha(self):
+    def test_bad_alpha(self, monkeypatch):
+        # refused before any fold runs
         spectra, conc, _ = noiseless_mixtures(n_samples=8, n_species=2)
+
+        def no_fold(*args, **kwargs):
+            raise AssertionError("a fold ran")
+
+        monkeypatch.setattr(selector, "loo_press_matrix", no_fold)
         from specsel.errors import SpecselError
-        with pytest.raises(SpecselError):
-            select_method(spectra, conc, [IDENTITY], alpha=1.5)
+        for alpha in (1.5, 0.0, 1.0, 2.0, -1.0, math.nan):
+            message = rf"alpha must be in \(0, 1\), got {alpha}$"
+            with pytest.raises(SpecselError, match=message):
+                select_method(spectra, conc, [IDENTITY], alpha=alpha)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one(self, workers):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from specsel.crossval import PressMatrix
-from specsel.errors import DegenerateMatrix
+from specsel.errors import BadOrder, DegenerateMatrix, SpecselError
 from specsel.significance import (
     anova_oneway,
     boxplot_stats,
@@ -50,7 +50,7 @@ class TestFCdf:
             assert abs(f_cdf(x, d1, d2) - f_cdf_by_quadrature(x, d1, d2)) < 1e-8
 
     def test_bad_df(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadOrder, match=r"must be >= 1, got \(0, 5\)"):
             f_cdf(1.0, 0, 5)
 
 
@@ -367,3 +367,13 @@ def test_mean_square_rounding_to_zero_is_infinitely_significant(m):
     verdict = select_optimal_pc(table)
     assert verdict.pairwise_p == {2: 0.0}
     assert verdict.optimal_pc == 2
+
+
+@pytest.mark.parametrize("gate", [anova_oneway, select_optimal_pc],
+                         ids=["anova", "select"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -1.0, math.nan])
+def test_alpha_outside_open_unit_interval_refused(gate, alpha):
+    table = np.random.default_rng(5).uniform(1.0, 2.0, (6, 4))
+    with pytest.raises(SpecselError,
+                       match=rf"alpha must be in \(0, 1\), got {alpha}$"):
+        gate(table, alpha=alpha)
