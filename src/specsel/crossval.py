@@ -1,6 +1,7 @@
 """Leave-one-out cross-validation of a (pipeline, PC count) grid.
 
-The set is reduced once to X = R Q^T, Q orthonormal and R i x min(i, j)
+The set, divided by the power of two of ``decompose._fit_scaled``, is
+reduced once to X = R Q^T, Q orthonormal and R i x min(i, j)
 (Chan's R-SVD): a fold's centered rows of R have the singular values, left
 vectors and held-out scores of its centered spectra. A block of folds is
 one stacked ``decompose.centered_svd``, the factorization of ``pca_fit``,
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import centered_svd
+from .decompose import _fit_scaled, centered_svd
 from .errors import DegenerateMatrix, ShapeMismatch, TooFewSpectra
 from .preprocess import Pipeline, apply_pipeline
 from .regress import cumulative_estimates, pcr_coefficients
@@ -60,7 +61,10 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
 
     Its columns are the PC counts 1..k, k being the fewest components any
     fold may use (at most i - 2); each fold with fewer than i - 2 has one
-    note. A fold with none raises DegenerateMatrix.
+    note. A fold with none raises DegenerateMatrix. The preprocessed set
+    is divided by ``decompose._fit_scaled``'s power of two before its QR,
+    so every power-of-two scale of a preprocessed set whose largest
+    |intensity| is at least 1 gives the same matrix, bit for bit.
     """
     i = spectra.n_spectra
     if i < 4:
@@ -74,7 +78,8 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
     processed = apply_pipeline(spectra, pipeline)
 
     k_max = i - 2
-    reduced = np.linalg.qr(processed.matrix.T, mode="r").T
+    # PRESS is in units of the concentrations, so the fit's 2^e cancels
+    reduced = np.linalg.qr(_fit_scaled(processed.matrix)[0].T, mode="r").T
     k_fits, sq_errors, negative = [], [], []
     for start in range(0, i, FOLD_BLOCK):
         folds = np.arange(start, min(start + FOLD_BLOCK, i))

@@ -6,8 +6,9 @@ spectra << j channels), with no iteration to converge. ``nipals_fit``
 extracts the same components one at a time by power iteration and is kept
 as an independent iterative reference. ``usable_components`` is the one
 rule, relative to the data, for how many components any fit may use, and
-``unit_scaled`` the one power-of-two scale of its norms, of the ``snv``
-and ``rnv`` steps and of the significance gate's groups.
+``unit_scaled`` the one power-of-two scale of its norms, of ``pca_fit``
+and the folds of ``crossval``, of the ``snv`` and ``rnv`` steps and of the
+significance gate's groups.
 """
 
 from __future__ import annotations
@@ -76,21 +77,36 @@ def usable_components(singulars: np.ndarray, data_norm=0.0) -> np.ndarray:
     data_norm (the norm before centering bounds the rounding it leaves),
     else those whose condition number is within MAX_CONDITION and whose
     singular value is a normal float (a subnormal one has lost its relative
-    precision, and its reciprocal overflows).
+    precision, and its reciprocal overflows; an infinite one, a norm past
+    the float range, has a reciprocal of 0).
     data_norm broadcasts against singulars[..., :1]."""
     first = singulars[..., :1]
     return np.sum((first > RANK_EPS * data_norm)
                   & (first <= MAX_CONDITION * singulars)
-                  & (singulars >= np.finfo(float).tiny), axis=-1)
+                  & (singulars >= np.finfo(float).tiny)
+                  & np.isfinite(singulars), axis=-1)
 
 
 def unit_scaled(x: np.ndarray, axis=None):
     """(x / 2^e, e), 2^e being the power of two at or above max|x| over axis
     (e keeps length-1 axes, and is 0 where that maximum is 0): the division
     brings the largest magnitude into [0.5, 1), exactly unless a value
-    underflows."""
+    underflows. ``scaled_norm``, ``snv``, ``rnv`` and the significance gate
+    scale both ways; ``pca_fit`` and ``crossval.loo_press_matrix`` only
+    divide, through ``_fit_scaled``."""
     e = np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
     return np.ldexp(x, -e), e
+
+
+def _fit_scaled(x: np.ndarray):
+    """(x / 2^e, e) for ``pca_fit`` and the folds of ``crossval``, with the
+    e of ``unit_scaled`` over all of x floored at 0. A fit divides, which
+    is exact: numpy's centring cannot overflow, LAPACK does not rescale
+    internally, and every power-of-two scale of a set whose largest |x| is
+    at least 1 gives the fit the same bits. It never scales up, so
+    subnormal intensities stay refused."""
+    unit, e = unit_scaled(x)
+    return (unit, e.item()) if e > 0 else (x, 0)
 
 
 def scaled_norm(x: np.ndarray, axis=None) -> np.ndarray:
@@ -117,10 +133,14 @@ def centered_svd(rows: np.ndarray, k: int):
 
 def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
     """Leading k principal components of the centered set, from
-    centered_svd, cut to the usable ones; sign as in nipals_fit."""
+    centered_svd of the set divided by ``_fit_scaled``'s 2^e, cut to the
+    usable ones; the mean spectrum and scores are multiplied back by 2^e.
+    Sign as in nipals_fit."""
     _check_order(spectra, k)
-    means, u, singulars, vt, n = centered_svd(spectra.matrix, k)
-    return _signed_model(spectra, means[0], vt[:n].T, u[:, :n] * singulars[:n])
+    matrix, e = _fit_scaled(spectra.matrix)
+    means, u, singulars, vt, n = centered_svd(matrix, k)
+    return _signed_model(spectra, np.ldexp(means[0], e), vt[:n].T,
+                         np.ldexp(u[:, :n] * singulars[:n], e))
 
 
 def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import PcaModel, project, scaled_norm, usable_components
-from .errors import (BadOrder, IoFailure, ShapeMismatch, SingularScores,
-                     SpecselError)
+from .errors import (BadOrder, IoFailure, NonFiniteValue, ShapeMismatch,
+                     SingularScores, SpecselError)
 from .preprocess import parse_pipeline
 from .spectra import (ConcentrationSet, SpectraSet, _check_axis,
                       _check_samples, _set_arrays, _set_names, read_json,
@@ -83,13 +83,16 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
     there is none."""
     scores = pca.scores
     _check_samples(conc, scores.shape[0])
-    norms = scaled_norm(scores, axis=0)
+    # scores are in the set's units, so a norm or its MAX_CONDITION multiple
+    # may pass the float range: inf, which usable_components refuses
+    with np.errstate(over="ignore"):
+        norms = scaled_norm(scores, axis=0)
+        usable = usable_components(norms)
     if not norms.size:
         raise SingularScores("no usable component, so no regression to fit")
-    if usable_components(norms) < norms.size:
-        raise SingularScores(
-            "score matrix is too ill-conditioned for a stable regression fit"
-        )
+    if usable < norms.size:
+        raise SingularScores("a score norm is not a normal float, or the "
+                             "scores are too ill-conditioned to regress on")
     mean_conc = conc.matrix.mean(axis=1)
     centered = conc.matrix - mean_conc[:, None]
     return PcrModel(
@@ -108,10 +111,18 @@ def pcr_predict(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
     ``cumulative_estimates``.
 
     Negative estimates are reported as-is; clamping would bias downstream
-    error statistics.
+    error statistics. Raises NonFiniteValue naming the first spectrum with
+    an estimate past the float range (spectra far outside the model's
+    scale), with no numpy warning.
     """
-    return cumulative_estimates(model.coeffs, project(model, new_set),
-                                model.mean_conc)[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = cumulative_estimates(model.coeffs, project(model, new_set),
+                                         model.mean_conc)[..., -1]
+    overflowed = np.flatnonzero(~np.isfinite(estimates).all(axis=0))
+    if overflowed.size:
+        raise NonFiniteValue(f"spectrum {new_set.labels[overflowed[0]]!r}: "
+                             f"estimated concentrations are not finite")
+    return estimates
 
 
 def press(estimated, actual) -> float:

@@ -28,13 +28,14 @@ from conftest import (noiseless_mixtures, one_spectrum_csv,
                       snv_collapsed_fold, weak_third_direction)
 
 
-def run_fresh(script: str, cwd) -> None:
-    """Run ``script`` in a fresh interpreter that imports this specsel."""
+def run_fresh(script: str, cwd, timeout=None) -> None:
+    """Run ``script`` in a fresh interpreter that imports this specsel,
+    killed after ``timeout`` seconds if given."""
     src = str(Path(specsel.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=cwd, capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=path))
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
     assert result.returncode == 0, result.stderr
 
 
@@ -419,15 +420,17 @@ class TestSynthCrossval:
                                  usecols=range(1, 7))
                       if path.exists() else None)
 
-    @pytest.mark.parametrize("scale", [2.0 ** 600, 1e300],
-                             ids=["2^600", "1e300"])
-    def test_crossval_huge_intensities_exit_0(self, tmp_path, scale):
+    @pytest.mark.parametrize("scale,rtol", [
+        (2.0 ** 600, 0.0), (1e300, 1e-12), (2.0 ** 1000, 0.0),
+        (2.0 ** 1015, 0.0)], ids=["2^600", "1e300", "2^1000", "2^1015"])
+    def test_crossval_huge_intensities_exit_0(self, tmp_path, scale, rtol):
         # the fold norms would overflow if squared directly; PRESS is in
-        # units of the concentrations, so it barely moves
+        # units of the concentrations, so a power of two leaves it exact and
+        # another scale moves it by rounding only
         _, base = self._identity_crossval(tmp_path, 1.0)
         code, press = self._identity_crossval(tmp_path, scale)
         assert code == 0
-        np.testing.assert_allclose(press, base, rtol=1e-12)
+        np.testing.assert_allclose(press, base, rtol=rtol)
 
     def test_crossval_subnormal_intensities_exit_2(self, tmp_path, capsys):
         # subnormal intensities keep a few significant bits: no component
@@ -488,6 +491,80 @@ class TestSynthCrossval:
         matrix = loo_press_matrix(spectra, conc, parse_pipeline("snv"))
         assert matrix.values.shape == (40, 38)
         assert np.isfinite(matrix.values).all()
+
+
+class TestPowerOfTwoScale:
+    """The fits divide the set by a power of two (never up), so a model
+    predicts the same bytes at each power-of-two intensity scale, and the
+    float maximum ends in exit 0 or one ``error:`` line."""
+
+    @staticmethod
+    def _scaled_files(tmp_path, spectra, conc, scale, tag):
+        spath, cpath = tmp_path / f"{tag}_s.csv", tmp_path / f"{tag}_c.csv"
+        save_spectra(spath, SpectraSet(spectra.axis, spectra.matrix * scale,
+                                       spectra.labels))
+        save_concentrations(cpath, conc, spectra.labels)
+        return str(spath), str(cpath)
+
+    def test_near_the_float_maximum_no_hang_or_traceback(self, tmp_path):
+        # a fresh interpreter with a time limit, so a fit that never returns
+        # fails the test instead of holding the suite
+        script = textwrap.dedent("""
+            import contextlib, io
+            from specsel.cli import main
+            from specsel.spectra import (SpectraSet, save_concentrations,
+                                         save_spectra)
+            from specsel.synth import tears_phantom
+
+            spectra, conc = tears_phantom(8, 7)
+            save_concentrations("c.csv", conc, spectra.labels)
+            cases = [
+                ("2^1017", 2.0 ** 1017, ["crossval", "--pipeline", "identity",
+                                         "--out-dir", "cv"], 0),
+                ("2^1017", 2.0 ** 1017, ["select", "--out", "r.json"], 0),
+            ]
+            for tag in ("1e307", "5e307"):
+                cases += [
+                    (tag, float(tag), ["crossval", "--pipeline", "identity",
+                                       "--out-dir", "cv"], 0),
+                    (tag, float(tag), ["select", "--out", "r.json"], 0),
+                    # the scores, or their norms, pass the float range
+                    (tag, float(tag), ["train", "--pc", "3",
+                                       "--out-model", "m.json"], 2),
+                ]
+            for tag, scale, (command, *options), expected in cases:
+                save_spectra(f"s{tag}.csv", SpectraSet(
+                    spectra.axis, spectra.matrix * scale, spectra.labels))
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \\
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, "--spectra", f"s{tag}.csv",
+                                 "--concentrations", "c.csv", *options])
+                errors = [line for line in err.getvalue().splitlines()
+                          if line.startswith("error:")]
+                assert (code, len(errors)) == (expected, int(expected == 2)), (
+                    tag, command, code, err.getvalue())
+        """)
+        run_fresh(script, tmp_path, timeout=120)
+
+    @pytest.mark.parametrize("k", [600, 1015])
+    def test_train_and_predict_bytes_equal_unscaled(self, tmp_path, k):
+        train_set, train_conc = synth.tears_phantom(20, 1)
+        batch, batch_conc = synth.tears_phantom(50, 9)
+        written = []
+        for scale in (1.0, 2.0 ** k):
+            spath, cpath = self._scaled_files(tmp_path, train_set, train_conc,
+                                              scale, f"train{scale}")
+            bpath, _ = self._scaled_files(tmp_path, batch, batch_conc, scale,
+                                          f"batch{scale}")
+            model, out = tmp_path / f"m{scale}.json", tmp_path / f"p{scale}.csv"
+            assert main(["train", "--spectra", spath, "--concentrations",
+                         cpath, "--pipeline", "savgol(7,2,0)", "--pc", "4",
+                         "--out-model", str(model)]) == 0
+            assert main(["predict", "--model", str(model), "--spectra", bpath,
+                         "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestConfigTypes:
@@ -872,6 +949,26 @@ class TestTrainPredict:
         predicted = np.array(
             [[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
         assert np.abs(predicted - conc.matrix).max() < 1e-8
+
+    def test_estimates_past_the_float_range_exit_2(self, tmp_path, capsys):
+        spectra, conc = synth.tears_phantom(8, 7)
+        spath, cpath = tmp_path / "s.csv", tmp_path / "c.csv"
+        save_spectra(spath, spectra)
+        save_concentrations(cpath, conc, spectra.labels)
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--spectra", str(spath), "--concentrations",
+                     str(cpath), "--pc", "3",
+                     "--out-model", str(model_path)]) == 0
+        huge_path, out = tmp_path / "huge.csv", tmp_path / "p.csv"
+        save_spectra(huge_path, SpectraSet(spectra.axis, spectra.matrix * 1e307,
+                                           spectra.labels))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--spectra",
+                     str(huge_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: NonFiniteValue: spectrum 's000': estimated concentrations "
+            "are not finite\n")
+        assert not out.exists()
 
     def test_axis_mismatch_exit_2(self, mixture_files, tmp_path):
         spath, cpath, spectra, conc = mixture_files

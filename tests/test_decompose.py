@@ -193,10 +193,11 @@ class TestPcaFit:
             with pytest.raises(BadOrder):
                 pca_fit(ss, k)
 
-    @pytest.mark.parametrize("e", [-60, -36, 0, 100])
+    @pytest.mark.parametrize("e", [-60, -36, 0, 100, 600, 1015])
     def test_components_do_not_depend_on_intensity_unit(self, e):
         # a power of two scales every step exactly: the same components,
-        # with scores scaled by it
+        # with scores scaled by it; at 2^600 and above LAPACK would rescale,
+        # but the fit divides by a power of two first
         ss = random_spectra_set(i=8, j=40, seed=9)
         base = pca_fit(ss, 5)
         scaled = pca_fit(
@@ -241,6 +242,11 @@ class TestUsableComponents:
         tiny = np.finfo(float).tiny
         assert usable_components(np.array([1.0, tiny, tiny / 2]) * 1e-300) == 1
         assert usable_components(np.array([1e-320, 1e-321])) == 0
+
+    def test_infinite_singulars_are_not_usable(self):
+        # a norm past the float range has a reciprocal of 0
+        assert usable_components(np.array([np.inf])) == 0
+        assert usable_components(np.array([1e300, 1e295])) == 2
 
 
 class TestScaledNorm:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specsel.decompose import nipals_fit, pca_fit, project
-from specsel.errors import ShapeMismatch, SingularScores, SpecselError
+from specsel.errors import (NonFiniteValue, ShapeMismatch, SingularScores,
+                            SpecselError)
 from specsel.preprocess import IDENTITY, parse_pipeline
 from specsel.regress import (
     cumulative_estimates,
@@ -65,7 +66,18 @@ class TestPcrFit:
         base = pcr_fit(pca_fit(ss, 3), conc)
         huge_set = SpectraSet(ss.axis, ss.matrix * 2.0 ** 600, ss.labels)
         huge = pcr_fit(pca_fit(huge_set, 3), conc)
-        assert_allclose(huge.coeffs * 2.0 ** 600, base.coeffs, rtol=1e-12)
+        # pca_fit divides by a power of two, so the coefficients are exact
+        assert np.array_equal(huge.coeffs * 2.0 ** 600, base.coeffs)
+
+    def test_score_norm_past_float_range(self):
+        # finite scores whose norm overflows would get a zero coefficient
+        ss = random_spectra_set(i=8, j=40, seed=20)
+        pca = pca_fit(ss, 1)
+        huge = dataclasses.replace(pca, scores=np.sign(pca.scores) * 1e308)
+        conc = ConcentrationSet(np.ones((1, 8)), ("a",), ("u",))
+        with pytest.raises(SingularScores,
+                           match="^a score norm is not a normal float"):
+            pcr_fit(huge, conc)
 
     def test_zero_concentrations(self):
         ss = random_spectra_set(i=6, j=30, seed=23)
@@ -194,6 +206,17 @@ class TestPcrPredict:
         assert every_count.shape == (2, 30, 6)
         assert np.array_equal(pcr_predict(model, batch),
                               every_count[:, :, -1])
+
+    def test_non_finite_estimate_names_the_spectrum(self):
+        # a spectrum far outside the model's scale is refused by label
+        model = train_final(*tears_phantom(8, 7), IDENTITY, 3)
+        batch, _ = tears_phantom(5, 8)
+        matrix = batch.matrix.copy()
+        matrix[2:] *= 1e307
+        with pytest.raises(NonFiniteValue, match=re.escape(
+                f"spectrum {batch.labels[2]!r}: estimated concentrations "
+                f"are not finite")):
+            pcr_predict(model, SpectraSet(batch.axis, matrix, batch.labels))
 
     def test_spectrum_gets_same_bits_in_any_batch(self):
         # each spectrum is projected on its own, so neither its neighbours

@@ -66,6 +66,8 @@ SCALES = {"x2p600": 2.0 ** 600, "x1em320": 1e-320}
 CONC_SCALE = 1e160
 # an axis spacing whose square underflows to 0
 FINE_SPACING = 2e-300
+# an intensity scale whose centring overflows unless the fits divide first
+HUGE_SCALE = 2.0 ** 1017
 # what a selection report decides for each candidate
 VERDICT_KEYS = ("ok", "significant", "optimal_pc", "candidate_set")
 
@@ -201,6 +203,16 @@ def steps() -> list:
                    "n8_seed7")
           for tag, pipeline in (("d2", "derivative(2)"),
                                 ("d1", "derivative(1)"))),
+        # the intensities times HUGE_SCALE
+        (rewrite("n8_seed7_spectra.csv", "n8_seed7_x2p1017_spectra.csv",
+                 scaled(HUGE_SCALE, 1)),),
+        # exit 0: the fits divide by a power of two before they centre
+        crossval("n8_seed7_x2p1017", "identity", "n8_seed7_x2p1017_cv",
+                 "n8_seed7"),
+        # exit 0 with n8_seed7's choice; the baseline_als candidates fail
+        # on their own overflow
+        ["select", *pair("n8_seed7_x2p1017", "n8_seed7"),
+         "--out", "n8_seed7_x2p1017_select.json"],
     ]
 
 
