@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import IoFailure, SpecselError
 from .significance import DEFAULT_ALPHA, boxplot_stats
 from .spectra import (
+    _number,
     load_concentrations,
     load_spectra,
     read_json,
@@ -49,13 +50,14 @@ DEFAULT_CANDIDATES = [
 
 
 # each setting a flag or the config file can give: its default, the JSON
-# type(s) it must have and the wording of its error
+# type(s) it must have and the wording of its error; a float setting is
+# read by spectra._number, the rule of every JSON file specsel reads
 SETTINGS = {
     "n": (40, int, "an integer"),
     "seed": (0, int, "an integer"),
     "pipeline": ("identity", str, "a pipeline string"),
     "candidates": (DEFAULT_CANDIDATES, list, "a list of pipeline strings"),
-    "alpha": (DEFAULT_ALPHA, (int, float), "a number"),
+    "alpha": (DEFAULT_ALPHA, float, "a finite number"),
     "log_press": (False, bool, "true or false"),
     "threads": (1, int, "an integer"),
 }
@@ -71,8 +73,10 @@ def _load_config(path: str | None) -> dict:
         if key not in config:
             continue
         value = config[key]
+        if kind is float:
+            config[key] = _number(value, f"config {key!r}")
         # JSON true and false are ints to isinstance, but they are not numbers
-        if (not isinstance(value, kind)
+        elif (not isinstance(value, kind)
                 or (isinstance(value, bool) and kind is not bool)
                 or (kind is list and not all(isinstance(v, str)
                                              for v in value))):
@@ -160,7 +164,7 @@ def cmd_select(args, config) -> int:
     candidates = [parse_pipeline(t)
                   for t in _setting(args, config, "candidates")]
     report = select_method(spectra, conc, candidates,
-                           alpha=float(_setting(args, config, "alpha")),
+                           alpha=_setting(args, config, "alpha"),
                            log_press=_setting(args, config, "log_press"),
                            workers=_setting(args, config, "threads"))
     inputs = {

@@ -7,8 +7,8 @@ extracts the same components one at a time by power iteration and is kept
 as an independent iterative reference. ``usable_components`` is the one
 rule, relative to the data, for how many components any fit may use, and
 ``unit_scaled`` the one power-of-two scale of its norms, of ``pca_fit``
-and the folds of ``crossval``, of the ``snv`` and ``rnv`` steps and of the
-significance gate's groups.
+and the folds of ``crossval``, of the ``snv`` and ``rnv`` steps and
+``despike``'s edge windows, and of the significance gate's groups.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisMismatch, BadOrder, NoConvergence
+from .errors import AxisMismatch, BadOrder, NoConvergence, NonFiniteValue
 from .spectra import ROW_BLOCK, SpectraSet, _set_arrays
 
 DEFAULT_TOL = 1e-10
@@ -91,9 +91,9 @@ def unit_scaled(x: np.ndarray, axis=None):
     """(x / 2^e, e), 2^e being the power of two at or above max|x| over axis
     (e keeps length-1 axes, and is 0 where that maximum is 0): the division
     brings the largest magnitude into [0.5, 1), exactly unless a value
-    underflows. ``scaled_norm``, ``snv``, ``rnv`` and the significance gate
-    scale both ways; ``pca_fit`` and ``crossval.loo_press_matrix`` only
-    divide, through ``_fit_scaled``."""
+    underflows. ``scaled_norm``, ``snv``, ``rnv``, ``despike``'s edge
+    windows and the significance gate scale both ways; ``pca_fit`` and
+    ``crossval.loo_press_matrix`` only divide, through ``_fit_scaled``."""
     e = np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
     return np.ldexp(x, -e), e
 
@@ -135,12 +135,16 @@ def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
     """Leading k principal components of the centered set, from
     centered_svd of the set divided by ``_fit_scaled``'s 2^e, cut to the
     usable ones; the mean spectrum and scores are multiplied back by 2^e.
-    Sign as in nipals_fit."""
+    Sign as in nipals_fit. NonFiniteValue if a score passes the float
+    range."""
     _check_order(spectra, k)
     matrix, e = _fit_scaled(spectra.matrix)
     means, u, singulars, vt, n = centered_svd(matrix, k)
-    return _signed_model(spectra, np.ldexp(means[0], e), vt[:n].T,
-                         np.ldexp(u[:, :n] * singulars[:n], e))
+    with np.errstate(over="ignore"):  # refused below
+        scores = np.ldexp(u[:, :n] * singulars[:n], e)
+    if not np.isfinite(scores).all():
+        raise NonFiniteValue("intensities too large: scores pass the float range")
+    return _signed_model(spectra, np.ldexp(means[0], e), vt[:n].T, scores)
 
 
 def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,

@@ -10,8 +10,9 @@ would. ``snv`` and ``rnv`` are scale-free over the float range: each first
 brings every row's largest magnitude into [0.5, 1) by a power of two
 (``decompose.unit_scaled``), which is exact, so a power-of-two scale of a
 spectrum changes none of their output bits and no square of a deviation
-overflows. The second difference (1, -2, 1) of ``derivative`` and of the
-``baseline_als`` penalty is written once in each.
+overflows; ``despike`` takes its edge medians the same way. The second
+difference (1, -2, 1) of ``derivative`` and of the ``baseline_als``
+penalty is written once in each.
 
 Pipelines have a canonical text form, ``step(arg,...)|step(arg,...)``,
 e.g. ``baseline_als(100000,0.01,10)|rnv(75)``; the empty pipeline is
@@ -250,7 +251,10 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
     if order == 1:
         return np.gradient(rows, h, axis=1, edge_order=1).reshape(shape)
     out = np.empty_like(rows)
-    out[:, 1:-1] = (rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]) / h ** 2
+    # a stencil past the float range gives a non-finite output, which a
+    # SpectraSet refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:, 1:-1] = (rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]) / h ** 2
     out[:, 0], out[:, -1] = out[:, 1], out[:, -2]
     return out.reshape(shape)
 
@@ -364,7 +368,11 @@ def despike(spectrum, window: int = 7, threshold: float = 8.0) -> np.ndarray:
 
     A point is a spike when it sits more than ``threshold`` local MADs away
     from the running median of its window; everything else is passed through
-    bit-identically. Windows are truncated at the edges.
+    bit-identically. Windows are truncated at the edges. An edge window may
+    have an even size, whose median is the mean of its two middle values,
+    so its median and MAD are taken of it divided by ``unit_scaled``'s 2^e,
+    which is exact and keeps that mean in the float range, and multiplied
+    back.
     """
     _check_despike(window, threshold)
     rows, shape = _as_rows(spectrum)
@@ -378,10 +386,10 @@ def despike(spectrum, window: int = 7, threshold: float = 8.0) -> np.ndarray:
         medians[:, half:j - half] = med
         mads[:, half:j - half] = np.median(np.abs(win - med[..., None]), axis=2)
     for n in list(range(min(half, j))) + list(range(max(j - half, 0), j)):
-        win = rows[:, max(0, n - half):n + half + 1]
+        win, e = unit_scaled(rows[:, max(0, n - half):n + half + 1], axis=1)
         med = np.median(win, axis=1)
-        medians[:, n] = med
-        mads[:, n] = np.median(np.abs(win - med[:, None]), axis=1)
+        medians[:, n] = np.ldexp(med, e[:, 0])
+        mads[:, n] = np.ldexp(np.median(np.abs(win - med[:, None]), axis=1), e[:, 0])
     spikes = np.abs(rows - medians) > threshold * mads
     out = rows.copy()
     out[spikes] = medians[spikes]
@@ -519,6 +527,8 @@ _STEPS = {
 def _coerce(kind: str, name: str, type_: type, value):
     try:
         f = float(value)
+    except OverflowError:  # an int too large for a float
+        f = math.inf
     except (TypeError, ValueError) as exc:
         raise PipelineSyntaxError(
             f"{kind} {name} must be a number, got {value!r}") from exc

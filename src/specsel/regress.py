@@ -19,8 +19,8 @@ from .errors import (BadOrder, IoFailure, NonFiniteValue, ShapeMismatch,
                      SingularScores, SpecselError)
 from .preprocess import parse_pipeline
 from .spectra import (ConcentrationSet, SpectraSet, _check_axis,
-                      _check_samples, _set_arrays, _set_names, read_json,
-                      write_json)
+                      _check_samples, _set_arrays, _set_names, _to_float,
+                      read_json, write_json)
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,8 @@ def load_model(path) -> PcrModel:
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise IoFailure(f"{path}: not a {_MODEL_FORMAT} file")
-    if payload.get("version") != _MODEL_VERSION:
+    # by the rule of every number specsel reads, so true is not version 1
+    if _to_float(payload.get("version")) != _MODEL_VERSION:
         raise IoFailure(
             f"{path}: unsupported model version {payload.get('version')!r}, "
             f"expected {_MODEL_VERSION}"
@@ -174,7 +175,7 @@ def load_model(path) -> PcrModel:
                         pipeline_name=payload["pipeline"])
     except KeyError as exc:
         raise IoFailure(f"{path}: model file has no {exc} entry") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # an axis or loadings of ragged lists
         raise IoFailure(f"{path}: not a valid model file: {exc}") from exc
     except SpecselError as exc:
         raise IoFailure(f"{path}: {exc}") from exc

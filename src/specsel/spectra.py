@@ -7,7 +7,9 @@ spectrum. Concentrations travel in a species-per-row CSV whose header is
 ``write_csv`` writes text cells through ``csv.writer`` and each float as
 its ``repr``: the shortest text that parses back to the same float, with
 NaN as ``nan``. So save/load is exact. Model files, reports and configs are
-JSON, read by ``read_json`` and written by ``write_json``. Each frozen data
+JSON, read by ``read_json`` and written by ``write_json``. A number in a
+config, a recipe or a model file is read by one rule, ``_to_float``, which
+``_number`` and ``_set_arrays`` apply. Each frozen data
 type stores its arrays through ``_set_arrays``, one table of field shapes
 per type, as copies unless handed over as ``_Owned``, and its lists of
 names through ``_set_names``, one rule for all.
@@ -114,18 +116,47 @@ class _Owned(NamedTuple):
     array: np.ndarray
 
 
+def _to_float(value) -> float:
+    """The one rule for a number read from a user's JSON file (a config, a
+    recipe or a model file): an int or a float, numpy's included, as a
+    float. Anything else, true, false and text among them, is NaN, and so
+    is an int too large for a float, so a caller that refuses NaN refuses
+    them all."""
+    try:
+        return (float(value) if not isinstance(value, bool) and isinstance(
+            value, (int, float, np.integer, np.floating)) else math.nan)
+    except OverflowError:
+        return math.nan
+
+
+def _number(value, what: str) -> float:
+    """``_to_float(value)``; SpecselError naming ``what`` unless finite."""
+    if not math.isfinite(number := _to_float(value)):
+        raise SpecselError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 def _set_arrays(obj, shapes: dict[str, tuple[int, ...]],
                 nonfinite_row: dict | None = None) -> None:
     """Store each field of the frozen dataclass ``obj`` named in ``shapes``,
     in order, as a read-only float copy of that shape; C-ordered whatever
     the input's layout (a CSV body is Fortran-ordered), so a row's
-    reductions give the same bits from every source. A field given as
-    ``_Owned`` keeps that array itself, frozen, if it is already a C-ordered
-    float array. Raises ShapeMismatch, or NonFiniteValue naming the field
-    or, by ``nonfinite_row[name](row)``, the first row with a NaN or an
+    reductions give the same bits from every source. An array of ints or
+    floats is converted whole; anything else (lists, as a JSON file gives)
+    entry by entry through ``_to_float``, so a bool, text or an int too
+    large for a float is refused like NaN, also among numbers. A field
+    given as ``_Owned`` keeps that array itself, frozen, if it is already
+    a C-ordered float array. Raises ShapeMismatch (ragged lists included),
+    or NonFiniteValue naming the field or, by
+    ``nonfinite_row[name](row)``, the first row with a NaN or an
     infinity."""
     for name, shape in shapes.items():
         value = getattr(obj, name)
+        if not (isinstance(value, _Owned) or isinstance(value, np.ndarray)
+                and value.dtype.kind in "iuf"):
+            entries = np.array(value, dtype=object)
+            value = _Owned(np.fromiter(map(_to_float, entries.flat), float,
+                                       entries.size).reshape(entries.shape))
         arr = (np.asarray(value.array, dtype=float, order="C")
                if isinstance(value, _Owned)
                else np.array(value, dtype=float, order="C"))

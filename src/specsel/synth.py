@@ -23,20 +23,11 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import RecipeSpeciesMismatch, SpecselError
-from .spectra import ConcentrationSet, SpectraSet, _check_unique
+from .spectra import ConcentrationSet, SpectraSet, _check_unique, _number
 
 
 # --- field conversion, shared by every recipe dataclass ---------------------
-
-def _number(value, what: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise SpecselError(f"{what} must be a finite number, got {value!r}")
-    return number
-
+# each number by spectra._number, the rule of every JSON file specsel reads
 
 def _numbers(value, what: str, length: int | None = None) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple, np.ndarray)):
@@ -79,9 +70,13 @@ class SpeciesSpec:
         if not isinstance(self.peaks, (list, tuple, np.ndarray)):
             raise SpecselError(f"peaks must be a list, got {self.peaks!r}")
         peaks = tuple(_numbers(peak, "peak", 3) for peak in self.peaks)
-        for _center, width, _amp in peaks:
+        for center, width, _amp in peaks:
             if width <= 0:
                 raise SpecselError(f"peak width must be > 0, got {width}")
+            # the Lorentzian divides by the width's square
+            if not np.finfo(float).tiny <= width * width < math.inf:
+                raise SpecselError(f"{self.name!r} peak at {center:g} cm-1: "
+                                   f"width {width:g} squared is not a normal float")
         for key in ("name", "unit"):
             if not isinstance(value := getattr(self, key), str):
                 raise SpecselError(f"{key} must be a string, got {value!r}")

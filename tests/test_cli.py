@@ -28,13 +28,14 @@ from conftest import (noiseless_mixtures, one_spectrum_csv,
                       snv_collapsed_fold, weak_third_direction)
 
 
-def run_fresh(script: str, cwd, timeout=None) -> None:
-    """Run ``script`` in a fresh interpreter that imports this specsel,
-    killed after ``timeout`` seconds if given."""
+def run_fresh(script: str, cwd, timeout=None, flags=()) -> None:
+    """Run ``script`` in a fresh interpreter, started with the options
+    ``flags``, that imports this specsel, killed after ``timeout`` seconds
+    if given."""
     src = str(Path(specsel.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", script], cwd=cwd, capture_output=True,
+        [sys.executable, *flags, "-c", script], cwd=cwd, capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
     assert result.returncode == 0, result.stderr
 
@@ -547,6 +548,53 @@ class TestPowerOfTwoScale:
         """)
         run_fresh(script, tmp_path, timeout=120)
 
+    def test_at_5e307_each_refusal_is_the_only_output(self, tmp_path):
+        # numpy warnings are errors here, so a warning before a refusal, or
+        # in a candidate that succeeds, ends the script in a traceback
+        script = textwrap.dedent("""
+            import contextlib, io, json
+            from specsel.cli import main
+            from specsel.spectra import (SpectraSet, save_concentrations,
+                                         save_spectra)
+            from specsel.synth import tears_phantom
+
+            spectra, conc = tears_phantom(8, 7)
+            save_spectra("s.csv", SpectraSet(
+                spectra.axis, spectra.matrix * 5e307, spectra.labels))
+            save_concentrations("c.csv", conc, spectra.labels)
+
+            def run(*argv):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \\
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = main([argv[0], "--spectra", "s.csv",
+                                 "--concentrations", "c.csv", *argv[1:]])
+                return code, err.getvalue().splitlines()
+
+            code, lines = run("select", "--out", "r.json")
+            report = json.load(open("r.json"))
+            failed = [c["pipeline"] for c in report["candidates"]
+                      if not c["ok"]]
+            assert (code, report["chosen_pipeline"], report["chosen_pc"]) == (
+                0, "despike(7,8)", 5), (code, report["chosen_pipeline"])
+            assert failed == [
+                "derivative(2)", "baseline_als(100000,0.01,10)",
+                "baseline_als(100000,0.01,10)|rnv(75)",
+                "baseline_als(100000,0.01,10)|rnv(90)",
+                "despike(7,8)|baseline_als(100000,0.01,10)",
+                "savgol(7,2,0)|derivative(2)"], failed
+            assert all(line.startswith("alert: ") for line in lines), lines
+            result = run("crossval", "--pipeline", "derivative(2)",
+                         "--out-dir", "cv")
+            assert result == (2, ["error: NonFiniteValue: non-finite "
+                                  "intensity in spectrum 's000'"]), result
+            result = run("train", "--pc", "3", "--out-model", "m.json")
+            assert result == (2, ["error: NonFiniteValue: intensities too "
+                                  "large: scores pass the float range"]), result
+        """)
+        run_fresh(script, tmp_path, timeout=120,
+                  flags=["-W", "error::RuntimeWarning"])
+
     @pytest.mark.parametrize("k", [600, 1015])
     def test_train_and_predict_bytes_equal_unscaled(self, tmp_path, k):
         train_set, train_conc = synth.tears_phantom(20, 1)
@@ -574,7 +622,7 @@ class TestConfigTypes:
         ("seed", -1, "seed must be a non-negative integer, got -1"),
         ("threads", "abc", "config 'threads' must be an integer, got 'abc'"),
         ("threads", 0, "threads must be at least 1, got 0"),
-        ("alpha", "abc", "config 'alpha' must be a number, got 'abc'"),
+        ("alpha", "abc", "config 'alpha' must be a finite number, got 'abc'"),
         ("log_press", "false",
          "config 'log_press' must be true or false, got 'false'"),
         ("candidates", [5],
@@ -629,7 +677,7 @@ class TestConfigTypes:
 
     # synth reads no alpha, and its --n flag overrides the file's n
     @pytest.mark.parametrize("key,value,message", [
-        ("alpha", "x", "config 'alpha' must be a number, got 'x'"),
+        ("alpha", "x", "config 'alpha' must be a finite number, got 'x'"),
         ("n", "abc", "config 'n' must be an integer, got 'abc'"),
     ], ids=["key_not_read", "key_under_flag"])
     def test_bad_value_synth_does_not_use_exit_2(self, tmp_path, capsys, key,
@@ -642,6 +690,74 @@ class TestConfigTypes:
         assert code == 2
         assert f"error: SpecselError: {message}" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+
+# a JSON integer too large for a float
+BIG = 10 ** 400
+
+
+class TestJsonNumbers:
+    """A config, a recipe and a model file read a number by one rule: an int
+    or a float with a finite float value, never true, false or text, also
+    among the numbers of a list."""
+
+    RECIPE = {"species": [{"name": "a", "peaks": [[600, 10, 1]]}],
+              "baseline": {"kind": "polynomial", "coeffs": [1.0, 0.5]}}
+
+    SCALARS = {"true": True, "text": "0.5", "big": BIG}
+    MIXED = {"mixed": [True, 0.5]}
+
+    @pytest.mark.parametrize("reader,field,value", [
+        pytest.param(reader, field, value, id="-".join(
+            [reader, ".".join(map(str, field)), name]))
+        for reader, fields, values in [
+            ("config", [["alpha"]], SCALARS),
+            ("recipe", [["noise_sigma"], ["baseline", "coeffs", 0]], SCALARS),
+            ("recipe", [["baseline", "coeffs"]], MIXED),
+            ("model", [["mean_conc", 0]], SCALARS),
+            ("model", [["mean_conc"]], MIXED),
+            ("model", [["coeffs", 1, 0], ["axis", 3], ["loadings", 0, 1],
+                       ["mean_spectrum", 2]], {"big": BIG}),
+        ]
+        for field in fields
+        for name, value in values.items()
+    ])
+    def test_not_a_number_exit_2(self, tmp_path, capsys, reader, field,
+                                 value):
+        spectra, conc = synth.tears_phantom(8, 7)
+        save_spectra(tmp_path / "s.csv", spectra)
+        save_concentrations(tmp_path / "c.csv", conc, spectra.labels)
+        pair = ["--spectra", str(tmp_path / "s.csv"),
+                "--concentrations", str(tmp_path / "c.csv")]
+        path, out = tmp_path / f"{reader}.json", tmp_path / "out"
+        if reader == "model":
+            assert main(["train", *pair, "--pc", "2",
+                         "--out-model", str(path)]) == 0
+            document = json.loads(path.read_text())
+            argv = ["predict", "--model", str(path), *pair[:2],
+                    "--out", str(out)]
+            where = f"{path}: {field[0]}"
+        elif reader == "recipe":
+            document = {"recipe": json.loads(json.dumps(self.RECIPE))}
+            argv = ["--config", str(path), "synth", "--out-spectra",
+                    str(out), "--out-concentrations", str(tmp_path / "oc")]
+            where = f"{path}: recipe {' '.join(map(str, field[:2]))}"
+            field = ["recipe", *field]
+        else:
+            document = {}
+            argv = ["--config", str(path), "select", *pair, "--out", str(out)]
+            where = f"config {field[0]!r}"
+        entry = document
+        for key in field[:-1]:
+            entry = entry[key]
+        entry[field[-1]] = value
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert where in lines[0], lines
+        assert not out.exists()
 
 
 class TestSelect:
@@ -1206,6 +1322,8 @@ class TestTrainPredict:
          "mean_conc has shape (4,), expected (3,)"),
         (lambda p: p.update(version=99),
          "unsupported model version 99, expected 1"),
+        (lambda p: p.update(version=True),
+         "unsupported model version True, expected 1"),
         (lambda p: p.update(format="other-model"),
          "not a specsel-pcr-model file"),
         (lambda p: p.update(pipeline=5), "pipeline must be a string, got 5"),
@@ -1232,7 +1350,7 @@ class TestTrainPredict:
         (lambda p: p.update(axis=p["axis"][::-1]),
          "wavenumber axis not strictly increasing at row 1 (1800 -> 1798)"),
     ], ids=["missing_key", "loadings", "mean_spectrum", "coeffs",
-            "mean_conc", "version", "format", "pipeline_int",
+            "mean_conc", "version", "version_true", "format", "pipeline_int",
             "pipeline_null", "species_string", "species_not_strings",
             "units_null", "units_length", "coeffs_nan", "no_components",
             "axis_scalar", "ragged_loadings", "species_duplicate",

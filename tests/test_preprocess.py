@@ -787,8 +787,9 @@ class TestStepTable:
         ("savgol", (7,), r"^savgol takes \(window, polyorder, \[deriv\]\)"),
         ("despike", (7, "x"), "despike threshold must be a number"),
         ("despike", (4, 8.0), r"^step despike\(4,8\): window must be odd"),
+        ("rnv", (10 ** 400,), "^rnv percentile must be finite, got 1000"),
     ], ids=["unknown_kind", "out_of_range", "arity", "not_a_number",
-            "even_window"])
+            "even_window", "int_too_large_for_a_float"])
     def test_constructor_refuses_what_parse_refuses(self, kind, params,
                                                     message):
         with pytest.raises(PipelineSyntaxError, match=message):

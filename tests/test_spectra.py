@@ -34,6 +34,7 @@ from specsel.spectra import (
     ConcentrationSet,
     SpectraSet,
     _fast_chunk,
+    _number,
     load_concentrations,
     load_spectra,
     read_json,
@@ -816,6 +817,46 @@ class TestNamesRule:
         _, _, build = NAMED_TYPES[kind]
         with pytest.raises(ShapeMismatch, match=r"^1 units for 2 species$"):
             dataclasses.replace(build(["a", "b"]), units=("u",))
+
+
+class TestNumberRule:
+    """One rule for a number from a user's JSON file: ``_number`` for a
+    scalar, and the same rule entry by entry for an array field."""
+
+    @pytest.mark.parametrize("value", [
+        2, -0.5, 10 ** 21, np.float32(0.25), np.int64(3),
+    ], ids=["int", "float", "int_past_int64", "numpy_float", "numpy_int"])
+    def test_a_number_reads_as_its_float(self, value):
+        number = _number(value, "x")
+        assert type(number) is float and number == float(value)
+
+    @pytest.mark.parametrize("value", [
+        True, np.bool_(False), "0.5", None, [1.0], 10 ** 400, -10 ** 400,
+        math.nan, math.inf,
+    ], ids=["true", "numpy_bool", "text", "none", "list", "big_int",
+            "big_negative_int", "nan", "inf"])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(SpecselError) as info:
+            _number(value, "x")
+        assert str(info.value) == f"x must be a finite number, got {value!r}"
+
+    @pytest.mark.parametrize("matrix", [
+        [[True, 0.5]], [["0.5", 1.0]], [[10 ** 400, 1.0]],
+        np.array([[True, False]]), np.array([["1", "2"]]),
+    ], ids=["bool_among_floats", "text_among_floats", "big_int_among_floats",
+            "bool_array", "text_array"])
+    def test_array_field_refuses_what_is_not_a_number(self, matrix):
+        with pytest.raises(NonFiniteValue, match="^matrix has a non-finite value$"):
+            ConcentrationSet(matrix, ("a",))
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 10 ** 21]], np.array([[1, 2]]), np.array([[1, 2]], dtype=np.uint8),
+        np.array([[0.5, 2]], dtype=np.float32),
+    ], ids=["ints", "int_array", "uint8_array", "float32_array"])
+    def test_array_field_of_numbers(self, matrix):
+        conc = ConcentrationSet(matrix, ("a",))
+        assert conc.matrix.dtype == float
+        assert np.array_equal(conc.matrix, np.asarray(matrix, dtype=float))
 
 
 class TestConcentrationSet:

@@ -304,9 +304,18 @@ class TestRecipeFromDict:
         ({"noise_sigma": -0.5}, "recipe noise_sigma must be >= 0, got -0.5"),
         ({"species": [{"name": "g", "peaks": [[600, 0, 1]]}]},
          "recipe species 0 peak width must be > 0, got 0.0"),
+        # the Lorentzian's hwhm ** 2 raised OverflowError
+        ({"species": [{"name": "g", "peaks": [[600, 1e200, 1]]}]},
+         r"^recipe species 0 'g' peak at 600 cm-1: width 1e\+200 squared "
+         r"is not a normal float$"),
+        # the square underflowed to 0 and the Lorentzian divided by it
+        ({"species": [{"name": "g", "peaks": [[600, 1e-170, 1]]}]},
+         r"^recipe species 0 'g' peak at 600 cm-1: width 1e-170 squared "
+         r"is not a normal float$"),
     ], ids=["no_species", "no_name", "species_not_object", "short_peak",
             "axis_stop", "nan", "drift_range", "exp_decay_coeffs",
-            "baseline_kind", "noise_sigma_negative", "zero_width"])
+            "baseline_kind", "noise_sigma_negative", "zero_width",
+            "width_squared_overflows", "width_squared_underflows"])
     def test_malformed_entries(self, edit, message):
         with pytest.raises(SpecselError, match=message):
             recipe_from_dict({**self.CONFIG, **edit}, seed=0)

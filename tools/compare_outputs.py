@@ -13,7 +13,8 @@ trees should write the same bytes. A step is either a specsel argument
 list, whose exit code, standard output and standard error go to a numbered
 log file there and are compared too, or a tuple of writers that make input
 files from earlier outputs (``rewrite`` copies a CSV with some cells
-changed, ``config`` writes a recipe file).
+changed, ``edit_json`` a JSON file with some entries changed, ``config``
+writes a config file).
 
 To add a case, append a step to ``steps()`` with a one-line comment on what
 it pins, building its arguments with ``pair``, ``synth`` and ``crossval``.
@@ -70,6 +71,10 @@ FINE_SPACING = 2e-300
 HUGE_SCALE = 2.0 ** 1017
 # what a selection report decides for each candidate
 VERDICT_KEYS = ("ok", "significant", "optimal_pc", "candidate_set")
+# a JSON integer too large for a float, which no file may give as a number
+BIG = 10 ** 400
+# an intensity scale whose stencils and score multiply-back overflow
+MAX_SCALE = 5e307
 
 
 def pair(spectra: str, conc: str | None = None) -> list:
@@ -111,10 +116,20 @@ def scaled(factor: float, lead: int):
                              *(repr(float(v) * factor) for v in cells[lead:])]
 
 
-def config(name: str, recipe: dict):
-    """A writer of ``recipe`` as the config file ``{name}.json``."""
+def edit_json(source: str, target: str, edit):
+    """A writer that copies the JSON file ``source`` in the working
+    directory to ``target``, its document changed in place by ``edit``."""
     def write(work: Path) -> None:
-        (work / f"{name}.json").write_text(json.dumps({"recipe": recipe}))
+        document = json.loads((work / source).read_text())
+        edit(document)
+        (work / target).write_text(json.dumps(document))
+    return write
+
+
+def config(name: str, document: dict):
+    """A writer of ``document`` as the config file ``{name}.json``."""
+    def write(work: Path) -> None:
+        (work / f"{name}.json").write_text(json.dumps(document))
     return write
 
 
@@ -160,7 +175,8 @@ def steps() -> list:
         ["train", *pair(TRAIN_SET), "--pc", "0",
          "--out-model", "pc0_model.json"],
         # a custom recipe and one without peaks
-        (config("recipe", RECIPE), config("bad_recipe", BAD_RECIPE)),
+        (config("recipe", {"recipe": RECIPE}),
+         config("bad_recipe", {"recipe": BAD_RECIPE})),
         # species as objects, a polynomial baseline and spikes
         ["--config", "recipe.json",
          *synth("recipe", "--n", "12", "--seed", "5")],
@@ -213,6 +229,23 @@ def steps() -> list:
         # on their own overflow
         ["select", *pair("n8_seed7_x2p1017", "n8_seed7"),
          "--out", "n8_seed7_x2p1017_select.json"],
+        # a config whose alpha is BIG, the model with BIG in its coeffs and
+        # the intensities times MAX_SCALE
+        (config("big_alpha", {"alpha": BIG}),
+         edit_json("model.json", "big_model.json",
+                   lambda model: model["coeffs"][0].__setitem__(0, BIG)),
+         rewrite("n8_seed7_spectra.csv", "n8_seed7_x5e307_spectra.csv",
+                 scaled(MAX_SCALE, 1))),
+        # refused, exit 2: alpha is not a finite number
+        ["--config", "big_alpha.json", "select", *pair("n8_seed7"),
+         "--out", "big_alpha_select.json"],
+        # refused, exit 2: coeffs has a non-finite value
+        ["predict", "--model", "big_model.json",
+         "--spectra", "batch_spectra.csv", "--out", "big_predictions.csv"],
+        # exit 0 with despike(7,8) at 5 PCs, the derivative(2) and
+        # baseline_als candidates failed, and no numpy warning
+        ["select", *pair("n8_seed7_x5e307", "n8_seed7"),
+         "--out", "n8_seed7_x5e307_select.json"],
     ]
 
 
