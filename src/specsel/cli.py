@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import IoFailure, SpecselError
@@ -67,20 +68,24 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     config = read_json(path)
-    if not isinstance(config, dict):
-        raise SpecselError(f"config {path} must be a JSON object")
-    for key, (_, kind, what) in SETTINGS.items():
-        if key not in config:
-            continue
-        value = config[key]
-        if kind is float:
-            config[key] = _number(value, f"config {key!r}")
-        # JSON true and false are ints to isinstance, but they are not numbers
-        elif (not isinstance(value, kind)
-                or (isinstance(value, bool) and kind is not bool)
-                or (kind is list and not all(isinstance(v, str)
-                                             for v in value))):
-            raise SpecselError(f"config {key!r} must be {what}, got {value!r}")
+    try:
+        if not isinstance(config, dict):
+            raise SpecselError("config must be a JSON object")
+        for key, (_, kind, what) in SETTINGS.items():
+            if key not in config:
+                continue
+            value = config[key]
+            if kind is float:
+                config[key] = _number(value, f"config {key!r}")
+            # JSON true and false are ints to isinstance, but not numbers
+            elif (not isinstance(value, kind)
+                    or (isinstance(value, bool) and kind is not bool)
+                    or (kind is list and not all(isinstance(v, str)
+                                                 for v in value))):
+                raise SpecselError(
+                    f"config {key!r} must be {what}, got {value!r}")
+    except SpecselError as exc:
+        raise SpecselError(f"{path}: {exc}") from None
     return config
 
 
@@ -106,16 +111,15 @@ def cmd_validate(args, config) -> int:
 def cmd_synth(args, config) -> int:
     from . import synth
 
-    seed = _setting(args, config, "seed")
-    n = _setting(args, config, "n")
-    if "recipe" not in config:
-        recipe = synth.tears_recipe(seed)
-    else:
+    recipe = synth.tears_recipe()
+    if "recipe" in config:
         try:
-            recipe = synth.recipe_from_dict(config["recipe"], seed)
+            recipe = synth.recipe_from_dict(config["recipe"])
         except SpecselError as exc:
             raise SpecselError(f"{args.config}: {exc}") from exc
-    spectra, conc = synth.phantom(recipe, n)
+    # the seed is the flag's or the config's, so its refusal names no file
+    recipe = replace(recipe, seed=_setting(args, config, "seed"))
+    spectra, conc = synth.phantom(recipe, _setting(args, config, "n"))
     save_spectra(args.out_spectra, spectra)
     save_concentrations(args.out_concentrations, conc, spectra.labels)
     print(f"wrote {spectra.n_spectra} spectra x {spectra.n_channels} channels")

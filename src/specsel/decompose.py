@@ -8,7 +8,8 @@ as an independent iterative reference. ``usable_components`` is the one
 rule, relative to the data, for how many components any fit may use, and
 ``unit_scaled`` the one power-of-two scale of its norms, of ``pca_fit``
 and the folds of ``crossval``, of the ``snv`` and ``rnv`` steps and
-``despike``'s edge windows, and of the significance gate's groups.
+``despike``'s edge windows, of ``baseline_als``'s solves, and of the
+significance gate's groups.
 """
 
 from __future__ import annotations
@@ -87,14 +88,20 @@ def usable_components(singulars: np.ndarray, data_norm=0.0) -> np.ndarray:
                   & np.isfinite(singulars), axis=-1)
 
 
+def _unit_exponent(x: np.ndarray, axis=None) -> np.ndarray:
+    """e, 2^e being the power of two at or above max|x| over axis (e keeps
+    length-1 axes, and is 0 where that maximum is 0)."""
+    return np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
+
+
 def unit_scaled(x: np.ndarray, axis=None):
-    """(x / 2^e, e), 2^e being the power of two at or above max|x| over axis
-    (e keeps length-1 axes, and is 0 where that maximum is 0): the division
-    brings the largest magnitude into [0.5, 1), exactly unless a value
-    underflows. ``scaled_norm``, ``snv``, ``rnv``, ``despike``'s edge
-    windows and the significance gate scale both ways; ``pca_fit`` and
-    ``crossval.loo_press_matrix`` only divide, through ``_fit_scaled``."""
-    e = np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
+    """(x / 2^e, e) with ``_unit_exponent``'s e: the division brings the
+    largest magnitude into [0.5, 1), exactly unless a value underflows.
+    ``scaled_norm``, ``snv``, ``rnv``, ``despike``'s edge windows and the
+    significance gate scale both ways; ``pca_fit`` and
+    ``crossval.loo_press_matrix`` only divide, through ``_fit_scaled``, and
+    ``baseline_als``'s solves through that e of each row."""
+    e = _unit_exponent(x, axis)
     return np.ldexp(x, -e), e
 
 

@@ -10,7 +10,8 @@ would. ``snv`` and ``rnv`` are scale-free over the float range: each first
 brings every row's largest magnitude into [0.5, 1) by a power of two
 (``decompose.unit_scaled``), which is exact, so a power-of-two scale of a
 spectrum changes none of their output bits and no square of a deviation
-overflows; ``despike`` takes its edge medians the same way. The second
+overflows; ``despike`` takes its edge medians the same way, and
+``baseline_als`` its solves, dividing only. The second
 difference (1, -2, 1) of ``derivative`` and of the ``baseline_als``
 penalty is written once in each.
 
@@ -24,7 +25,9 @@ int or float, default), its range check and how it calls the operation.
 Each range check is also the first thing its operation runs, so a bad value
 raises the operation's class (``BadOrder``, ``DegenerateSubset``) on a
 direct call and ``PipelineSyntaxError`` naming the step when parsed.
-Parameters must be finite.
+A parameter given as text is read by ``float()``, any other value by
+``spectra._to_float``, so a bool is refused; every parameter must be a
+finite number.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .decompose import unit_scaled
+from .decompose import _unit_exponent, unit_scaled
 from .errors import (
     BadOrder,
     DegenerateSubset,
@@ -48,7 +51,7 @@ from .errors import (
     WindowTooLarge,
     ZeroVariance,
 )
-from .spectra import ROW_BLOCK, SpectraSet
+from .spectra import ROW_BLOCK, SpectraSet, _to_float
 
 
 MIN_ALS_CHANNELS = 8
@@ -304,7 +307,10 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     Fortran-ordered (3, rows * channels) band storage LAPACK takes, so it
     is factored in place, not copied, and the right-hand side becomes the
     solution. Both live in buffers allocated once per call for all the
-    rows, of which each solve fills the leading ones.
+    rows, of which each solve fills the leading ones. Each row is solved
+    divided by its own power of two (``decompose._unit_exponent``, never
+    scaling up) and its solutions multiplied back, which is exact, so no
+    sum of a solve overflows near the float maximum.
     Returns (corrected, baseline). BadOrder names ``lam`` and ``p`` when
     rounding leaves a system not positive definite.
     """
@@ -326,11 +332,14 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     # each takes the leading rows: a C-ordered prefix, so still LAPACK's
     # band storage
     bands, rhs = np.empty((i, j, 3)), np.empty((i, j))
+    e = np.maximum(_unit_exponent(rows, axis=1), 0)
     try:
-        # the right-hand sides are the columns of rows.T, so the solution's
-        # transpose is C-ordered with one baseline per row
-        baseline = solveh_banded(unit, rows.T, overwrite_ab=True,
+        # the right-hand sides are the columns of the scaled rows' .T, so
+        # the solution's transpose is C-ordered with one baseline per row
+        baseline = solveh_banded(unit, np.ldexp(rows, -e).T,
+                                 overwrite_ab=True, overwrite_b=True,
                                  check_finite=False).T
+        np.ldexp(baseline, e, out=baseline)
         # every row starts active, with the unit weight and its first solve
         active, weights, targets, solved = np.arange(i), 1.0, rows, baseline
         for _ in range(iterations - 1):
@@ -344,12 +353,13 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
             system = bands[:active.size]
             system[:] = penalty.T
             system[:, :, 2] += weights
+            scaled = np.multiply(weights, targets, out=rhs[:active.size])
+            np.ldexp(scaled, -e[active], out=scaled)
             solved = solveh_banded(
-                system.reshape(-1, 3).T,
-                np.multiply(weights, targets, out=rhs[:active.size]).ravel(),
+                system.reshape(-1, 3).T, scaled.ravel(),
                 overwrite_ab=True, overwrite_b=True,
                 check_finite=False).reshape(-1, j)
-            baseline[active] = solved
+            baseline[active] = np.ldexp(solved, e[active], out=solved)
     except np.linalg.LinAlgError as exc:
         raise BadOrder(f"lambda {lam:g} and p {p:g} give a baseline system "
                        f"that is not positive definite ({exc})") from exc
@@ -525,15 +535,15 @@ _STEPS = {
 
 
 def _coerce(kind: str, name: str, type_: type, value):
+    # text, as the pipeline grammar gives, is read by float(); any other
+    # value by the rule of specsel's JSON files, which makes a bool NaN
     try:
-        f = float(value)
-    except OverflowError:  # an int too large for a float
-        f = math.inf
-    except (TypeError, ValueError) as exc:
-        raise PipelineSyntaxError(
-            f"{kind} {name} must be a number, got {value!r}") from exc
+        f = float(value) if isinstance(value, str) else _to_float(value)
+    except ValueError:
+        f = math.nan
     if not math.isfinite(f):
-        raise PipelineSyntaxError(f"{kind} {name} must be finite, got {value!r}")
+        raise PipelineSyntaxError(
+            f"{kind} {name} must be a finite number, got {value!r}")
     if type_ is float:
         return f
     if not f.is_integer():

@@ -317,7 +317,7 @@ def _from_dict(cls, cfg, what: str):
         raise SpecselError(f"{what} {exc}") from None
 
 
-def recipe_from_dict(cfg, seed: int) -> SynthRecipe:
+def recipe_from_dict(cfg, seed: int = 0) -> SynthRecipe:
     """Recipe from a mapping such as the ``recipe`` key of a CLI config.
 
     Keys are SynthRecipe's fields, optional with the same defaults, except

@@ -578,11 +578,7 @@ class TestPowerOfTwoScale:
             assert (code, report["chosen_pipeline"], report["chosen_pc"]) == (
                 0, "despike(7,8)", 5), (code, report["chosen_pipeline"])
             assert failed == [
-                "derivative(2)", "baseline_als(100000,0.01,10)",
-                "baseline_als(100000,0.01,10)|rnv(75)",
-                "baseline_als(100000,0.01,10)|rnv(90)",
-                "despike(7,8)|baseline_als(100000,0.01,10)",
-                "savgol(7,2,0)|derivative(2)"], failed
+                "derivative(2)", "savgol(7,2,0)|derivative(2)"], failed
             assert all(line.startswith("alert: ") for line in lines), lines
             result = run("crossval", "--pipeline", "derivative(2)",
                          "--out-dir", "cv")
@@ -617,20 +613,24 @@ class TestPowerOfTwoScale:
 
 class TestConfigTypes:
     @pytest.mark.parametrize("key,value,message", [
-        ("n", "abc", "config 'n' must be an integer, got 'abc'"),
-        ("seed", True, "config 'seed' must be an integer, got True"),
+        ("n", "abc", "{cfg}: config 'n' must be an integer, got 'abc'"),
+        ("seed", True, "{cfg}: config 'seed' must be an integer, got True"),
         ("seed", -1, "seed must be a non-negative integer, got -1"),
-        ("threads", "abc", "config 'threads' must be an integer, got 'abc'"),
+        ("threads", "abc",
+         "{cfg}: config 'threads' must be an integer, got 'abc'"),
         ("threads", 0, "threads must be at least 1, got 0"),
-        ("alpha", "abc", "config 'alpha' must be a finite number, got 'abc'"),
+        ("alpha", "abc",
+         "{cfg}: config 'alpha' must be a finite number, got 'abc'"),
         ("log_press", "false",
-         "config 'log_press' must be true or false, got 'false'"),
+         "{cfg}: config 'log_press' must be true or false, got 'false'"),
         ("candidates", [5],
-         "config 'candidates' must be a list of pipeline strings, got [5]"),
+         "{cfg}: config 'candidates' must be a list of pipeline strings, "
+         "got [5]"),
         ("candidates", "snv",
-         "config 'candidates' must be a list of pipeline strings, got 'snv'"),
+         "{cfg}: config 'candidates' must be a list of pipeline strings, "
+         "got 'snv'"),
         ("pipeline", ["snv"],
-         "config 'pipeline' must be a pipeline string, got ['snv']"),
+         "{cfg}: config 'pipeline' must be a pipeline string, got ['snv']"),
     ], ids=["n", "seed", "seed_negative", "threads", "threads_zero", "alpha",
             "log_press", "candidates_item", "candidates_str", "pipeline"])
     def test_bad_value_exit_2(self, mixture_files, tmp_path, capsys, key,
@@ -651,7 +651,8 @@ class TestConfigTypes:
                     "--out", str(tmp_path / "r.json")]
         code = main(["--config", str(cfg), *argv])
         assert code == 2
-        assert f"error: SpecselError: {message}" in capsys.readouterr().err
+        assert (f"error: SpecselError: {message.format(cfg=cfg)}"
+                in capsys.readouterr().err)
 
     def test_config_not_an_object_exit_2(self, mixture_files, tmp_path,
                                          capsys):
@@ -661,7 +662,7 @@ class TestConfigTypes:
         code = main(["--config", str(cfg), "validate", "--spectra", str(spath),
                      "--concentrations", str(cpath)])
         assert code == 2
-        assert (f"error: SpecselError: config {cfg} must be a JSON object"
+        assert (f"error: SpecselError: {cfg}: config must be a JSON object"
                 in capsys.readouterr().err)
 
     def test_empty_candidates_exit_2(self, mixture_files, tmp_path, capsys):
@@ -677,8 +678,9 @@ class TestConfigTypes:
 
     # synth reads no alpha, and its --n flag overrides the file's n
     @pytest.mark.parametrize("key,value,message", [
-        ("alpha", "x", "config 'alpha' must be a finite number, got 'x'"),
-        ("n", "abc", "config 'n' must be an integer, got 'abc'"),
+        ("alpha", "x",
+         "{cfg}: config 'alpha' must be a finite number, got 'x'"),
+        ("n", "abc", "{cfg}: config 'n' must be an integer, got 'abc'"),
     ], ids=["key_not_read", "key_under_flag"])
     def test_bad_value_synth_does_not_use_exit_2(self, tmp_path, capsys, key,
                                                  value, message):
@@ -688,7 +690,24 @@ class TestConfigTypes:
                      "--out-spectra", str(tmp_path / "s.csv"),
                      "--out-concentrations", str(tmp_path / "c.csv")])
         assert code == 2
-        assert f"error: SpecselError: {message}" in capsys.readouterr().err
+        assert (f"error: SpecselError: {message.format(cfg=cfg)}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_bad_seed_flag_reads_alike_with_a_recipe(self, tmp_path, capsys):
+        # the flag's seed is not the recipe file's, so its refusal names no
+        # file, with or without a recipe config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"recipe": TestJsonNumbers.RECIPE}))
+        argv = ["synth", "--seed", "-1", "--out-spectra",
+                str(tmp_path / "s.csv"),
+                "--out-concentrations", str(tmp_path / "c.csv")]
+        errors = []
+        for config in ([], ["--config", str(cfg)]):
+            assert main([*config, *argv]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: SpecselError: seed must be a non-negative "
+                          "integer, got -1\n"] * 2, errors
         assert not (tmp_path / "s.csv").exists()
 
 

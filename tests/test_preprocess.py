@@ -303,6 +303,15 @@ class TestBaselineAls:
             details.append(re.sub(r"\d+", "N", detail))
         assert details[0] == details[1]
 
+    @pytest.mark.parametrize("k", [1017, 1020])
+    def test_extreme_power_of_two_scale(self, k):
+        # the sums of the solves would overflow near the float maximum if
+        # each row were not divided by its own power of two first
+        x = np.random.default_rng(2).normal(size=(3, 100))
+        for scaled, unscaled in zip(baseline_als(x * 2.0 ** k),
+                                    baseline_als(x)):
+            assert np.array_equal(scaled, unscaled * 2.0 ** k)
+
 
 
 def sparse_als_oracle(x, lam, p, iterations):
@@ -582,14 +591,17 @@ class TestPipelineGrammar:
             ("savgol(7.5,2)", "savgol window must be an integer, got '7.5'"),
             ("rnv(150)", "step rnv(150): percentile must be in (0, 100]"),
             ("savgol(4,2)", "step savgol(4,2,0): window must be odd"),
-            ("rnv(a)", "rnv percentile must be a number, got 'a'"),
+            ("rnv(a)", "rnv percentile must be a finite number, got 'a'"),
             ("rnv(75,)", "rnv takes (percentile)"),
             ("derivative(3)", "step derivative(3): derivative order must be"),
-            ("despike(7,nan)", "despike threshold must be finite, got 'nan'"),
-            ("baseline_als(nan)", "baseline_als lambda must be finite"),
-            ("baseline_als(inf)", "baseline_als lambda must be finite"),
+            ("despike(7,nan)",
+             "despike threshold must be a finite number, got 'nan'"),
+            ("baseline_als(nan)",
+             "baseline_als lambda must be a finite number"),
+            ("baseline_als(inf)",
+             "baseline_als lambda must be a finite number"),
             ("peak_normalize(1000,inf)",
-             "peak_normalize half_width must be finite"),
+             "peak_normalize half_width must be a finite number"),
         ]:
             with pytest.raises(PipelineSyntaxError) as info:
                 parse_pipeline(text)
@@ -785,11 +797,18 @@ class TestStepTable:
         ("wibble", (), "unknown preprocessing step 'wibble'"),
         ("rnv", (150.0,), r"^step rnv\(150\): percentile must be in"),
         ("savgol", (7,), r"^savgol takes \(window, polyorder, \[deriv\]\)"),
-        ("despike", (7, "x"), "despike threshold must be a number"),
+        ("despike", (7, "x"),
+         "despike threshold must be a finite number, got 'x'"),
         ("despike", (4, 8.0), r"^step despike\(4,8\): window must be odd"),
-        ("rnv", (10 ** 400,), "^rnv percentile must be finite, got 1000"),
+        ("rnv", (10 ** 400,),
+         "^rnv percentile must be a finite number, got 1000"),
+        ("derivative", (True,),
+         "^derivative order must be a finite number, got True$"),
+        ("rnv", (False,), "^rnv percentile must be a finite number, got False$"),
+        ("rnv", (None,), "^rnv percentile must be a finite number, got None$"),
     ], ids=["unknown_kind", "out_of_range", "arity", "not_a_number",
-            "even_window", "int_too_large_for_a_float"])
+            "even_window", "int_too_large_for_a_float", "true", "false",
+            "none"])
     def test_constructor_refuses_what_parse_refuses(self, kind, params,
                                                     message):
         with pytest.raises(PipelineSyntaxError, match=message):

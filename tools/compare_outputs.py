@@ -75,6 +75,9 @@ VERDICT_KEYS = ("ok", "significant", "optimal_pc", "candidate_set")
 BIG = 10 ** 400
 # an intensity scale whose stencils and score multiply-back overflow
 MAX_SCALE = 5e307
+# an intensity scale whose baseline_als solves overflow unless each row is
+# divided by a power of two first
+ALS_SCALE = 1e306
 
 
 def pair(spectra: str, conc: str | None = None) -> list:
@@ -225,8 +228,7 @@ def steps() -> list:
         # exit 0: the fits divide by a power of two before they centre
         crossval("n8_seed7_x2p1017", "identity", "n8_seed7_x2p1017_cv",
                  "n8_seed7"),
-        # exit 0 with n8_seed7's choice; the baseline_als candidates fail
-        # on their own overflow
+        # exit 0 with n8_seed7's choice
         ["select", *pair("n8_seed7_x2p1017", "n8_seed7"),
          "--out", "n8_seed7_x2p1017_select.json"],
         # a config whose alpha is BIG, the model with BIG in its coeffs and
@@ -242,10 +244,19 @@ def steps() -> list:
         # refused, exit 2: coeffs has a non-finite value
         ["predict", "--model", "big_model.json",
          "--spectra", "batch_spectra.csv", "--out", "big_predictions.csv"],
-        # exit 0 with despike(7,8) at 5 PCs, the derivative(2) and
-        # baseline_als candidates failed, and no numpy warning
+        # exit 0 with despike(7,8) at 5 PCs, the derivative(2)
+        # candidates failed, and no numpy warning
         ["select", *pair("n8_seed7_x5e307", "n8_seed7"),
          "--out", "n8_seed7_x5e307_select.json"],
+        # refused, exit 2: the flag's seed, in the words it has without a
+        # recipe config
+        ["--config", "recipe.json", *synth("bad_seed", "--seed", "-1")],
+        # the intensities times ALS_SCALE
+        (rewrite("n8_seed7_spectra.csv", "n8_seed7_x1e306_spectra.csv",
+                 scaled(ALS_SCALE, 1)),),
+        # exit 0 with n8_seed7's choice; the baseline_als candidates run
+        ["select", *pair("n8_seed7_x1e306", "n8_seed7"),
+         "--out", "n8_seed7_x1e306_select.json"],
     ]
 
 
