@@ -95,11 +95,12 @@ def loo_press_matrix(spectra: SpectraSet, conc: ConcentrationSet,
         y_mean = y.mean(axis=1)
         coeffs = pcr_coefficients(u[:, :, :k_max], singulars,
                                   y - y_mean[:, None, :])
-        estimates = cumulative_estimates(coeffs, held[:, :, :k_max],
-                                         y_mean)[:, :, 0]
-        errors = estimates - conc.matrix.T[folds][:, :, None]
-        # an error above sqrt(max float) squares to inf: refused below
-        with np.errstate(over="ignore"):
+        # an infinite coefficient gives infinite or NaN estimates, and an
+        # error above sqrt(max float) squares to inf: refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimates = cumulative_estimates(coeffs, held[:, :, :k_max],
+                                             y_mean)[:, :, 0]
+            errors = estimates - conc.matrix.T[folds][:, :, None]
             sq_errors.append(np.sum(errors * errors, axis=1))
         negative.append(np.any(estimates < 0, axis=1))
         k_fits.extend(kept.tolist())

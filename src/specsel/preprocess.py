@@ -263,16 +263,16 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
 
 
 def _second_difference_bands(j: int, lam: float) -> np.ndarray:
-    """Upper-banded ``lam * D @ D.T`` for the j x (j-2) second difference D,
-    whose column c holds the stencil (1, -2, 1) at channels c to c + 2: row
-    2 - d is the d-th superdiagonal, the sum over the j - 2 columns of
-    stencil[k] * stencil[k + d] at channel c + k + d. The unused leading
-    corner cells are 0."""
+    """``lam * D @ D.T`` in LAPACK's lower band storage, for the j x (j-2)
+    second difference D, whose column c holds the stencil (1, -2, 1) at
+    channels c to c + 2: row d is the d-th subdiagonal, the sum over the
+    j - 2 columns of stencil[k] * stencil[k + d] at channel c + k. The
+    unused trailing corner cells are 0."""
     stencil = (1.0, -2.0, 1.0)
     bands = np.zeros((3, j))
     for k, a in enumerate(stencil):
         for d, b in enumerate(stencil[k:]):
-            bands[2 - d, k + d:k + d + j - 2] += a * b
+            bands[d, k:k + j - 2] += a * b
     return lam * bands
 
 
@@ -293,7 +293,9 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     points above the running estimate get the small weight ``p`` so the
     baseline hugs the bottom of the spectrum. Each of the ``iterations``
     solves the pentadiagonal system ``(W + lam * D @ D.T) z = W x`` by one
-    banded Cholesky driver, ``scipy.linalg.solveh_banded`` (LAPACK pbsv).
+    banded Cholesky driver, ``scipy.linalg.solveh_banded`` (LAPACK pbsv),
+    given every system in lower band storage: row d holds the d-th
+    subdiagonal, so the factorization's vectors are unit-stride.
 
     Every row starts active with the unit weight 1.0, so the first solve
     factors ``I + lam * D @ D.T`` once and takes the rows as its right-hand
@@ -301,8 +303,8 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     from its last solve and drops the rows at their fixed point, whose new
     weights equal the weights they were solved with, since every later
     solve would repeat that one bit for bit. It then solves the rows still
-    moving as one block-diagonal banded system: the zero leading corner
-    cells of each row's bands decouple it from the row before. That system
+    moving as one block-diagonal banded system: the zero trailing corner
+    cells of each row's bands decouple it from the row after. That system
     is built as a C-ordered (rows, channels, 3) array, which is the
     Fortran-ordered (3, rows * channels) band storage LAPACK takes, so it
     is factored in place, not copied, and the right-hand side becomes the
@@ -327,7 +329,10 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
 
     penalty = _second_difference_bands(j, lam)
     unit = penalty.copy()
-    unit[2] += 1.0
+    unit[0] += 1.0
+    # each reweighted system is filled from this C-ordered copy: from the
+    # strided penalty.T view, the fill takes several times as long
+    template = np.ascontiguousarray(penalty.T)
     # one system and right-hand side for every reweighted solve, of which
     # each takes the leading rows: a C-ordered prefix, so still LAPACK's
     # band storage
@@ -338,7 +343,7 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
         # the solution's transpose is C-ordered with one baseline per row
         baseline = solveh_banded(unit, np.ldexp(rows, -e).T,
                                  overwrite_ab=True, overwrite_b=True,
-                                 check_finite=False).T
+                                 lower=True, check_finite=False).T
         np.ldexp(baseline, e, out=baseline)
         # every row starts active, with the unit weight and its first solve
         active, weights, targets, solved = np.arange(i), 1.0, rows, baseline
@@ -349,15 +354,16 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
             if not active.size:
                 break
             targets = rows[active]
-            # row k's bands transposed in system[k]: LAPACK's band storage
+            # row k's bands transposed in system[k]: LAPACK's lower band
+            # storage
             system = bands[:active.size]
-            system[:] = penalty.T
-            system[:, :, 2] += weights
+            system[:] = template
+            system[:, :, 0] += weights
             scaled = np.multiply(weights, targets, out=rhs[:active.size])
             np.ldexp(scaled, -e[active], out=scaled)
             solved = solveh_banded(
                 system.reshape(-1, 3).T, scaled.ravel(),
-                overwrite_ab=True, overwrite_b=True,
+                overwrite_ab=True, overwrite_b=True, lower=True,
                 check_finite=False).reshape(-1, j)
             baseline[active] = np.ldexp(solved, e[active], out=solved)
     except np.linalg.LinAlgError as exc:

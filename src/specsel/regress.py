@@ -62,7 +62,10 @@ def pcr_coefficients(u: np.ndarray, singulars: np.ndarray,
     (... x i x q) on the orthogonal scores u * singulars, u (... x i x k)
     having orthonormal columns: u_k^T y_c / s_k. A singular value of inf
     gives its component a zero coefficient."""
-    return (np.swapaxes(y_centered, -1, -2) @ u) / singulars[..., None, :]
+    # a quotient past the float range is inf, which crossval's PRESS check
+    # refuses
+    with np.errstate(over="ignore"):
+        return (np.swapaxes(y_centered, -1, -2) @ u) / singulars[..., None, :]
 
 
 def cumulative_estimates(coeffs: np.ndarray, scores: np.ndarray,

@@ -223,18 +223,22 @@ def generate(recipe: SynthRecipe, conc: ConcentrationSet) -> SpectraSet:
         rng = _rng(recipe.seed, n)
         bscale = rng.uniform(*recipe.baseline.scale_range) if recipe.baseline else 0.0
         drift = rng.uniform(*recipe.drift_range)
-        clean = conc.matrix[:, n] @ responses
-        signal = drift * (clean + bscale * base)
-        ref = float(np.max(np.abs(signal))) or 1.0
-        noise = (rng.normal(0.0, recipe.noise_sigma * ref, axis.size)
-                 if recipe.noise_sigma > 0 else 0.0)
-        row = signal + noise
-        if recipe.spike_rate > 0:
-            n_spikes = rng.poisson(recipe.spike_rate)
-            channels = rng.integers(0, axis.size, n_spikes)
-            amplitudes = rng.uniform(*recipe.spike_amplitude, n_spikes) * ref
-            for channel, amp in zip(channels, amplitudes):
-                row[channel] += amp
+        # a recipe value near the float maximum gives a non-finite
+        # intensity, which a SpectraSet refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            clean = conc.matrix[:, n] @ responses
+            signal = drift * (clean + bscale * base)
+            ref = float(np.max(np.abs(signal))) or 1.0
+            noise = (rng.normal(0.0, recipe.noise_sigma * ref, axis.size)
+                     if recipe.noise_sigma > 0 else 0.0)
+            row = signal + noise
+            if recipe.spike_rate > 0:
+                n_spikes = rng.poisson(recipe.spike_rate)
+                channels = rng.integers(0, axis.size, n_spikes)
+                amplitudes = rng.uniform(*recipe.spike_amplitude,
+                                         n_spikes) * ref
+                for channel, amp in zip(channels, amplitudes):
+                    row[channel] += amp
         rows[n] = row
     labels = tuple(f"s{n:03d}" for n in range(conc.n_samples))
     return SpectraSet(axis, rows, labels)

@@ -611,6 +611,90 @@ class TestPowerOfTwoScale:
         assert written[0] == written[1]
 
 
+class TestOneValueAtFloatMaximum:
+    """One input value of 1e308 ends in exit 2 with one ``error:`` line and
+    no numpy warning before it. numpy warnings are errors in these fresh
+    interpreters, so a warning ends the script in a traceback."""
+
+    # crossval's refusal of a fold whose estimates pass the float range
+    PRESS = ("DegenerateMatrix: fold 's000': squared prediction errors are "
+             "not finite, so PRESS cannot be scored")
+
+    def test_one_concentration_or_intensity_refusal_is_the_only_output(
+            self, tmp_path):
+        script = textwrap.dedent(f"""
+            import contextlib, io
+            from specsel.cli import main
+            from specsel.spectra import (ConcentrationSet, SpectraSet,
+                                         save_concentrations, save_spectra)
+            from specsel.synth import tears_phantom
+
+            spectra, conc = tears_phantom(8, 7)
+            big_conc, big_rows = conc.matrix.copy(), spectra.matrix.copy()
+            big_conc[0, 0] = big_rows[0, 5] = 1e308
+            save_spectra("s.csv", spectra)
+            save_spectra("big_s.csv", SpectraSet(spectra.axis, big_rows,
+                                                 spectra.labels))
+            save_concentrations("c.csv", conc, spectra.labels)
+            save_concentrations("big_c.csv", ConcentrationSet(
+                big_conc, conc.species, conc.units), spectra.labels)
+            press = {self.PRESS!r}
+            cases = [
+                ("s.csv", "big_c.csv", ["select", "--out", "r.json"],
+                 "AllCandidatesFailed: every candidate pipeline failed: "
+                 + press),
+                ("s.csv", "big_c.csv", ["crossval", "--pipeline", "snv",
+                                        "--out-dir", "cv"], press),
+                ("big_s.csv", "c.csv", ["crossval", "--pipeline", "identity",
+                                        "--out-dir", "cv"], press),
+            ]
+            for spectra_csv, conc_csv, (command, *options), error in cases:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \\
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, "--spectra", spectra_csv,
+                                 "--concentrations", conc_csv, *options])
+                result = (code, err.getvalue().splitlines())
+                assert result == (2, ["error: " + error]), result
+        """)
+        run_fresh(script, tmp_path, timeout=120,
+                  flags=["-W", "error::RuntimeWarning"])
+
+    @pytest.mark.parametrize("field", [("coeffs", 0), ("scale_range", 1)],
+                             ids=["coeffs", "scale_range"])
+    def test_recipe_baseline_refusal_is_the_only_output(self, tmp_path,
+                                                        field):
+        recipe = {
+            "axis_start": 400, "axis_stop": 1200, "axis_step": 4,
+            "species": [
+                {"name": "analyte", "peaks": [[600, 10, 1.0], [950, 12, 0.6]],
+                 "conc_range": [0.0, 2.0]},
+                {"name": "matrix", "peaks": [[800, 20, 0.8]], "unit": "%"},
+            ],
+            "baseline": {"kind": "polynomial", "coeffs": [1.0, -0.5, 0.25],
+                         "scale_range": [0.8, 1.2]},
+            "noise_sigma": 0.005, "spike_rate": 1.5, "drift_range": [0.9, 1.1],
+        }
+        recipe["baseline"][field[0]][field[1]] = 1e308
+        (tmp_path / "cfg.json").write_text(json.dumps({"recipe": recipe}))
+        script = textwrap.dedent("""
+            import contextlib, io
+            from specsel.cli import main
+
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \\
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--config", "cfg.json", "synth", "--n", "12",
+                             "--seed", "5", "--out-spectra", "s.csv",
+                             "--out-concentrations", "c.csv"])
+            result = (code, err.getvalue().splitlines())
+            assert result == (2, ["error: NonFiniteValue: non-finite "
+                                  "intensity in spectrum 's001'"]), result
+        """)
+        run_fresh(script, tmp_path, timeout=120,
+                  flags=["-W", "error::RuntimeWarning"])
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize("key,value,message", [
         ("n", "abc", "{cfg}: config 'n' must be an integer, got 'abc'"),

@@ -348,10 +348,10 @@ class TestBaselineAlsOracle:
             diff[c:c + 3, c] = (1.0, -2.0, 1.0)
         dense = lam * diff @ diff.T
         bands = _second_difference_bands(j, lam)
-        assert np.array_equal(bands[2], np.diag(dense))
-        assert np.array_equal(bands[1, 1:], np.diag(dense, 1))
-        assert np.array_equal(bands[0, 2:], np.diag(dense, 2))
-        assert np.array_equal(bands[:2, 0], [0.0, 0.0]) and bands[0, 1] == 0.0
+        assert np.array_equal(bands[0], np.diag(dense))
+        assert np.array_equal(bands[1, :-1], np.diag(dense, -1))
+        assert np.array_equal(bands[2, :-2], np.diag(dense, -2))
+        assert np.array_equal(bands[1:, -1], [0.0, 0.0]) and bands[2, -2] == 0.0
         assert np.count_nonzero(np.triu(dense, 3)) == 0
 
     @pytest.mark.parametrize("lam,p,iterations", [
@@ -375,16 +375,25 @@ class TestBaselineAlsOracle:
         assert_matches_oracle(x, 10.0 ** log_lam, p, iterations)
 
 
-def loop_als_oracle(x, lam, p, iterations):
-    """The per-spectrum banded ALS: every iteration solved, one spectrum."""
+def loop_als_oracle(x, lam, p, iterations, lower=True):
+    """The per-spectrum banded ALS: every iteration solved, one spectrum,
+    in lower band storage or, with ``lower=False``, in upper."""
     penalty = _second_difference_bands(x.size, lam)
+    if not lower:
+        # row 2 - d of the upper storage holds the d-th superdiagonal,
+        # shifted right by d
+        upper = np.zeros_like(penalty)
+        for d in range(3):
+            upper[2 - d, d:] = penalty[d, :x.size - d]
+        penalty = upper
+    diagonal = 0 if lower else 2
     weights = np.ones(x.size)
     baseline = np.zeros(x.size)
     for _ in range(iterations):
         system = penalty.copy()
-        system[2] += weights
+        system[diagonal] += weights
         baseline = solveh_banded(system, weights * x, overwrite_ab=True,
-                                 check_finite=False)
+                                 lower=lower, check_finite=False)
         weights = np.where(x > baseline, p, 1.0 - p)
     return x - baseline, baseline
 
@@ -404,6 +413,16 @@ class TestBaselineAlsMatrix:
         spectra, _ = tears_phantom(1000, 7)
         assert_equals_loop_oracle(spectra.matrix, 1e5, 0.01, 10)
 
+    def test_upper_storage_moves_only_rounding(self):
+        # the upper-storage factorization rounds differently, but no row's
+        # final weights may flip and no baseline move past rounding
+        matrix = tears_phantom(1000, 7)[0].matrix
+        _, baseline = baseline_als(matrix, 1e5, 0.01, 10)
+        for x, row in zip(matrix, baseline):
+            _, upper = loop_als_oracle(x, 1e5, 0.01, 10, lower=False)
+            assert np.array_equal(x > row, x > upper)
+            assert np.abs(row - upper).max() <= 1e-12 * np.abs(upper).max()
+
     def test_single_spectrum_is_one_row(self):
         spectra, _ = tears_phantom(4, 7)
         corrected, baseline = baseline_als(spectra.matrix[1], 1e5, 0.01, 10)
@@ -418,8 +437,9 @@ class TestBaselineAlsMatrix:
         # every row's first solve shares one factor of I + lam * D @ D.T
         spectra, _ = tears_phantom(20, 3)
         system = _second_difference_bands(spectra.n_channels, lam)
-        system[2] += 1.0
-        expected = np.array([solveh_banded(system, x, check_finite=False)
+        system[0] += 1.0
+        expected = np.array([solveh_banded(system, x, lower=True,
+                                           check_finite=False)
                              for x in spectra.matrix])
         _, baseline = baseline_als(spectra.matrix, lam, p, 1)
         assert np.array_equal(baseline, expected)

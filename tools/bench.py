@@ -15,15 +15,17 @@ here and in every child) and ``perfbench/tracer.py``. It records:
   quartiles of the whole call and of its three stages, summed from the
   tracer's spans (preprocessing, the rest of ``loo_press_matrix``, and the
   ANOVA gate), and the chosen pipeline and PC count;
-- the peak resident memory of a ``specsel predict`` child on the
-  ``predict_batch`` workload's inputs at each size in ``PREDICT_BATCHES``.
+- the peak resident memory and the wall time of a ``specsel predict``
+  child on the ``predict_batch`` workload's inputs at each size in
+  ``PREDICT_BATCHES``.
 
 A child's ``ru_maxrss`` carries the high-water mark of the process it was
 started from, so each ``specsel`` child is started by a small launcher (an
-interpreter without numpy), which reports the child's peak from ``wait4``
-and its own from ``/proc/self/status``; the run stops if the launcher's
-own peak reaches ``LAUNCHER_MAX_MB``. Linux only. Inputs are written to a
-temporary directory, removed afterwards.
+interpreter without numpy), which times the child from spawn to exit and
+reports its peak from ``wait4`` and its own from ``/proc/self/status``;
+the run stops if the launcher's own peak reaches ``LAUNCHER_MAX_MB``.
+Linux only. Inputs are written to a temporary directory, removed
+afterwards.
 """
 
 from __future__ import annotations
@@ -55,15 +57,18 @@ PREDICT_BATCHES = (1000, 5000)
 PREDICT_REPEATS = 5
 LAUNCHER_MAX_MB = 20.0
 # runs argv[1:], its standard output discarded, and prints its exit code,
-# its peak RSS and this process's own peak RSS, both in kB
+# its peak RSS and this process's own peak RSS, both in kB, and its wall
+# time from spawn to exit in seconds
 LAUNCHER = """
-import os, sys
+import os, sys, time
+begun = time.perf_counter()
 pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=[
     (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
 _, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - begun
 with open("/proc/self/status") as fh:
     own = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, own)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, own, wall)
 """
 
 
@@ -107,32 +112,35 @@ def bench_select(n: int) -> dict:
     }
 
 
-def launched_peak(argv: list[str]) -> dict:
+def launched(argv: list[str]) -> dict:
     """One launched ``specsel`` child, in the working directory: its peak
-    and the launcher's, in MB."""
+    and the launcher's, in MB, and its wall time in seconds."""
     done = subprocess.run(
         [sys.executable, "-S", "-c", LAUNCHER, sys.executable, "-c",
          run.CHILD_MAIN, *argv],
         env=run.child_env(), capture_output=True, text=True, check=True)
-    code, child_kb, own_kb = map(int, done.stdout.split())
+    *counts, wall = done.stdout.split()
+    code, child_kb, own_kb = map(int, counts)
     if code != 0:
         raise RuntimeError(f"specsel {argv[0]} exited {code}")
     if own_kb / 1024.0 >= LAUNCHER_MAX_MB:
         raise RuntimeError(f"launcher peaked at {own_kb / 1024.0:.1f} MB")
-    return {"child_mb": child_kb / 1024.0, "launcher_mb": own_kb / 1024.0}
+    return {"child_mb": child_kb / 1024.0, "launcher_mb": own_kb / 1024.0,
+            "wall_s": float(wall)}
 
 
 def bench_predict(size: int) -> dict:
     """The predict_batch workload at ``size`` spectra, in the working dir."""
     batch, _ = run.write_predict_inputs(run.Predict(batch=size), SEED,
-                                        launched_peak)
-    peaks = [launched_peak(run.predict_argv("predictions.csv"))
-             for _ in range(PREDICT_REPEATS)]
+                                        launched)
+    runs = [launched(run.predict_argv("predictions.csv"))
+            for _ in range(PREDICT_REPEATS)]
     return {
         "batch": size, "matrix_mb": batch.matrix.nbytes / 2 ** 20,
         "repeats": PREDICT_REPEATS,
-        "child_peak_mb": summary([p["child_mb"] for p in peaks]),
-        "launcher_peak_mb": max(p["launcher_mb"] for p in peaks),
+        "child_peak_mb": summary([p["child_mb"] for p in runs]),
+        "child_wall_s": summary([p["wall_s"] for p in runs]),
+        "launcher_peak_mb": max(p["launcher_mb"] for p in runs),
     }
 
 

@@ -78,6 +78,8 @@ MAX_SCALE = 5e307
 # an intensity scale whose baseline_als solves overflow unless each row is
 # divided by a power of two first
 ALS_SCALE = 1e306
+# one recipe or concentration value whose arithmetic passes the float range
+FLOAT_MAX_VALUE = 1e308
 
 
 def pair(spectra: str, conc: str | None = None) -> list:
@@ -257,6 +259,23 @@ def steps() -> list:
         # exit 0 with n8_seed7's choice; the baseline_als candidates run
         ["select", *pair("n8_seed7_x1e306", "n8_seed7"),
          "--out", "n8_seed7_x1e306_select.json"],
+        # RECIPE with FLOAT_MAX_VALUE as its first baseline coefficient or
+        # its largest baseline scale, and the first concentration of
+        # n8_seed7 at FLOAT_MAX_VALUE
+        (*(edit_json("recipe.json", f"max_{key}_recipe.json",
+                     lambda document, key=key, index=index:
+                     document["recipe"]["baseline"][key].__setitem__(
+                         index, FLOAT_MAX_VALUE))
+           for key, index in (("coeffs", 0), ("scale_range", 1))),
+         rewrite("n8_seed7_conc.csv", "n8_seed7_max_conc.csv",
+                 lambda k, cells: [*cells[:2], repr(FLOAT_MAX_VALUE),
+                                   *cells[3:]] if k == 0 else cells)),
+        # refused, exit 2: a non-finite intensity, and no numpy warning
+        *(["--config", f"max_{key}_recipe.json",
+           *synth(f"max_{key}", "--n", "12", "--seed", "5")]
+          for key in ("coeffs", "scale_range")),
+        # refused, exit 2: PRESS is not finite, and no numpy warning
+        crossval("n8_seed7", "snv", "n8_seed7_max_conc_cv", "n8_seed7_max"),
     ]
 
 
