@@ -263,16 +263,18 @@ def derivative(spectrum, axis, order: int) -> np.ndarray:
 
 
 def _second_difference_bands(j: int, lam: float) -> np.ndarray:
-    """``lam * D @ D.T`` in LAPACK's lower band storage, for the j x (j-2)
-    second difference D, whose column c holds the stencil (1, -2, 1) at
-    channels c to c + 2: row d is the d-th subdiagonal, the sum over the
-    j - 2 columns of stencil[k] * stencil[k + d] at channel c + k. The
-    unused trailing corner cells are 0."""
+    """``lam * D @ D.T`` for the j x (j-2) second difference D, whose
+    column c holds the stencil (1, -2, 1) at channels c to c + 2, as a
+    C-ordered (j, 3) array: LAPACK's lower band storage transposed. Row c
+    holds channel c's diagonal and its first and second subdiagonal
+    entries, column d being the sum over the j - 2 columns of
+    stencil[k] * stencil[k + d] at channel c + k. The unused trailing
+    corner cells are 0."""
     stencil = (1.0, -2.0, 1.0)
-    bands = np.zeros((3, j))
+    bands = np.zeros((j, 3))
     for k, a in enumerate(stencil):
         for d, b in enumerate(stencil[k:]):
-            bands[d, k:k + j - 2] += a * b
+            bands[k:k + j - 2, d] += a * b
     return lam * bands
 
 
@@ -297,22 +299,25 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     given every system in lower band storage: row d holds the d-th
     subdiagonal, so the factorization's vectors are unit-stride.
 
-    Every row starts active with the unit weight 1.0, so the first solve
-    factors ``I + lam * D @ D.T`` once and takes the rows as its right-hand
-    sides. Each later pass first computes every active row's new weights
-    from its last solve and drops the rows at their fixed point, whose new
-    weights equal the weights they were solved with, since every later
-    solve would repeat that one bit for bit. It then solves the rows still
-    moving as one block-diagonal banded system: the zero trailing corner
-    cells of each row's bands decouple it from the row after. That system
-    is built as a C-ordered (rows, channels, 3) array, which is the
-    Fortran-ordered (3, rows * channels) band storage LAPACK takes, so it
-    is factored in place, not copied, and the right-hand side becomes the
-    solution. Both live in buffers allocated once per call for all the
-    rows, of which each solve fills the leading ones. Each row is solved
-    divided by its own power of two (``decompose._unit_exponent``, never
-    scaling up) and its solutions multiplied back, which is exact, so no
-    sum of a solve overflows near the float maximum.
+    One local function, ``systems``, makes every system: it copies the
+    (channels, 3) penalty of ``_second_difference_bands`` into the leading
+    systems of one C-ordered (rows, channels, 3) buffer, adds the weights
+    to column 0, and returns its Fortran-ordered (3, rows * channels)
+    view, the band storage LAPACK takes, so each system is factored in
+    place, not copied. Every row starts active with the unit weight 1.0,
+    so the first solve factors its one ``I + lam * D @ D.T`` once and
+    takes the rows as its right-hand sides. Each later pass first computes
+    every active row's new weights from its last solve and drops the rows
+    at their fixed point, whose new weights equal the weights they were
+    solved with, since every later solve would repeat that one bit for
+    bit. It then solves the rows still moving as one block-diagonal
+    banded system from ``systems``: the zero trailing corner cells of each
+    row's bands decouple it from the row after. Its right-hand side lives
+    in one buffer too, allocated once per call for all the rows, of which
+    each solve fills the leading ones, and becomes the solution. Each row
+    is solved divided by its own power of two (``decompose._unit_exponent``,
+    never scaling up) and its solutions multiplied back, which is exact,
+    so no sum of a solve overflows near the float maximum.
     Returns (corrected, baseline). BadOrder names ``lam`` and ``p`` when
     rounding leaves a system not positive definite.
     """
@@ -327,21 +332,25 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     # of a second, which no pipeline without this step needs
     from scipy.linalg import solveh_banded
 
-    penalty = _second_difference_bands(j, lam)
-    unit = penalty.copy()
-    unit[0] += 1.0
-    # each reweighted system is filled from this C-ordered copy: from the
-    # strided penalty.T view, the fill takes several times as long
-    template = np.ascontiguousarray(penalty.T)
-    # one system and right-hand side for every reweighted solve, of which
-    # each takes the leading rows: a C-ordered prefix, so still LAPACK's
-    # band storage
-    bands, rhs = np.empty((i, j, 3)), np.empty((i, j))
+    template = _second_difference_bands(j, lam)
+    # one system and right-hand side for every solve, of which each takes
+    # the leading rows; at least one system, the unit-weight one
+    bands, rhs = np.empty((max(i, 1), j, 3)), np.empty((i, j))
+
+    def systems(n, weights):
+        # the template plus the weights in each of the leading n systems,
+        # as the Fortran-ordered (3, n * j) band storage LAPACK factors in
+        # place
+        system = bands[:n]
+        system[:] = template
+        system[:, :, 0] += weights
+        return system.reshape(-1, 3).T
+
     e = np.maximum(_unit_exponent(rows, axis=1), 0)
     try:
         # the right-hand sides are the columns of the scaled rows' .T, so
         # the solution's transpose is C-ordered with one baseline per row
-        baseline = solveh_banded(unit, np.ldexp(rows, -e).T,
+        baseline = solveh_banded(systems(1, 1.0), np.ldexp(rows, -e).T,
                                  overwrite_ab=True, overwrite_b=True,
                                  lower=True, check_finite=False).T
         np.ldexp(baseline, e, out=baseline)
@@ -354,15 +363,10 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
             if not active.size:
                 break
             targets = rows[active]
-            # row k's bands transposed in system[k]: LAPACK's lower band
-            # storage
-            system = bands[:active.size]
-            system[:] = template
-            system[:, :, 0] += weights
             scaled = np.multiply(weights, targets, out=rhs[:active.size])
             np.ldexp(scaled, -e[active], out=scaled)
             solved = solveh_banded(
-                system.reshape(-1, 3).T, scaled.ravel(),
+                systems(active.size, weights), scaled.ravel(),
                 overwrite_ab=True, overwrite_b=True, lower=True,
                 check_finite=False).reshape(-1, j)
             baseline[active] = np.ldexp(solved, e[active], out=solved)

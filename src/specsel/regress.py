@@ -109,23 +109,37 @@ def pcr_fit(pca: PcaModel, conc: ConcentrationSet) -> PcrModel:
     )
 
 
+def _refuse_nonfinite(values: np.ndarray, labels, what: str) -> None:
+    """NonFiniteValue naming, by ``labels``, the first spectrum r whose
+    values[:, r, ...] are not all finite: the ``what`` of that spectrum."""
+    overflowed = np.flatnonzero(~np.isfinite(values).all(axis=(0, 2)))
+    if overflowed.size:
+        raise NonFiniteValue(f"spectrum {labels[overflowed[0]]!r}: {what} "
+                             f"are not finite")
+
+
+def _estimate_curve(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
+    """``cumulative_estimates`` (q x r x k) of ``new_set`` under ``model``.
+    Raises NonFiniteValue naming the first spectrum whose last-count
+    estimates are past the float range (spectra far outside the model's
+    scale), with no numpy warning. The last count is enough: a cumulative
+    sum past the float range stays non-finite to the end."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = cumulative_estimates(model.coeffs, project(model, new_set),
+                                     model.mean_conc)
+    _refuse_nonfinite(curve[..., -1:], new_set.labels,
+                      "estimated concentrations")
+    return curve
+
+
 def pcr_predict(model: PcrModel, new_set: SpectraSet) -> np.ndarray:
     """Concentration estimates (q x r) for new spectra: the last count of
-    ``cumulative_estimates``.
+    ``_estimate_curve``, whose NonFiniteValue it raises.
 
     Negative estimates are reported as-is; clamping would bias downstream
-    error statistics. Raises NonFiniteValue naming the first spectrum with
-    an estimate past the float range (spectra far outside the model's
-    scale), with no numpy warning.
+    error statistics.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        estimates = cumulative_estimates(model.coeffs, project(model, new_set),
-                                         model.mean_conc)[..., -1]
-    overflowed = np.flatnonzero(~np.isfinite(estimates).all(axis=0))
-    if overflowed.size:
-        raise NonFiniteValue(f"spectrum {new_set.labels[overflowed[0]]!r}: "
-                             f"estimated concentrations are not finite")
-    return estimates
+    return _estimate_curve(model, new_set)[..., -1]
 
 
 def press(estimated, actual) -> float:

@@ -18,10 +18,10 @@ import numpy as np
 
 from ._parallel import run_indexed
 from .crossval import PressMatrix, loo_press_matrix
-from .decompose import pca_fit, project
+from .decompose import pca_fit
 from .errors import AllCandidatesFailed, ShapeMismatch, SpecselError
 from .preprocess import Pipeline, apply_pipeline
-from .regress import PcrModel, cumulative_estimates, pcr_fit
+from .regress import PcrModel, _estimate_curve, _refuse_nonfinite, pcr_fit
 from .significance import (DEFAULT_ALPHA, PcVerdict, _check_alpha,
                            select_optimal_pc)
 from .spectra import (ConcentrationSet, SpectraSet, _check_samples,
@@ -166,6 +166,10 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
     The model's own pipeline is NOT applied here; pass spectra that are
     already preprocessed the same way as the training set, e.g. with
     ``apply_pipeline(holdout, parse_pipeline(model.pipeline_name))``.
+    The estimates at every count come from ``regress._estimate_curve``,
+    so a spectrum whose estimates pass the float range is refused as
+    ``pcr_predict`` refuses it; NonFiniteValue also names the first
+    spectrum whose squared prediction errors do, with no numpy warning.
     """
     _check_samples(truth, holdout.n_spectra, "truth")
     if tuple(truth.species) != tuple(model.species):
@@ -173,11 +177,13 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
             f"truth species {list(truth.species)} != model species "
             f"{list(model.species)}"
         )
-    # q x r x k; project raises AxisMismatch
-    diff = (cumulative_estimates(model.coeffs, project(model, holdout),
-                                 model.mean_conc)
-            - truth.matrix[:, :, None])
-    per_species = np.sum(diff * diff, axis=1)
+    # q x r x k; project raises AxisMismatch, and an error above
+    # sqrt(max float) squares to inf: refused below
+    with np.errstate(over="ignore"):
+        diff = _estimate_curve(model, holdout) - truth.matrix[:, :, None]
+        squares = diff * diff
+    _refuse_nonfinite(squares, holdout.labels, "squared prediction errors")
+    per_species = np.sum(squares, axis=1)
     rss = per_species.sum(axis=0)
     for arr in (rss, per_species):
         arr.setflags(write=False)

@@ -348,10 +348,13 @@ class TestBaselineAlsOracle:
             diff[c:c + 3, c] = (1.0, -2.0, 1.0)
         dense = lam * diff @ diff.T
         bands = _second_difference_bands(j, lam)
-        assert np.array_equal(bands[0], np.diag(dense))
-        assert np.array_equal(bands[1, :-1], np.diag(dense, -1))
-        assert np.array_equal(bands[2, :-2], np.diag(dense, -2))
-        assert np.array_equal(bands[1:, -1], [0.0, 0.0]) and bands[2, -2] == 0.0
+        # row c holds channel c's diagonal and first and second subdiagonal
+        # entries: LAPACK's lower band storage, transposed
+        assert bands.shape == (j, 3) and bands.flags.c_contiguous
+        assert np.array_equal(bands[:, 0], np.diag(dense))
+        assert np.array_equal(bands[:-1, 1], np.diag(dense, -1))
+        assert np.array_equal(bands[:-2, 2], np.diag(dense, -2))
+        assert np.array_equal(bands[-1, 1:], [0.0, 0.0]) and bands[-2, 2] == 0.0
         assert np.count_nonzero(np.triu(dense, 3)) == 0
 
     @pytest.mark.parametrize("lam,p,iterations", [
@@ -378,14 +381,16 @@ class TestBaselineAlsOracle:
 def loop_als_oracle(x, lam, p, iterations, lower=True):
     """The per-spectrum banded ALS: every iteration solved, one spectrum,
     in lower band storage or, with ``lower=False``, in upper."""
-    penalty = _second_difference_bands(x.size, lam)
-    if not lower:
+    bands = _second_difference_bands(x.size, lam)
+    if lower:
+        # the (j, 3) bands transposed: row d is the d-th subdiagonal
+        penalty = bands.T
+    else:
         # row 2 - d of the upper storage holds the d-th superdiagonal,
         # shifted right by d
-        upper = np.zeros_like(penalty)
+        penalty = np.zeros((3, x.size))
         for d in range(3):
-            upper[2 - d, d:] = penalty[d, :x.size - d]
-        penalty = upper
+            penalty[2 - d, d:] = bands[:x.size - d, d]
     diagonal = 0 if lower else 2
     weights = np.ones(x.size)
     baseline = np.zeros(x.size)
@@ -432,13 +437,18 @@ class TestBaselineAlsMatrix:
         assert np.array_equal(baseline, rows_baseline[1])
         assert np.array_equal(corrected, rows_corrected[1])
 
+    def test_no_rows(self):
+        # no spectra, no baselines: the unit-weight system is still built
+        corrected, baseline = baseline_als(np.empty((0, 100)))
+        assert corrected.shape == baseline.shape == (0, 100)
+
     @pytest.mark.parametrize("lam,p", [(1e5, 0.01), (1e3, 0.05), (1.0, 0.5)])
     def test_first_solve_is_the_unit_weight_system(self, lam, p):
         # every row's first solve shares one factor of I + lam * D @ D.T
         spectra, _ = tears_phantom(20, 3)
         system = _second_difference_bands(spectra.n_channels, lam)
-        system[0] += 1.0
-        expected = np.array([solveh_banded(system, x, lower=True,
+        system[:, 0] += 1.0
+        expected = np.array([solveh_banded(system.T, x, lower=True,
                                            check_finite=False)
                              for x in spectra.matrix])
         _, baseline = baseline_als(spectra.matrix, lam, p, 1)

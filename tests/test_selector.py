@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsel.errors import (AllCandidatesFailed, AxisMismatch, BadOrder,
-                            LabelMismatch, ShapeMismatch)
+                            LabelMismatch, NonFiniteValue, ShapeMismatch)
 from specsel.preprocess import IDENTITY, apply_pipeline, parse_pipeline
 from specsel.regress import pcr_predict, press, save_model, load_model
 from specsel.selector import (
@@ -378,6 +378,23 @@ class TestEvaluateHoldout:
         model = train_final(spectra, conc, IDENTITY, 2)
         with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
             evaluate_holdout(model, spectra, truth(conc))
+
+    @pytest.mark.parametrize("intensity,truth_scale,message", [
+        (1e307, 1.0, "estimated concentrations are not finite"),
+        (1.0, 1e200, "squared prediction errors are not finite"),
+    ], ids=["intensities_x1e307", "truth_x1e200"])
+    def test_refuses_nonfinite_errors(self, intensity, truth_scale, message):
+        # refused as pcr_predict and loo_press_matrix refuse the same
+        # overflow, with no numpy warning (which pytest makes an error)
+        model = train_final(*synth.tears_phantom(10, 7), IDENTITY, 3)
+        spectra, truth = synth.tears_phantom(6, 9)
+        hold = SpectraSet(spectra.axis, spectra.matrix * intensity,
+                          spectra.labels)
+        scaled = ConcentrationSet(truth.matrix * truth_scale, truth.species,
+                                  truth.units)
+        with pytest.raises(NonFiniteValue,
+                           match=f"^spectrum 's000': {message}$"):
+            evaluate_holdout(model, hold, scaled)
 
     def test_axis_mismatch(self):
         spectra, conc, recipe = noiseless_mixtures(n_samples=8, n_species=2)

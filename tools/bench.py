@@ -8,7 +8,10 @@ It measures with the benchmark's own definitions, loading
 ``perfbench/run.py`` (which pins BLAS to one thread before numpy loads,
 here and in every child) and ``perfbench/tracer.py``. It records:
 
-- the environment, as ``run.environment()`` records it;
+- the environment, as ``run.environment()`` records it, and beside it
+  ``uncommitted``: whether ``src`` differs from the commit it names
+  (``git status``), so whether that commit is what was measured; null
+  outside a git checkout;
 - the default ``select`` (12-candidate grid, one thread) run in this
   process on ``tears_phantom(n, 7)`` for each n in ``SELECT_SIZES``: one
   warm-up, then ``SELECT_REPEATS`` traced runs, with the median and
@@ -70,6 +73,18 @@ with open("/proc/self/status") as fh:
     own = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, own, wall)
 """
+
+
+def uncommitted() -> bool | None:
+    """Whether ``src`` has changes that ``git_commit`` does not hold; None
+    outside a git checkout."""
+    if not (ROOT / ".git").exists():
+        return None
+    done = subprocess.run(
+        ["git", "-C", str(ROOT), "status", "--porcelain",
+         "--untracked-files=no", "--", "src"],
+        capture_output=True, text=True, check=False)
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
 def summary(values) -> dict:
@@ -149,7 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON file to write")
     args = parser.parse_args(argv)
-    result = {"environment": run.environment(),
+    result = {"environment": run.environment(), "uncommitted": uncommitted(),
               "select": [bench_select(n) for n in SELECT_SIZES]}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:

@@ -23,12 +23,18 @@ Appending keeps the numbers of the earlier logs.
 Run with the same directory twice (``compare_outputs.py src src``), it
 checks that every command writes the same bytes on two runs.
 
-Exits 0 when every file matches. Otherwise it prints one ``differs:``
-line for each file, in sorted order, that differs or that only one tree
-wrote, and exits 1. The line of a selection report that both trees wrote
-ends with ``(verdicts unchanged)`` or ``(verdicts moved)``: whether the
-chosen pipeline, PC and significance, and each candidate's
-``VERDICT_KEYS``, are the same in both.
+Every command's log is also checked against the exit-code contract: it
+exits 0, 2 or 3; its standard error holds no ``Traceback`` and no
+``<Name>Warning:``; and an exit 2 leaves exactly one standard error line
+starting ``error: ``.
+
+Exits 0 when every file matches and every log keeps the contract.
+Otherwise it prints one ``differs:`` line for each file, in sorted order,
+that differs or that only one tree wrote, and one ``contract: <tree>
+<log>`` line for each log that breaks the contract, and exits 1. The line
+of a selection report that both trees wrote ends with ``(verdicts
+unchanged)`` or ``(verdicts moved)``: whether the chosen pipeline, PC and
+significance, and each candidate's ``VERDICT_KEYS``, are the same in both.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -80,6 +87,10 @@ MAX_SCALE = 5e307
 ALS_SCALE = 1e306
 # one recipe or concentration value whose arithmetic passes the float range
 FLOAT_MAX_VALUE = 1e308
+# the exit codes of success, an input error and the not-significant fallback
+EXIT_CODES = (0, 2, 3)
+# a warning's category as Python prints it, such as RuntimeWarning:
+WARNING = re.compile(r"\w+Warning:")
 
 
 def pair(spectra: str, conc: str | None = None) -> list:
@@ -305,9 +316,26 @@ def run_all(env: dict, work: Path) -> None:
                                 cwd=work, env=env, capture_output=True,
                                 text=True)
         command = step[2] if step[0] == "--config" else step[0]
-        (work / f"{index:02d}_{command}.log").write_text(
-            f"$ specsel {' '.join(step)}\nexit {result.returncode}\n"
-            f"--- stdout\n{result.stdout}--- stderr\n{result.stderr}")
+        (work / f"{index:02d}_{command}.log").write_text(command_log(
+            step, result.returncode, result.stdout, result.stderr))
+
+
+def command_log(step: list, code: int, stdout: str, stderr: str) -> str:
+    """The log of one specsel command: its arguments, exit code, standard
+    output and standard error."""
+    return (f"$ specsel {' '.join(step)}\nexit {code}\n"
+            f"--- stdout\n{stdout}--- stderr\n{stderr}")
+
+
+def breaks_contract(log: str) -> bool:
+    """Whether the command of ``log``, as ``command_log`` writes it, breaks
+    the exit-code contract."""
+    head, _, stderr = log.partition("--- stderr\n")
+    code = int(head.splitlines()[1].removeprefix("exit "))
+    errors = sum(line.startswith("error: ") for line in stderr.splitlines())
+    return (code not in EXIT_CODES or "Traceback" in stderr
+            or WARNING.search(stderr) is not None
+            or (code == 2 and errors != 1))
 
 
 def verdicts(path: Path):
@@ -356,15 +384,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     envs = [tree_env(src.resolve()) for src in (args.parent_src,
                                                  args.change_src)]
+    breaches = []
     with tempfile.TemporaryDirectory() as parent, \
             tempfile.TemporaryDirectory() as change:
-        for env, work in zip(envs, (parent, change)):
-            run_all(env, Path(work))
+        for src, env, work in zip((args.parent_src, args.change_src), envs,
+                                  (Path(parent), Path(change))):
+            run_all(env, work)
+            breaches += [f"{src} {log.name}"
+                         for log in sorted(work.glob("*.log"))
+                         if breaks_contract(log.read_text())]
         diffs = differences(Path(parent), Path(change))
         count = sum(1 for p in Path(change).rglob("*") if p.is_file())
     for diff in diffs:
         print(f"differs: {diff}")
-    if diffs:
+    for breach in breaches:
+        print(f"contract: {breach}")
+    if diffs or breaches:
         return 1
     runs = sum(not isinstance(step, tuple) for step in steps())
     print(f"all {count} files identical ({runs} commands)")
