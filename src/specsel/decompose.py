@@ -6,10 +6,12 @@ spectra << j channels), with no iteration to converge. ``nipals_fit``
 extracts the same components one at a time by power iteration and is kept
 as an independent iterative reference. ``usable_components`` is the one
 rule, relative to the data, for how many components any fit may use, and
-``unit_scaled`` the one power-of-two scale of its norms, of ``pca_fit``
-and the folds of ``crossval``, of the ``snv`` and ``rnv`` steps and
-``despike``'s edge windows, of ``baseline_als``'s solves, and of the
-significance gate's groups.
+``unit_scaled`` the one power-of-two scale, exact because it only moves
+exponents. Its norms, the ``snv`` and ``rnv`` steps, ``despike``'s edge
+windows and the significance gate's groups scale both ways with it.
+``_fit_scaled`` is the one divide-only form, which never scales up: of
+``pca_fit`` and the folds of ``crossval`` over the whole set, and of
+``baseline_als``'s solves row by row.
 """
 
 from __future__ import annotations
@@ -96,24 +98,20 @@ def _unit_exponent(x: np.ndarray, axis=None) -> np.ndarray:
 
 def unit_scaled(x: np.ndarray, axis=None):
     """(x / 2^e, e) with ``_unit_exponent``'s e: the division brings the
-    largest magnitude into [0.5, 1), exactly unless a value underflows.
-    ``scaled_norm``, ``snv``, ``rnv``, ``despike``'s edge windows and the
-    significance gate scale both ways; ``pca_fit`` and
-    ``crossval.loo_press_matrix`` only divide, through ``_fit_scaled``, and
-    ``baseline_als``'s solves through that e of each row."""
+    largest magnitude over axis into [0.5, 1), exactly unless a value
+    underflows."""
     e = _unit_exponent(x, axis)
     return np.ldexp(x, -e), e
 
 
-def _fit_scaled(x: np.ndarray):
-    """(x / 2^e, e) for ``pca_fit`` and the folds of ``crossval``, with the
-    e of ``unit_scaled`` over all of x floored at 0. A fit divides, which
-    is exact: numpy's centring cannot overflow, LAPACK does not rescale
-    internally, and every power-of-two scale of a set whose largest |x| is
-    at least 1 gives the fit the same bits. It never scales up, so
-    subnormal intensities stay refused."""
-    unit, e = unit_scaled(x)
-    return (unit, e.item()) if e > 0 else (x, 0)
+def _fit_scaled(x: np.ndarray, axis=None):
+    """(x / 2^e, e) with ``unit_scaled``'s e over axis floored at 0, so it
+    only divides, which is exact: a fit's sums cannot overflow, LAPACK
+    does not rescale internally, and every power-of-two scale of a set
+    whose largest |x| is at least 1 gives the fit the same bits. It never
+    scales up, so subnormal intensities stay refused."""
+    e = np.maximum(_unit_exponent(x, axis), 0)
+    return np.ldexp(x, -e), e
 
 
 def scaled_norm(x: np.ndarray, axis=None) -> np.ndarray:
@@ -151,7 +149,7 @@ def pca_fit(spectra: SpectraSet, k: int) -> PcaModel:
         scores = np.ldexp(u[:, :n] * singulars[:n], e)
     if not np.isfinite(scores).all():
         raise NonFiniteValue("intensities too large: scores pass the float range")
-    return _signed_model(spectra, np.ldexp(means[0], e), vt[:n].T, scores)
+    return _signed_model(spectra, np.ldexp(means, e)[0], vt[:n].T, scores)
 
 
 def nipals_fit(spectra: SpectraSet, k: int, tol: float = DEFAULT_TOL,

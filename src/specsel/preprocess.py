@@ -6,12 +6,10 @@ of the same code. Rows never influence each other, and ``_as_rows`` alone
 turns the input into the C-ordered float rows every operation works on
 (and gives back the shape its output takes), so ``apply_pipeline`` runs
 each step once on a block of rows and gets the bits a row-by-row loop
-would. ``snv`` and ``rnv`` are scale-free over the float range: each first
-brings every row's largest magnitude into [0.5, 1) by a power of two
-(``decompose.unit_scaled``), which is exact, so a power-of-two scale of a
-spectrum changes none of their output bits and no square of a deviation
-overflows; ``despike`` takes its edge medians the same way, and
-``baseline_als`` its solves, dividing only. The second
+would. Steps that need it scale each row by a power of two, by the rules
+``decompose`` states once, which is exact: no square or sum of a step
+overflows, and a power-of-two scale of a spectrum changes no output bit of
+``snv`` or ``rnv``. The second
 difference (1, -2, 1) of ``derivative`` and of the ``baseline_als``
 penalty is written once in each.
 
@@ -39,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .decompose import _unit_exponent, unit_scaled
+from .decompose import _fit_scaled, unit_scaled
 from .errors import (
     BadOrder,
     DegenerateSubset,
@@ -315,9 +313,9 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
     row's bands decouple it from the row after. Its right-hand side lives
     in one buffer too, allocated once per call for all the rows, of which
     each solve fills the leading ones, and becomes the solution. Each row
-    is solved divided by its own power of two (``decompose._unit_exponent``,
-    never scaling up) and its solutions multiplied back, which is exact,
-    so no sum of a solve overflows near the float maximum.
+    is solved divided by its own power of two (``decompose._fit_scaled``)
+    and its solutions multiplied back, so no sum of a solve overflows near
+    the float maximum.
     Returns (corrected, baseline). BadOrder names ``lam`` and ``p`` when
     rounding leaves a system not positive definite.
     """
@@ -346,11 +344,11 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
         system[:, :, 0] += weights
         return system.reshape(-1, 3).T
 
-    e = np.maximum(_unit_exponent(rows, axis=1), 0)
+    scaled, e = _fit_scaled(rows, axis=1)
     try:
         # the right-hand sides are the columns of the scaled rows' .T, so
         # the solution's transpose is C-ordered with one baseline per row
-        baseline = solveh_banded(systems(1, 1.0), np.ldexp(rows, -e).T,
+        baseline = solveh_banded(systems(1, 1.0), scaled.T,
                                  overwrite_ab=True, overwrite_b=True,
                                  lower=True, check_finite=False).T
         np.ldexp(baseline, e, out=baseline)
@@ -363,10 +361,10 @@ def baseline_als(spectrum, lam: float = 1e5, p: float = 0.01,
             if not active.size:
                 break
             targets = rows[active]
-            scaled = np.multiply(weights, targets, out=rhs[:active.size])
-            np.ldexp(scaled, -e[active], out=scaled)
+            weighted = np.multiply(weights, targets, out=rhs[:active.size])
+            np.ldexp(weighted, -e[active], out=weighted)
             solved = solveh_banded(
-                systems(active.size, weights), scaled.ravel(),
+                systems(active.size, weights), weighted.ravel(),
                 overwrite_ab=True, overwrite_b=True, lower=True,
                 check_finite=False).reshape(-1, j)
             baseline[active] = np.ldexp(solved, e[active], out=solved)

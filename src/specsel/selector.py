@@ -19,7 +19,8 @@ import numpy as np
 from ._parallel import run_indexed
 from .crossval import PressMatrix, loo_press_matrix
 from .decompose import pca_fit
-from .errors import AllCandidatesFailed, ShapeMismatch, SpecselError
+from .errors import (AllCandidatesFailed, NonFiniteValue, ShapeMismatch,
+                     SpecselError)
 from .preprocess import Pipeline, apply_pipeline
 from .regress import PcrModel, _estimate_curve, _refuse_nonfinite, pcr_fit
 from .significance import (DEFAULT_ALPHA, PcVerdict, _check_alpha,
@@ -169,7 +170,8 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
     The estimates at every count come from ``regress._estimate_curve``,
     so a spectrum whose estimates pass the float range is refused as
     ``pcr_predict`` refuses it; NonFiniteValue also names the first
-    spectrum whose squared prediction errors do, with no numpy warning.
+    spectrum whose squared prediction errors do, and refuses errors whose
+    sum does, with no numpy warning.
     """
     _check_samples(truth, holdout.n_spectra, "truth")
     if tuple(truth.species) != tuple(model.species):
@@ -183,8 +185,13 @@ def evaluate_holdout(model: PcrModel, holdout: SpectraSet,
         diff = _estimate_curve(model, holdout) - truth.matrix[:, :, None]
         squares = diff * diff
     _refuse_nonfinite(squares, holdout.labels, "squared prediction errors")
-    per_species = np.sum(squares, axis=1)
-    rss = per_species.sum(axis=0)
+    with np.errstate(over="ignore"):  # refused below
+        per_species = np.sum(squares, axis=1)
+        rss = per_species.sum(axis=0)
+    # every term is non-negative, so a finite rss has finite per_species
+    if not np.isfinite(rss).all():
+        raise NonFiniteValue("squared prediction errors sum past the float "
+                             "range")
     for arr in (rss, per_species):
         arr.setflags(write=False)
     return HoldoutEvaluation(rss=rss, per_species=per_species,

@@ -10,8 +10,8 @@ Each recipe dataclass checks its own fields when built, so a recipe from
 Python, ``dataclasses.replace`` or a config passes the same checks.
 SynthRecipe takes its species and baseline as specs or as mappings of their
 fields, and refuses a seed that is not a non-negative integer and an axis
-step too fine for one array to hold the axis; ``recipe_from_dict`` only adds
-the seed. Peak positions are synthetic by construction; they make no claim
+step too fine for one array to hold the axis; ``recipe_from_dict`` only sets
+seed 0, which a caller replaces. Peak positions are synthetic by construction; they make no claim
 of spectroscopic fidelity for any real analyte.
 """
 
@@ -321,18 +321,19 @@ def _from_dict(cls, cfg, what: str):
         raise SpecselError(f"{what} {exc}") from None
 
 
-def recipe_from_dict(cfg, seed: int = 0) -> SynthRecipe:
+def recipe_from_dict(cfg) -> SynthRecipe:
     """Recipe from a mapping such as the ``recipe`` key of a CLI config.
 
     Keys are SynthRecipe's fields, optional with the same defaults, except
     ``species``: a non-empty list of objects with SpeciesSpec's fields
     (``name`` and ``peaks``, a list of [center, hwhm, amplitude], are
-    required). ``baseline`` is an object with BaselineSpec's fields. A
-    ``seed`` key is ignored: this only adds ``seed`` and builds SynthRecipe,
-    which converts and checks every field; a missing or refused entry raises
-    SpecselError naming it.
+    required). ``baseline`` is an object with BaselineSpec's fields. The
+    recipe takes seed 0, and a ``seed`` key is ignored: a caller applies
+    its seed with ``dataclasses.replace``. This only sets the seed and
+    builds SynthRecipe, which converts and checks every field; a missing
+    or refused entry raises SpecselError naming it.
     """
-    return _from_dict(SynthRecipe, {**_mapping(cfg, "recipe"), "seed": seed},
+    return _from_dict(SynthRecipe, {**_mapping(cfg, "recipe"), "seed": 0},
                       "recipe")
 
 

@@ -437,6 +437,20 @@ class TestBaselineAlsMatrix:
         assert np.array_equal(baseline, rows_baseline[1])
         assert np.array_equal(corrected, rows_corrected[1])
 
+    def test_rows_at_mixed_scales_keep_their_own_outputs(self):
+        # each row is divided by its own power of two, floored at 1: rows
+        # from 2^-40 to 2^1017, a zero row and a subnormal one in one block
+        m = tears_phantom(6, 7)[0].matrix
+        block = np.vstack([np.ldexp(m[0], -40), m[1], np.ldexp(m[2], 600),
+                           np.ldexp(m[3], 1017), np.zeros(m.shape[1]),
+                           m[5] * (1e-320 / np.abs(m[5]).max())])
+        corrected, baseline = baseline_als(block, 1e5, 0.01, 10)
+        assert np.isfinite(baseline).all()
+        for n, x in enumerate(block):
+            row_corrected, row_baseline = baseline_als(x, 1e5, 0.01, 10)
+            assert np.array_equal(baseline[n], row_baseline)
+            assert np.array_equal(corrected[n], row_corrected)
+
     def test_no_rows(self):
         # no spectra, no baselines: the unit-weight system is still built
         corrected, baseline = baseline_als(np.empty((0, 100)))

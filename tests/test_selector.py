@@ -379,21 +379,25 @@ class TestEvaluateHoldout:
         with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
             evaluate_holdout(model, spectra, truth(conc))
 
-    @pytest.mark.parametrize("intensity,truth_scale,message", [
-        (1e307, 1.0, "estimated concentrations are not finite"),
-        (1.0, 1e200, "squared prediction errors are not finite"),
-    ], ids=["intensities_x1e307", "truth_x1e200"])
-    def test_refuses_nonfinite_errors(self, intensity, truth_scale, message):
+    @pytest.mark.parametrize("intensity,truth_values,message", [
+        (1e307, lambda m: m,
+         "spectrum 's000': estimated concentrations are not finite"),
+        (1.0, lambda m: m * 1e200,
+         "spectrum 's000': squared prediction errors are not finite"),
+        # each square is finite, but their sum is not
+        (1.0, lambda m: np.full_like(m, 1.3e154),
+         "squared prediction errors sum past the float range"),
+    ], ids=["intensities_x1e307", "truth_x1e200", "truth_1.3e154"])
+    def test_refuses_nonfinite_errors(self, intensity, truth_values, message):
         # refused as pcr_predict and loo_press_matrix refuse the same
         # overflow, with no numpy warning (which pytest makes an error)
         model = train_final(*synth.tears_phantom(10, 7), IDENTITY, 3)
         spectra, truth = synth.tears_phantom(6, 9)
         hold = SpectraSet(spectra.axis, spectra.matrix * intensity,
                           spectra.labels)
-        scaled = ConcentrationSet(truth.matrix * truth_scale, truth.species,
+        scaled = ConcentrationSet(truth_values(truth.matrix), truth.species,
                                   truth.units)
-        with pytest.raises(NonFiniteValue,
-                           match=f"^spectrum 's000': {message}$"):
+        with pytest.raises(NonFiniteValue, match=f"^{re.escape(message)}$"):
             evaluate_holdout(model, hold, scaled)
 
     def test_axis_mismatch(self):

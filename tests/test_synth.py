@@ -198,7 +198,7 @@ class TestPolynomialBaseline:
     def test_recipe_synthesizes_finite_spectra(self):
         cfg = dict(TestRecipeFromDict.CONFIG, baseline={
             "kind": "polynomial", "coeffs": [1.0, -0.5, 0.25]})
-        recipe = recipe_from_dict(cfg, seed=3)
+        recipe = dataclasses.replace(recipe_from_dict(cfg), seed=3)
         assert recipe.baseline == BaselineSpec("polynomial", (1.0, -0.5, 0.25))
         spectra = generate(recipe, phantom_concentrations(recipe, 6))
         assert spectra.matrix.shape == (6, 301)
@@ -263,7 +263,7 @@ class TestRecipeFromDict:
     }
 
     def test_fields(self):
-        recipe = recipe_from_dict(self.CONFIG, seed=4)
+        recipe = dataclasses.replace(recipe_from_dict(self.CONFIG), seed=4)
         assert recipe == SynthRecipe(
             axis_start=400.0, axis_stop=1000.0, axis_step=2.0,
             species=(
@@ -277,7 +277,7 @@ class TestRecipeFromDict:
         )
 
     def test_concentration_ranges(self):
-        recipe = recipe_from_dict(self.CONFIG, seed=4)
+        recipe = dataclasses.replace(recipe_from_dict(self.CONFIG), seed=4)
         assert [s.conc_range for s in recipe.species] == [(0.0, 2.0),
                                                           (0.0, 1.0)]
         conc = phantom_concentrations(recipe, 50)
@@ -318,22 +318,21 @@ class TestRecipeFromDict:
             "width_squared_overflows", "width_squared_underflows"])
     def test_malformed_entries(self, edit, message):
         with pytest.raises(SpecselError, match=message):
-            recipe_from_dict({**self.CONFIG, **edit}, seed=0)
+            recipe_from_dict({**self.CONFIG, **edit})
 
     def test_unknown_keys_are_ignored(self):
         cfg = {**self.CONFIG, "comment": "x", "seed": 99,
                "baseline": {**self.CONFIG["baseline"], "note": 1},
                "species": [{**sp, "color": "red"}
                            for sp in self.CONFIG["species"]]}
-        assert recipe_from_dict(cfg, seed=4) == recipe_from_dict(self.CONFIG,
-                                                                 seed=4)
+        assert recipe_from_dict(cfg) == recipe_from_dict(self.CONFIG)
 
     def test_bad_concentration_range(self):
         cfg = {"species": [{"name": "g", "peaks": [], "conc_range": [0, "x"]}]}
         with pytest.raises(SpecselError,
                            match="recipe species 0 conc_range must be a "
                                  "finite number"):
-            recipe_from_dict(cfg, seed=0)
+            recipe_from_dict(cfg)
 
     @pytest.mark.parametrize("bounds", [[2, 1], [-1, 1]],
                              ids=["lo_above_hi", "negative_lo"])
@@ -344,7 +343,7 @@ class TestRecipeFromDict:
                            match=r"^recipe species 1 conc_range must satisfy "
                                  r"0 <= lo <= hi, got \[%s, %s\]$"
                                  % (float(bounds[0]), float(bounds[1]))):
-            recipe_from_dict(cfg, seed=0)
+            recipe_from_dict(cfg)
 
 
 def ranged_recipe(bounds, seed):

@@ -10,14 +10,18 @@ here and in every child) and ``perfbench/tracer.py``. It records:
 
 - the environment, as ``run.environment()`` records it, and beside it
   ``uncommitted``: whether ``src`` differs from the commit it names
-  (``git status``), so whether that commit is what was measured; null
-  outside a git checkout;
-- the default ``select`` (12-candidate grid, one thread) run in this
-  process on ``tears_phantom(n, 7)`` for each n in ``SELECT_SIZES``: one
-  warm-up, then ``SELECT_REPEATS`` traced runs, with the median and
-  quartiles of the whole call and of its three stages, summed from the
-  tracer's spans (preprocessing, the rest of ``loo_press_matrix``, and the
-  ANOVA gate), and the chosen pipeline and PC count;
+  (``git status``), so whether that commit is what was measured, null
+  outside a git checkout; and ``bytecode_writing``: whether this
+  interpreter writes ``.pyc`` files (``PYTHONDONTWRITEBYTECODE`` unset),
+  as without them every child compiles specsel's sources;
+- the default ``select`` (12-candidate grid) run in this process on
+  ``tears_phantom(n, 7)``, on one thread for each n in ``SELECT_SIZES``
+  with ``SELECT_REPEATS`` traced runs, and at n = ``WIDE_N`` on
+  ``WIDE_WORKERS`` threads with ``WIDE_REPEATS``: one warm-up, then the
+  traced runs, with the median and quartiles of the whole call and of its
+  three stages, summed from the tracer's spans over every thread
+  (preprocessing, the rest of ``loo_press_matrix``, and the ANOVA gate),
+  and the chosen pipeline and PC count;
 - the peak resident memory and the wall time of a ``specsel predict``
   child on the ``predict_batch`` workload's inputs at each size in
   ``PREDICT_BATCHES``.
@@ -56,6 +60,8 @@ from specsel.preprocess import parse_pipeline  # noqa: E402
 SELECT_SIZES = (20, 40, 100)
 SEED = 7
 SELECT_REPEATS = 5
+# the speed milestone's row: one run takes about 10 s on two cores
+WIDE_N, WIDE_WORKERS, WIDE_REPEATS = 200, 2, 3
 PREDICT_BATCHES = (1000, 5000)
 PREDICT_REPEATS = 5
 LAUNCHER_MAX_MB = 20.0
@@ -93,11 +99,11 @@ def summary(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def traced_select(spectra, conc, grid):
+def traced_select(spectra, conc, grid, workers):
     """The times of one traced ``select_method`` call and of its stages."""
     with Tracer() as tracer:
         begun = time.perf_counter()
-        selector.select_method(spectra, conc, grid)
+        selector.select_method(spectra, conc, grid, workers=workers)
         total = time.perf_counter() - begun
 
     def seconds(name):
@@ -112,15 +118,17 @@ def traced_select(spectra, conc, grid):
         "gate_s": seconds("significance.select_optimal_pc")}
 
 
-def bench_select(n: int) -> dict:
+def bench_select(n: int, workers: int = 1,
+                 repeats: int = SELECT_REPEATS) -> dict:
     spectra, conc = synth.tears_phantom(n, SEED)
     grid = [parse_pipeline(text) for text in DEFAULT_CANDIDATES]
     # a warm-up, whose verdict every run repeats
-    report = selector.select_method(spectra, conc, grid)
-    runs = [traced_select(spectra, conc, grid) for _ in range(SELECT_REPEATS)]
+    report = selector.select_method(spectra, conc, grid, workers=workers)
+    runs = [traced_select(spectra, conc, grid, workers)
+            for _ in range(repeats)]
     return {
-        "n": n, "seed": SEED, "candidates": len(grid),
-        "repeats": SELECT_REPEATS,
+        "n": n, "seed": SEED, "candidates": len(grid), "workers": workers,
+        "repeats": repeats,
         **{key: summary([times[key] for times in runs]) for key in runs[0]},
         "chosen": [report.chosen_pipeline, report.chosen_pc],
         "chosen_significant": report.chosen_significant,
@@ -165,7 +173,9 @@ def main(argv=None) -> int:
                         help="JSON file to write")
     args = parser.parse_args(argv)
     result = {"environment": run.environment(), "uncommitted": uncommitted(),
-              "select": [bench_select(n) for n in SELECT_SIZES]}
+              "bytecode_writing": not sys.dont_write_bytecode,
+              "select": [*(bench_select(n) for n in SELECT_SIZES),
+                         bench_select(WIDE_N, WIDE_WORKERS, WIDE_REPEATS)]}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         try:
