@@ -11,8 +11,9 @@ Python, ``dataclasses.replace`` or a config passes the same checks.
 SynthRecipe takes its species and baseline as specs or as mappings of their
 fields, and refuses a seed that is not a non-negative integer and an axis
 step too fine for one array to hold the axis; ``recipe_from_dict`` only sets
-seed 0, which a caller replaces. Peak positions are synthetic by construction; they make no claim
-of spectroscopic fidelity for any real analyte.
+seed 0, which a caller replaces. Peak positions are synthetic by
+construction; they make no claim of spectroscopic fidelity for any real
+analyte.
 """
 
 from __future__ import annotations
